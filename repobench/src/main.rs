@@ -25,26 +25,33 @@
 //! Every time is host time. The box this runs on shares its cores with
 //! other tenants, which slow it down by up to 2× for seconds at a time
 //! (a fixed loop timed in 0.2-s slices read 167–417 ms over one minute).
-//! So solo and serve read throughput at the fast percentile
-//! ([`stats::FAST`], p90) of per-operation rates: the slow operations
-//! measure the neighbours, the fast ones this program. A sweep batch
-//! lasts a quarter second and averages that noise itself, so sweep reads
-//! its median batch. Latencies keep their plain p50 and p90 and are the
+//! So solo reads throughput at the fast percentile ([`stats::FAST`],
+//! p90) of per-run rates, and latency over its fastest rounds: the slow
+//! runs measure the neighbours, the fast ones this program. A sweep
+//! batch lasts a quarter second and averages that noise itself, so sweep
+//! reads its median batch. Serve reads what completed over the whole
+//! phase. The other latencies keep their plain p50 and p90 and are the
 //! noisier numbers.
+//!
+//! Every workload reports every metric, so `step_p50_ms` and
+//! `step_p90_ms` name the unit a user of that workload waits for: one
+//! design run on solo, one batch on sweep, one interactive step on serve.
+//! Each is taken over at least 100 samples.
 //!
 //! | metric | unit | solo | sweep | serve |
 //! |---|---|---|---|---|
-//! | `sim_khz` | kHz | geomean over designs of each design's per-run rate (Vcycles / (boot + run to `$finish`)) | geomean over designs of the median batch's Vcycles / batch time | Vcycles completed per run of 16 consecutive completions (jobs and steps) |
-//! | `runs_per_s` | 1/s | design runs per second of boot-plus-run time, per round | geomean over designs of the median batch's scenarios / batch time | batch jobs completed per run of 16 consecutive completions |
-//! | `step_p50_ms`, `step_p90_ms` | ms | percentile over the ten designs of each design's fast (p10) boot-plus-run latency | latency of one `run_ganged` batch | round trip of one interactive `resume` step |
+//! | `sim_khz` | kHz | geomean over designs of each design's per-run rate (Vcycles / (boot + run to `$finish`)) | geomean over designs of the median batch's Vcycles / batch time | Vcycles completed (batch jobs and steps) / phase wall time |
+//! | `runs_per_s` | 1/s | design runs per second of boot-plus-run time, per round | geomean over designs of the median batch's scenarios / batch time | batch jobs completed / phase wall time |
+//! | `step_p50_ms`, `step_p90_ms` | ms | latency of one run (boot plus run to `$finish`) in the fastest fifth of rounds (at least 20 rounds, 200 runs), pooled over designs: each run relative to its design's median there, scaled by the geomean of those medians | latency of one `FleetSim::run_ganged` batch | round trip of one interactive `resume` step |
 //! | `setup_s` | s | median of three set-ups: compile ten designs and freeze their programs | median of three `FleetSim::compile` set-ups | median of three daemon binds plus warm-up compiles and the first park |
 //! | `peak_rss_mb` | MB | VmHWM of the process at exit | same | same |
 //!
 //! A latency series needs at least 100 samples so that ten lie beyond
 //! p90: the timed phase runs for `--seconds` and then, if needed, until
 //! every series has them (at most 1.5 × `--seconds`, which keeps a
-//! run's length bounded). `setup_s` excludes
-//! the benchmark's own ground-truth runs.
+//! run's length bounded). On solo the series that must reach 100 is the
+//! rounds, so every design has 100 runs. `setup_s` excludes the
+//! benchmark's own ground-truth runs.
 //!
 //! Two more numbers are printed in the table but are not gated:
 //! `fail_frac` (failed over attempted operations; the JSON line carries
@@ -66,25 +73,45 @@
 //! - `sweep`: bc, mm and mc at 8×8 via `FleetSim::compile(.., nproc)`;
 //!   each batch of 32 scenarios pokes seeded values into the data-input
 //!   registers (`nonce0..5`, `ad_0_c`/`ps_0_c`, `price0..7`) and runs to
-//!   `$finish` through `Fleet::run_ganged_stream` with 8 lanes. *Why:* the
-//!   fleet pool, the gang lockstep kernels and per-job boot do the work
-//!   while the solo micro-op loop is bypassed, so a solo-engine change
-//!   moves `solo` and leaves `sweep` flat, and a gang-kernel change the
-//!   reverse. Ground truth: two seeded scenarios per batch are re-run on
-//!   a solo `ManticoreSim` after timing; read-backs, displays,
-//!   `PerfCounters` and the state fingerprint must be identical.
-//! - `serve`: `Server::bind("127.0.0.1:0", ..)` with a session directory,
-//!   and two client threads, one connection each, in a closed loop. The
-//!   `interactive` client (window 1) steps a parked `counter` session
-//!   with `resume{vcycles: 200, park: true, reads}` like a testbench
-//!   stepping a co-simulation; the `batch` client keeps 4 jobs in flight,
-//!   mm and bc at 8×8 to `$finish` with seeded pokes, every fourth sent
-//!   as `submit_netlist` with the `wire` encoding of the same design.
-//!   *Why:* interactive traffic is all framing, dispatch and park spill;
-//!   batch traffic is all admission and simulation, so a change that
-//!   trades one for the other shows here. Ground truth: a `FleetSim` run
-//!   of every distinct (design, poke) pair before timing, and a solo
-//!   replay of the interactive steps after it.
+//!   `$finish` through `FleetSim::run_ganged` with 8 lanes. The batch is
+//!   the gang shape of the repository's `fleet_throughput` benchmark:
+//!   8 lanes × 4 workers. *Why:* the fleet pool, the gang lockstep
+//!   kernels and per-job boot do the work while the solo micro-op loop
+//!   is bypassed, so a solo-engine change moves `solo` and leaves `sweep`
+//!   flat, and a gang-kernel change the reverse. Ground truth: two seeded
+//!   scenarios per batch are re-run on a solo `ManticoreSim` after
+//!   timing; read-backs, displays, `PerfCounters` and the state
+//!   fingerprint must be identical.
+//! - `serve`: `Server::bind("127.0.0.1:0", ..)` with the default
+//!   configuration and a session directory, and two client threads, one
+//!   connection each, in a closed loop. The `interactive` client
+//!   (window 1) steps a parked `counter` session with
+//!   `resume{vcycles: 200, park: true, reads}` like a testbench stepping
+//!   a co-simulation; the `batch` client submits mm and bc at 8×8 to
+//!   `$finish` with seeded pokes. *Why:* interactive traffic is all
+//!   framing, dispatch and park spill; batch traffic is all admission and
+//!   simulation, so a change that trades one for the other shows here.
+//!   Ground truth: a `FleetSim` run of every distinct (design, poke) pair
+//!   before timing, and a solo replay of the interactive steps after it.
+//!
+//! The batch traffic's shape is assumed, not taken from observed use;
+//! each number and why it was chosen:
+//! - window 8: the batch client keeps exactly enough jobs in flight to
+//!   fill the default daemon's pool, `workers × lanes` of
+//!   `ServerConfig::default()` (2 × 4). This window sets the head-of-line
+//!   blocking the step latency measures. The repository's sustained-load
+//!   harness `serve_soak` keeps 32 in flight; with mm and bc that makes a
+//!   step wait about 750 ms, too long for 100 steps in a run.
+//! - one job in 8 goes as `submit_netlist` with the `wire` encoding of
+//!   the same design: the wire path stays a steady share of the load,
+//!   and a phase's wire traffic (about 46 KB per encoding) stays well
+//!   under the daemon's per-connection netlist quota (16 MiB), which is
+//!   charged for a connection's whole life; each timed phase therefore
+//!   opens a fresh batch connection (one job in 4 under a 32-job window
+//!   exhausted it within one phase).
+//! - 8 distinct poke vectors per design: they bound the ground-truth runs
+//!   to one 8-lane gang per design and change nothing the daemon does,
+//!   since pokes are not part of its cache key.
 //!
 //! ## Layers, and the end-to-end metric each should move
 //!
@@ -105,6 +132,11 @@
 //! | serve | `serve.lookup_us.*`, `serve.key_us.*`, `serve.wire_decode_us`, `serve.batch_rtt_ms`, `serve.batch_sim_ms` | `runs_per_s` | serve |
 //! | serve | `serve.frame_us`, `serve.spill_us`, `serve.step_sim_ms`, `serve.step_overhead_ms` | `step_p50_ms`, `step_p90_ms` | serve |
 //! | serve | `serve.cache_hits`, `serve.cache_misses` (exact), `serve.submitted`, `serve.completed`, `serve.rejected` | — | serve |
+//!
+//! `fleet.spread_ms` needs each job's completion time, which
+//! `FleetSim::run_ganged` does not hand out: it comes from two batches
+//! per design streamed through `Fleet::run_ganged_stream` after the
+//! traced phase.
 //!
 //! `trace.overhead_pct` is the traced phase's `sim_khz` loss against the
 //! untraced phase of the same run, in percent.

@@ -14,7 +14,9 @@ use manticore::workloads::{self, Workload};
 use manticore::ManticoreSim;
 
 use crate::common::{self, SetupRep};
-use crate::stats::{geomean_of_percentiles, percentile, tail_line, Tally, FAST};
+use crate::stats::{
+    geomean_of_percentiles, percentile, pooled_relative_percentile, tail_line, Tally, FAST,
+};
 use crate::trace::Tracer;
 use crate::{Report, RunCfg, SETUP_REPS};
 
@@ -285,14 +287,61 @@ fn metrics(phase: &Phase, out: &mut BTreeMap<String, f64>) {
     let designs = phase.latency_ms.len() as f64;
     let round_rates: Vec<f64> = phase.round_s.iter().map(|s| designs / s).collect();
     out.insert("runs_per_s".into(), percentile(&round_rates, FAST));
-    // A design's runs differ only by what the host does meanwhile, so its
-    // latency is read on the fast side too; the percentiles are taken
-    // over the designs of the suite.
-    let fast_ms: Vec<f64> = phase
-        .latency_ms
+    // A step is one run, boot plus run to `$finish`, read on the host's
+    // fast side like the rates: over the runs of the fastest rounds.
+    // Designs differ hundredfold in length, so each run is read against
+    // its design's median before the designs are pooled.
+    let fast = fast_rounds(&phase.latency_ms, &phase.round_s);
+    out.insert(
+        "step_p50_ms".into(),
+        pooled_relative_percentile(&fast, 50.0),
+    );
+    out.insert(
+        "step_p90_ms".into(),
+        pooled_relative_percentile(&fast, 90.0),
+    );
+}
+
+/// Rounds the step latencies are read over: the fastest fifth, and at
+/// least 20, so that the pooled runs of ten designs put 20 beyond p90.
+const FAST_ROUNDS_MIN: usize = 20;
+
+/// Each design's latencies (`latency_ms[design][round]`) in the fastest
+/// rounds by `round_s`. A round runs every design once, so its time is
+/// the host's speed at that moment with this program's work held fixed.
+fn fast_rounds(latency_ms: &[Vec<f64>], round_s: &[f64]) -> Vec<Vec<f64>> {
+    let mut rounds: Vec<usize> = (0..round_s.len()).collect();
+    rounds.sort_by(|&a, &b| round_s[a].total_cmp(&round_s[b]));
+    rounds.truncate((round_s.len() / 5).max(FAST_ROUNDS_MIN));
+    latency_ms
         .iter()
-        .map(|s| percentile(s, 100.0 - FAST))
-        .collect();
-    out.insert("step_p50_ms".into(), percentile(&fast_ms, 50.0));
-    out.insert("step_p90_ms".into(), percentile(&fast_ms, 90.0));
+        .map(|runs| {
+            rounds
+                .iter()
+                .filter_map(|&r| runs.get(r).copied())
+                .collect()
+        })
+        .collect()
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn fast_rounds_keep_whole_rounds() {
+        // 100 rounds of two designs, slowest first: round i takes
+        // 199 - i s, and design 0 runs 99 - i ms in it. The fastest fifth
+        // is the last 20 rounds, where design 0 ran 19 down to 0 ms.
+        let round_s: Vec<f64> = (0..100).rev().map(|r| f64::from(100 + r)).collect();
+        let latency_ms = vec![
+            (0..100).rev().map(f64::from).collect::<Vec<_>>(),
+            vec![100.0; 100],
+        ];
+        let fast = fast_rounds(&latency_ms, &round_s);
+        assert_eq!(fast[0], (0..20).map(f64::from).collect::<Vec<_>>());
+        assert_eq!(fast[1], vec![100.0; 20]);
+        // Fewer rounds than the minimum: all of them.
+        assert_eq!(fast_rounds(&latency_ms, &round_s[..7])[1].len(), 7);
+    }
 }

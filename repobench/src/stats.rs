@@ -71,19 +71,20 @@ pub fn geomean_of_percentiles(groups: &[Vec<f64>], p: f64) -> f64 {
     geomean(&per_group)
 }
 
-/// Throughput over runs of `k` consecutive completions: `events` are
-/// (completion time in seconds, amount), in time order; each whole chunk
-/// of `k` yields the amount completed after its first event divided by
-/// the time from its first event to its last.
-pub fn chunk_rates(events: &[(f64, f64)], k: usize) -> Vec<f64> {
-    events
-        .chunks_exact(k.max(2))
-        .filter_map(|chunk| {
-            let span = chunk[chunk.len() - 1].0 - chunk[0].0;
-            let amount: f64 = chunk[1..].iter().map(|&(_, a)| a).sum();
-            (span > 0.0).then(|| amount / span)
-        })
-        .collect()
+/// The `p`-th percentile of all groups' samples pooled, each sample
+/// first divided by its group's median, scaled back by the geometric
+/// mean of the group medians. Groups of very different size (a design
+/// that runs 2 ms and one that runs 200 ms) share one scale this way: p50
+/// reads a typical sample and p90 how far the slow samples of any group
+/// lie above its typical one, not which group is slowest.
+pub fn pooled_relative_percentile(groups: &[Vec<f64>], p: f64) -> f64 {
+    let medians: Vec<f64> = groups.iter().map(|g| median(g)).collect();
+    let pooled: Vec<f64> = groups
+        .iter()
+        .zip(&medians)
+        .flat_map(|(g, &m)| g.iter().map(move |x| x / m))
+        .collect();
+    geomean(&medians) * percentile(&pooled, p)
 }
 
 /// Attempted and failed operations. A failure is an error, a reject, a
@@ -183,13 +184,20 @@ mod tests {
     }
 
     #[test]
-    fn chunk_rates_count_what_completes_after_the_first_event() {
-        let events = [(1.0, 5.0), (1.5, 2.0), (2.0, 2.0), (2.0, 9.0), (3.0, 1.0)];
-        // Chunks of two: 2 units over 0.5 s; then 9 units over 0 s, which
-        // yields nothing; the fifth event is a partial chunk.
-        assert_eq!(chunk_rates(&events, 2), vec![4.0]);
-        assert_eq!(chunk_rates(&events, 4), vec![13.0]);
-        assert!(chunk_rates(&events, 8).is_empty());
+    fn pooled_relative_percentile_reads_jitter_not_the_slowest_group() {
+        // Medians 2 and 20 (geomean sqrt(40)); relative samples 0.5, 1
+        // and 1.5 in both groups.
+        let groups = [vec![1.0, 2.0, 3.0], vec![30.0, 10.0, 20.0]];
+        let scale = 40f64.sqrt();
+        let p50 = pooled_relative_percentile(&groups, 50.0);
+        assert!((p50 - scale).abs() < 1e-9, "{p50}");
+        let top = pooled_relative_percentile(&groups, 100.0);
+        assert!((top - 1.5 * scale).abs() < 1e-9, "{top}");
+        // A tenfold slower group moves the scale, not the spread.
+        let slower = [vec![1.0, 2.0, 3.0], vec![300.0, 100.0, 200.0]];
+        let ratio =
+            pooled_relative_percentile(&slower, 100.0) / pooled_relative_percentile(&slower, 50.0);
+        assert!((ratio - 1.5).abs() < 1e-9, "{ratio}");
     }
 
     #[test]

@@ -6,9 +6,10 @@ use std::sync::Mutex;
 use std::time::Instant;
 
 use manticore::compiler::{CompileOptions, CompileOutput};
-use manticore::fleet::{BatchPolicy, Fleet, FleetSim, JobOutcome, JobOutput};
+use manticore::fleet::{BatchPolicy, Fleet, FleetJob, FleetSim, JobOutcome, JobOutput};
 use manticore::isa::MachineConfig;
 use manticore::machine::PerfCounters;
+use manticore::util::SmallRng;
 use manticore::workloads;
 
 use crate::common::{self, SetupRep};
@@ -18,12 +19,16 @@ use crate::{Report, RunCfg, SETUP_REPS};
 
 /// Grid side every sweep design is compiled for.
 const GRID: usize = 8;
-/// Scenarios per `run_ganged` batch.
+/// Scenarios per `run_ganged` batch: the gang rows of the repository's
+/// `fleet_throughput` benchmark run lanes × workers = 8 × 4 scenarios.
 const BATCH: usize = 32;
-/// Lanes per gang.
+/// Lanes per gang, `fleet_throughput`'s default.
 const LANES: usize = 8;
 /// Scenarios per batch re-run solo after timing.
 const SAMPLES_PER_BATCH: usize = 2;
+/// Batches per design streamed after the traced phase for
+/// `fleet.spread_ms`.
+const SPREAD_BATCHES: usize = 2;
 
 /// One design of the sweep: its fleet, inputs and read-backs.
 struct Design {
@@ -51,11 +56,9 @@ struct Sample {
 
 #[derive(Default)]
 struct Phase {
-    timed_s: f64,
     scenarios: u64,
     vcycles: u64,
     batch_ms: Vec<f64>,
-    spread_ms: Vec<f64>,
     batch_design: Vec<usize>,
     /// Per design: each batch's simulated kHz and scenarios per second.
     batch_khz: Vec<Vec<f64>>,
@@ -88,18 +91,39 @@ fn setup(rep: &mut SetupRep, workers: usize) -> Vec<(&'static str, MachineConfig
     out
 }
 
-/// Runs seeded batches until the phase is over, checking every scenario
-/// against the reference and keeping seeded samples for the solo re-run.
-fn timed(
-    cfg: &RunCfg,
-    designs: &[Design],
-    workers: usize,
-    tracer: &Tracer,
-    tally: &mut Tally,
-) -> Phase {
+/// One batch of `design`: BATCH scenarios with seeded values poked into
+/// its data inputs. Returns each scenario's pokes and its job.
+fn scenarios(design: &Design, inputs: &mut SmallRng) -> (Vec<Vec<u64>>, Vec<FleetJob>) {
+    let pokes: Vec<Vec<u64>> = (0..BATCH)
+        .map(|_| {
+            design
+                .inputs
+                .iter()
+                .map(|_| inputs.next_u64() & 0xffff)
+                .collect()
+        })
+        .collect();
+    let jobs = pokes
+        .iter()
+        .map(|p| {
+            design
+                .inputs
+                .iter()
+                .zip(p)
+                .fold(design.fleet.job(design.budget), |job, (name, &value)| {
+                    job.with_reg(name, value).expect("sweep inputs exist")
+                })
+        })
+        .collect();
+    (pokes, jobs)
+}
+
+/// Runs seeded batches through `FleetSim::run_ganged` until the phase is
+/// over, checking every scenario against the reference and keeping
+/// seeded samples for the solo re-run.
+fn timed(cfg: &RunCfg, designs: &[Design], tracer: &Tracer, tally: &mut Tally) -> Phase {
     let mut inputs = common::rng(cfg.seed, 2);
     let mut picks = common::rng(cfg.seed, 3);
-    let fleet = Fleet::new(workers);
     let mut phase = Phase {
         batch_khz: vec![Vec::new(); designs.len()],
         batch_runs_per_s: vec![Vec::new(); designs.len()],
@@ -110,67 +134,36 @@ fn timed(
     while cfg.keep_timing(start.elapsed().as_secs_f64(), phase.batch_ms.len()) {
         let d = batch as usize % designs.len();
         let design = &designs[d];
-        let pokes: Vec<Vec<u64>> = (0..BATCH)
-            .map(|_| {
-                design
-                    .inputs
-                    .iter()
-                    .map(|_| inputs.next_u64() & 0xffff)
-                    .collect()
-            })
-            .collect();
         let span = tracer.open("fleet.batch", None, batch);
         let t = Instant::now();
-        let jobs = pokes
-            .iter()
-            .map(|p| {
-                let mut job = design.fleet.job(design.budget);
-                for (name, &value) in design.inputs.iter().zip(p) {
-                    job = job.with_reg(name, value).expect("sweep inputs exist");
-                }
-                job.into_sim_job()
-            })
-            .collect();
-        let done: Mutex<Vec<(Instant, JobOutput)>> = Mutex::new(Vec::with_capacity(BATCH));
-        fleet.run_ganged_stream(jobs, LANES, &BatchPolicy::default(), &|out| {
-            done.lock()
-                .expect("sink poisoned")
-                .push((Instant::now(), out));
-        });
+        let (pokes, jobs) = scenarios(design, &mut inputs);
+        let runs = design.fleet.run_ganged(jobs, LANES);
         let secs = t.elapsed().as_secs_f64();
         tracer.close(span);
-        let done = done.into_inner().expect("sink poisoned");
-        phase.timed_s += secs;
         phase.batch_ms.push(secs * 1e3);
         phase.batch_design.push(d);
-        let first = done.iter().map(|(at, _)| *at).min();
-        let last = done.iter().map(|(at, _)| *at).max();
-        if let (Some(first), Some(last)) = (first, last) {
-            phase.spread_ms.push((last - first).as_secs_f64() * 1e3);
-        }
         let sampled: Vec<usize> = (0..SAMPLES_PER_BATCH)
             .map(|_| picks.gen_range(0..BATCH))
             .collect();
-        tally.check(done.len() == BATCH, || {
+        tally.check(runs.len() == BATCH, || {
             format!(
                 "sweep batch {batch}: {} of {BATCH} scenarios returned",
-                done.len()
+                runs.len()
             )
         });
         let (scenarios, vcycles) = (phase.scenarios, phase.vcycles);
-        for (_, out) in done {
-            let id = batch * BATCH as u64 + out.index as u64;
-            let vcycles = out.result.as_ref().map_or(0, |r| r.vcycles_run);
-            let ok = out.outcome == JobOutcome::Complete
-                && out
-                    .machine
-                    .as_ref()
-                    .is_some_and(|m| common::input_independent(&m.counters()) == design.reference)
+        for run in runs {
+            let id = batch * BATCH as u64 + run.index as u64;
+            let vcycles = run.result.as_ref().map_or(0, |r| r.vcycles_run);
+            let ok = run.outcome == JobOutcome::Complete
+                && run.sim.as_ref().is_some_and(|sim| {
+                    common::input_independent(&sim.machine().counters()) == design.reference
+                })
                 && vcycles == design.reference.vcycles;
             tally.check(ok, || {
                 format!(
                     "sweep {} scenario {id}: {:?} after {vcycles} vcycles",
-                    design.name, out.outcome
+                    design.name, run.outcome
                 )
             });
             if !ok {
@@ -178,20 +171,19 @@ fn timed(
             }
             phase.scenarios += 1;
             phase.vcycles += vcycles;
-            if sampled.contains(&out.index) {
-                let machine = out.machine.as_ref().expect("checked above");
-                let output = design.fleet.output();
+            if sampled.contains(&run.index) {
+                let sim = run.sim.as_ref().expect("checked above");
                 phase.samples.push(Sample {
                     design: d,
-                    pokes: pokes[out.index].clone(),
+                    pokes: pokes[run.index].clone(),
                     reads: design
                         .reads
                         .iter()
-                        .map(|r| manticore::rtl_reg_of(machine, output, r).map(|b| b.to_u64()))
+                        .map(|r| sim.read_rtl_reg_by_name(r).map(|b| b.to_u64()))
                         .collect(),
-                    displays: out.result.map(|r| r.displays).unwrap_or_default(),
-                    counters: machine.counters(),
-                    fingerprint: machine.state_fingerprint(),
+                    displays: sim.all_displays().to_vec(),
+                    counters: sim.machine().counters(),
+                    fingerprint: sim.machine().state_fingerprint(),
                 });
             }
         }
@@ -200,6 +192,59 @@ fn timed(
         batch += 1;
     }
     phase
+}
+
+/// The last minus the first job completion of each of SPREAD_BATCHES
+/// seeded batches per design, in ms. `FleetSim::run_ganged` hands its
+/// results back only at the end of a batch, so these batches go through
+/// `Fleet::run_ganged_stream`, whose sink sees each completion; every
+/// scenario is checked like a timed one.
+fn spreads(
+    cfg: &RunCfg,
+    designs: &[Design],
+    workers: usize,
+    tracer: &Tracer,
+    tally: &mut Tally,
+) -> Vec<f64> {
+    let mut inputs = common::rng(cfg.seed, 8);
+    let fleet = Fleet::new(workers);
+    let mut out = Vec::new();
+    for (batch, design) in designs
+        .iter()
+        .flat_map(|d| std::iter::repeat_n(d, SPREAD_BATCHES))
+        .enumerate()
+    {
+        let (_, jobs) = scenarios(design, &mut inputs);
+        let jobs = jobs.into_iter().map(FleetJob::into_sim_job).collect();
+        let done: Mutex<Vec<(Instant, JobOutput)>> = Mutex::new(Vec::with_capacity(BATCH));
+        tracer.span("fleet.stream_batch", None, batch as u64, || {
+            fleet.run_ganged_stream(jobs, LANES, &BatchPolicy::default(), &|job| {
+                done.lock()
+                    .expect("sink poisoned")
+                    .push((Instant::now(), job));
+            });
+        });
+        let done = done.into_inner().expect("sink poisoned");
+        let ok = done.len() == BATCH
+            && done.iter().all(|(_, job)| {
+                job.outcome == JobOutcome::Complete
+                    && job.machine.as_ref().is_some_and(|m| {
+                        common::input_independent(&m.counters()) == design.reference
+                    })
+            });
+        tally.check(ok, || {
+            format!(
+                "sweep {} streamed batch {batch}: a scenario differs",
+                design.name
+            )
+        });
+        let first = done.iter().map(|(at, _)| *at).min();
+        let last = done.iter().map(|(at, _)| *at).max();
+        if let (Some(first), Some(last)) = (first, last) {
+            out.push((last - first).as_secs_f64() * 1e3);
+        }
+    }
+    out
 }
 
 /// Re-runs the sampled scenarios on a solo `ManticoreSim` and checks
@@ -315,7 +360,7 @@ pub fn run(cfg: &RunCfg) -> Report {
     }
 
     let untraced = Tracer::new(false);
-    let phase = timed(cfg, &designs, workers, &untraced, &mut report.tally);
+    let phase = timed(cfg, &designs, &untraced, &mut report.tally);
     check_samples(&phase, &designs, &untraced, &mut report.tally);
     metrics(&phase, &mut report.end_to_end);
     common::setup_metrics(&reps, &mut report.end_to_end, &mut report.per_layer);
@@ -334,13 +379,20 @@ pub fn run(cfg: &RunCfg) -> Report {
 
     if cfg.trace {
         let tracer = Tracer::new(true);
-        let traced = timed(cfg, &designs, workers, &tracer, &mut report.tally);
+        let traced = timed(cfg, &designs, &tracer, &mut report.tally);
         let solo_ms = check_samples(&traced, &designs, &tracer, &mut report.tally);
+        let spread_ms = spreads(cfg, &designs, workers, &tracer, &mut report.tally);
         let mut traced_e2e = BTreeMap::new();
         metrics(&traced, &mut traced_e2e);
         report.finish_trace(&traced_e2e, &tracer, "sweep", cfg.seed);
         common::machine_timing(&tracer, &mut report.per_layer);
-        fleet_layer(&traced, &solo_ms, workers, &mut report.per_layer);
+        fleet_layer(
+            &traced,
+            &solo_ms,
+            &spread_ms,
+            workers,
+            &mut report.per_layer,
+        );
     }
     common::machine_counts(designs.iter().map(|d| &d.reference), &mut report.per_layer);
     report
@@ -351,6 +403,7 @@ pub fn run(cfg: &RunCfg) -> Report {
 fn fleet_layer(
     phase: &Phase,
     solo_ms: &[Vec<f64>],
+    spread_ms: &[f64],
     workers: usize,
     out: &mut BTreeMap<String, f64>,
 ) {
@@ -365,7 +418,7 @@ fn fleet_layer(
     out.insert("fleet.batch_ms".into(), batch_ms);
     out.insert(
         "fleet.spread_ms".into(),
-        phase.spread_ms.iter().sum::<f64>() / phase.spread_ms.len() as f64,
+        spread_ms.iter().sum::<f64>() / spread_ms.len() as f64,
     );
     out.insert("fleet.solo_equiv_ms".into(), solo_equiv_ms);
     out.insert("fleet.workers".into(), workers as f64);
@@ -377,7 +430,8 @@ fn fleet_layer(
 
 fn metrics(phase: &Phase, out: &mut BTreeMap<String, f64>) {
     // A batch is long enough (a quarter second) to average the host's
-    // noise within it: the median batch is steadier than the fast one.
+    // noise within it, and a design has only 30 to 50 batches in a run:
+    // their median is steadier than their fast tail.
     out.insert(
         "sim_khz".into(),
         geomean_of_percentiles(&phase.batch_khz, 50.0),
