@@ -27,11 +27,11 @@
 //! (a fixed loop timed in 0.2-s slices read 167–417 ms over one minute).
 //! So solo reads throughput at the fast percentile ([`stats::FAST`],
 //! p90) of per-run rates, and latency over its fastest rounds: the slow
-//! runs measure the neighbours, the fast ones this program. A sweep
-//! batch lasts a quarter second and averages that noise itself, so sweep
-//! reads its median batch. Serve reads what completed over the whole
-//! phase. The other latencies keep their plain p50 and p90 and are the
-//! noisier numbers.
+//! runs measure the neighbours, the fast ones this program. Sweep reads
+//! its median batch: there the fast tail moved with the neighbours from
+//! run to run, while the median held. Serve reads what completed over the
+//! whole phase. Serve's step latencies keep their plain p50 and p90 and
+//! are the noisier numbers.
 //!
 //! Every workload reports every metric, so `step_p50_ms` and
 //! `step_p90_ms` name the unit a user of that workload waits for: one
@@ -42,7 +42,7 @@
 //! |---|---|---|---|---|
 //! | `sim_khz` | kHz | geomean over designs of each design's fast (p90) per-run rate (Vcycles / (boot + run to `$finish`)) | geomean over designs of the median batch's Vcycles / batch time | Vcycles completed (batch jobs and steps) / phase wall time |
 //! | `runs_per_s` | 1/s | design runs per second of boot-plus-run time, per round, at the fast (p90) round | geomean over designs of the median batch's scenarios / batch time | batch jobs completed / phase wall time |
-//! | `step_p50_ms`, `step_p90_ms` | ms | latency of one run (boot plus run to `$finish`) in the fastest fifth of rounds (at least 20 rounds, 200 runs), pooled over designs: each run relative to its design's median there, scaled by the geomean of those medians | latency of one `FleetSim::run_ganged` batch | round trip of one interactive `resume` step |
+//! | `step_p50_ms`, `step_p90_ms` | ms | latency of one run (boot plus run to `$finish`) in the fastest fifth of rounds (at least 20 rounds, 200 runs), pooled over designs: each run relative to its design's median there, scaled by the geomean of those medians | latency of one `FleetSim::run_ganged` batch, pooled over designs the same way | round trip of one interactive `resume` step |
 //! | `setup_s` | s | median of three set-ups: compile ten designs and freeze their programs | median of three `FleetSim::compile` set-ups | median of three daemon binds plus warm-up compiles and the first park |
 //! | `peak_rss_mb` | MB | VmHWM of the process at exit | same | same |
 //!
@@ -71,11 +71,15 @@
 //!   `setup_s` — the Table 3 shape. Ground truth: `TapeSim::serial`
 //!   displays and every register, computed before timing.
 //! - `sweep`: bc, mm and mc at 8×8 via `FleetSim::compile(.., nproc)`;
-//!   each batch of 32 scenarios pokes seeded values into the data-input
-//!   registers (`nonce0..5`, `ad_0_c`/`ps_0_c`, `price0..7`) and runs to
-//!   `$finish` through `FleetSim::run_ganged` with 8 lanes. The batch is
-//!   the gang shape of the repository's `fleet_throughput` benchmark:
-//!   8 lanes × 4 workers. *Why:* the fleet pool, the gang lockstep
+//!   each batch of lanes × workers scenarios (16 on two CPUs) pokes
+//!   seeded values into the data-input registers (`nonce0..5`,
+//!   `ad_0_c`/`ps_0_c`, `price0..7`) and runs to `$finish` through
+//!   `FleetSim::run_ganged` with 8 lanes, one gang per worker. That is
+//!   the gang shape of the repository's `fleet_throughput` benchmark,
+//!   there 8 lanes × 4 workers. On a 2-CPU box, four pairs of runs
+//!   interleaved in time read the median batch 25% apart (lowest to
+//!   highest) with two gangs per worker and 5% apart with one.
+//!   *Why:* the fleet pool, the gang lockstep
 //!   kernels and per-job boot do the work while the solo micro-op loop
 //!   is bypassed, so a solo-engine change moves `solo` and leaves `sweep`
 //!   flat, and a gang-kernel change the reverse. Ground truth: two seeded
@@ -153,7 +157,7 @@
 //! ## Seeds
 //!
 //! The seed drives every generated input: solo's design order, sweep's
-//! and serve's poke values. Seeds up to 420 were used while the
+//! and serve's poke values. Seeds up to 975 were used while the
 //! benchmark was tuned; seed [`HELD_OUT_SEED`] was not (it served only
 //! to check that traced runs complete), and is kept for confirming a
 //! claimed gain on inputs nobody tuned against.

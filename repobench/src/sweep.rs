@@ -13,16 +13,15 @@ use manticore::util::SmallRng;
 use manticore::workloads;
 
 use crate::common::{self, SetupRep};
-use crate::stats::{geomean_of_percentiles, median, percentile, tail_line, Tally};
+use crate::stats::{geomean_of_percentiles, median, pooled_relative_percentile, tail_line, Tally};
 use crate::trace::Tracer;
 use crate::{Report, RunCfg, SETUP_REPS};
 
 /// Grid side every sweep design is compiled for.
 const GRID: usize = 8;
-/// Scenarios per `run_ganged` batch: the gang rows of the repository's
-/// `fleet_throughput` benchmark run lanes × workers = 8 × 4 scenarios.
-const BATCH: usize = 32;
-/// Lanes per gang, `fleet_throughput`'s default.
+/// Lanes per gang, `fleet_throughput`'s default. A batch is lanes ×
+/// workers scenarios, one gang per worker of the pool: the shape of the
+/// gang rows of `fleet_throughput`.
 const LANES: usize = 8;
 /// Scenarios per batch re-run solo after timing.
 const SAMPLES_PER_BATCH: usize = 2;
@@ -33,6 +32,8 @@ const SPREAD_BATCHES: usize = 2;
 /// One design of the sweep: its fleet, inputs and read-backs.
 struct Design {
     name: &'static str,
+    /// Scenarios per `run_ganged` batch.
+    batch: usize,
     fleet: FleetSim,
     budget: u64,
     /// The data-input registers each scenario pokes.
@@ -60,7 +61,9 @@ struct Phase {
     vcycles: u64,
     batch_ms: Vec<f64>,
     batch_design: Vec<usize>,
-    /// Per design: each batch's simulated kHz and scenarios per second.
+    /// Per design: each batch's time in ms, simulated kHz and scenarios
+    /// per second.
+    design_batch_ms: Vec<Vec<f64>>,
     batch_khz: Vec<Vec<f64>>,
     batch_runs_per_s: Vec<Vec<f64>>,
     samples: Vec<Sample>,
@@ -91,10 +94,10 @@ fn setup(rep: &mut SetupRep, workers: usize) -> Vec<(&'static str, MachineConfig
     out
 }
 
-/// One batch of `design`: BATCH scenarios with seeded values poked into
-/// its data inputs. Returns each scenario's pokes and its job.
+/// One batch of `design`: `design.batch` scenarios with seeded values
+/// poked into its data inputs. Returns each scenario's pokes and its job.
 fn scenarios(design: &Design, inputs: &mut SmallRng) -> (Vec<Vec<u64>>, Vec<FleetJob>) {
-    let pokes: Vec<Vec<u64>> = (0..BATCH)
+    let pokes: Vec<Vec<u64>> = (0..design.batch)
         .map(|_| {
             design
                 .inputs
@@ -125,6 +128,7 @@ fn timed(cfg: &RunCfg, designs: &[Design], tracer: &Tracer, tally: &mut Tally) -
     let mut inputs = common::rng(cfg.seed, 2);
     let mut picks = common::rng(cfg.seed, 3);
     let mut phase = Phase {
+        design_batch_ms: vec![Vec::new(); designs.len()],
         batch_khz: vec![Vec::new(); designs.len()],
         batch_runs_per_s: vec![Vec::new(); designs.len()],
         ..Phase::default()
@@ -142,18 +146,20 @@ fn timed(cfg: &RunCfg, designs: &[Design], tracer: &Tracer, tally: &mut Tally) -
         tracer.close(span);
         phase.batch_ms.push(secs * 1e3);
         phase.batch_design.push(d);
+        phase.design_batch_ms[d].push(secs * 1e3);
         let sampled: Vec<usize> = (0..SAMPLES_PER_BATCH)
-            .map(|_| picks.gen_range(0..BATCH))
+            .map(|_| picks.gen_range(0..design.batch))
             .collect();
-        tally.check(runs.len() == BATCH, || {
+        tally.check(runs.len() == design.batch, || {
             format!(
-                "sweep batch {batch}: {} of {BATCH} scenarios returned",
-                runs.len()
+                "sweep batch {batch}: {} of {} scenarios returned",
+                runs.len(),
+                design.batch
             )
         });
         let (scenarios, vcycles) = (phase.scenarios, phase.vcycles);
         for run in runs {
-            let id = batch * BATCH as u64 + run.index as u64;
+            let id = batch * design.batch as u64 + run.index as u64;
             let vcycles = run.result.as_ref().map_or(0, |r| r.vcycles_run);
             let ok = run.outcome == JobOutcome::Complete
                 && run.sim.as_ref().is_some_and(|sim| {
@@ -216,7 +222,7 @@ fn spreads(
     {
         let (_, jobs) = scenarios(design, &mut inputs);
         let jobs = jobs.into_iter().map(FleetJob::into_sim_job).collect();
-        let done: Mutex<Vec<(Instant, JobOutput)>> = Mutex::new(Vec::with_capacity(BATCH));
+        let done: Mutex<Vec<(Instant, JobOutput)>> = Mutex::new(Vec::with_capacity(design.batch));
         tracer.span("fleet.stream_batch", None, batch as u64, || {
             fleet.run_ganged_stream(jobs, LANES, &BatchPolicy::default(), &|job| {
                 done.lock()
@@ -225,7 +231,7 @@ fn spreads(
             });
         });
         let done = done.into_inner().expect("sink poisoned");
-        let ok = done.len() == BATCH
+        let ok = done.len() == design.batch
             && done.iter().all(|(_, job)| {
                 job.outcome == JobOutcome::Complete
                     && job.machine.as_ref().is_some_and(|m| {
@@ -351,6 +357,7 @@ pub fn run(cfg: &RunCfg) -> Report {
         );
         designs.push(Design {
             name,
+            batch: LANES * workers,
             fleet,
             budget,
             inputs,
@@ -388,6 +395,7 @@ pub fn run(cfg: &RunCfg) -> Report {
         common::machine_timing(&tracer, &mut report.per_layer);
         fleet_layer(
             &traced,
+            &designs,
             &solo_ms,
             &spread_ms,
             workers,
@@ -402,6 +410,7 @@ pub fn run(cfg: &RunCfg) -> Report {
 /// with running their scenarios one by one on a solo machine.
 fn fleet_layer(
     phase: &Phase,
+    designs: &[Design],
     solo_ms: &[Vec<f64>],
     spread_ms: &[f64],
     workers: usize,
@@ -412,7 +421,7 @@ fn fleet_layer(
     let solo_equiv_ms = phase
         .batch_design
         .iter()
-        .map(|&d| BATCH as f64 * median(&solo_ms[d]))
+        .map(|&d| designs[d].batch as f64 * median(&solo_ms[d]))
         .sum::<f64>()
         / n;
     out.insert("fleet.batch_ms".into(), batch_ms);
@@ -429,9 +438,10 @@ fn fleet_layer(
 }
 
 fn metrics(phase: &Phase, out: &mut BTreeMap<String, f64>) {
-    // A batch is long enough (a quarter second) to average the host's
-    // noise within it, and a design has only 30 to 50 batches in a run:
-    // their median is steadier than their fast tail.
+    // A batch of one gang per worker lasts about 0.15 s on two workers,
+    // and a design has about 50 of them in a run. Their median reads the
+    // host's usual speed; the fast tail (p90) moved with the neighbours
+    // from run to run, nearly three times as far as the median.
     out.insert(
         "sim_khz".into(),
         geomean_of_percentiles(&phase.batch_khz, 50.0),
@@ -440,6 +450,15 @@ fn metrics(phase: &Phase, out: &mut BTreeMap<String, f64>) {
         "runs_per_s".into(),
         geomean_of_percentiles(&phase.batch_runs_per_s, 50.0),
     );
-    out.insert("step_p50_ms".into(), percentile(&phase.batch_ms, 50.0));
-    out.insert("step_p90_ms".into(), percentile(&phase.batch_ms, 90.0));
+    // The designs' batches differ in length, so each batch is read
+    // against its design's median before they are pooled: p90 reads how
+    // far slow batches lie above typical ones, not which design is longest.
+    out.insert(
+        "step_p50_ms".into(),
+        pooled_relative_percentile(&phase.design_batch_ms, 50.0),
+    );
+    out.insert(
+        "step_p90_ms".into(),
+        pooled_relative_percentile(&phase.design_batch_ms, 90.0),
+    );
 }
