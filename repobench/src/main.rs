@@ -25,24 +25,24 @@
 //! Every time is host time. The box this runs on shares its cores with
 //! other tenants, which slow it down by up to 2× for seconds at a time
 //! (a fixed loop timed in 0.2-s slices read 167–417 ms over one minute).
-//! So solo reads throughput at the fast percentile ([`stats::FAST`],
-//! p90) of per-run rates, and latency over its fastest rounds: the slow
-//! runs measure the neighbours, the fast ones this program. Sweep reads
-//! its median batch: there the fast tail moved with the neighbours from
-//! run to run, while the median held. Serve reads what completed over the
-//! whole phase. Serve's step latencies keep their plain p50 and p90 and
-//! are the noisier numbers.
+//! So solo and sweep read throughput on the fast side of per-run or
+//! per-batch rates (solo at [`stats::FAST`], p90; sweep, with fewer and
+//! longer batches, at p98), and latency over their fastest rounds or
+//! batches: the slow runs measure the neighbours, the fast ones this
+//! program. Serve reads what completed over the whole phase. Serve's
+//! step latencies keep their plain p50 and p90 and are the noisier
+//! numbers.
 //!
 //! Every workload reports every metric, so `step_p50_ms` and
 //! `step_p90_ms` name the unit a user of that workload waits for: one
 //! design run on solo, one batch on sweep, one interactive step on serve.
-//! Each is taken over at least 100 samples.
+//! Each is taken over at least 100 samples, except on sweep (below).
 //!
 //! | metric | unit | solo | sweep | serve |
 //! |---|---|---|---|---|
-//! | `sim_khz` | kHz | geomean over designs of each design's fast (p90) per-run rate (Vcycles / (boot + run to `$finish`)) | geomean over designs of the median batch's Vcycles / batch time | Vcycles completed (batch jobs and steps) / phase wall time |
-//! | `runs_per_s` | 1/s | design runs per second of boot-plus-run time, per round, at the fast (p90) round | geomean over designs of the median batch's scenarios / batch time | batch jobs completed / phase wall time |
-//! | `step_p50_ms`, `step_p90_ms` | ms | latency of one run (boot plus run to `$finish`) in the fastest fifth of rounds (at least 20 rounds, 200 runs), pooled over designs: each run relative to its design's median there, scaled by the geomean of those medians | latency of one `FleetSim::run_ganged` batch, pooled over designs the same way | round trip of one interactive `resume` step |
+//! | `sim_khz` | kHz | geomean over designs of each design's fast (p90) per-run rate (Vcycles / (boot + run to `$finish`)) | geomean over designs of each design's fast (p98) per-batch rate (Vcycles / batch time) | Vcycles completed (batch jobs and steps) / phase wall time |
+//! | `runs_per_s` | 1/s | design runs per second of boot-plus-run time, per round, at the fast (p90) round | geomean over designs of each design's fast (p98) scenarios / batch time | batch jobs completed / phase wall time |
+//! | `step_p50_ms`, `step_p90_ms` | ms | latency of one run (boot plus run to `$finish`) in the fastest fifth of rounds (at least 20 rounds, 200 runs), pooled over designs: each run relative to its design's median there, scaled by the geomean of those medians | latency of one `FleetSim::run_ganged` batch in each design's fastest tenth of batches (5-10 a design, 15-30 pooled), pooled the same way | round trip of one interactive `resume` step |
 //! | `setup_s` | s | median of three set-ups: compile ten designs and freeze their programs | median of three `FleetSim::compile` set-ups | median of three daemon binds plus warm-up compiles and the first park |
 //! | `peak_rss_mb` | MB | VmHWM of the process at exit | same | same |
 //!
@@ -50,8 +50,11 @@
 //! p90: the timed phase runs for `--seconds` and then, if needed, until
 //! every series has them (at most 1.5 × `--seconds`, which keeps a
 //! run's length bounded). On solo the series that must reach 100 is the
-//! rounds, so every design has 100 runs. `setup_s` excludes the
-//! benchmark's own ground-truth runs.
+//! rounds, so every design has 100 runs. Sweep's fast tenth of batches
+//! falls short of that: a run has 160-310 batches, and the fastest tenth
+//! of each design's puts only 2-3 pooled batches beyond p90. Reading
+//! more of them mixed the host's slow phases back in (see `sweep.rs`).
+//! `setup_s` excludes the benchmark's own ground-truth runs.
 //!
 //! Two more numbers are printed in the table but are not gated:
 //! `fail_frac` (failed over attempted operations; the JSON line carries
@@ -70,15 +73,17 @@
 //!   work, fleet and serve sit idle, and the compiler appears only in
 //!   `setup_s` — the Table 3 shape. Ground truth: `TapeSim::serial`
 //!   displays and every register, computed before timing.
-//! - `sweep`: bc, mm and mc at 8×8 via `FleetSim::compile(.., nproc)`;
-//!   each batch of lanes × workers scenarios (16 on two CPUs) pokes
-//!   seeded values into the data-input registers (`nonce0..5`,
+//! - `sweep`: bc, mm and mc at 8×8, compiled with nproc compile threads
+//!   as `FleetSim::compile(.., nproc)` does; each batch of 8 scenarios
+//!   pokes seeded values into the data-input registers (`nonce0..5`,
 //!   `ad_0_c`/`ps_0_c`, `price0..7`) and runs to `$finish` through
-//!   `FleetSim::run_ganged` with 8 lanes, one gang per worker. That is
-//!   the gang shape of the repository's `fleet_throughput` benchmark,
-//!   there 8 lanes × 4 workers. On a 2-CPU box, four pairs of runs
-//!   interleaved in time read the median batch 25% apart (lowest to
-//!   highest) with two gangs per worker and 5% apart with one.
+//!   `FleetSim::run_ganged` with 8 lanes: one gang on a one-worker pool.
+//!   Two workers were dropped: on a shared 2-CPU box two gangs side by
+//!   side slowed each other about 1.4×, and both CPUs were seldom fast
+//!   at once, so the fast side of two-worker batches spread 0.23-0.33
+//!   (IQR over median) from run to run against 0.06-0.09 with one.
+//!   `fleet.spread_ms` still streams batches of one gang per worker of
+//!   an nproc pool, since one gang's lanes finish together.
 //!   *Why:* the fleet pool, the gang lockstep
 //!   kernels and per-job boot do the work while the solo micro-op loop
 //!   is bypassed, so a solo-engine change moves `solo` and leaves `sweep`

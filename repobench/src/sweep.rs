@@ -19,10 +19,14 @@ use crate::{Report, RunCfg, SETUP_REPS};
 
 /// Grid side every sweep design is compiled for.
 const GRID: usize = 8;
-/// Lanes per gang, `fleet_throughput`'s default. A batch is lanes ×
-/// workers scenarios, one gang per worker of the pool: the shape of the
-/// gang rows of `fleet_throughput`.
+/// Lanes per gang, `fleet_throughput`'s default. A timed batch is one
+/// gang of this many scenarios.
 const LANES: usize = 8;
+/// Workers of the timed fleet. One gang on one worker per batch: on a
+/// shared 2-CPU box two gangs side by side slowed each other by about
+/// 1.4×, and a batch was fast only when both CPUs were at once, so even
+/// the fast side of two-worker batches moved from run to run.
+const WORKERS: usize = 1;
 /// Scenarios per batch re-run solo after timing.
 const SAMPLES_PER_BATCH: usize = 2;
 /// Batches per design streamed after the traced phase for
@@ -32,8 +36,6 @@ const SPREAD_BATCHES: usize = 2;
 /// One design of the sweep: its fleet, inputs and read-backs.
 struct Design {
     name: &'static str,
-    /// Scenarios per `run_ganged` batch.
-    batch: usize,
     fleet: FleetSim,
     budget: u64,
     /// The data-input registers each scenario pokes.
@@ -69,7 +71,9 @@ struct Phase {
     samples: Vec<Sample>,
 }
 
-/// Compiles bc, mm and mc the way `FleetSim::compile(.., workers)` does.
+/// Compiles bc, mm and mc with `workers` compile threads, as
+/// `FleetSim::compile(.., workers)` does, and loads each into a fleet of
+/// [`WORKERS`].
 fn setup(rep: &mut SetupRep, workers: usize) -> Vec<(&'static str, MachineConfig, FleetSim)> {
     let t = Instant::now();
     let out = ["bc", "mm", "mc"]
@@ -84,7 +88,7 @@ fn setup(rep: &mut SetupRep, workers: usize) -> Vec<(&'static str, MachineConfig
             };
             let output = rep.compile(&w.netlist, &options);
             let fleet = rep.freeze(|| {
-                FleetSim::from_output(output, config.clone(), workers)
+                FleetSim::from_output(output, config.clone(), WORKERS)
                     .expect("compiled designs load")
             });
             (w.name, config, fleet)
@@ -94,10 +98,14 @@ fn setup(rep: &mut SetupRep, workers: usize) -> Vec<(&'static str, MachineConfig
     out
 }
 
-/// One batch of `design`: `design.batch` scenarios with seeded values
-/// poked into its data inputs. Returns each scenario's pokes and its job.
-fn scenarios(design: &Design, inputs: &mut SmallRng) -> (Vec<Vec<u64>>, Vec<FleetJob>) {
-    let pokes: Vec<Vec<u64>> = (0..design.batch)
+/// One batch of `design`: `count` scenarios with seeded values poked
+/// into its data inputs. Returns each scenario's pokes and its job.
+fn scenarios(
+    design: &Design,
+    count: usize,
+    inputs: &mut SmallRng,
+) -> (Vec<Vec<u64>>, Vec<FleetJob>) {
+    let pokes: Vec<Vec<u64>> = (0..count)
         .map(|_| {
             design
                 .inputs
@@ -140,7 +148,7 @@ fn timed(cfg: &RunCfg, designs: &[Design], tracer: &Tracer, tally: &mut Tally) -
         let design = &designs[d];
         let span = tracer.open("fleet.batch", None, batch);
         let t = Instant::now();
-        let (pokes, jobs) = scenarios(design, &mut inputs);
+        let (pokes, jobs) = scenarios(design, LANES, &mut inputs);
         let runs = design.fleet.run_ganged(jobs, LANES);
         let secs = t.elapsed().as_secs_f64();
         tracer.close(span);
@@ -148,18 +156,17 @@ fn timed(cfg: &RunCfg, designs: &[Design], tracer: &Tracer, tally: &mut Tally) -
         phase.batch_design.push(d);
         phase.design_batch_ms[d].push(secs * 1e3);
         let sampled: Vec<usize> = (0..SAMPLES_PER_BATCH)
-            .map(|_| picks.gen_range(0..design.batch))
+            .map(|_| picks.gen_range(0..LANES))
             .collect();
-        tally.check(runs.len() == design.batch, || {
+        tally.check(runs.len() == LANES, || {
             format!(
-                "sweep batch {batch}: {} of {} scenarios returned",
-                runs.len(),
-                design.batch
+                "sweep batch {batch}: {} of {LANES} scenarios returned",
+                runs.len()
             )
         });
         let (scenarios, vcycles) = (phase.scenarios, phase.vcycles);
         for run in runs {
-            let id = batch * design.batch as u64 + run.index as u64;
+            let id = batch * LANES as u64 + run.index as u64;
             let vcycles = run.result.as_ref().map_or(0, |r| r.vcycles_run);
             let ok = run.outcome == JobOutcome::Complete
                 && run.sim.as_ref().is_some_and(|sim| {
@@ -204,7 +211,9 @@ fn timed(cfg: &RunCfg, designs: &[Design], tracer: &Tracer, tally: &mut Tally) -
 /// seeded batches per design, in ms. `FleetSim::run_ganged` hands its
 /// results back only at the end of a batch, so these batches go through
 /// `Fleet::run_ganged_stream`, whose sink sees each completion; every
-/// scenario is checked like a timed one.
+/// scenario is checked like a timed one. A gang's lanes finish together,
+/// so each of these batches holds one gang per worker of a `workers`
+/// pool, the shape of the gang rows of `fleet_throughput`.
 fn spreads(
     cfg: &RunCfg,
     designs: &[Design],
@@ -214,15 +223,16 @@ fn spreads(
 ) -> Vec<f64> {
     let mut inputs = common::rng(cfg.seed, 8);
     let fleet = Fleet::new(workers);
+    let count = LANES * workers;
     let mut out = Vec::new();
     for (batch, design) in designs
         .iter()
         .flat_map(|d| std::iter::repeat_n(d, SPREAD_BATCHES))
         .enumerate()
     {
-        let (_, jobs) = scenarios(design, &mut inputs);
+        let (_, jobs) = scenarios(design, count, &mut inputs);
         let jobs = jobs.into_iter().map(FleetJob::into_sim_job).collect();
-        let done: Mutex<Vec<(Instant, JobOutput)>> = Mutex::new(Vec::with_capacity(design.batch));
+        let done: Mutex<Vec<(Instant, JobOutput)>> = Mutex::new(Vec::with_capacity(count));
         tracer.span("fleet.stream_batch", None, batch as u64, || {
             fleet.run_ganged_stream(jobs, LANES, &BatchPolicy::default(), &|job| {
                 done.lock()
@@ -231,7 +241,7 @@ fn spreads(
             });
         });
         let done = done.into_inner().expect("sink poisoned");
-        let ok = done.len() == design.batch
+        let ok = done.len() == count
             && done.iter().all(|(_, job)| {
                 job.outcome == JobOutcome::Complete
                     && job.machine.as_ref().is_some_and(|m| {
@@ -357,7 +367,6 @@ pub fn run(cfg: &RunCfg) -> Report {
         );
         designs.push(Design {
             name,
-            batch: LANES * workers,
             fleet,
             budget,
             inputs,
@@ -377,7 +386,7 @@ pub fn run(cfg: &RunCfg) -> Report {
     report.info.push((
         "batches".into(),
         format!(
-            "{} batches, {} scenarios, {} samples re-run solo, {workers} workers",
+            "{} batches, {} scenarios, {} samples re-run solo, {WORKERS} worker",
             phase.batch_ms.len(),
             phase.scenarios,
             phase.samples.len()
@@ -393,14 +402,7 @@ pub fn run(cfg: &RunCfg) -> Report {
         metrics(&traced, &mut traced_e2e);
         report.finish_trace(&traced_e2e, &tracer, "sweep", cfg.seed);
         common::machine_timing(&tracer, &mut report.per_layer);
-        fleet_layer(
-            &traced,
-            &designs,
-            &solo_ms,
-            &spread_ms,
-            workers,
-            &mut report.per_layer,
-        );
+        fleet_layer(&traced, &solo_ms, &spread_ms, &mut report.per_layer);
     }
     common::machine_counts(designs.iter().map(|d| &d.reference), &mut report.per_layer);
     report
@@ -410,18 +412,17 @@ pub fn run(cfg: &RunCfg) -> Report {
 /// with running their scenarios one by one on a solo machine.
 fn fleet_layer(
     phase: &Phase,
-    designs: &[Design],
     solo_ms: &[Vec<f64>],
     spread_ms: &[f64],
-    workers: usize,
     out: &mut BTreeMap<String, f64>,
 ) {
+    let workers = WORKERS;
     let n = phase.batch_ms.len() as f64;
     let batch_ms = phase.batch_ms.iter().sum::<f64>() / n;
     let solo_equiv_ms = phase
         .batch_design
         .iter()
-        .map(|&d| designs[d].batch as f64 * median(&solo_ms[d]))
+        .map(|&d| LANES as f64 * median(&solo_ms[d]))
         .sum::<f64>()
         / n;
     out.insert("fleet.batch_ms".into(), batch_ms);
@@ -437,28 +438,63 @@ fn fleet_layer(
     );
 }
 
+/// The percentile of per-batch rates sweep reads throughput at. A design
+/// has only 50-100 batches in a run, and in the host's slow stretches
+/// fewer than one in ten of them is fast, so p90 (`stats::FAST`) fell into the
+/// slow batches in some runs; p98, about the second fastest batch of a
+/// design, did so less (IQR over median 0.24 against 0.32 over the
+/// slowest stretch seen, 0.06 against 0.09 otherwise).
+const FAST_BATCH: f64 = 98.0;
+
 fn metrics(phase: &Phase, out: &mut BTreeMap<String, f64>) {
-    // A batch of one gang per worker lasts about 0.15 s on two workers,
-    // and a design has about 50 of them in a run. Their median reads the
-    // host's usual speed; the fast tail (p90) moved with the neighbours
-    // from run to run, nearly three times as far as the median.
+    // A one-gang batch lasts 70-90 ms when the host leaves its CPU alone
+    // and about twice that when a neighbour presses on it, in phases of a
+    // few batches. The share of slow batches changes from run to run, so
+    // the median jumps between the two speeds, while the fast side holds.
     out.insert(
         "sim_khz".into(),
-        geomean_of_percentiles(&phase.batch_khz, 50.0),
+        geomean_of_percentiles(&phase.batch_khz, FAST_BATCH),
     );
     out.insert(
         "runs_per_s".into(),
-        geomean_of_percentiles(&phase.batch_runs_per_s, 50.0),
+        geomean_of_percentiles(&phase.batch_runs_per_s, FAST_BATCH),
     );
-    // The designs' batches differ in length, so each batch is read
-    // against its design's median before they are pooled: p90 reads how
-    // far slow batches lie above typical ones, not which design is longest.
+    // Latency is read on the same fast side: over each design's fastest
+    // tenth of batches, each against its design's median there before
+    // they are pooled, so p90 reads how far slower batches lie above
+    // typical ones, not which design is longest.
+    let fast = fast_batches(&phase.design_batch_ms);
     out.insert(
         "step_p50_ms".into(),
-        pooled_relative_percentile(&phase.design_batch_ms, 50.0),
+        pooled_relative_percentile(&fast, 50.0),
     );
     out.insert(
         "step_p90_ms".into(),
-        pooled_relative_percentile(&phase.design_batch_ms, 90.0),
+        pooled_relative_percentile(&fast, 90.0),
     );
+}
+
+/// Each design's fastest tenth of batch times (at least one).
+fn fast_batches(design_batch_ms: &[Vec<f64>]) -> Vec<Vec<f64>> {
+    design_batch_ms
+        .iter()
+        .map(|times| {
+            let mut sorted = times.clone();
+            sorted.sort_by(f64::total_cmp);
+            sorted.truncate((times.len() / 10).max(1));
+            sorted
+        })
+        .collect()
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn fast_batches_keep_each_designs_fastest_tenth() {
+        let slow_first: Vec<f64> = (1..=20).rev().map(f64::from).collect();
+        let fast = fast_batches(&[slow_first, vec![7.0, 3.0, 5.0], Vec::new()]);
+        assert_eq!(fast, vec![vec![1.0, 2.0], vec![3.0], Vec::new()]);
+    }
 }
