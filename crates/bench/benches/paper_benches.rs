@@ -1,6 +1,6 @@
 //! Micro-benchmarks over the core engines: per-cycle throughput of the
-//! reference evaluator, the baseline tape, and the machine model (serial
-//! and sharded-parallel), plus end-to-end compile latency — the raw
+//! reference evaluator, the baseline tape, and the machine model, plus
+//! end-to-end compile latency — the raw
 //! throughputs behind Table 3.
 //!
 //! Self-timed (`harness = false`): the container has no registry access,
@@ -12,7 +12,7 @@ use std::time::Instant;
 
 use manticore::compiler::{compile, CompileOptions};
 use manticore::isa::MachineConfig;
-use manticore::machine::{ExecMode, Machine};
+use manticore::machine::Machine;
 use manticore::netlist::eval::Evaluator;
 use manticore::refsim::{SerialSim, Tape};
 use manticore::workloads;
@@ -77,17 +77,11 @@ fn bench_machine_vcycle() {
             ..Default::default()
         };
         let out = compile(&netlist, &options).unwrap();
-        for (mode, label) in [
-            (ExecMode::Serial, "machine_vcycle"),
-            (ExecMode::Parallel { shards: 4 }, "machine_vcycle_p4"),
-        ] {
-            let mut machine = Machine::load(config.clone(), &out.binary).unwrap();
-            machine.set_exec_mode(mode);
-            let ns = time_ns(5, 64, || {
-                machine.run_vcycles(1).unwrap();
-            });
-            report(label, name, ns);
-        }
+        let mut machine = Machine::load(config, &out.binary).unwrap();
+        let ns = time_ns(5, 64, || {
+            machine.run_vcycles(1).unwrap();
+        });
+        report("machine_vcycle", name, ns);
     }
 }
 

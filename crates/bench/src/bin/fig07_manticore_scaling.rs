@@ -9,111 +9,15 @@
 //! lift the imem bound for the baseline estimate, as the paper notes
 //! single-core execution is usually impossible on the prototype).
 //!
-//! A second section sweeps the *model's own* host-side parallelism: the
-//! sharded BSP engine at 1–8 shards with the replay fast path off, on the
-//! pre-decoded tape, and on the fused micro-op stream — driven entirely
-//! through the unified `Simulator` trait, reporting measured wall-clock
-//! simulation rates.
-//!
 //! Run: `cargo run --release -p manticore-bench --bin fig07_manticore_scaling`
-//!
-//! Flags: `--json <path>` writes the shard-sweep measurements as JSON.
 
 use manticore::compiler::{compile, CompileOptions};
 use manticore::isa::MachineConfig;
-use manticore::machine::ExecMode;
-use manticore::sim::Simulator;
 use manticore::workloads;
-use manticore::ManticoreSim;
-use manticore_bench::{fmt, json::Val, reject_unknown_args, take_flag, ModelEngine};
-
-/// Measured wall-clock Vcycle rate of the machine model at each shard
-/// count, with each replay lowering — all through the `Simulator` trait.
-fn shard_sweep(json_path: Option<&str>) {
-    let shard_counts = [1usize, 2, 4, 8];
-    let grid = 8;
-    let vcycles = 400;
-    println!("\n# Model host-parallelism sweep: sharded BSP engine, measured kHz\n");
-    print!("{:>8}", "bench");
-    for s in shard_counts {
-        for engine in ModelEngine::ALL {
-            print!(" {:>9}", format!("{s}sh{}", engine.suffix()));
-        }
-    }
-    println!("   (grid {grid}x{grid}, {vcycles} Vcycles)");
-    let mut json_rows: Vec<Val> = Vec::new();
-    for name in ["vta", "mm", "bc"] {
-        let w = workloads::by_name(name).unwrap();
-        print!("{:>8}", w.name);
-        // One compilation feeds every column, so all measurements run the
-        // same binary.
-        let config = MachineConfig::with_grid(grid, grid);
-        let options = CompileOptions {
-            config: config.clone(),
-            ..Default::default()
-        };
-        let output = match compile(&w.netlist, &options) {
-            Ok(out) => std::sync::Arc::new(out),
-            Err(_) => {
-                for _ in 0..shard_counts.len() * ModelEngine::ALL.len() {
-                    print!(" {:>9}", "-");
-                }
-                println!();
-                continue;
-            }
-        };
-        let mut cells: Vec<(String, f64)> = Vec::new();
-        for shards in shard_counts {
-            for engine in ModelEngine::ALL {
-                let mut sim = match ManticoreSim::from_output(output.clone(), config.clone()) {
-                    Ok(s) => s,
-                    Err(_) => {
-                        print!(" {:>9}", "-");
-                        continue;
-                    }
-                };
-                sim.set_exec_mode(if shards == 1 {
-                    ExecMode::Serial
-                } else {
-                    ExecMode::Parallel { shards }
-                });
-                engine.apply(&mut sim);
-                match sim.run_cycles(vcycles) {
-                    Ok(_) => {
-                        let khz = sim.perf().measured_rate_khz();
-                        print!(" {:>9}", fmt(khz));
-                        cells.push((format!("{shards}sh{}", engine.suffix()), khz));
-                    }
-                    Err(_) => print!(" {:>9}", "!"),
-                }
-            }
-        }
-        println!();
-        json_rows.push(Val::obj(vec![
-            ("name", Val::Str(w.name.to_string())),
-            (
-                "khz",
-                Val::Obj(cells.into_iter().map(|(k, v)| (k, Val::Num(v))).collect()),
-            ),
-        ]));
-    }
-    println!("\n(+rp = pre-decoded tape replay, +uop = fused micro-op replay; bit-identical");
-    println!("results in every column; see tests/parallel_grid_equivalence.rs)");
-    if let Some(path) = json_path {
-        let doc = Val::obj(vec![
-            ("bench", Val::Str("fig07_manticore_scaling".into())),
-            ("grid", Val::Int(grid as u64)),
-            ("vcycles", Val::Int(vcycles)),
-            ("rows", Val::Arr(json_rows)),
-        ]);
-        manticore_bench::json::write(path, &doc);
-        println!("wrote {path}");
-    }
-}
+use manticore_bench::{fmt, reject_unknown_args};
 
 fn main() {
-    let mut args: Vec<String> = std::env::args().skip(1).collect();
-    let json_path = take_flag(&mut args, "--json");
+    let args: Vec<String> = std::env::args().skip(1).collect();
     reject_unknown_args(&args);
 
     let grids: [usize; 8] = [1, 3, 5, 7, 9, 11, 13, 18];
@@ -149,6 +53,4 @@ fn main() {
     }
     println!("\nexpected shape (paper Fig. 7): parallel workloads (mc, cgra, vta) keep");
     println!("improving toward 200-300 cores; jpeg plateaus almost immediately (Amdahl).");
-
-    shard_sweep(json_path.as_deref());
 }

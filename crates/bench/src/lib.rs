@@ -279,22 +279,6 @@ pub enum ModelEngine {
 }
 
 impl ModelEngine {
-    /// All engines, sweep order.
-    pub const ALL: [ModelEngine; 3] = [
-        ModelEngine::Interpreter,
-        ModelEngine::TapeReplay,
-        ModelEngine::MicroOps,
-    ];
-
-    /// Short column-label suffix (`""`, `"+rp"`, `"+uop"`).
-    pub fn suffix(self) -> &'static str {
-        match self {
-            ModelEngine::Interpreter => "",
-            ModelEngine::TapeReplay => "+rp",
-            ModelEngine::MicroOps => "+uop",
-        }
-    }
-
     /// Configures a machine simulator to run on this engine.
     pub fn apply(self, sim: &mut manticore::ManticoreSim) {
         use manticore::machine::ReplayEngine;

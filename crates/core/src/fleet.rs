@@ -48,7 +48,7 @@ pub use manticore_fleet::{
     JobOutput, SimJob,
 };
 use manticore_isa::{CoreId, MachineConfig, Reg};
-use manticore_machine::{ExecMode, GangMachine, Machine, ReplayEngine, RunOutcome};
+use manticore_machine::{GangMachine, Machine, ReplayEngine, RunOutcome};
 use manticore_util::CancelToken;
 
 use crate::sim::{SimOutcome, SimPerf, Simulator};
@@ -109,14 +109,6 @@ impl FleetJob {
     #[must_use]
     pub fn poke(mut self, core: CoreId, reg: Reg, value: u16) -> FleetJob {
         self.inner = self.inner.poke(core, reg, value);
-        self
-    }
-
-    /// Selects the execution engine for this job (serial, or sharded BSP
-    /// with a shard count).
-    #[must_use]
-    pub fn exec_mode(mut self, mode: ExecMode) -> FleetJob {
-        self.inner = self.inner.exec_mode(mode);
         self
     }
 

@@ -62,8 +62,8 @@ pub mod prelude {
     pub use manticore_compiler::{compile, CompileOptions, PartitionStrategy};
     pub use manticore_isa::{CoreId, MachineConfig, Reg};
     pub use manticore_machine::{
-        Checkpoint, CompiledProgram, CoverageMap, ExecMode, GangMachine, Interrupt, Machine,
-        MachineError, ReplayEngine, RunOutcome, MAX_LANES,
+        Checkpoint, CompiledProgram, CoverageMap, GangMachine, Interrupt, Machine, MachineError,
+        ReplayEngine, RunOutcome, MAX_LANES,
     };
     pub use manticore_netlist::{eval::Evaluator, NetlistBuilder};
     pub use manticore_util::CancelToken;
@@ -79,7 +79,7 @@ pub mod prelude {
 use manticore_bits::Bits;
 use manticore_compiler::{compile, CompileError, CompileOptions, CompileOutput};
 use manticore_isa::MachineConfig;
-use manticore_machine::{ExecMode, Machine, MachineError, ReplayEngine, RunOutcome};
+use manticore_machine::{Machine, MachineError, ReplayEngine, RunOutcome};
 use manticore_netlist::Netlist;
 use manticore_refsim::TapeError;
 
@@ -126,8 +126,8 @@ impl From<MachineError> for SimError {
 #[derive(Debug)]
 pub struct ManticoreSim {
     machine: Machine,
-    /// Shared so several machines (e.g. a serial and a parallel backend)
-    /// can run one compiled design without recompiling.
+    /// Shared so several machines (e.g. one per replay lowering) can run
+    /// one compiled design without recompiling.
     output: std::sync::Arc<CompileOutput>,
     displays: Vec<String>,
     wall_seconds: f64,
@@ -161,7 +161,7 @@ impl ManticoreSim {
     }
 
     /// Boots a machine from an already-compiled design. Lets several
-    /// simulators (e.g. one per [`ExecMode`]) share one compilation.
+    /// simulators (e.g. one per [`ReplayEngine`]) share one compilation.
     ///
     /// # Errors
     ///
@@ -207,11 +207,6 @@ impl ManticoreSim {
             displays,
             wall_seconds: 0.0,
         }
-    }
-
-    /// Selects the machine's execution engine (serial, or sharded BSP).
-    pub fn set_exec_mode(&mut self, mode: ExecMode) {
-        self.machine.set_exec_mode(mode);
     }
 
     /// Enables or disables the machine's validate-once / replay-many fast

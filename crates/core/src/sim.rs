@@ -7,7 +7,6 @@
 //! | `manticore-serial` | machine grid, one thread | `manticore_machine` |
 //! | `manticore-serial+replay` | machine grid, validate-once / replay-many tape | `manticore_machine` |
 //! | `manticore-serial+uops` | machine grid, fused micro-op replay over SoA state | `manticore_machine` |
-//! | `manticore-parallel(k)` | machine grid, `k` BSP shards | `manticore_machine` |
 //! | `manticore-fleet(k)` | machine grid dispatched through a `k`-worker fleet pool | `manticore_fleet` |
 //! | `manticore-gang(k)` | `k` lockstep lanes over lane-major state, one micro-op fetch per gang | `manticore_machine` |
 //! | `tape-serial` | Verilator-analog tape, one thread | `manticore_refsim` |
@@ -28,7 +27,7 @@ use std::time::Instant;
 
 use manticore_bits::Bits;
 use manticore_compiler::{compile, CompileOptions};
-use manticore_machine::{ExecMode, PerfCounters, ReplayEngine};
+use manticore_machine::{PerfCounters, ReplayEngine};
 use manticore_netlist::Netlist;
 use manticore_refsim::{serial, MacroTaskPlan, Tape, TapeState};
 
@@ -105,7 +104,7 @@ impl SimPerf {
 /// # Ok::<(), manticore::SimError>(())
 /// ```
 pub trait Simulator {
-    /// Short backend identifier, e.g. `manticore-parallel(4)`.
+    /// Short backend identifier, e.g. `manticore-serial+uops`.
     fn backend(&self) -> String;
 
     /// Simulates up to `max_cycles` RTL cycles from the current state.
@@ -132,17 +131,14 @@ pub trait Simulator {
 
 impl Simulator for ManticoreSim {
     fn backend(&self) -> String {
-        let base = match self.machine().exec_mode() {
-            ExecMode::Serial => "manticore-serial".to_string(),
-            ExecMode::Parallel { shards } => format!("manticore-parallel({shards})"),
-        };
+        let base = "manticore-serial";
         if self.machine().replay_armed() {
             match self.machine().replay_engine() {
                 ReplayEngine::Tape => format!("{base}+replay"),
                 ReplayEngine::MicroOps => format!("{base}+uops"),
             }
         } else {
-            base
+            base.to_string()
         }
     }
 
@@ -336,11 +332,10 @@ impl Simulator for TapeSim {
 /// Builds one of every backend for `netlist`: Manticore serial (the
 /// position-by-position reference interpreter), Manticore serial with the
 /// validate-once / replay-many tape, Manticore serial with the fused
-/// micro-op replay stream, Manticore with `threads` BSP shards (replaying
-/// micro-ops), the fleet-dispatched machine (a `threads`-worker pool),
-/// the lane-batched gang machine (a `threads`-lane lockstep gang, in both
-/// replay lowerings), tape serial, and tape parallel with `threads`
-/// workers.
+/// micro-op replay stream, the fleet-dispatched machine (a
+/// `threads`-worker pool), the lane-batched gang machine (a
+/// `threads`-lane lockstep gang, in both replay lowerings), tape serial,
+/// and tape parallel with `threads` workers.
 ///
 /// All machine-grid backends share **one** compilation *and* one frozen
 /// [`manticore_machine::CompiledProgram`] — the replay tape and micro-op
@@ -367,16 +362,11 @@ pub fn backends(
     let output = Arc::new(compile(netlist, &options)?);
     let program = manticore_machine::CompiledProgram::compile_shared(config, &output.binary)?;
     let mut serial_machine = ManticoreSim::from_program(program.clone(), output.clone());
-    serial_machine.set_exec_mode(ExecMode::Serial);
     serial_machine.set_replay(false);
     let mut replay_machine = ManticoreSim::from_program(program.clone(), output.clone());
-    replay_machine.set_exec_mode(ExecMode::Serial);
     replay_machine.set_replay_engine(ReplayEngine::Tape);
     let mut uop_machine = ManticoreSim::from_program(program.clone(), output.clone());
-    uop_machine.set_exec_mode(ExecMode::Serial);
     uop_machine.set_replay_engine(ReplayEngine::MicroOps);
-    let mut parallel_machine = ManticoreSim::from_program(program.clone(), output.clone());
-    parallel_machine.set_exec_mode(ExecMode::Parallel { shards: threads });
     // One fleet row: its `run_cycles` dispatches a single resume job, so
     // the pool engages one worker per call regardless of capacity — the
     // coverage it adds is the dispatch/steal path itself, which a second
@@ -392,7 +382,6 @@ pub fn backends(
         Box::new(serial_machine),
         Box::new(replay_machine),
         Box::new(uop_machine),
-        Box::new(parallel_machine),
         Box::new(fleet),
         Box::new(gang_uops),
         Box::new(gang_tape),

@@ -13,10 +13,10 @@
 //!
 //! - [`SimJob`] — the description of one simulation: which program, the
 //!   per-run input vector (register pokes applied before the first
-//!   Vcycle), the engine knobs (exec mode / shard count, replay lowering,
-//!   hazard strictness), and the Vcycle budget. A job can also *resume* an
-//!   existing [`Machine`] ([`SimJob::resume`]), which is how a fleet
-//!   drives long-running simulations in slices.
+//!   Vcycle), the engine knobs (replay lowering, hazard strictness), and
+//!   the Vcycle budget. A job can also *resume* an existing [`Machine`]
+//!   ([`SimJob::resume`]), which is how a fleet drives long-running
+//!   simulations in slices.
 //! - [`Fleet`] — a fixed pool of worker threads driven by a work-stealing
 //!   scheduler: jobs are dealt round-robin into per-worker queues, each
 //!   worker drains its own queue from the front and steals from the back
@@ -58,7 +58,7 @@ use std::sync::Mutex;
 use manticore_isa::{CoreId, Reg};
 pub use manticore_machine::CompiledProgram;
 use manticore_machine::{
-    Checkpoint, CoverageMap, ExecMode, GangMachine, Interrupt, Machine, MachineError, ReplayEngine,
+    Checkpoint, CoverageMap, GangMachine, Interrupt, Machine, MachineError, ReplayEngine,
     RunOutcome, MAX_LANES,
 };
 use manticore_util::{catch_silent_mut, CancelToken, SmallRng, SpinBarrier};
@@ -90,7 +90,6 @@ pub struct SimJob {
     /// The per-run input vector: architectural register overwrites
     /// applied before execution.
     pokes: Vec<(CoreId, Reg, u16)>,
-    exec_mode: Option<ExecMode>,
     replay: Option<bool>,
     engine: Option<ReplayEngine>,
     strict: Option<bool>,
@@ -107,7 +106,6 @@ impl SimJob {
         SimJob {
             source: JobSource::Fresh(Arc::clone(program)),
             pokes: Vec::new(),
-            exec_mode: None,
             replay: None,
             engine: None,
             strict: None,
@@ -124,7 +122,6 @@ impl SimJob {
         SimJob {
             source: JobSource::Resume(Box::new(machine)),
             pokes: Vec::new(),
-            exec_mode: None,
             replay: None,
             engine: None,
             strict: None,
@@ -139,14 +136,6 @@ impl SimJob {
     #[must_use]
     pub fn poke(mut self, core: CoreId, reg: Reg, value: u16) -> SimJob {
         self.pokes.push((core, reg, value));
-        self
-    }
-
-    /// Selects the execution engine (serial, or sharded BSP with a shard
-    /// count) for this job.
-    #[must_use]
-    pub fn exec_mode(mut self, mode: ExecMode) -> SimJob {
-        self.exec_mode = Some(mode);
         self
     }
 
@@ -200,13 +189,11 @@ impl SimJob {
     }
 
     /// True when this job can join a gang: a fresh boot (no existing
-    /// machine to import) on the serial engine, with no per-job deadline
-    /// (the gang runs in lockstep under the batch clock only). Which gang
-    /// it may join is decided by [`SimJob::gang_key`].
+    /// machine to import) with no per-job deadline (the gang runs in
+    /// lockstep under the batch clock only). Which gang it may join is
+    /// decided by [`SimJob::gang_key`].
     fn gangable(&self) -> bool {
-        matches!(self.source, JobSource::Fresh(_))
-            && matches!(self.exec_mode, None | Some(ExecMode::Serial))
-            && self.deadline.is_none()
+        matches!(self.source, JobSource::Fresh(_)) && self.deadline.is_none()
     }
 
     /// The compatibility key for gang grouping: jobs in one gang must
@@ -268,9 +255,6 @@ impl SimJob {
         };
         if let Some(strict) = self.strict {
             machine.set_strict_hazards(strict);
-        }
-        if let Some(mode) = self.exec_mode {
-            machine.set_exec_mode(mode);
         }
         if let Some(enabled) = self.replay {
             machine.set_replay(enabled);
@@ -753,12 +737,12 @@ impl Fleet {
     }
 
     /// Like [`Fleet::run`], but batches compatible jobs into gangs of up
-    /// to `lanes` lanes: fresh serial-engine jobs sharing one program,
+    /// to `lanes` lanes: fresh jobs sharing one program,
     /// identical engine knobs, and one Vcycle budget execute in lockstep
     /// on a [`GangMachine`] — every micro-op fetched and decoded once for
-    /// the whole gang. Jobs that cannot gang (resumed machines, the
-    /// sharded engine, or a gang of one) run exactly as [`Fleet::run`]
-    /// would run them.
+    /// the whole gang. Jobs that cannot gang (resumed machines, jobs with
+    /// a per-job deadline, or a gang of one) run exactly as
+    /// [`Fleet::run`] would run them.
     ///
     /// Outputs are bit-identical to the ungganged path and still arrive
     /// in submission order — ganging changes scheduling, never results
@@ -1395,14 +1379,16 @@ mod tests {
         let program = counter_program();
         let core = CoreId::new(0, 0);
         // A deliberately lumpy set: three gangable groups (two budgets x
-        // two engines) plus one non-gangable sharded job, interleaved.
+        // two engines) plus non-gangable jobs carrying a far-future
+        // per-job deadline, interleaved.
+        let far = std::time::Instant::now() + std::time::Duration::from_secs(3600);
         let make_jobs = || -> Vec<SimJob> {
             (0..11)
                 .map(|i| {
                     let vcycles = if i % 2 == 0 { 10 } else { 7 };
                     let mut job = SimJob::new(&program, vcycles).poke(core, Reg(2), (i + 1) as u16);
                     if i % 5 == 3 {
-                        job = job.exec_mode(ExecMode::Parallel { shards: 1 });
+                        job = job.deadline(far);
                     }
                     if i % 3 == 0 {
                         job = job.replay_engine(ReplayEngine::Tape);

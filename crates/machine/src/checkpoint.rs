@@ -30,7 +30,7 @@ use std::sync::Arc;
 use crate::cache::Cache;
 use crate::core::CoreState;
 use crate::gang::GangMachine;
-use crate::grid::{ExecMode, HostEvent, Machine, MachineError, PerfCounters, ReplayEngine};
+use crate::grid::{HostEvent, Machine, MachineError, PerfCounters, ReplayEngine};
 use crate::noc::Noc;
 use crate::program::CompiledProgram;
 
@@ -51,7 +51,6 @@ pub struct Checkpoint {
     pub(crate) strict_hazards: bool,
     pub(crate) finish_requested: bool,
     pub(crate) events: Vec<HostEvent>,
-    pub(crate) exec_mode: ExecMode,
     pub(crate) replay_enabled: bool,
     pub(crate) replay_engine: ReplayEngine,
     pub(crate) tape_invalidated: bool,
@@ -106,7 +105,6 @@ impl Checkpoint {
             strict_hazards: self.strict_hazards,
             finish_requested: self.finish_requested,
             events: self.events.clone(),
-            exec_mode: self.exec_mode,
             replay_enabled: self.replay_enabled,
             replay_engine: self.replay_engine,
             tape_invalidated: self.tape_invalidated,
@@ -151,7 +149,6 @@ impl Machine {
             strict_hazards: self.strict_hazards,
             finish_requested: self.finish_requested,
             events: self.events.clone(),
-            exec_mode: self.exec_mode,
             replay_enabled: self.replay_enabled,
             replay_engine: self.replay_engine,
             tape_invalidated: self.tape_invalidated,
@@ -185,7 +182,6 @@ impl Machine {
         self.strict_hazards = cp.strict_hazards;
         self.finish_requested = cp.finish_requested;
         self.events.clone_from(&cp.events);
-        self.exec_mode = cp.exec_mode;
         self.replay_enabled = cp.replay_enabled;
         self.replay_engine = cp.replay_engine;
         self.tape_invalidated = cp.tape_invalidated;

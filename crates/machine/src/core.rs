@@ -207,9 +207,8 @@ impl CoreState {
 
 /// A core's run state plus its register-file and scratchpad lanes out of
 /// the machine's structure-of-arrays storage, plus its shared read-only
-/// program — everything one core's execution touches, borrowable
-/// disjointly per shard (`split_at_mut` in the parallel engine; the
-/// program side is `&`-shared freely).
+/// program — everything one core's execution touches (the program side
+/// is `&`-shared freely).
 pub(crate) struct CoreView<'a> {
     pub cs: &'a mut CoreState,
     /// The core's immutable program half (body, epilogue length, custom

@@ -1,10 +1,11 @@
-//! The per-core instruction step, shared by both execution engines.
+//! The per-core instruction step, shared by the grid interpreter and the
+//! tape replay engine.
 //!
-//! The serial engine ([`crate::grid`]) and the sharded bulk-synchronous
-//! engine ([`crate::parallel`]) must be bit-identical. The way we get that
-//! by construction is to funnel *all* architectural effects of one core
-//! executing one Vcycle position through this module: both engines call
-//! [`step_core`], which mutates only
+//! The interpreter ([`crate::grid`]) and the tape replay engine
+//! ([`crate::replay`]) must be bit-identical. The way we get that by
+//! construction is to funnel *all* architectural effects of one core
+//! executing one Vcycle position through this module's executors: the
+//! interpreter calls [`step_core`], which mutates only
 //!
 //! - the core's own state (a [`CoreView`]: per-core metadata plus the
 //!   core's register-file and scratchpad lanes of the machine's
@@ -16,8 +17,7 @@
 //! - the global cache (privileged core only; `None` for everyone else).
 //!
 //! Everything cross-core — NoC routing, message delivery, link-collision
-//! validation — stays in the engines, where the two differ only in *when*
-//! the same serial commit work happens.
+//! validation — stays in the grid.
 //!
 //! The micro-op replay engine ([`crate::uops`]) does *not* go through this
 //! module's interpreters — that is its point — but it is compiled from the
@@ -43,13 +43,10 @@ pub(crate) struct ExecEnv<'a> {
     pub vcycle: u64,
 }
 
-/// A `Send` executed this Vcycle, recorded for the engine to inject into
-/// the NoC. `pos` orders records across cores: global injection order is
-/// `(pos, sender linear index)`, exactly the serial engine's iteration
-/// order.
+/// A `Send` executed this Vcycle, recorded for the grid to inject into
+/// the NoC.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct SendRecord {
-    pub pos: u64,
     pub from: CoreId,
     pub target: CoreId,
     pub rd: Reg,
@@ -155,9 +152,8 @@ pub(crate) fn service_exception(
 /// one core. `now` is the compute-domain time (`vcycle_start + pos`);
 /// `cache` is `Some` exactly for the privileged core.
 ///
-/// All effects go through the caller-supplied accumulators, so the caller
-/// chooses whether they are the machine's globals (serial engine) or
-/// shard-local scratch merged at the barrier (parallel engine).
+/// All effects go through the caller-supplied accumulators (the
+/// machine's globals).
 ///
 /// This is the fetch/decode wrapper around [`exec_instr`]: it resolves the
 /// position into a body instruction or an epilogue slot. The replay engine
@@ -232,8 +228,8 @@ pub(crate) fn exec_epilogue_slot(
 }
 
 /// Executes one already-decoded body instruction. This is the single
-/// source of architectural truth for instruction semantics: the serial
-/// engine, the sharded BSP engine, and the tape replay engine all funnel
+/// source of architectural truth for instruction semantics: the
+/// interpreter and the tape replay engine both funnel
 /// every body instruction through here (the micro-op engine is compiled
 /// from the same instructions and checked against this interpreter).
 #[allow(clippy::too_many_arguments)]
@@ -376,7 +372,6 @@ pub(crate) fn exec_instr(
             let v = read_operand(env, core, core_id, rs, pos)?;
             counters.sends += 1;
             sends.push(SendRecord {
-                pos,
                 from: core_id,
                 target,
                 rd: rd_remote,

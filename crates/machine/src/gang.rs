@@ -24,7 +24,7 @@
 //! **Two phases.** Lanes start as plain solo [`Machine`]s (contiguous
 //! per-run state): the validation Vcycle, the tape lowering, unreplayable
 //! programs, and disabled replay all execute there, through the one true
-//! serial engine ([`Machine::step_vcycle`]) with zero copying. The first
+//! solo engine ([`Machine::step_vcycle`]) with zero copying. The first
 //! time the ganged fast path becomes eligible (micro-op lowering, past
 //! validation), the register files are transposed once into the
 //! lane-major layout as single sequential passes. The solo machines stay
@@ -396,7 +396,6 @@ impl GangMachine {
                     strict_hazards: self.strict_hazards,
                     finish_requested: false,
                     events: shell.events.clone(),
-                    exec_mode: shell.exec_mode,
                     replay_enabled: self.replay_enabled,
                     replay_engine: self.replay_engine,
                     tape_invalidated: self.tape_invalidated,
@@ -499,7 +498,7 @@ impl GangMachine {
             } else {
                 // Validation Vcycle, tape lowering, unreplayable program,
                 // disabled replay, or invalidated tape: step each lane
-                // through the solo serial engine (one source of truth for
+                // through the solo engine (one source of truth for
                 // those paths). In the solo phase that is copy-free; after
                 // the gang has interleaved it gathers/scatters the lane
                 // through its shell.

@@ -4,9 +4,7 @@
 //! Machine state is structure-of-arrays: one contiguous `Vec<u32>` holds
 //! every core's register file and one contiguous `Vec<u16>` every core's
 //! scratchpad, sliced into per-core lanes (`CoreView`) for execution. The
-//! layout keeps the hot replay paths walking adjacent memory and lets the
-//! sharded engine hand each worker a disjoint `split_at_mut` window of the
-//! whole machine.
+//! layout keeps the hot replay paths walking adjacent memory.
 
 use std::fmt;
 use std::sync::Arc;
@@ -54,25 +52,6 @@ impl PerfCounters {
         } else {
             self.stall_cycles as f64 / self.total_cycles() as f64
         }
-    }
-
-    /// Adds another counter block into this one.
-    ///
-    /// This is how the parallel engine aggregates shard-local counters at
-    /// each Vcycle barrier. Every field is an event *count* (`u64`), so the
-    /// aggregation is exact integer addition — associative and commutative —
-    /// and the totals for `instructions`, `sends`, `stall_cycles`, and the
-    /// rest are identical for any shard count and any merge order. (There
-    /// are no floating-point fields here; ratios like
-    /// [`PerfCounters::stall_fraction`] are derived *after* aggregation.)
-    pub fn merge_from(&mut self, other: &PerfCounters) {
-        self.compute_cycles += other.compute_cycles;
-        self.stall_cycles += other.stall_cycles;
-        self.vcycles += other.vcycles;
-        self.instructions += other.instructions;
-        self.sends += other.sends;
-        self.messages_delivered += other.messages_delivered;
-        self.exceptions += other.exceptions;
     }
 }
 
@@ -279,27 +258,6 @@ impl fmt::Display for MachineError {
 
 impl std::error::Error for MachineError {}
 
-/// How [`Machine::run_vcycles`] executes the grid.
-///
-/// Both modes are architecturally identical — same final registers, same
-/// displays, same [`PerfCounters`] — because they share the per-core step
-/// (the crate-private `exec` module) and differ only in scheduling. See
-/// `ARCHITECTURE.md` for the phase/barrier structure of the parallel
-/// engine.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ExecMode {
-    /// Step every core position-by-position on the calling thread.
-    Serial,
-    /// Sharded bulk-synchronous execution: the grid is split into
-    /// `shards` contiguous shards, each stepped by its own worker thread
-    /// between per-Vcycle barriers; NoC routing and delivery happen in a
-    /// serial commit phase. `shards` is clamped to `1..=num_cores`.
-    Parallel {
-        /// Worker-thread count (one shard per thread).
-        shards: usize,
-    },
-}
-
 /// Which lowering the validate-once / replay-many fast path executes once
 /// the validation Vcycle has proven the static schedule.
 ///
@@ -344,7 +302,6 @@ pub struct Machine {
     pub(crate) strict_hazards: bool,
     pub(crate) finish_requested: bool,
     pub(crate) events: Vec<HostEvent>,
-    pub(crate) exec_mode: ExecMode,
     /// Whether the validate-once / replay-many fast path may be used once
     /// the validation Vcycle has completed.
     pub(crate) replay_enabled: bool,
@@ -438,7 +395,6 @@ impl Machine {
             strict_hazards: true,
             finish_requested: false,
             events: Vec::new(),
-            exec_mode: ExecMode::Serial,
             replay_enabled: true,
             replay_engine: ReplayEngine::MicroOps,
             tape_invalidated: false,
@@ -555,19 +511,6 @@ impl Machine {
                 .micro_prog
                 .as_ref()
                 .is_some_and(|p| p.cross_hazard)
-    }
-
-    /// Selects the execution engine for subsequent [`Machine::run_vcycles`]
-    /// calls. Modes can be switched freely between calls — both engines
-    /// leave the machine in the same architectural state at every Vcycle
-    /// boundary.
-    pub fn set_exec_mode(&mut self, mode: ExecMode) {
-        self.exec_mode = mode;
-    }
-
-    /// The currently selected execution engine.
-    pub fn exec_mode(&self) -> ExecMode {
-        self.exec_mode
     }
 
     /// The machine configuration.
@@ -752,8 +695,7 @@ impl Machine {
         }
     }
 
-    /// Runs up to `max_vcycles` virtual cycles on the engine selected by
-    /// [`Machine::set_exec_mode`].
+    /// Runs up to `max_vcycles` virtual cycles on the calling thread.
     ///
     /// # Errors
     ///
@@ -765,19 +707,6 @@ impl Machine {
         if let Some(err) = &self.fault {
             return Err(err.clone());
         }
-        let result = match self.exec_mode {
-            ExecMode::Serial => self.run_vcycles_serial(max_vcycles),
-            ExecMode::Parallel { shards } => {
-                crate::parallel::run_vcycles_parallel(self, max_vcycles, shards)
-            }
-        };
-        if let Err(e) = &result {
-            self.fault = Some(e.clone());
-        }
-        result
-    }
-
-    fn run_vcycles_serial(&mut self, max_vcycles: u64) -> Result<RunOutcome, MachineError> {
         let mut outcome = RunOutcome::default();
         for _ in 0..max_vcycles {
             if self.finish_requested {
@@ -789,6 +718,7 @@ impl Machine {
             }
             if let Err(e) = self.step_vcycle() {
                 self.requeue_displays(outcome.displays);
+                self.fault = Some(e.clone());
                 return Err(e);
             }
             outcome.vcycles_run += 1;
@@ -801,7 +731,7 @@ impl Machine {
         Ok(outcome)
     }
 
-    /// Executes exactly one Vcycle on the serial engine, dispatching to
+    /// Executes exactly one Vcycle, dispatching to
     /// the interpreter (validation / unreplayable programs) or the armed
     /// replay lowering. Shared by [`Machine::run_vcycles`] and the gang
     /// engine's per-lane fallback ([`crate::gang`]), so lane-at-a-time
@@ -834,9 +764,8 @@ impl Machine {
             .splice(0..0, displays.into_iter().map(HostEvent::Display));
     }
 
-    /// Moves pending host events into `outcome` (both engines call this at
-    /// every Vcycle boundary).
-    pub(crate) fn drain_events(&mut self, outcome: &mut RunOutcome) {
+    /// Moves pending host events into `outcome` at a Vcycle boundary.
+    fn drain_events(&mut self, outcome: &mut RunOutcome) {
         for ev in self.events.drain(..) {
             match ev {
                 HostEvent::Display(s) => outcome.displays.push(s),
@@ -973,7 +902,7 @@ impl Machine {
     /// schedule, and the only *fallible* instructions in a replayed Vcycle
     /// are the privileged core's `Expect`s (everything position-dependent —
     /// hazards, collisions, delivery timing — is static and was validated),
-    /// so error selection matches the serial engine's encounter order too.
+    /// so error selection matches the interpreter's encounter order too.
     fn run_one_vcycle_replay(&mut self) -> Result<(), MachineError> {
         let Machine {
             program,
@@ -1132,8 +1061,7 @@ impl Machine {
                 counters,
                 events,
                 send_vals,
-            )
-            .map_err(|f| f.err)?;
+            )?;
         }
         debug_assert_eq!(send_vals.len(), tape.sends_per_vcycle);
 

@@ -26,14 +26,6 @@
 //! exactly the failures that would silently corrupt results on the real
 //! hardware.
 //!
-//! The grid executes under one of two engines ([`ExecMode`]): the serial
-//! reference engine, or a *sharded bulk-synchronous* engine that steps
-//! disjoint core shards on worker threads and performs NoC routing,
-//! delivery, and stall accounting in a serial commit phase between
-//! per-Vcycle barriers. The two are bit-identical by construction — they
-//! share the per-core step function — which the test suite checks across
-//! every workload and shard count.
-//!
 //! A loaded design is split across the compile-once / run-many boundary:
 //! the immutable [`CompiledProgram`] (validated per-core programs,
 //! exception table, initial state images, replay tape, micro-op streams)
@@ -41,8 +33,9 @@
 //! mutable state only, cheap to boot ([`Machine::from_program`]), which
 //! is what the `manticore-fleet` crate batches across a worker pool.
 //!
-//! Both engines additionally exploit the model's determinism with a
-//! *validate-once / replay-many* fast path ([`Machine::set_replay`], on by
+//! The grid runs on the calling thread; host parallelism lives one layer
+//! up, in the fleet's worker pool and the gang engine's lanes. The engine
+//! exploits the model's determinism with a *validate-once / replay-many* fast path ([`Machine::set_replay`], on by
 //! default): the first Vcycle validates the static schedule in full, after
 //! which execution switches to a frozen, pre-decoded replay schedule that
 //! skips NOPs, idle-tail positions, and all per-position NoC bookkeeping —
@@ -70,7 +63,6 @@ mod exec;
 mod gang;
 mod grid;
 mod noc;
-mod parallel;
 mod persist;
 mod program;
 mod replay;
@@ -81,7 +73,7 @@ pub use checkpoint::Checkpoint;
 pub use coverage::CoverageMap;
 pub use gang::{GangMachine, MAX_LANES};
 pub use grid::{
-    ExecMode, HostEvent, Interrupt, Machine, MachineError, PerfCounters, ReplayEngine, RunOutcome,
+    HostEvent, Interrupt, Machine, MachineError, PerfCounters, ReplayEngine, RunOutcome,
 };
 pub use persist::{load_checkpoint, save_checkpoint, PersistError};
 pub use program::CompiledProgram;

@@ -159,6 +159,7 @@ impl Noc {
     }
 
     /// Allocating convenience form of [`Noc::take_due_into`].
+    #[cfg(test)]
     pub fn take_due(&mut self, now: u64) -> Vec<Message> {
         let mut due: Vec<Message> = Vec::new();
         self.take_due_into(now, &mut due);

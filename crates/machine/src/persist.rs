@@ -30,7 +30,7 @@ use manticore_util::FnvHasher;
 use crate::cache::{Cache, CacheStats, Line};
 use crate::checkpoint::Checkpoint;
 use crate::core::{CoreState, PendingWrite};
-use crate::grid::{ExecMode, HostEvent, MachineError, PerfCounters, ReplayEngine};
+use crate::grid::{HostEvent, MachineError, PerfCounters, ReplayEngine};
 use crate::noc::{LinkId, Message, Noc};
 use crate::program::CompiledProgram;
 
@@ -460,14 +460,9 @@ pub fn save_checkpoint(cp: &Checkpoint) -> Vec<u8> {
         }
     }
 
-    // Engine knobs.
-    match cp.exec_mode {
-        ExecMode::Serial => w.u8(0),
-        ExecMode::Parallel { shards } => {
-            w.u8(1);
-            w.usize(shards);
-        }
-    }
+    // Engine knobs. The leading tag is the retired exec-mode field; this
+    // build always writes 0 (serial).
+    w.u8(0);
     w.bool(cp.replay_enabled);
     w.u8(match cp.replay_engine {
         ReplayEngine::Tape => 0,
@@ -716,11 +711,16 @@ pub fn load_checkpoint(
         });
     }
 
-    let exec_mode = match r.u8()? {
-        0 => ExecMode::Serial,
-        1 => ExecMode::Parallel { shards: r.usize()? },
+    // Retired exec-mode tag: 0 is serial; 1 is the sharded engine of older
+    // builds, whose shard count is read and discarded (the state at a
+    // Vcycle boundary is the same under either engine).
+    match r.u8()? {
+        0 => {}
+        1 => {
+            r.usize()?;
+        }
         t => return Err(corrupt(format!("bad exec-mode tag {t}"))),
-    };
+    }
     let replay_enabled = r.bool()?;
     let replay_engine = match r.u8()? {
         0 => ReplayEngine::Tape,
@@ -754,7 +754,6 @@ pub fn load_checkpoint(
         strict_hazards,
         finish_requested,
         events,
-        exec_mode,
         replay_enabled,
         replay_engine,
         tape_invalidated,

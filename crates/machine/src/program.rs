@@ -6,8 +6,8 @@
 //! register/scratchpad/DRAM images, and — because they are pure functions of
 //! the program — the replay tape and its fused micro-op lowering. It is
 //! immutable after construction and shared behind an `Arc`, so *N*
-//! concurrent simulations of the same design (a fleet, a serial/parallel
-//! backend pair, a parameter sweep) pay for validation, tape freezing, and
+//! concurrent simulations of the same design (a fleet, a gang, a
+//! parameter sweep) pay for validation, tape freezing, and
 //! micro-op compilation exactly once. Booting another machine from the
 //! artifact ([`crate::Machine::from_program`]) only allocates the mutable
 //! per-run state: the SoA register file and scratchpad, the pipeline rings,

@@ -14,7 +14,7 @@
 //! - **NOP and idle-tail positions** — the dense per-core tape holds only
 //!   `(position, pre-decoded instruction)` entries, so a core whose body is
 //!   ten instructions in a 400-cycle Vcycle costs ten steps, not 400;
-//! - **per-position message scanning** — the serial engine scans the NoC's
+//! - **per-position message scanning** — the interpreter scans the NoC's
 //!   in-flight list at every position (`take_due`); the replay engine uses
 //!   the precomputed [`ReplayTape::deliveries`] schedule, which maps the
 //!   *k*-th send of the Vcycle straight to its `(target, slot, rd)`;
@@ -29,7 +29,7 @@
 //! Bit-identity with the per-position engines is structural: the tape
 //! replays through the same `exec_instr` / `exec_epilogue_slot` executors
 //! at the same `(position, compute-time)` coordinates, and the delivery
-//! schedule reproduces the serial engine's exact delivery order — sorted by
+//! schedule reproduces the interpreter's exact delivery order — sorted by
 //! `(delivery position, arrival time, injection order)`, the order
 //! `Noc::take_due` yields.
 
@@ -46,7 +46,7 @@ pub(crate) struct TapeOp {
     pub instr: Instruction,
 }
 
-/// One entry of the frozen delivery schedule, in the serial engine's
+/// One entry of the frozen delivery schedule, in the interpreter's
 /// delivery order. The value is not stored — it is produced fresh each
 /// Vcycle by the `send_idx`-th send of the replayed body phase.
 #[derive(Debug, Clone, Copy)]
@@ -85,7 +85,7 @@ struct SendSite {
     from: usize,
     /// Target, linear index.
     target: usize,
-    /// Position at which the serial engine delivers the message: the first
+    /// Position at which the interpreter delivers the message: the first
     /// `take_due` scan after both injection and arrival.
     deliver_at: u64,
     /// Arrival time offset (the `take_due` sort key).

@@ -841,7 +841,7 @@ mod replay_engines {
     //! micro-op engine may commit writes directly.
 
     use super::*;
-    use crate::{ExecMode, ReplayEngine};
+    use crate::ReplayEngine;
 
     /// A counter whose increment issues at the *last* body position, so
     /// its write is still in the pipeline ring at every Vcycle boundary.
@@ -988,16 +988,12 @@ mod replay_engines {
             other => panic!("{what}: expected hazard, got {other:?}"),
         };
         for engine in [None, Some(ReplayEngine::Tape), Some(ReplayEngine::MicroOps)] {
-            for mode in [ExecMode::Serial, ExecMode::Parallel { shards: 1 }] {
-                let mut m =
-                    Machine::load(test_config(1, 1), &cross_boundary_hazard_binary()).unwrap();
-                match engine {
-                    None => m.set_replay(false),
-                    Some(e) => m.set_replay_engine(e),
-                }
-                m.set_exec_mode(mode);
-                expect_hazard(&mut m, &format!("{engine:?}/{mode:?}"));
+            let mut m = Machine::load(test_config(1, 1), &cross_boundary_hazard_binary()).unwrap();
+            match engine {
+                None => m.set_replay(false),
+                Some(e) => m.set_replay_engine(e),
             }
+            expect_hazard(&mut m, &format!("{engine:?}"));
         }
     }
 
@@ -1306,323 +1302,11 @@ mod carry_borrow_boundary {
     }
 }
 
-mod parallel_engine {
-    //! The sharded BSP engine must be bit-identical to the serial engine:
-    //! same registers, displays, counters, cache behaviour, and errors,
-    //! at every shard count.
-
-    use super::*;
-    use crate::ExecMode;
-
-    /// A 2×2 grid where every core counts and sends its count around a
-    /// ring, and the privileged core additionally exercises the global
-    /// memory path and a display exception — all cross-core and
-    /// host-visible mechanisms in one program.
-    fn ring_binary() -> Binary {
-        let ring = [
-            CoreId::new(0, 0),
-            CoreId::new(1, 0),
-            CoreId::new(1, 1),
-            CoreId::new(0, 1),
-        ];
-        let mut binary = empty_binary(2, 2, 16);
-        binary.exceptions.push(ExceptionDescriptor {
-            id: ExceptionId(0),
-            kind: ExceptionKind::Display {
-                format: "count = {}".into(),
-                args: vec![(vec![r(1)], 16)],
-            },
-        });
-        for (i, &core) in ring.iter().enumerate() {
-            let next = ring[(i + 1) % ring.len()];
-            let mut body = vec![
-                Instruction::Alu {
-                    op: AluOp::Add,
-                    rd: r(1),
-                    rs1: r(1),
-                    rs2: r(2),
-                },
-                Instruction::Nop,
-                Instruction::Send {
-                    target: next,
-                    rd_remote: r(5),
-                    rs: r(2),
-                },
-            ];
-            if core == CoreId::PRIVILEGED {
-                body.extend([
-                    Instruction::Predicate { rs: r(2) },
-                    Instruction::GlobalStore {
-                        rs_data: r(1),
-                        rs_addr: [r(0), r(0), r(0)],
-                    },
-                    Instruction::Nop,
-                    Instruction::GlobalLoad {
-                        rd: r(6),
-                        rs_addr: [r(0), r(0), r(0)],
-                    },
-                    Instruction::Expect {
-                        rs1: r(1),
-                        rs2: r(0),
-                        eid: 0,
-                    },
-                ]);
-            }
-            body.resize(10, Instruction::Nop);
-            binary.cores.push(CoreImage {
-                core,
-                body,
-                epilogue_len: 1,
-                custom_functions: vec![],
-                init_regs: vec![(r(1), i as u16 * 10), (r(2), 1)],
-                init_scratch: vec![],
-            });
-        }
-        binary
-    }
-
-    /// Full architectural-state comparison through the host interface.
-    fn assert_same_state(a: &Machine, b: &Machine, what: &str) {
-        assert_eq!(a.counters(), b.counters(), "{what}: counters");
-        assert_eq!(a.cache_stats(), b.cache_stats(), "{what}: cache stats");
-        assert_eq!(
-            a.executed_per_core(),
-            b.executed_per_core(),
-            "{what}: per-core executed"
-        );
-        let cfg = a.config();
-        for y in 0..cfg.grid_height as u8 {
-            for x in 0..cfg.grid_width as u8 {
-                let core = CoreId::new(x, y);
-                for reg in 0..8u16 {
-                    assert_eq!(
-                        a.read_reg(core, r(reg)),
-                        b.read_reg(core, r(reg)),
-                        "{what}: {core} r{reg}"
-                    );
-                }
-            }
-        }
-        assert_eq!(a.read_global(0), b.read_global(0), "{what}: global[0]");
-    }
-
-    #[test]
-    fn ring_matches_serial_at_every_shard_count() {
-        let binary = ring_binary();
-        let config = test_config(2, 2);
-        let mut serial = Machine::load(config.clone(), &binary).unwrap();
-        let s_out = serial.run_vcycles(5).unwrap();
-        for shards in 1..=5 {
-            let mut par = Machine::load(config.clone(), &binary).unwrap();
-            par.set_exec_mode(ExecMode::Parallel { shards });
-            let p_out = par.run_vcycles(5).unwrap();
-            assert_eq!(s_out.displays, p_out.displays, "{shards} shards: displays");
-            assert_eq!(
-                s_out.vcycles_run, p_out.vcycles_run,
-                "{shards} shards: vcycles"
-            );
-            assert_same_state(&serial, &par, &format!("{shards} shards"));
-        }
-    }
-
-    #[test]
-    fn mode_switch_mid_run_is_seamless() {
-        let binary = ring_binary();
-        let config = test_config(2, 2);
-        let mut serial = Machine::load(config.clone(), &binary).unwrap();
-        serial.run_vcycles(6).unwrap();
-
-        let mut mixed = Machine::load(config.clone(), &binary).unwrap();
-        mixed.run_vcycles(2).unwrap();
-        mixed.set_exec_mode(ExecMode::Parallel { shards: 3 });
-        mixed.run_vcycles(2).unwrap();
-        mixed.set_exec_mode(ExecMode::Serial);
-        mixed.run_vcycles(2).unwrap();
-        assert_same_state(&serial, &mixed, "serial/parallel/serial interleave");
-    }
-
-    #[test]
-    fn parallel_reports_the_serial_late_message_error() {
-        // Same program as `late_message_detected`, under the parallel
-        // engine at several shard counts — in permissive mode, where the
-        // serial engine reports `LateMessage` at the delivery position.
-        let binary = super::late_message_binary();
-        for shards in 1..=2 {
-            let mut m = Machine::load(test_config(2, 1), &binary).unwrap();
-            m.set_strict_hazards(false);
-            m.set_exec_mode(ExecMode::Parallel { shards });
-            match m.run_vcycles(1) {
-                Err(MachineError::LateMessage { core, slot }) => {
-                    assert_eq!(core, CoreId::new(1, 0));
-                    assert_eq!(slot, 0);
-                }
-                other => panic!("{shards} shards: expected late message, got {other:?}"),
-            }
-        }
-    }
-
-    #[test]
-    fn parallel_reports_the_serial_empty_slot_error() {
-        // Strict mode: both engines must report the serial engine's
-        // `MissingScheduledMessage` — the empty slot at issue outranks the
-        // late delivery that would have filled it.
-        let binary = super::late_message_binary();
-        for shards in 1..=2 {
-            let mut m = Machine::load(test_config(2, 1), &binary).unwrap();
-            m.set_exec_mode(ExecMode::Parallel { shards });
-            match m.run_vcycles(1) {
-                Err(MachineError::MissingScheduledMessage {
-                    core,
-                    slot,
-                    position,
-                }) => {
-                    assert_eq!(core, CoreId::new(1, 0), "{shards} shards");
-                    assert_eq!(slot, 0, "{shards} shards");
-                    assert_eq!(position, 0, "{shards} shards");
-                }
-                other => {
-                    panic!("{shards} shards: expected missing scheduled message, got {other:?}")
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn parallel_reports_the_serial_hazard_error() {
-        // Two cores, both with hazards; the serial engine reports the
-        // earlier (position, core) one — so must every shard count.
-        let hazard_body = |filler: usize| {
-            let mut b = vec![Instruction::Nop; filler];
-            b.extend([
-                Instruction::Alu {
-                    op: AluOp::Add,
-                    rd: r(1),
-                    rs1: r(2),
-                    rs2: r(2),
-                },
-                Instruction::Alu {
-                    op: AluOp::Add,
-                    rd: r(3),
-                    rs1: r(1),
-                    rs2: r(2),
-                },
-            ]);
-            b
-        };
-        let mut binary = empty_binary(2, 1, 8);
-        binary.cores.push(CoreImage {
-            core: CoreId::new(0, 0),
-            body: hazard_body(3), // hazard read at position 4
-            epilogue_len: 0,
-            custom_functions: vec![],
-            init_regs: vec![(r(2), 5)],
-            init_scratch: vec![],
-        });
-        binary.cores.push(CoreImage {
-            core: CoreId::new(1, 0),
-            body: hazard_body(1), // hazard read at position 2 — earlier
-            epilogue_len: 0,
-            custom_functions: vec![],
-            init_regs: vec![(r(2), 5)],
-            init_scratch: vec![],
-        });
-        let expect_err = |m: &mut Machine, what: &str| match m.run_vcycles(1) {
-            Err(MachineError::Hazard {
-                core,
-                position,
-                reg,
-            }) => {
-                assert_eq!(core, CoreId::new(1, 0), "{what}: core");
-                assert_eq!(position, 2, "{what}: position");
-                assert_eq!(reg, r(1), "{what}: reg");
-            }
-            other => panic!("{what}: expected hazard, got {other:?}"),
-        };
-        let mut serial = Machine::load(test_config(2, 1), &binary).unwrap();
-        expect_err(&mut serial, "serial");
-        for shards in 1..=2 {
-            let mut par = Machine::load(test_config(2, 1), &binary).unwrap();
-            par.set_exec_mode(ExecMode::Parallel { shards });
-            expect_err(&mut par, "parallel");
-        }
-    }
-
-    #[test]
-    fn finish_stops_parallel_run() {
-        let mut binary = empty_binary(1, 1, 8);
-        binary.cores.push(CoreImage {
-            core: CoreId::new(0, 0),
-            body: vec![
-                Instruction::Alu {
-                    op: AluOp::Add,
-                    rd: r(1),
-                    rs1: r(1),
-                    rs2: r(2),
-                },
-                Instruction::Nop,
-                Instruction::Nop,
-                Instruction::Alu {
-                    op: AluOp::Seq,
-                    rd: r(4),
-                    rs1: r(1),
-                    rs2: r(3),
-                },
-                Instruction::Nop,
-                Instruction::Nop,
-                Instruction::Expect {
-                    rs1: r(4),
-                    rs2: r(0),
-                    eid: 0,
-                },
-            ],
-            epilogue_len: 0,
-            custom_functions: vec![],
-            init_regs: vec![(r(1), 0), (r(2), 1), (r(3), 3)],
-            init_scratch: vec![],
-        });
-        binary.exceptions.push(ExceptionDescriptor {
-            id: ExceptionId(0),
-            kind: ExceptionKind::Finish,
-        });
-        let mut m = Machine::load(test_config(1, 1), &binary).unwrap();
-        m.set_exec_mode(ExecMode::Parallel { shards: 4 }); // clamps to 1 core
-        let out = m.run_vcycles(100).unwrap();
-        assert!(out.finished);
-        assert_eq!(out.vcycles_run, 3);
-        // Further runs are no-ops, as in serial mode.
-        assert_eq!(m.run_vcycles(5).unwrap().vcycles_run, 0);
-    }
-
-    #[test]
-    fn counter_merge_is_order_independent() {
-        let mk = |i: u64, s: u64, st: u64| crate::PerfCounters {
-            instructions: i,
-            sends: s,
-            stall_cycles: st,
-            ..Default::default()
-        };
-        let parts = [mk(3, 1, 200), mk(5, 0, 0), mk(7, 2, 10), mk(11, 4, 40)];
-        let mut fwd = crate::PerfCounters::default();
-        for p in &parts {
-            fwd.merge_from(p);
-        }
-        let mut rev = crate::PerfCounters::default();
-        for p in parts.iter().rev() {
-            rev.merge_from(p);
-        }
-        assert_eq!(fwd, rev);
-        assert_eq!(fwd.instructions, 26);
-        assert_eq!(fwd.sends, 7);
-        assert_eq!(fwd.stall_cycles, 250);
-    }
-}
-
 mod failed_run_displays {
     //! A failed multi-Vcycle run must not lose the `$display` output that
-    //! fired before the failure — on either engine.
+    //! fired before the failure — on the interpreter or the replay path.
 
     use super::*;
-    use crate::ExecMode;
 
     fn display_then_assert_binary() -> Binary {
         let mut binary = empty_binary(1, 1, 8);
@@ -1682,23 +1366,24 @@ mod failed_run_displays {
     #[test]
     fn prefailure_displays_survive_on_both_engines() {
         let binary = display_then_assert_binary();
-        for mode in [ExecMode::Serial, ExecMode::Parallel { shards: 2 }] {
+        for replay in [false, true] {
+            let mode = if replay { "replay" } else { "interp" };
             let mut m = Machine::load(test_config(1, 1), &binary).unwrap();
-            m.set_exec_mode(mode);
+            m.set_replay(replay);
             match m.run_vcycles(10) {
                 Err(MachineError::AssertFailed { message, vcycle }) => {
-                    assert_eq!(message, "boom", "{mode:?}");
-                    assert_eq!(vcycle, 2, "{mode:?}");
+                    assert_eq!(message, "boom", "{mode}");
+                    assert_eq!(vcycle, 2, "{mode}");
                 }
-                other => panic!("{mode:?}: expected assert failure, got {other:?}"),
+                other => panic!("{mode}: expected assert failure, got {other:?}"),
             }
             assert_eq!(
                 m.drain_pending_displays(),
                 vec!["n = 1", "n = 2", "n = 3"],
-                "{mode:?}: pre-failure displays"
+                "{mode}: pre-failure displays"
             );
             // Drained means drained: a second call yields nothing.
-            assert!(m.drain_pending_displays().is_empty(), "{mode:?}");
+            assert!(m.drain_pending_displays().is_empty(), "{mode}");
         }
     }
 }

@@ -35,9 +35,8 @@
 //!
 //! The stream is a pure function of the tape, built once when the program
 //! is frozen into a [`crate::CompiledProgram`] (and shared by every run of
-//! it) and used by both engines' micro-op replay
-//! paths ([`crate::grid`] serial, [`crate::parallel`] sharded) strictly
-//! after the validation Vcycle.
+//! it) and used by the grid's micro-op replay path ([`crate::grid`])
+//! strictly after the validation Vcycle.
 
 use manticore_isa::{AluOp, ExceptionDescriptor, Instruction};
 
@@ -507,14 +506,6 @@ fn cross_boundary_hazard(
     false
 }
 
-/// A fault raised while walking a micro-op stream, tagged with the Vcycle
-/// position it occurred at (the parallel engine ranks errors by the
-/// serial engine's encounter order).
-pub(crate) struct UopFault {
-    pub pos: u64,
-    pub err: MachineError,
-}
-
 /// Queues (ringed mode) or immediately commits (direct mode) a register
 /// write. Direct commit is legal exactly when no read can observe the
 /// write in flight — strict-validated programs without a cross-boundary
@@ -607,7 +598,7 @@ pub(crate) fn run_core_uops<const DIRECT: bool>(
     counters: &mut PerfCounters,
     events: &mut Vec<HostEvent>,
     send_vals: &mut Vec<u16>,
-) -> Result<(), UopFault> {
+) -> Result<(), MachineError> {
     if DIRECT {
         // Writes left in flight by a previous Vcycle on another engine
         // (e.g. the validation Vcycle) commit now; no read could have
@@ -741,7 +732,7 @@ pub(crate) fn run_core_uops<const DIRECT: bool>(
                         counters,
                         events,
                     ) {
-                        result = Err(UopFault { pos, err });
+                        result = Err(err);
                         break;
                     }
                 }

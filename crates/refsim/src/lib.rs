@@ -22,7 +22,6 @@
 pub mod models;
 pub mod parallel;
 pub mod serial;
-pub mod spin;
 pub mod tape;
 
 pub use parallel::{MacroTaskPlan, ParallelSim};

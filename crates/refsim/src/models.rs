@@ -18,7 +18,7 @@
 
 use std::time::Instant;
 
-use crate::spin::SpinBarrier;
+use manticore_util::SpinBarrier;
 
 /// Result of one model run.
 #[derive(Debug, Clone, Copy)]

@@ -14,7 +14,7 @@
 use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
 use std::time::Instant;
 
-use crate::spin::SpinBarrier;
+use manticore_util::SpinBarrier;
 
 use crate::serial::{commit, run_checks, RunStats, SimEvents, TapeState};
 use crate::tape::{eval_op, Op, Tape};

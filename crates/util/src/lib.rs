@@ -4,9 +4,9 @@
 //! belongs to any single layer of the stack:
 //!
 //! - [`spin::SpinBarrier`] — the spinning arrive-await rendezvous used by
-//!   both parallel execution engines: the Verilator-analog macro-task
-//!   executor (`manticore_refsim::parallel`) and the sharded
-//!   bulk-synchronous grid engine (`manticore_machine`);
+//!   the Verilator-analog macro-task executor and §7.1 scaling models
+//!   (`manticore_refsim`) and by the fleet's batch start
+//!   (`manticore_fleet`);
 //! - [`pool::parallel_map`] / [`pool::parallel_map_mut`] — the scoped,
 //!   index-ordered worker pool behind the compiler's parallel passes:
 //!   results land in pre-assigned slots, so output is bit-identical at

@@ -1,5 +1,5 @@
-//! A spinning barrier: the arrive-await rendezvous both parallel engines
-//! use between phases. `std::sync::Barrier` parks threads on a
+//! A spinning barrier: the arrive-await rendezvous the Verilator-analog
+//! macro-task executor uses between phases. `std::sync::Barrier` parks threads on a
 //! mutex/condvar, costing microseconds per rendezvous — enough to drown
 //! the fine-grain synchronization effects §7.1 of the paper measures.
 //! Spinning keeps the rendezvous in the hundreds-of-nanoseconds regime of

@@ -2,7 +2,7 @@
 //! macro-task parallel) must agree with the reference evaluator on the
 //! real workloads — the baseline side of Table 3 rests on this — and
 //! every `Simulator` backend `backends()` constructs (machine
-//! interpreter, tape replay, micro-op replay, sharded BSP, and the two
+//! interpreter, tape replay, micro-op replay, fleet, gang, and the two
 //! Verilator-analog executors) must agree with each other through
 //! nothing but the trait.
 

@@ -18,10 +18,12 @@
 use std::sync::Arc;
 
 use manticore::compiler::{compile, CompileOptions, CompileOutput};
-use manticore::isa::{CoreId, MachineConfig, Reg};
+use manticore::isa::{CacheConfig, CoreId, MachineConfig, Reg};
 use manticore::machine::{
-    Checkpoint, CompiledProgram, GangMachine, Machine, MachineError, ReplayEngine, MAX_LANES,
+    load_checkpoint, save_checkpoint, Checkpoint, CompiledProgram, GangMachine, Machine,
+    MachineError, ReplayEngine, MAX_LANES,
 };
+use manticore::netlist::{Netlist, NetlistBuilder};
 use manticore::util::SmallRng;
 use manticore::workloads;
 
@@ -383,5 +385,91 @@ fn checkpoints_survive_their_source_machine() {
         fingerprint(&resumed, rf, GRID),
         fingerprint(&replayed, rf, GRID),
         "snapshot must be an independent copy of the state at Vcycle 4"
+    );
+}
+
+/// The design behind `fixtures/counter_2x2_sharded.mckp`: a 16-bit counter
+/// feeding a 32-bit accumulator, with a periodic `$display` and a
+/// `$finish`. On a 2x2 grid it spreads over two cores, so the snapshot
+/// carries NoC traffic, host exceptions and cache stalls.
+fn legacy_fixture_design() -> Netlist {
+    let mut b = NetlistBuilder::new("counter");
+    let count = b.reg("count", 16, 0);
+    let acc = b.reg("acc", 32, 1);
+    let one = b.lit(1, 16);
+    let next = b.add(count.q(), one);
+    b.set_next(count, next);
+    let three = b.lit(3, 32);
+    let scaled = b.mul(acc.q(), three);
+    let zero = b.lit(0, 16);
+    let wide = b.concat(zero, count.q());
+    let acc_next = b.add(scaled, wide);
+    b.set_next(acc, acc_next);
+    let seven = b.lit(7, 16);
+    let low = b.and(count.q(), seven);
+    let tick = b.eq(low, zero);
+    b.display(tick, "count = {} acc = {}", &[count.q(), acc.q()]);
+    let limit = b.lit(40, 16);
+    let done = b.eq(count.q(), limit);
+    b.finish(done);
+    b.finish_build().expect("fixture design is well-formed")
+}
+
+#[test]
+fn checkpoint_saved_under_the_retired_sharded_engine_resumes_bit_identically() {
+    // The fixture is a durable checkpoint taken after 13 Vcycles by a build
+    // that still had the sharded grid engine, while running it at 2 shards:
+    // its exec-mode tag is 1, followed by the shard count. Small register
+    // file, scratchpad and cache keep the committed bytes small.
+    const FIXTURE: &[u8] = include_bytes!("fixtures/counter_2x2_sharded.mckp");
+    const SPLIT: u64 = 13;
+    let grid = 2;
+    let config = MachineConfig {
+        regfile_size: 256,
+        scratch_words: 64,
+        cache: CacheConfig {
+            capacity_words: 256,
+            ..CacheConfig::default()
+        },
+        ..MachineConfig::with_grid(grid, grid)
+    };
+    let options = CompileOptions {
+        config: config.clone(),
+        ..Default::default()
+    };
+    let out = compile(&legacy_fixture_design(), &options).expect("compile");
+    let program = CompiledProgram::compile_shared(config.clone(), &out.binary).expect("load");
+
+    let cp = load_checkpoint(FIXTURE, &program).expect("legacy checkpoint must still load");
+    assert_eq!(cp.vcycles(), SPLIT);
+    // Re-saving writes the serial tag with no shard count: exactly the
+    // 8-byte count shorter, which also proves the fixture carried tag 1.
+    assert_eq!(save_checkpoint(&cp).len() + 8, FIXTURE.len());
+
+    let mut resumed = Machine::from_program(Arc::clone(&program));
+    resumed.restore(&cp).unwrap();
+    let tail = resumed.run_vcycles(1000).expect("resumed run");
+
+    let mut reference = Machine::from_program(Arc::clone(&program));
+    reference.run_vcycles(SPLIT).expect("reference head");
+    let ref_tail = reference.run_vcycles(1000).expect("reference tail");
+
+    assert!(tail.finished, "the resumed run must reach $finish");
+    assert_eq!(tail.vcycles_run, ref_tail.vcycles_run);
+    assert_eq!(tail.displays, ref_tail.displays);
+    assert_eq!(
+        tail.displays,
+        [
+            "count = 10 acc = 3350d09",
+            "count = 18 acc = 32a3e70d",
+            "count = 20 acc = daa5ce11",
+            "count = 28 acc = b367e215",
+        ]
+    );
+    assert_eq!(resumed.counters(), reference.counters());
+    assert_eq!(
+        fingerprint(&resumed, config.regfile_size, grid),
+        fingerprint(&reference, config.regfile_size, grid),
+        "resumed legacy checkpoint diverged from the uninterrupted run"
     );
 }

@@ -2,13 +2,13 @@
 //! the replay lowerings' boundary conditions — empty-body (epilogue-only)
 //! cores, all-NOP bodies, a 1×1 grid, a grid at the 256-dimension
 //! addressing limit, and Vcycles with zero sends. Every scenario runs
-//! through the serial interpreter, the sharded BSP engine, the tape
-//! replay, and the micro-op replay, and must agree bit-for-bit (or report
-//! the identical error). Netlist-level scenarios additionally sweep every
-//! backend through the unified `Simulator` trait.
+//! through the interpreter, the tape replay, and the micro-op replay, and
+//! must agree bit-for-bit (or report the identical error). Netlist-level
+//! scenarios additionally sweep every backend through the unified
+//! `Simulator` trait.
 
 use manticore::isa::{AluOp, Binary, CoreId, CoreImage, Instruction, MachineConfig, Reg};
-use manticore::machine::{ExecMode, Machine, MachineError, ReplayEngine};
+use manticore::machine::{Machine, MachineError, ReplayEngine};
 use manticore::netlist::NetlistBuilder;
 use manticore::sim::backends;
 
@@ -27,27 +27,14 @@ fn empty_binary(w: u32, h: u32, vcycle_len: u32) -> Binary {
     }
 }
 
-/// Every engine variant: serial and 2-shard parallel, with replay off, on
-/// the tape, and on micro-ops.
-fn variants() -> Vec<(String, ExecMode, Option<ReplayEngine>)> {
-    let mut v = Vec::new();
-    for (mode, mname) in [
-        (ExecMode::Serial, "serial"),
-        (ExecMode::Parallel { shards: 2 }, "2shards"),
-    ] {
-        for (replay, rname) in [
-            (None, ""),
-            (Some(ReplayEngine::Tape), "+replay"),
-            (Some(ReplayEngine::MicroOps), "+uops"),
-        ] {
-            v.push((format!("{mname}{rname}"), mode, replay));
-        }
-    }
-    v
-}
+/// Every engine variant: replay off, on the tape, and on micro-ops.
+const VARIANTS: [(&str, Option<ReplayEngine>); 3] = [
+    ("serial", None),
+    ("serial+replay", Some(ReplayEngine::Tape)),
+    ("serial+uops", Some(ReplayEngine::MicroOps)),
+];
 
-fn configure(m: &mut Machine, mode: ExecMode, replay: Option<ReplayEngine>) {
-    m.set_exec_mode(mode);
+fn configure(m: &mut Machine, replay: Option<ReplayEngine>) {
     match replay {
         None => m.set_replay(false),
         Some(e) => m.set_replay_engine(e),
@@ -61,9 +48,9 @@ fn assert_engines_agree(config: &MachineConfig, binary: &Binary, vcycles: u64, p
     reference.set_replay(false);
     let ref_out = reference.run_vcycles(vcycles).expect("reference run");
 
-    for (what, mode, replay) in variants() {
+    for (what, replay) in VARIANTS {
         let mut m = Machine::load(config.clone(), binary).expect("load");
-        configure(&mut m, mode, replay);
+        configure(&mut m, replay);
         let out = m
             .run_vcycles(vcycles)
             .unwrap_or_else(|e| panic!("{what}: run failed: {e}"));
@@ -105,10 +92,10 @@ fn assert_engines_agree_on_error(
         .run_vcycles(vcycles)
         .expect_err("reference must fail");
 
-    for (what, mode, replay) in variants() {
+    for (what, replay) in VARIANTS {
         let mut m = Machine::load(config.clone(), binary).expect("load");
         m.set_strict_hazards(strict);
-        configure(&mut m, mode, replay);
+        configure(&mut m, replay);
         let err = m
             .run_vcycles(vcycles)
             .expect_err(&format!("{what}: must fail"));
@@ -332,7 +319,7 @@ fn simulator_trait_sweeps_degenerate_netlists() {
     // The same edge shapes at the `Simulator` level: a 1x1-grid counter
     // and a design whose state never changes, across every backend
     // `backends()` constructs (interpreter, tape replay, micro-op replay,
-    // sharded BSP, and both Verilator-analog executors).
+    // fleet, gang, and both Verilator-analog executors).
     for (label, grid, constant) in [("counter-1x1", 1usize, false), ("constant-2x2", 2, true)] {
         let mut b = NetlistBuilder::new(label);
         let reg = b.reg("state", 16, 5);

@@ -3,16 +3,17 @@
 //! per-job outcomes to running each job alone on a `ManticoreSim`, and
 //! the outputs come back in submission order.
 //!
-//! This is the across-runs analog of `parallel_grid_equivalence.rs`
+//! This is the across-runs analog of `machine_engine_equivalence.rs`
 //! (which pins the within-run engines): scheduling may only change *when*
 //! a job runs, never *what* it computes.
 
 use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 use manticore::bits::Bits;
 use manticore::fleet::{FleetJob, FleetSim};
 use manticore::isa::MachineConfig;
-use manticore::machine::{ExecMode, Machine, ReplayEngine};
+use manticore::machine::{Machine, ReplayEngine};
 use manticore::util::SmallRng;
 use manticore::workloads;
 use manticore_fleet::{Fleet, JobOutput, SimJob};
@@ -21,7 +22,7 @@ const GRID: usize = 6;
 const VCYCLES: u64 = 30;
 
 /// Reads every RTL register back out of a machine using the compiler's
-/// placement metadata (same probe as `parallel_grid_equivalence`).
+/// placement metadata (same probe as `machine_engine_equivalence`).
 fn rtl_regs(machine: &Machine, out: &manticore::compiler::CompileOutput) -> Vec<Bits> {
     out.optimized
         .registers()
@@ -39,19 +40,21 @@ fn rtl_regs(machine: &Machine, out: &manticore::compiler::CompileOutput) -> Vec<
         .collect()
 }
 
-/// The engine-knob variants every job set cycles through.
-fn variants() -> Vec<(&'static str, Option<ExecMode>, Option<ReplayEngine>, bool)> {
+/// The engine-knob variants every job set cycles through. The second
+/// field gives the job a far-future per-job deadline, which never fires
+/// but makes the job non-gangable.
+fn variants() -> Vec<(&'static str, bool, Option<ReplayEngine>, bool)> {
     vec![
-        ("uops", None, Some(ReplayEngine::MicroOps), true),
-        ("tape", None, Some(ReplayEngine::Tape), true),
-        ("interp", None, None, false),
-        (
-            "parallel2+uops",
-            Some(ExecMode::Parallel { shards: 2 }),
-            Some(ReplayEngine::MicroOps),
-            true,
-        ),
+        ("uops", false, Some(ReplayEngine::MicroOps), true),
+        ("tape", false, Some(ReplayEngine::Tape), true),
+        ("interp", false, None, false),
+        ("deadline+uops", true, Some(ReplayEngine::MicroOps), true),
     ]
+}
+
+/// A deadline no test run comes near.
+fn far_future() -> Instant {
+    Instant::now() + Duration::from_secs(3600)
 }
 
 #[test]
@@ -68,7 +71,7 @@ fn fleet_jobs_are_bit_identical_to_alone_runs() {
         // nonce per variant so inputs genuinely differ between jobs.
         let mut jobs: Vec<FleetJob> = Vec::new();
         let mut alone: Vec<manticore::ManticoreSim> = Vec::new();
-        for (vi, (_, mode, engine, replay)) in variants().into_iter().enumerate() {
+        for (vi, (_, deadline, engine, replay)) in variants().into_iter().enumerate() {
             let mut job = fleet.job(VCYCLES).replay(replay);
             let mut solo = manticore::ManticoreSim::from_output(
                 output.clone(),
@@ -76,9 +79,8 @@ fn fleet_jobs_are_bit_identical_to_alone_runs() {
             )
             .unwrap();
             solo.set_replay(replay);
-            if let Some(mode) = mode {
-                job = job.exec_mode(mode);
-                solo.set_exec_mode(mode);
+            if deadline {
+                job = job.deadline(far_future());
             }
             if let Some(engine) = engine {
                 job = job.replay_engine(engine);
@@ -143,13 +145,13 @@ fn machine_job_set(
     order
         .iter()
         .map(|&i| {
-            let (_, mode, engine, replay) = variants[i % variants.len()];
+            let (_, deadline, engine, replay) = variants[i % variants.len()];
             // Distinct budgets (30, 31, 32, ...) make every job's final
             // state unique, so a mixed-up result slot cannot pass.
             let mut job =
                 SimJob::new(program, VCYCLES + (i / variants.len()) as u64).replay(replay);
-            if let Some(mode) = mode {
-                job = job.exec_mode(mode);
+            if deadline {
+                job = job.deadline(far_future());
             }
             if let Some(engine) = engine {
                 job = job.replay_engine(engine);

@@ -1,9 +1,8 @@
-//! The sharded BSP grid engine and both validate-once / replay-many
-//! lowerings (pre-decoded tape, fused micro-op stream) must be
-//! bit-identical to the plain serial grid engine on every real workload:
-//! same final register state, same displays, same `PerfCounters` — at 1,
-//! 2, and 4 shards, with replay off, on the tape, and on micro-ops, under
-//! strict and permissive hazard checking.
+//! Both validate-once / replay-many lowerings (pre-decoded tape, fused
+//! micro-op stream) must be bit-identical to the position-by-position grid
+//! interpreter on every real workload: same final register state, same
+//! displays, same `PerfCounters` and cache statistics, under strict and
+//! permissive hazard checking.
 //!
 //! This is the machine-side analog of `backend_agreement.rs` (which covers
 //! the Verilator-analog tape executors): together they pin down that every
@@ -13,40 +12,11 @@
 use manticore::bits::Bits;
 use manticore::compiler::{compile, CompileOptions};
 use manticore::isa::MachineConfig;
-use manticore::machine::{ExecMode, Machine, ReplayEngine};
+use manticore::machine::{Machine, ReplayEngine};
 use manticore::workloads;
 
-const SHARD_COUNTS: [usize; 3] = [1, 2, 4];
 const GRID: usize = 6;
 const VCYCLES: u64 = 40;
-
-/// The replay column of the engine sweep: off, tape, or micro-ops.
-#[derive(Clone, Copy, PartialEq)]
-enum Replay {
-    Off,
-    Tape,
-    MicroOps,
-}
-
-impl Replay {
-    const ALL: [Replay; 3] = [Replay::Off, Replay::Tape, Replay::MicroOps];
-
-    fn label(self) -> &'static str {
-        match self {
-            Replay::Off => "",
-            Replay::Tape => "+replay",
-            Replay::MicroOps => "+uops",
-        }
-    }
-
-    fn apply(self, m: &mut Machine) {
-        match self {
-            Replay::Off => m.set_replay(false),
-            Replay::Tape => m.set_replay_engine(ReplayEngine::Tape),
-            Replay::MicroOps => m.set_replay_engine(ReplayEngine::MicroOps),
-        }
-    }
-}
 
 /// Reads every RTL register back out of the machine's register files using
 /// the compiler's placement metadata.
@@ -67,8 +37,8 @@ fn rtl_regs(machine: &Machine, out: &manticore::compiler::CompileOutput) -> Vec<
         .collect()
 }
 
-/// Sweeps every engine combination against the plain serial interpreter
-/// on every workload, under the given hazard mode.
+/// Sweeps both replay lowerings against the plain interpreter on every
+/// workload, under the given hazard mode.
 fn sweep_all_workloads(strict: bool) {
     for w in workloads::all() {
         let config = MachineConfig::with_grid(GRID, GRID);
@@ -79,7 +49,7 @@ fn sweep_all_workloads(strict: bool) {
         let out = compile(&w.netlist, &options)
             .unwrap_or_else(|e| panic!("{}: compile failed: {e}", w.name));
 
-        // Reference: the plain position-by-position serial interpreter.
+        // Reference: the plain position-by-position interpreter.
         let mut serial = Machine::load(config.clone(), &out.binary)
             .unwrap_or_else(|e| panic!("{}: load failed: {e}", w.name));
         serial.set_strict_hazards(strict);
@@ -89,27 +59,15 @@ fn sweep_all_workloads(strict: bool) {
             .unwrap_or_else(|e| panic!("{}: serial run failed: {e}", w.name));
         let s_regs = rtl_regs(&serial, &out);
 
-        // Sweep every fast path against it: both serial replay lowerings,
-        // and the sharded BSP engine with every replay column.
-        let mut variants: Vec<(String, ExecMode, Replay)> = vec![
-            ("serial+replay".into(), ExecMode::Serial, Replay::Tape),
-            ("serial+uops".into(), ExecMode::Serial, Replay::MicroOps),
-        ];
-        for shards in SHARD_COUNTS {
-            for replay in Replay::ALL {
-                variants.push((
-                    format!("{shards} shards{}", replay.label()),
-                    ExecMode::Parallel { shards },
-                    replay,
-                ));
-            }
-        }
-        for (what, mode, replay) in variants {
+        // Sweep both replay lowerings against it.
+        for (what, engine) in [
+            ("serial+replay", ReplayEngine::Tape),
+            ("serial+uops", ReplayEngine::MicroOps),
+        ] {
             let what = format!("{what} ({})", if strict { "strict" } else { "permissive" });
             let mut par = Machine::load(config.clone(), &out.binary).unwrap();
             par.set_strict_hazards(strict);
-            par.set_exec_mode(mode);
-            replay.apply(&mut par);
+            par.set_replay_engine(engine);
             let p_run = par
                 .run_vcycles(VCYCLES)
                 .unwrap_or_else(|e| panic!("{}: {what} run failed: {e}", w.name));
@@ -154,12 +112,12 @@ fn sweep_all_workloads(strict: bool) {
 }
 
 #[test]
-fn parallel_grid_is_bit_identical_on_all_workloads() {
+fn replay_lowerings_are_bit_identical_on_all_workloads() {
     sweep_all_workloads(true);
 }
 
 #[test]
-fn parallel_grid_is_bit_identical_on_all_workloads_permissive() {
+fn replay_lowerings_are_bit_identical_on_all_workloads_permissive() {
     // Permissive mode keeps the micro-op engine on the pipeline-ring
     // executor (stale-read timing is observable), so this sweep pins the
     // ringed lowering too.
@@ -168,10 +126,9 @@ fn parallel_grid_is_bit_identical_on_all_workloads_permissive() {
 
 #[test]
 fn replay_mode_switches_are_seamless() {
-    // Replay can be toggled, lowerings swapped, and engines switched
-    // between `run_vcycles` calls without perturbing a single
-    // architectural bit: the machine state at every Vcycle boundary is
-    // engine-independent.
+    // Replay can be toggled and lowerings swapped between `run_vcycles`
+    // calls without perturbing a single architectural bit: the machine
+    // state at every Vcycle boundary is engine-independent.
     let w = workloads::by_name("mm").unwrap();
     let config = MachineConfig::with_grid(GRID, GRID);
     let options = CompileOptions {
@@ -190,46 +147,18 @@ fn replay_mode_switches_are_seamless() {
     mixed.run_vcycles(6).unwrap(); // tape replay
     mixed.set_replay(false);
     mixed.run_vcycles(6).unwrap(); // full interpreter
-    mixed.set_exec_mode(ExecMode::Parallel { shards: 3 });
+    mixed.set_replay(true);
+    mixed.set_replay_engine(ReplayEngine::Tape);
+    mixed.run_vcycles(6).unwrap(); // back onto tape replay
+    mixed.set_replay(false);
+    mixed.run_vcycles(6).unwrap(); // interpreter again
     mixed.set_replay(true);
     mixed.set_replay_engine(ReplayEngine::MicroOps);
-    mixed.run_vcycles(6).unwrap(); // parallel micro-op replay
-    mixed.set_replay_engine(ReplayEngine::Tape);
-    mixed.run_vcycles(6).unwrap(); // parallel tape replay
-    mixed.set_exec_mode(ExecMode::Serial);
-    mixed.set_replay_engine(ReplayEngine::MicroOps);
-    mixed.run_vcycles(6).unwrap(); // serial micro-op replay
+    mixed.run_vcycles(6).unwrap(); // micro-op replay
     assert_eq!(reference.counters(), mixed.counters());
     let a = rtl_regs(&reference, &out);
     let b = rtl_regs(&mixed, &out);
     for (ri, reg) in out.optimized.registers().iter().enumerate() {
         assert_eq!(a[ri], b[ri], "register `{}` diverged", reg.name);
-    }
-}
-
-#[test]
-fn parallel_grid_counters_independent_of_shard_count() {
-    // The deterministic-aggregation guarantee of `PerfCounters::merge_from`,
-    // observed end-to-end: whatever the shard count, the counter totals are
-    // the same numbers.
-    let w = workloads::by_name("mm").unwrap();
-    let config = MachineConfig::with_grid(GRID, GRID);
-    let options = CompileOptions {
-        config: config.clone(),
-        ..Default::default()
-    };
-    let out = compile(&w.netlist, &options).unwrap();
-
-    let mut reference = None;
-    for shards in [1, 2, 3, 4, 5, 7] {
-        let mut m = Machine::load(config.clone(), &out.binary).unwrap();
-        m.set_exec_mode(ExecMode::Parallel { shards });
-        m.run_vcycles(25).unwrap();
-        let c = m.counters();
-        assert!(c.instructions > 0 && c.sends > 0, "workload must be busy");
-        match &reference {
-            None => reference = Some(c),
-            Some(r) => assert_eq!(*r, c, "counters changed between shard counts ({shards})"),
-        }
     }
 }
