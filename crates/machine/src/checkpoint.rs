@@ -1,7 +1,7 @@
 //! First-class checkpoints: serialize-free, in-memory snapshots of a run.
 //!
 //! A [`Checkpoint`] captures everything mutable about a [`Machine`] at a
-//! Vcycle boundary — the SoA register file and scratchpad, the per-core
+//! Vcycle boundary — the SoA register file and scratchpad lanes, the per-core
 //! pipeline rings and epilogue slots, the NoC, the cache (including its
 //! DRAM image), the performance counters, and the pending host-event
 //! queue — plus the run's engine knobs, and is keyed by the identity of

@@ -4,13 +4,13 @@
 //! *program* half (body, epilogue length, custom-function tables) lives in
 //! the shared immutable [`crate::CompiledProgram`]
 //! (`crate::program::CoreProgram`); this module holds what one *run*
-//! mutates. Register files and scratchpads for the whole grid live in two
-//! structure-of-arrays vectors owned by the machine (one `Vec<u32>` of
-//! register lanes, one `Vec<u16>` of scratchpad lanes, both sliced
-//! per-core); [`CoreState`] keeps the genuinely per-run remainder — the
-//! epilogue bookkeeping and the pipeline write ring. [`CoreView`] bundles
-//! a core's run state, its two SoA lanes, and its shared program for the
-//! executors.
+//! mutates. Register files and scratchpads live in two structure-of-arrays
+//! vectors owned by the machine (one `Vec<u32>` of register lanes for the
+//! whole grid, one `Vec<u16>` of scratchpad lanes for the cores whose
+//! program addresses one, both sliced per-core); [`CoreState`] keeps the
+//! genuinely per-run remainder — the epilogue bookkeeping and the pipeline
+//! write ring. [`CoreView`] bundles a core's run state, its two SoA lanes,
+//! and its shared program for the executors.
 //!
 //! The write ring models the 14-stage pipeline: a register written at
 //! cycle `t` commits at `t + hazard_latency`. Because every engine issues
@@ -45,11 +45,14 @@ pub(crate) struct CoreState {
     pub ring_head: u32,
     pub ring_len: u32,
     pub ring_mask: u32,
-    /// In-flight write count per register (O(1) hazard checks).
+    /// In-flight write count per register (O(1) hazard checks). Sized to
+    /// the program's register span ([`crate::CompiledProgram`]'s
+    /// `reg_span`), not the register file: no write lands above it, so a
+    /// register past the end has nothing in flight.
     pub inflight: Vec<u16>,
     /// Ring slot of the most recent in-flight write per register; valid
     /// while `inflight[reg] > 0` (a live slot is never reused, so the
-    /// latest writer is always intact).
+    /// latest writer is always intact). Sized like `inflight`.
     pub last_writer: Vec<u32>,
     /// Predicate register for stores.
     pub predicate: bool,
@@ -64,7 +67,9 @@ pub(crate) struct CoreState {
 }
 
 impl CoreState {
-    pub fn new(regfile_size: usize, hazard_latency: usize, epilogue_len: usize) -> Self {
+    /// A fresh core state whose hazard tables cover registers
+    /// `0..reg_span`.
+    pub fn new(reg_span: usize, hazard_latency: usize, epilogue_len: usize) -> Self {
         // At most one write issues per position and a write issued at
         // position `p` commits at `p + hazard_latency`, so no more than
         // `hazard_latency + 1` writes are ever in flight; `+2` leaves a
@@ -75,8 +80,8 @@ impl CoreState {
             ring_head: 0,
             ring_len: 0,
             ring_mask: cap as u32 - 1,
-            inflight: vec![0; regfile_size],
-            last_writer: vec![0; regfile_size],
+            inflight: vec![0; reg_span],
+            last_writer: vec![0; reg_span],
             predicate: false,
             epilogue: vec![None; epilogue_len],
             received: 0,
@@ -116,12 +121,7 @@ impl CoreState {
     /// and the pipeline drains before the host reads state).
     #[inline]
     pub fn reg_value_flushed(&self, regs: &[u32], r: Reg) -> u16 {
-        let i = r.index();
-        if self.inflight[i] > 0 {
-            self.ring[self.last_writer[i] as usize].value
-        } else {
-            regs[i] as u16
-        }
+        self.reg_value_flushed_word(regs[r.index()], r.index())
     }
 
     /// [`CoreState::reg_value_flushed`] with the committed word supplied by
@@ -129,7 +129,7 @@ impl CoreState {
     /// its lane-major state has no contiguous per-core register slice.
     #[inline]
     pub fn reg_value_flushed_word(&self, committed: u32, idx: usize) -> u16 {
-        if self.inflight[idx] > 0 {
+        if self.inflight.get(idx).is_some_and(|&n| n > 0) {
             self.ring[self.last_writer[idx] as usize].value
         } else {
             committed as u16
@@ -218,8 +218,9 @@ pub(crate) struct CoreView<'a> {
     /// Low 16 bits value, bit 16 the carry/overflow bit (the 2048×17 BRAM
     /// of §5.1).
     pub regs: &'a mut [u32],
-    /// This core's `scratch_words` slice of the grid scratchpad
-    /// (16384×16 URAM).
+    /// This core's `scratch_words` lane of the scratchpad (16384×16
+    /// URAM); empty for a core whose program never addresses its
+    /// scratchpad (see [`crate::CompiledProgram`]'s lane table).
     pub scratch: &'a mut [u16],
 }
 

@@ -24,16 +24,19 @@
 //! **Two phases.** Lanes start as plain solo [`Machine`]s (contiguous
 //! per-run state): the validation Vcycle, the tape lowering, unreplayable
 //! programs, and disabled replay all execute there, through the one true
-//! solo engine ([`Machine::step_vcycle`]) with zero copying. The first
-//! time the ganged fast path becomes eligible (micro-op lowering, past
-//! validation), the register files are transposed once into the
+//! solo engine ([`Machine::step_vcycle`]) with zero copying. The
+//! validation Vcycle runs only until some run has proven the program's
+//! schedule ([`CompiledProgram::schedule_proven`]): the first lane to
+//! validate proves it for its siblings and for every later gang. The
+//! first time the ganged fast path becomes eligible (micro-op lowering,
+//! schedule proven), the register files are transposed once into the
 //! lane-major layout as single sequential passes. The solo machines stay
 //! around as *shells*: they keep owning each lane's NoC, cache, counters,
-//! host events, and scratchpad (scratch accesses are data-dependent
-//! per-lane gathers a lane stride cannot batch, so transposing megabytes
-//! of mostly-cold scratch would only burn the short-run budgets gangs
-//! accelerate), so falling back to the solo engine after a knob change
-//! and unbundling the gang at the end allocate nothing.
+//! host events, and scratchpad lanes (scratch accesses are data-dependent
+//! per-lane gathers a lane stride cannot batch, so transposing mostly-cold
+//! scratch would only burn the short-run budgets gangs accelerate), so
+//! falling back to the solo engine after a knob change and unbundling the
+//! gang at the end allocate nothing.
 //!
 //! What is shared and what is per-lane:
 //!
@@ -59,7 +62,7 @@
 
 use std::sync::Arc;
 
-use manticore_isa::{AluOp, CoreId, ExceptionDescriptor, Reg};
+use manticore_isa::{AluOp, CoreId, Reg};
 
 use crate::checkpoint::Checkpoint;
 use crate::core::CoreState;
@@ -67,7 +70,7 @@ use crate::exec::service_exception;
 use crate::grid::{
     HostEvent, Interrupt, Machine, MachineError, PerfCounters, ReplayEngine, RunOutcome,
 };
-use crate::program::{CompiledProgram, CoreProgram};
+use crate::program::CompiledProgram;
 use crate::uops::{MicroOp, UOp};
 
 /// What a lane is currently doing.
@@ -501,40 +504,15 @@ impl GangMachine {
                 // through the solo engine (one source of truth for
                 // those paths). In the solo phase that is copy-free; after
                 // the gang has interleaved it gathers/scatters the lane
-                // through its shell.
-                //
-                // Trusted validation: everything the validation Vcycle
-                // proves — link collisions, delivery timing, epilogue
-                // accounting, strict-mode hazards — is a pure function of
-                // the shared program, never of lane data. So once the
-                // first lane's interpreted validation succeeds, the
-                // sibling lanes run their first Vcycle on the micro-op
-                // engine directly (when that is the selected lowering):
-                // same architectural semantics, none of the interpreter's
-                // per-position costs. A lane-data fault (a failing
-                // `Expect`) on the proving lane merely withholds the
-                // shortcut — the siblings then validate individually, so
-                // no schedule fault can ever be skipped.
-                let trusted_knobs = self.uops_knobs_ready();
-                let mut proven = false;
+                // through its shell. The first lane to validate proves the
+                // schedule for the whole program, so its siblings start on
+                // the micro-op lowering (see `Machine::step_vcycle`).
                 for l in 0..lanes {
                     if !matches!(self.lane_status[l], LaneStatus::Running) {
                         continue;
                     }
                     let res = match &mut self.state {
-                        LaneState::Solo(machines) => {
-                            let m = &mut machines[l];
-                            if trusted_knobs && proven && m.counters().vcycles == 0 {
-                                m.run_one_vcycle_uops()
-                            } else {
-                                let at_validation = m.counters().vcycles == 0;
-                                let res = m.step_vcycle();
-                                if res.is_ok() && at_validation {
-                                    proven = true;
-                                }
-                                res
-                            }
-                        }
+                        LaneState::Solo(machines) => machines[l].step_vcycle(),
                         LaneState::Ganged(_) => self.step_lane_solo_ganged(l),
                     };
                     if let Err(e) = res {
@@ -629,23 +607,10 @@ impl GangMachine {
     /// True when the next Vcycle can run the ganged micro-op inner loop:
     /// replay armed, micro-op lowering selected, no strict cross-boundary
     /// hazard (which needs the tape engine's live checks), and the running
-    /// lanes are past their validation Vcycle. Running lanes are in
-    /// lockstep, so one lane's Vcycle count speaks for all.
+    /// lanes are past their validation Vcycle or the program's schedule
+    /// is already proven ([`CompiledProgram::schedule_proven`]). Running
+    /// lanes are in lockstep, so one lane's Vcycle count speaks for all.
     fn gang_replay_ready(&self) -> bool {
-        if !self.uops_knobs_ready() {
-            return false;
-        }
-        (0..self.lanes)
-            .find(|&l| matches!(self.lane_status[l], LaneStatus::Running))
-            .map(|l| self.counters(l).vcycles > 0)
-            .unwrap_or(false)
-    }
-
-    /// True when the engine knobs select the ganged micro-op lowering:
-    /// replay armed on the fused stream with no strict cross-boundary
-    /// hazard (which needs the tape engine's live checks). The Vcycle
-    /// precondition on top of this is [`GangMachine::gang_replay_ready`].
-    fn uops_knobs_ready(&self) -> bool {
         if !self.replay_enabled
             || self.tape_invalidated
             || self.replay_engine != ReplayEngine::MicroOps
@@ -653,12 +618,17 @@ impl GangMachine {
         {
             return false;
         }
-        !(self.strict_hazards
-            && self
-                .program
-                .micro_prog
-                .as_ref()
-                .is_some_and(|p| p.cross_hazard))
+        let cross_hazard = self
+            .program
+            .micro_prog
+            .as_ref()
+            .is_some_and(|p| p.cross_hazard);
+        if self.strict_hazards && cross_hazard {
+            return false;
+        }
+        (0..self.lanes)
+            .find(|&l| matches!(self.lane_status[l], LaneStatus::Running))
+            .is_some_and(|l| self.counters(l).vcycles > 0 || self.program.schedule_proven())
     }
 
     /// Transposes the solo-phase machines' register files into the
@@ -790,7 +760,8 @@ impl GangMachine {
         for &ci in up.active.iter() {
             let c = ci as usize;
             let creg = &mut gs.regs[c * rf * lanes..(c + 1) * rf * lanes];
-            let scr_base = c * sw;
+            // Only cores with a scratchpad lane have scratch micro-ops.
+            let scr_base = program.scratch_range(c).start;
             let cstates = &mut gs.cores[c * lanes..(c + 1) * lanes];
             let walk = if direct {
                 gang_core_walk::<true>
@@ -798,8 +769,8 @@ impl GangMachine {
                 gang_core_walk::<false>
             };
             walk(
-                &program.exceptions,
-                &program.cores[c],
+                program,
+                c,
                 vcycle,
                 lanes,
                 sw,
@@ -1208,13 +1179,14 @@ fn commit_lanes(
 /// cache, counters, and host events.
 ///
 /// A lane whose `Expect` servicing fails is parked in place: its counters
-/// flush through the faulting op (the solo engine's abort point), its
-/// status records the error, and it drops out of `vc_active` so no later
-/// op, core, or delivery touches it this Vcycle.
+/// flush through the faulting op plus the interpreter's other-core counts
+/// ([`crate::replay::ReplayTape::fault_counters`]) — the solo engine's
+/// abort point — its status records the error, and it drops out of
+/// `vc_active` so no later op, core, or delivery touches it this Vcycle.
 #[allow(clippy::too_many_arguments)]
 fn gang_core_walk<const DIRECT: bool>(
-    exceptions: &[ExceptionDescriptor],
-    prog: &CoreProgram,
+    program: &CompiledProgram,
+    c: usize,
     vcycle: u64,
     lanes: usize,
     sw: usize,
@@ -1230,6 +1202,8 @@ fn gang_core_walk<const DIRECT: bool>(
     send_vals: &mut [u16],
     send_cursor: &mut usize,
 ) {
+    let exceptions = &program.exceptions[..];
+    let prog = &program.cores[c];
     let mut all = vc_active.len() == lanes;
     if DIRECT {
         // Writes left in flight by a previous Vcycle on the solo engine
@@ -1511,6 +1485,10 @@ fn gang_core_walk<const DIRECT: bool>(
                             cstates[l].executed += ic;
                             shell.counters.instructions += ic;
                             shell.counters.sends += sends;
+                            let tape = program.replay_tape.as_ref().expect("replaying");
+                            shell
+                                .counters
+                                .add(&tape.fault_counters(&program.cores, pos));
                             lane_status[l] = LaneStatus::Faulted(err);
                             vc_active.remove(i);
                         }

@@ -2,9 +2,10 @@
 //! global stall, host exception servicing.
 //!
 //! Machine state is structure-of-arrays: one contiguous `Vec<u32>` holds
-//! every core's register file and one contiguous `Vec<u16>` every core's
-//! scratchpad, sliced into per-core lanes (`CoreView`) for execution. The
-//! layout keeps the hot replay paths walking adjacent memory.
+//! every core's register file and one contiguous `Vec<u16>` the
+//! scratchpad of every core whose program addresses one, sliced into
+//! per-core lanes (`CoreView`) for execution. The layout keeps the hot
+//! replay paths walking adjacent memory.
 
 use std::fmt;
 use std::sync::Arc;
@@ -15,7 +16,7 @@ use crate::cache::{Cache, CacheStats};
 use crate::core::{CoreState, CoreView};
 use crate::exec::{core_id_of, exec_epilogue_slot, exec_instr, step_core, ExecEnv, SendRecord};
 use crate::noc::{Message, Noc};
-use crate::program::{CompiledProgram, CoreProgram};
+use crate::program::CompiledProgram;
 use crate::replay::ReplayTape;
 use crate::uops::run_core_uops;
 
@@ -43,6 +44,17 @@ impl PerfCounters {
     /// Total machine cycles: compute + stall.
     pub fn total_cycles(&self) -> u64 {
         self.compute_cycles + self.stall_cycles
+    }
+
+    /// Adds `other`'s counts to these.
+    pub(crate) fn add(&mut self, other: &PerfCounters) {
+        self.compute_cycles += other.compute_cycles;
+        self.stall_cycles += other.stall_cycles;
+        self.vcycles += other.vcycles;
+        self.instructions += other.instructions;
+        self.sends += other.sends;
+        self.messages_delivered += other.messages_delivered;
+        self.exceptions += other.exceptions;
     }
 
     /// Fraction of time the grid was stalled.
@@ -292,8 +304,11 @@ pub struct Machine {
     /// Structure-of-arrays register file for the whole grid:
     /// `regfile_size` consecutive words per core, linear core order.
     pub(crate) regs: Vec<u32>,
-    /// Structure-of-arrays scratchpad for the whole grid: `scratch_words`
-    /// consecutive words per core, linear core order.
+    /// Structure-of-arrays scratchpad: `scratch_words` consecutive words
+    /// per scratchpad lane, in lane order. Only cores whose program can
+    /// address a scratchpad have a lane ([`CompiledProgram`]'s lane
+    /// table, `scratch_range`); every other core's scratchpad reads as
+    /// zeros.
     pub(crate) scratch: Vec<u16>,
     pub(crate) noc: Noc,
     pub(crate) cache: Cache,
@@ -360,27 +375,30 @@ impl Machine {
     }
 
     /// Boots a fresh run of an already-frozen program: allocates the
-    /// mutable state (SoA register file and scratchpad from the initial
-    /// images, pipeline rings, NoC, cache) and shares everything else.
+    /// mutable state the program can touch (SoA register file, the
+    /// scratchpad lanes of the cores that address one, pipeline rings
+    /// with hazard tables up to the program's highest register, NoC,
+    /// cache), applies the initial images, and shares everything else.
     pub fn from_program(program: Arc<CompiledProgram>) -> Machine {
         let config = &program.config;
         let cores = program
             .cores
             .iter()
-            .map(|p| CoreState::new(config.regfile_size, config.hazard_latency, p.epilogue_len))
+            .map(|p| CoreState::new(program.reg_span(), config.hazard_latency, p.epilogue_len))
             .collect();
         let mut cache = Cache::new(config.cache);
         for &(a, v) in &program.init_dram {
             cache.write_dram(a, v);
         }
-        // Zeroed allocations (lazily-faulted pages) plus the sparse init
-        // images: booting a run never copies full-size register or
-        // scratchpad arrays.
+        // Zeroed allocations plus the sparse init images. The zeroing is
+        // a memset of reused heap memory, so its size is the boot cost:
+        // that is why the scratchpad and the hazard tables are sized to
+        // the program's footprint rather than the grid.
         let mut regs = vec![0u32; program.cores.len() * config.regfile_size];
         for &(i, v) in &program.init_regs {
             regs[i as usize] = v;
         }
-        let mut scratch = vec![0u16; program.cores.len() * config.scratch_words];
+        let mut scratch = vec![0u16; program.scratch_lanes * config.scratch_words];
         for &(i, v) in &program.init_scratch {
             scratch[i as usize] = v;
         }
@@ -445,8 +463,9 @@ impl Machine {
     /// Enables or disables the validate-once / replay-many fast path.
     ///
     /// Replay is enabled by default and is architecturally invisible: after
-    /// the first Vcycle validates the static schedule (link collisions,
-    /// delivery timing, epilogue accounting), subsequent Vcycles execute a
+    /// a first Vcycle validates the static schedule (link collisions,
+    /// delivery timing, epilogue accounting — once per program, see
+    /// [`CompiledProgram::schedule_proven`]), Vcycles execute a
     /// frozen, pre-decoded schedule that skips NOPs, empty tail positions,
     /// and all per-position NoC bookkeeping — bit-identical results,
     /// measurably faster. Disable it to benchmark the full interpreter.
@@ -492,13 +511,6 @@ impl Machine {
     /// engines.
     pub fn replay_armed(&self) -> bool {
         self.replay_enabled && !self.tape_invalidated && self.program.replay_tape.is_some()
-    }
-
-    /// True when the next Vcycle will execute from the frozen replay
-    /// schedule: replay is enabled, the program was replayable at load,
-    /// and the validation Vcycle has completed.
-    pub(crate) fn replay_active(&self) -> bool {
-        self.replay_armed() && self.counters.vcycles > 0
     }
 
     /// True when the micro-op engine must defer to the tape engine: strict
@@ -562,19 +574,25 @@ impl Machine {
         self.cores[idx].override_pending(reg.0, value);
     }
 
-    /// Reads a scratchpad word.
+    /// Reads a scratchpad word (zero on a core whose program never
+    /// addresses its scratchpad).
     pub fn read_scratch(&self, core: CoreId, addr: usize) -> u16 {
-        let config = &self.program.config;
-        let idx = core.linear(config.grid_width);
-        self.scratch[idx * config.scratch_words + addr]
+        self.core_scratch(core)[addr]
     }
 
     /// One core's whole scratchpad as a slice — the bulk form of
-    /// [`Machine::read_scratch`], for state fingerprinting.
+    /// [`Machine::read_scratch`], for state fingerprinting. Always
+    /// `scratch_words` long: a core without a scratchpad lane reads as
+    /// zeros.
     pub fn core_scratch(&self, core: CoreId) -> &[u16] {
-        let config = &self.program.config;
-        let idx = core.linear(config.grid_width);
-        &self.scratch[idx * config.scratch_words..(idx + 1) * config.scratch_words]
+        let lane = self
+            .program
+            .scratch_range(core.linear(self.program.config.grid_width));
+        if lane.is_empty() {
+            &self.program.zero_scratch
+        } else {
+            &self.scratch[lane]
+        }
     }
 
     /// Reads a global-memory word (through the coherent host view).
@@ -736,17 +754,30 @@ impl Machine {
     /// replay lowering. Shared by [`Machine::run_vcycles`] and the gang
     /// engine's per-lane fallback ([`crate::gang`]), so lane-at-a-time
     /// execution cannot drift from a solo run.
+    ///
+    /// A fresh run's first Vcycle validates the static schedule in the
+    /// interpreter — unless another run already proved it for this
+    /// program ([`CompiledProgram::schedule_proven`]): what validation
+    /// checks depends on the program alone, so the run then starts on the
+    /// micro-op lowering directly (when that is the selected one).
     pub(crate) fn step_vcycle(&mut self) -> Result<(), MachineError> {
-        if self.replay_active() {
-            match self.replay_engine {
-                // A static cross-boundary hazard needs the tape
-                // engine's live checks to report the interpreter's
-                // exact error (no compiled workload has one).
-                ReplayEngine::MicroOps if !self.uops_defer_to_tape() => self.run_one_vcycle_uops(),
-                _ => self.run_one_vcycle_replay(),
+        if !self.replay_armed() {
+            return self.run_one_vcycle();
+        }
+        // A static cross-boundary hazard needs the tape engine's live
+        // checks to report the interpreter's exact error (no compiled
+        // workload has one).
+        let uops = self.replay_engine == ReplayEngine::MicroOps && !self.uops_defer_to_tape();
+        if self.counters.vcycles == 0 {
+            if uops && self.program.schedule_proven() {
+                self.run_one_vcycle_uops()
+            } else {
+                self.run_one_vcycle()
             }
+        } else if uops {
+            self.run_one_vcycle_uops()
         } else {
-            self.run_one_vcycle()
+            self.run_one_vcycle_replay()
         }
     }
 
@@ -797,7 +828,6 @@ impl Machine {
         let program = Arc::clone(&self.program);
         let config = &program.config;
         let rf = config.regfile_size;
-        let sw = config.scratch_words;
         let env = ExecEnv {
             config,
             exceptions: &program.exceptions,
@@ -838,7 +868,7 @@ impl Machine {
                     cs: &mut self.cores[idx],
                     prog: &program.cores[idx],
                     regs: &mut self.regs[idx * rf..(idx + 1) * rf],
-                    scratch: &mut self.scratch[idx * sw..(idx + 1) * sw],
+                    scratch: &mut self.scratch[program.scratch_range(idx)],
                 };
                 view.commit_due(now);
                 let core_id = core_id_of(idx, config.grid_width);
@@ -883,6 +913,15 @@ impl Machine {
         self.counters.vcycles += 1;
         self.send_buf = sends;
         self.due_buf = due;
+        if validate {
+            // Only the validation Vcycle reads the link reservations, so
+            // they are dead from here on; dropping them leaves a validated
+            // run in exactly the state of a run that trusted the proof.
+            self.noc.reservations = Default::default();
+            if self.strict_hazards {
+                program.mark_proven();
+            }
+        }
         Ok(())
     }
 
@@ -922,7 +961,7 @@ impl Machine {
         let tape = program
             .replay_tape
             .as_ref()
-            .expect("replay_active checked the tape");
+            .expect("replay_armed checked the tape");
         let env = ExecEnv {
             config,
             exceptions: &program.exceptions,
@@ -931,7 +970,6 @@ impl Machine {
         };
         let vstart = *compute_time;
         let rf = config.regfile_size;
-        let sw = config.scratch_words;
 
         // Body phase: dense, pre-decoded, core-major. The send buffer is
         // the machine's reusable scratch — no per-Vcycle allocation.
@@ -943,7 +981,7 @@ impl Machine {
                 cs: &mut cores[idx],
                 prog: &program.cores[idx],
                 regs: &mut regs[idx * rf..(idx + 1) * rf],
-                scratch: &mut scratch[idx * sw..(idx + 1) * sw],
+                scratch: &mut scratch[program.scratch_range(idx)],
             };
             let core_id = core_id_of(idx, config.grid_width);
             let is_privileged = core_id == CoreId::PRIVILEGED;
@@ -956,17 +994,20 @@ impl Machine {
                 } else {
                     None
                 };
-                exec_instr(
+                if let Err(e) = exec_instr(
                     &env, &mut view, core_id, pos, now, op.instr, cache_arg, counters, events,
                     sends,
-                )?;
+                ) {
+                    counters.add(&tape.fault_counters(&program.cores, pos));
+                    return Err(e);
+                }
             }
         }
         debug_assert_eq!(sends.len(), tape.sends_per_vcycle);
 
         replay_delivery_and_epilogue(
             tape,
-            &program.cores,
+            program,
             cores,
             regs,
             scratch,
@@ -982,12 +1023,9 @@ impl Machine {
         Ok(())
     }
 
-    /// One Vcycle on the fused micro-op stream (see [`crate::uops`]).
-    ///
-    /// `pub(crate)` for the gang engine's trusted-validation path: once
-    /// one lane's interpreted validation Vcycle has proven the (data-
-    /// independent) schedule, sibling lanes of the same program run their
-    /// first Vcycle here directly.
+    /// One Vcycle on the fused micro-op stream (see [`crate::uops`]) —
+    /// also a fresh run's first Vcycle once its program's schedule is
+    /// proven ([`Machine::step_vcycle`]).
     ///
     /// Identical phase structure to [`Machine::run_one_vcycle_replay`] —
     /// core-major body walk, frozen delivery schedule, dense epilogue —
@@ -1017,7 +1055,7 @@ impl Machine {
         let tape = program
             .replay_tape
             .as_ref()
-            .expect("replay_active checked the tape");
+            .expect("replay_armed checked the tape");
         let up = program
             .micro_prog
             .as_ref()
@@ -1040,7 +1078,7 @@ impl Machine {
                 cs: &mut cores[idx],
                 prog: &program.cores[idx],
                 regs: &mut regs[idx * rf..(idx + 1) * rf],
-                scratch: &mut scratch[idx * sw..(idx + 1) * sw],
+                scratch: &mut scratch[program.scratch_range(idx)],
             };
             // The privileged core is linear index 0 ((0,0) row-major).
             let cache_arg = (idx == 0).then_some(&mut *cache);
@@ -1049,7 +1087,7 @@ impl Machine {
             } else {
                 run_core_uops::<false>
             };
-            run(
+            if let Err((pos, e)) = run(
                 &program.exceptions,
                 vcycle,
                 sw,
@@ -1061,7 +1099,10 @@ impl Machine {
                 counters,
                 events,
                 send_vals,
-            )?;
+            ) {
+                counters.add(&tape.fault_counters(&program.cores, pos));
+                return Err(e);
+            }
         }
         debug_assert_eq!(send_vals.len(), tape.sends_per_vcycle);
 
@@ -1082,7 +1123,7 @@ impl Machine {
         } else {
             replay_delivery_and_epilogue(
                 tape,
-                &program.cores,
+                program,
                 cores,
                 regs,
                 scratch,
@@ -1109,7 +1150,7 @@ impl Machine {
 #[allow(clippy::too_many_arguments)]
 fn replay_delivery_and_epilogue(
     tape: &ReplayTape,
-    progs: &[CoreProgram],
+    program: &CompiledProgram,
     cores: &mut [CoreState],
     regs: &mut [u32],
     scratch: &mut [u16],
@@ -1120,7 +1161,6 @@ fn replay_delivery_and_epilogue(
 ) {
     let lat = config.hazard_latency as u64;
     let rf = config.regfile_size;
-    let sw = config.scratch_words;
 
     // Delivery phase: the frozen schedule already knows every arrival
     // position and slot; only the values change between Vcycles.
@@ -1136,9 +1176,9 @@ fn replay_delivery_and_epilogue(
     for (idx, core) in cores.iter_mut().enumerate() {
         let mut view = CoreView {
             cs: core,
-            prog: &progs[idx],
+            prog: &program.cores[idx],
             regs: &mut regs[idx * rf..(idx + 1) * rf],
-            scratch: &mut scratch[idx * sw..(idx + 1) * sw],
+            scratch: &mut scratch[program.scratch_range(idx)],
         };
         let body_len = view.prog.body.len() as u64;
         for slot in 0..tape.epi_exec[idx] {

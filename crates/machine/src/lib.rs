@@ -30,14 +30,17 @@
 //! the immutable [`CompiledProgram`] (validated per-core programs,
 //! exception table, initial state images, replay tape, micro-op streams)
 //! is shared behind an `Arc`, and a [`Machine`] is one *run* of it —
-//! mutable state only, cheap to boot ([`Machine::from_program`]), which
-//! is what the `manticore-fleet` crate batches across a worker pool.
+//! mutable state only, and only the state the program can touch, so it
+//! is cheap to boot ([`Machine::from_program`]), which is what the
+//! `manticore-fleet` crate batches across a worker pool.
 //!
 //! The grid runs on the calling thread; host parallelism lives one layer
 //! up, in the fleet's worker pool and the gang engine's lanes. The engine
 //! exploits the model's determinism with a *validate-once / replay-many* fast path ([`Machine::set_replay`], on by
-//! default): the first Vcycle validates the static schedule in full, after
-//! which execution switches to a frozen, pre-decoded replay schedule that
+//! default): the first Vcycle of the first run validates the static
+//! schedule in full — once per program, since the schedule is the
+//! program's — after which execution switches to a frozen, pre-decoded
+//! replay schedule that
 //! skips NOPs, idle-tail positions, and all per-position NoC bookkeeping —
 //! same bits, fewer interpreted steps. Two lowerings exist
 //! ([`Machine::set_replay_engine`]): the pre-decoded tape through the

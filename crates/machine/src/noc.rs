@@ -48,9 +48,11 @@ pub(crate) struct Noc {
     hop_latency: u64,
     injection_latency: u64,
     /// Link reservations keyed by `(link, position-in-vcycle)`; only
-    /// populated during the validation (first) Vcycle. `pub(crate)` so
-    /// the persistence layer can carry them across a save/load (a
-    /// recovered machine must not re-validate links it already reserved).
+    /// populated during the validation (first) Vcycle, and cleared when
+    /// it completes — nothing reads them afterwards. `pub(crate)` so the
+    /// persistence layer can carry them across a save/load: a machine
+    /// that faulted in its validation Vcycle keeps them, and files saved
+    /// by older builds, which kept them after validation, still load.
     pub(crate) reservations: HashMap<(LinkId, u64), CoreId>,
     /// Messages in flight, sorted by arrival through BinaryHeap-free scan
     /// (counts are tiny per cycle).

@@ -381,12 +381,22 @@ pub fn save_checkpoint(cp: &Checkpoint) -> Vec<u8> {
         w.u64(cs.executed);
     }
 
-    // SoA register file and scratchpad.
+    // SoA register file, then every core's scratchpad in core order — a
+    // core without a scratchpad lane reads as zeros, so the layout is the
+    // whole grid's whatever the program's footprint.
     for &word in &cp.regs {
         w.u32(word);
     }
-    for &word in &cp.scratch {
-        w.u16(word);
+    for idx in 0..cp.cores.len() {
+        let lane = cp.program.scratch_range(idx);
+        let words = if lane.is_empty() {
+            &cp.program.zero_scratch[..]
+        } else {
+            &cp.scratch[lane]
+        };
+        for &word in words {
+            w.u16(word);
+        }
     }
 
     // NoC: reservations sorted (HashMap iteration order is not
@@ -562,6 +572,10 @@ pub fn load_checkpoint(
     }
 
     let regfile_size = config.regfile_size;
+    // Every register a ring entry, epilogue slot or in-flight message can
+    // name is one the program names: the per-core hazard tables stop at
+    // the program's register span.
+    let reg_span = program.reg_span();
     let check_core = |c: CoreId| -> Result<CoreId, PersistError> {
         if (c.x as usize) < config.grid_width && (c.y as usize) < config.grid_height {
             Ok(c)
@@ -570,17 +584,19 @@ pub fn load_checkpoint(
         }
     };
     let check_reg = |reg: u16| -> Result<u16, PersistError> {
-        if (reg as usize) < regfile_size {
+        if (reg as usize) < reg_span {
             Ok(reg)
         } else {
-            Err(corrupt(format!("register {reg} outside the register file")))
+            Err(corrupt(format!(
+                "register {reg} outside the program's {reg_span}-register footprint"
+            )))
         }
     };
 
     // Per-core run state.
     let mut cores = Vec::with_capacity(num_cores);
     for (i, &epilogue_len) in epilogue_lens.iter().enumerate() {
-        let mut cs = CoreState::new(regfile_size, config.hazard_latency, epilogue_len);
+        let mut cs = CoreState::new(reg_span, config.hazard_latency, epilogue_len);
         let ring_len = r.u32()?;
         if ring_len as usize > cs.ring.len() {
             return Err(corrupt(format!(
@@ -620,14 +636,28 @@ pub fn load_checkpoint(
         cores.push(cs);
     }
 
-    // SoA register file and scratchpad (fixed sizes from the shape).
+    // SoA register file and scratchpad (fixed sizes from the shape). Only
+    // the cores with a scratchpad lane keep theirs; any other core's must
+    // be all zeros, since no instruction of the program can write it.
     let mut regs = vec![0u32; num_cores * regfile_size];
     for word in regs.iter_mut() {
         *word = r.u32()?;
     }
-    let mut scratch = vec![0u16; num_cores * config.scratch_words];
-    for word in scratch.iter_mut() {
-        *word = r.u16()?;
+    let mut scratch = vec![0u16; program.scratch_lanes * config.scratch_words];
+    for idx in 0..num_cores {
+        let lane = program.scratch_range(idx);
+        if !lane.is_empty() {
+            for word in scratch[lane].iter_mut() {
+                *word = r.u16()?;
+            }
+        } else {
+            let bytes = r.take(config.scratch_words * 2)?;
+            if let Some(addr) = bytes.chunks_exact(2).position(|w| w != [0, 0]) {
+                return Err(corrupt(format!(
+                    "core {idx} scratchpad word {addr} is nonzero, but the program never addresses that scratchpad"
+                )));
+            }
+        }
     }
 
     // NoC.

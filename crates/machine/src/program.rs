@@ -10,14 +10,23 @@
 //! parameter sweep) pay for validation, tape freezing, and
 //! micro-op compilation exactly once. Booting another machine from the
 //! artifact ([`crate::Machine::from_program`]) only allocates the mutable
-//! per-run state: the SoA register file and scratchpad, the pipeline rings,
-//! the NoC, and the cache.
+//! per-run state the program can touch: the SoA register file, a
+//! scratchpad lane for each core that addresses its scratchpad, pipeline
+//! rings whose hazard tables stop at the highest register the program
+//! names, the NoC, and the cache.
+//!
+//! Whether the static schedule is sound is a property of the program too,
+//! so it is proven once per program: the first run whose strict
+//! validation Vcycle succeeds marks the artifact
+//! ([`CompiledProgram::schedule_proven`]), and every later fresh run of it
+//! starts on the replay lowering directly.
 //!
 //! The split is also what keeps the fast paths honest: nothing a Vcycle
 //! executes can scribble on the schedule it is replaying, because the
 //! schedule lives on the other side of the `Arc`.
 
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::ops::Range;
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
 use manticore_isa::{Binary, CoreId, ExceptionDescriptor, Instruction, MachineConfig};
@@ -25,6 +34,10 @@ use manticore_isa::{Binary, CoreId, ExceptionDescriptor, Instruction, MachineCon
 /// Monotonic source of [`CompiledProgram::identity`] values. Starts at 1 so
 /// zero can never name a real program.
 static NEXT_IDENTITY: AtomicU64 = AtomicU64::new(1);
+
+/// [`CompiledProgram::scratch_lane`] entry of a core without a scratchpad
+/// lane.
+const NO_LANE: u32 = u32::MAX;
 
 use crate::grid::MachineError;
 use crate::replay::ReplayTape;
@@ -64,13 +77,36 @@ pub struct CompiledProgram {
     pub(crate) vcycle_len: u64,
     /// Initial register image for the whole grid, sparse: `(flat SoA
     /// index, value)` for the non-zero words. Booting a run allocates a
-    /// zeroed file (lazily-faulted pages, no copy) and applies these — a
-    /// full-size dense image would make every boot memcpy megabytes of
-    /// zeros, which dominates compile-once / run-many batches.
+    /// zeroed file and applies these. The allocator hands a run the heap
+    /// memory an earlier run freed, so the zeroing is a real memset, not
+    /// fresh lazily-faulted pages: a dense image would add a copy on top.
     pub(crate) init_regs: Vec<(u32, u32)>,
     /// Initial scratchpad image, sparse like
-    /// [`CompiledProgram::init_regs`].
+    /// [`CompiledProgram::init_regs`], indexed into the lane-compacted
+    /// scratchpad (`lane * scratch_words + addr`).
     pub(crate) init_scratch: Vec<(u32, u16)>,
+    /// Per core (linear index): its scratchpad lane, or [`NO_LANE`]. Only
+    /// a core with a `LocalLoad`/`LocalStore` or an `init_scratch` word
+    /// gets a lane; no instruction can address the scratchpad of any
+    /// other core, so a run allocates `scratch_lanes * scratch_words`
+    /// words instead of a whole grid's.
+    pub(crate) scratch_lane: Vec<u32>,
+    /// Number of allocated scratchpad lanes.
+    pub(crate) scratch_lanes: usize,
+    /// `scratch_words` zeros: the scratchpad of every core without a lane.
+    pub(crate) zero_scratch: Box<[u16]>,
+    /// One past the highest register the program names (body operands,
+    /// `Send` remote registers, `init_regs`, `$display` arguments). The
+    /// per-core hazard tables (`CoreState::inflight`/`last_writer`) stop
+    /// here: no write can land above it.
+    pub(crate) reg_span: usize,
+    /// Set once some run's strict validation Vcycle succeeded. What that
+    /// Vcycle proves — link collisions, delivery timing, epilogue
+    /// accounting, strict hazards, custom-function slots — depends on the
+    /// program alone, never on run data, so every later fresh run may
+    /// start on the replay lowering ([`crate::Machine`]'s `step_vcycle`).
+    /// A failed validation never sets it.
+    pub(crate) proven: AtomicBool,
     /// Initial DRAM contents, applied to each run's fresh cache.
     pub(crate) init_dram: Vec<(u64, u16)>,
     /// The frozen replay tape; `None` when the program cannot be replayed
@@ -133,6 +169,11 @@ impl CompiledProgram {
             .collect();
         let mut init_regs: Vec<(u32, u32)> = Vec::new();
         let mut init_scratch: Vec<(u32, u16)> = Vec::new();
+        let mut scratch_lane = vec![NO_LANE; n];
+        let mut scratch_lanes = 0usize;
+        // One past the highest register named anywhere in the program.
+        let mut reg_span = 0usize;
+        let mut name_reg = |r: manticore_isa::Reg| reg_span = reg_span.max(r.index() + 1);
         for image in &binary.cores {
             let idx = image.core.linear(config.grid_width);
             if image.core.x as usize >= config.grid_width
@@ -193,6 +234,7 @@ impl CompiledProgram {
                             image.core
                         )));
                     }
+                    name_reg(rd);
                 }
                 for rs in instr.sources() {
                     if rs.index() >= config.regfile_size {
@@ -201,7 +243,22 @@ impl CompiledProgram {
                             image.core
                         )));
                     }
+                    name_reg(rs);
                 }
+                if let Instruction::Send { rd_remote, .. } = instr {
+                    name_reg(*rd_remote);
+                }
+            }
+            let scratch_user = !image.init_scratch.is_empty()
+                || image.body.iter().any(|i| {
+                    matches!(
+                        i,
+                        Instruction::LocalLoad { .. } | Instruction::LocalStore { .. }
+                    )
+                });
+            if scratch_user && scratch_lane[idx] == NO_LANE {
+                scratch_lane[idx] = scratch_lanes as u32;
+                scratch_lanes += 1;
             }
             let core = &mut cores[idx];
             core.body = image.body.clone();
@@ -227,6 +284,7 @@ impl CompiledProgram {
                     return Err(MachineError::Load(format!("init reg {r} out of range")));
                 }
                 reg_image.insert((idx * config.regfile_size + r.index()) as u32, v as u32);
+                name_reg(r);
             }
             init_regs.extend(reg_image.into_iter().filter(|&(_, v)| v != 0));
             let mut scratch_image: std::collections::BTreeMap<u32, u16> =
@@ -235,9 +293,22 @@ impl CompiledProgram {
                 if (a as usize) >= config.scratch_words {
                     return Err(MachineError::Load(format!("init scratch {a} out of range")));
                 }
-                scratch_image.insert((idx * config.scratch_words + a as usize) as u32, v);
+                let lane = scratch_lane[idx] as usize;
+                scratch_image.insert((lane * config.scratch_words + a as usize) as u32, v);
             }
             init_scratch.extend(scratch_image.into_iter().filter(|&(_, v)| v != 0));
+        }
+        for desc in &binary.exceptions {
+            if let manticore_isa::ExceptionKind::Display { args, .. } = &desc.kind {
+                for &r in args.iter().flat_map(|(regs, _)| regs) {
+                    if r.index() >= config.regfile_size {
+                        return Err(MachineError::Load(format!(
+                            "display argument register {r} out of range"
+                        )));
+                    }
+                    name_reg(r);
+                }
+            }
         }
         // The replay tape and its micro-op lowering are pure functions of
         // the loaded program and the configuration, so they are frozen
@@ -258,6 +329,11 @@ impl CompiledProgram {
             vcycle_len: binary.vcycle_len as u64,
             init_regs,
             init_scratch,
+            scratch_lane,
+            scratch_lanes,
+            zero_scratch: vec![0; config.scratch_words].into_boxed_slice(),
+            reg_span,
+            proven: AtomicBool::new(false),
             init_dram: binary.init_dram.clone(),
             replay_tape,
             micro_prog,
@@ -282,6 +358,41 @@ impl CompiledProgram {
     /// The machine configuration the program was compiled for.
     pub fn config(&self) -> &MachineConfig {
         &self.config
+    }
+
+    /// True once some run's strict validation Vcycle of this program
+    /// succeeded: every later fresh run trusts that proof and starts on
+    /// the micro-op replay lowering (when it is the selected one).
+    pub fn schedule_proven(&self) -> bool {
+        // Relaxed: the flag guards no data — the program it vouches for
+        // is immutable and already visible to every run holding the Arc.
+        self.proven.load(Ordering::Relaxed)
+    }
+
+    /// Records a successful strict validation Vcycle (see
+    /// [`CompiledProgram::schedule_proven`]).
+    pub(crate) fn mark_proven(&self) {
+        self.proven.store(true, Ordering::Relaxed);
+    }
+
+    /// Core `idx`'s range of the lane-compacted scratchpad; empty for a
+    /// core without a lane (it has no instruction that addresses it), whose
+    /// scratchpad reads as [`CompiledProgram::zero_scratch`].
+    #[inline]
+    pub(crate) fn scratch_range(&self, idx: usize) -> Range<usize> {
+        match self.scratch_lane[idx] {
+            NO_LANE => 0..0,
+            lane => {
+                let sw = self.config.scratch_words;
+                lane as usize * sw..(lane as usize + 1) * sw
+            }
+        }
+    }
+
+    /// One past the highest register the program names: the size of each
+    /// run's per-core hazard tables.
+    pub(crate) fn reg_span(&self) -> usize {
+        self.reg_span
     }
 
     /// Machine cycles per Vcycle (the compiler's VCPL).
@@ -327,6 +438,8 @@ impl CompiledProgram {
         bytes += self.exceptions.len() * size_of::<ExceptionDescriptor>();
         bytes += self.init_regs.len() * size_of::<(u32, u32)>();
         bytes += self.init_scratch.len() * size_of::<(u32, u16)>();
+        bytes += self.scratch_lane.len() * size_of::<u32>();
+        bytes += self.zero_scratch.len() * size_of::<u16>();
         bytes += self.init_dram.len() * size_of::<(u64, u16)>();
         if let Some(tape) = &self.replay_tape {
             bytes += tape.approx_bytes();

@@ -24,8 +24,11 @@
 //! The tape is a pure function of the loaded program and the machine
 //! configuration, so it is built once when the program is frozen into a
 //! [`crate::CompiledProgram`] and shared by every run; it is
-//! *used* only after the validation Vcycle completes successfully (a
-//! program whose validation Vcycle fails never reaches the replay path).
+//! *used* only after a validation Vcycle of the program completed
+//! successfully — in the same run, or in any earlier run, since what it
+//! proves depends on the program alone
+//! ([`crate::CompiledProgram::schedule_proven`]). A program whose
+//! validation Vcycle fails never reaches the replay path.
 //! Bit-identity with the per-position engines is structural: the tape
 //! replays through the same `exec_instr` / `exec_epilogue_slot` executors
 //! at the same `(position, compute-time)` coordinates, and the delivery
@@ -35,6 +38,7 @@
 
 use manticore_isa::{Instruction, MachineConfig, Reg};
 
+use crate::grid::PerfCounters;
 use crate::program::CoreProgram;
 
 /// One pre-decoded body entry: the instruction at a (non-NOP) position.
@@ -60,6 +64,8 @@ pub(crate) struct ReplayDelivery {
     pub slot: u32,
     /// Destination register of the epilogue `SET`.
     pub rd: Reg,
+    /// Vcycle position whose `take_due` scan delivers the message.
+    pub deliver_at: u32,
 }
 
 /// The frozen per-machine replay schedule. See the module docs.
@@ -106,6 +112,40 @@ impl ReplayTape {
         bytes += self.epi_exec.len() * size_of::<usize>();
         bytes += self.deliveries.len() * size_of::<ReplayDelivery>();
         bytes
+    }
+
+    /// The counts the position-major interpreter has added to a Vcycle by
+    /// the time the privileged core faults at body position `pos`, beyond
+    /// the privileged core's own instructions: every other core's body
+    /// instructions and sends before `pos`, the epilogue slots that issued
+    /// before `pos`, the messages delivered at or before `pos`, and `pos`
+    /// compute cycles.
+    ///
+    /// The replay engines walk core-major and the privileged core (linear
+    /// index 0, the only core that can fault) first, so a faulting walk
+    /// has counted only the privileged core's prefix; adding this makes
+    /// their error-path [`PerfCounters`] the interpreter's.
+    pub(crate) fn fault_counters(&self, cores: &[CoreProgram], pos: u64) -> PerfCounters {
+        let mut c = PerfCounters {
+            compute_cycles: pos,
+            ..PerfCounters::default()
+        };
+        for ops in &self.body[1..] {
+            for op in ops.iter().take_while(|op| (op.pos as u64) < pos) {
+                c.instructions += 1;
+                c.sends += matches!(op.instr, Instruction::Send { .. }) as u64;
+            }
+        }
+        for (core, &epi) in cores.iter().zip(&self.epi_exec) {
+            let issued = pos.saturating_sub(core.body.len() as u64) as usize;
+            c.instructions += epi.min(issued) as u64;
+        }
+        c.messages_delivered = self
+            .deliveries
+            .iter()
+            .filter(|d| d.deliver_at as u64 <= pos)
+            .count() as u64;
+        c
     }
 
     /// Freezes the replay schedule for a loaded program, or `None` when the
@@ -202,6 +242,7 @@ impl ReplayTape {
                 target: s.target as u32,
                 slot: slot as u32,
                 rd: s.rd,
+                deliver_at: s.deliver_at as u32,
             });
         }
         if cores

@@ -1682,3 +1682,476 @@ fn init_image_last_write_wins_through_sparse_form() {
     assert_eq!(m.read_scratch(CoreId::new(0, 0), 3), 0);
     assert_eq!(m.read_scratch(CoreId::new(0, 0), 4), 6);
 }
+
+/// Once-per-program validation and the per-program state footprint.
+mod footprint {
+    use std::hash::Hasher;
+    use std::sync::Arc;
+
+    use manticore_isa::{
+        AluOp, Binary, CoreId, CoreImage, ExceptionDescriptor, ExceptionId, ExceptionKind,
+        Instruction, MachineConfig,
+    };
+    use manticore_util::FnvHasher;
+
+    use super::{empty_binary, r, test_config};
+    use crate::core::PendingWrite;
+    use crate::noc::Message;
+    use crate::{
+        load_checkpoint, save_checkpoint, CompiledProgram, Machine, MachineError, PersistError,
+    };
+
+    const BUSY: CoreId = CoreId { x: 1, y: 0 };
+    const INERT: CoreId = CoreId { x: 1, y: 1 };
+
+    /// A 2×2 design touching a little of everything:
+    ///
+    /// - (1,0) counts in r1, stores the count to scratch[10], loads it
+    ///   back into r4, and sends it to (0,0)'s r1 (delivered at 7);
+    /// - (0,0) displays r1 at position 6 and asserts r3 == r0 at 7, so
+    ///   poking r3 fails the run; its epilogue slot issues at 8;
+    /// - (0,1) counts in r5 by r6 and never touches its scratchpad;
+    /// - (1,1) has no program at all.
+    ///
+    /// The highest register named is r6, and only (1,0) addresses its
+    /// scratchpad.
+    fn design() -> (MachineConfig, Binary) {
+        let mut binary = empty_binary(2, 2, 16);
+        let mut core0 = vec![Instruction::Nop; 6];
+        core0.push(Instruction::Expect {
+            rs1: r(1),
+            rs2: r(2),
+            eid: 0,
+        });
+        core0.push(Instruction::Expect {
+            rs1: r(3),
+            rs2: r(0),
+            eid: 7,
+        });
+        binary.cores.push(CoreImage {
+            core: CoreId::new(0, 0),
+            body: core0,
+            epilogue_len: 1,
+            custom_functions: vec![],
+            init_regs: vec![(r(2), 0xffff)],
+            init_scratch: vec![],
+        });
+        binary.cores.push(CoreImage {
+            core: BUSY,
+            body: vec![
+                Instruction::Alu {
+                    op: AluOp::Add,
+                    rd: r(1),
+                    rs1: r(1),
+                    rs2: r(2),
+                },
+                Instruction::Predicate { rs: r(2) },
+                Instruction::LocalStore {
+                    rs_data: r(1),
+                    rs_addr: r(0),
+                    base: 10,
+                },
+                Instruction::LocalLoad {
+                    rd: r(4),
+                    rs_addr: r(0),
+                    base: 10,
+                },
+                Instruction::Send {
+                    target: CoreId::new(0, 0),
+                    rd_remote: r(1),
+                    rs: r(1),
+                },
+            ],
+            epilogue_len: 0,
+            custom_functions: vec![],
+            init_regs: vec![(r(2), 1)],
+            init_scratch: vec![],
+        });
+        binary.cores.push(CoreImage {
+            core: CoreId::new(0, 1),
+            body: vec![Instruction::Alu {
+                op: AluOp::Add,
+                rd: r(5),
+                rs1: r(5),
+                rs2: r(6),
+            }],
+            epilogue_len: 0,
+            custom_functions: vec![],
+            init_regs: vec![(r(6), 3)],
+            init_scratch: vec![],
+        });
+        binary.exceptions.push(ExceptionDescriptor {
+            id: ExceptionId(0),
+            kind: ExceptionKind::Display {
+                format: "count = {}".into(),
+                args: vec![(vec![r(1)], 16)],
+            },
+        });
+        binary.exceptions.push(ExceptionDescriptor {
+            id: ExceptionId(7),
+            kind: ExceptionKind::AssertFail {
+                message: "r3 set".into(),
+            },
+        });
+        (test_config(2, 2), binary)
+    }
+
+    /// A fresh compile of [`design`], not yet proven by any run.
+    fn fresh() -> Arc<CompiledProgram> {
+        let (config, binary) = design();
+        CompiledProgram::compile_shared(config, &binary).unwrap()
+    }
+
+    /// A compile of [`design`] proven by one strict run.
+    fn proven() -> Arc<CompiledProgram> {
+        let program = fresh();
+        Machine::from_program(Arc::clone(&program))
+            .run_vcycles(1)
+            .unwrap();
+        assert!(program.schedule_proven());
+        program
+    }
+
+    #[test]
+    fn footprint_covers_named_registers_and_scratch_users() {
+        let program = fresh();
+        assert_eq!(program.reg_span(), 7);
+        let lanes: Vec<bool> = (0..4)
+            .map(|i| !program.scratch_range(i).is_empty())
+            .collect();
+        assert_eq!(lanes, [false, true, false, false]);
+        let m = Machine::from_program(program);
+        assert_eq!(m.scratch.len(), m.config().scratch_words);
+        assert!(m.cores.iter().all(|c| c.inflight.len() == 7));
+    }
+
+    #[test]
+    fn strict_validation_proves_the_program_once() {
+        let program = fresh();
+        assert!(!program.schedule_proven());
+        // A permissive validation proves nothing about hazards.
+        let mut permissive = Machine::from_program(Arc::clone(&program));
+        permissive.set_strict_hazards(false);
+        permissive.run_vcycles(2).unwrap();
+        assert!(!program.schedule_proven());
+        // With replay off the interpreter still validates, and proves.
+        let mut interp = Machine::from_program(Arc::clone(&program));
+        interp.set_replay(false);
+        interp.run_vcycles(1).unwrap();
+        assert!(program.schedule_proven());
+    }
+
+    /// Two fresh runs from one shared program; both must fail with the
+    /// same error and leave the program unproven.
+    fn fails_twice_unproven(config: MachineConfig, binary: &Binary) -> MachineError {
+        let program = CompiledProgram::compile_shared(config, binary).unwrap();
+        let first = Machine::from_program(Arc::clone(&program))
+            .run_vcycles(3)
+            .unwrap_err();
+        assert!(!program.schedule_proven(), "{first}");
+        let second = Machine::from_program(Arc::clone(&program))
+            .run_vcycles(3)
+            .unwrap_err();
+        assert_eq!(first, second);
+        assert!(!program.schedule_proven());
+        first
+    }
+
+    #[test]
+    fn failed_validation_never_marks_the_program_proven() {
+        // Link collision: (0,0) and (1,0) both claim the x-link out of
+        // (1,0) in the same cycle.
+        let mut collide = empty_binary(3, 1, 16);
+        for (x, lead) in [(0u8, 0usize), (1, 1)] {
+            let mut body = vec![Instruction::Nop; lead];
+            body.push(Instruction::Send {
+                target: CoreId::new(2, 0),
+                rd_remote: r(5 + x as u16),
+                rs: r(0),
+            });
+            collide.cores.push(CoreImage {
+                core: CoreId::new(x, 0),
+                body,
+                epilogue_len: 0,
+                custom_functions: vec![],
+                init_regs: vec![],
+                init_scratch: vec![],
+            });
+        }
+        collide.cores.push(CoreImage {
+            core: CoreId::new(2, 0),
+            body: vec![Instruction::Nop; 10],
+            epilogue_len: 2,
+            custom_functions: vec![],
+            init_regs: vec![],
+            init_scratch: vec![],
+        });
+        let err = fails_twice_unproven(test_config(3, 1), &collide);
+        assert!(matches!(err, MachineError::LinkCollision { .. }), "{err}");
+
+        // Strict hazard: r1 is read one cycle after its write.
+        let mut hazard = empty_binary(1, 1, 6);
+        hazard.cores.push(CoreImage {
+            core: CoreId::new(0, 0),
+            body: vec![
+                Instruction::Alu {
+                    op: AluOp::Add,
+                    rd: r(1),
+                    rs1: r(2),
+                    rs2: r(2),
+                },
+                Instruction::Alu {
+                    op: AluOp::Add,
+                    rd: r(3),
+                    rs1: r(1),
+                    rs2: r(2),
+                },
+            ],
+            epilogue_len: 0,
+            custom_functions: vec![],
+            init_regs: vec![(r(2), 5)],
+            init_scratch: vec![],
+        });
+        let err = fails_twice_unproven(test_config(1, 1), &hazard);
+        assert!(matches!(err, MachineError::Hazard { .. }), "{err}");
+    }
+
+    /// Runs `program` with r3 of (0,0) poked (the assertion fails in
+    /// Vcycle 0) and returns the error, the displays that fired before
+    /// it, and the counters at the abort.
+    fn failing_run(
+        program: &Arc<CompiledProgram>,
+    ) -> (MachineError, Vec<String>, crate::PerfCounters) {
+        let mut m = Machine::from_program(Arc::clone(program));
+        m.poke_reg(CoreId::new(0, 0), r(3), 1);
+        let err = m.run_vcycles(4).unwrap_err();
+        (err, m.drain_pending_displays(), m.counters())
+    }
+
+    #[test]
+    fn failing_vcycle0_expect_matches_on_trusted_and_validating_runs() {
+        let validating = failing_run(&fresh());
+        assert!(
+            matches!(&validating.0, MachineError::AssertFailed { vcycle: 0, .. }),
+            "{}",
+            validating.0
+        );
+        assert_eq!(validating.1, ["count = 0"]);
+        // The failing data never proves the program...
+        let unproven = fresh();
+        failing_run(&unproven);
+        assert!(!unproven.schedule_proven());
+        // ...and on a proven one the trusted first Vcycle reports the
+        // same error, displays and counters.
+        assert_eq!(failing_run(&proven()), validating);
+    }
+
+    #[test]
+    fn replayed_faults_report_the_interpreters_counters() {
+        // The assertion arms after three clean Vcycles, so the fault lands
+        // in a replayed Vcycle on the tape and micro-op lowerings.
+        let run = |replay: Option<crate::ReplayEngine>| {
+            let mut m = Machine::from_program(fresh());
+            match replay {
+                None => m.set_replay(false),
+                Some(engine) => m.set_replay_engine(engine),
+            }
+            m.run_vcycles(3).unwrap();
+            m.poke_reg(CoreId::new(0, 0), r(3), 1);
+            let err = m.run_vcycles(4).unwrap_err();
+            (err, m.drain_pending_displays(), m.counters())
+        };
+        let interp = run(None);
+        assert!(matches!(
+            interp.0,
+            MachineError::AssertFailed { vcycle: 3, .. }
+        ));
+        assert_eq!(run(Some(crate::ReplayEngine::Tape)), interp);
+        assert_eq!(run(Some(crate::ReplayEngine::MicroOps)), interp);
+    }
+
+    #[test]
+    fn ganged_vcycle0_fault_matches_a_validating_solo_run() {
+        let (err, displays, counters) = failing_run(&fresh());
+        // On a proven program the gang starts in its lane-major loop; the
+        // poked lane parks exactly where a validating solo run aborts,
+        // and its siblings run on untouched.
+        let program = proven();
+        let mut gang = crate::GangMachine::from_program(Arc::clone(&program), 3);
+        gang.poke_reg(1, CoreId::new(0, 0), r(3), 1);
+        let results = gang.run_vcycles(4);
+        assert_eq!(results[1].as_ref().unwrap_err(), &err);
+        assert_eq!(gang.drain_pending_displays(1), displays);
+        assert_eq!(gang.counters(1), counters);
+        let mut solo = Machine::from_program(program);
+        solo.run_vcycles(4).unwrap();
+        for lane in [0, 2] {
+            assert_eq!(results[lane].as_ref().unwrap().vcycles_run, 4);
+            assert_eq!(gang.counters(lane), solo.counters());
+        }
+    }
+
+    /// Architectural comparison: counters, per-core executed counts, and
+    /// the state fingerprint (every register through the flushed host
+    /// view, every scratchpad word).
+    fn assert_same_state(a: &Machine, b: &Machine, what: &str) {
+        assert_eq!(a.counters(), b.counters(), "{what}: counters");
+        assert_eq!(a.executed_per_core(), b.executed_per_core(), "{what}");
+        assert_eq!(a.state_fingerprint(), b.state_fingerprint(), "{what}");
+    }
+
+    #[test]
+    fn trusted_and_validated_runs_hold_identical_state() {
+        let program = fresh();
+        let mut validated = Machine::from_program(Arc::clone(&program));
+        let mut trusted = Machine::from_program(Arc::clone(&program));
+        validated.run_vcycles(1).unwrap();
+        assert!(program.schedule_proven());
+        trusted.run_vcycles(1).unwrap();
+        // The durable bytes hold everything else too: the NoC (the
+        // validated run's link reservations are gone) and the pipeline
+        // rings. This design leaves no write in flight across the Vcycle
+        // boundary; one that did would sit in the validated run's ring
+        // while the trusted run's direct-commit micro-ops had already
+        // committed it — the same architectural state, other bytes.
+        for vcycle in [1, 6] {
+            let a = validated
+                .run_vcycles(vcycle - validated.counters().vcycles)
+                .unwrap();
+            let b = trusted
+                .run_vcycles(vcycle - trusted.counters().vcycles)
+                .unwrap();
+            assert_eq!(a.displays, b.displays);
+            assert_same_state(&validated, &trusted, "trusted vs validated");
+            let same =
+                save_checkpoint(&validated.checkpoint()) == save_checkpoint(&trusted.checkpoint());
+            assert!(same, "checkpoint bytes differ at Vcycle {vcycle}");
+        }
+    }
+
+    #[test]
+    fn permissive_run_of_a_proven_program_matches_its_interpreter_run() {
+        let program = proven();
+        let mut fast = Machine::from_program(Arc::clone(&program));
+        let mut interp = Machine::from_program(Arc::clone(&program));
+        fast.set_strict_hazards(false);
+        interp.set_strict_hazards(false);
+        interp.set_replay(false);
+        let a = fast.run_vcycles(6).unwrap();
+        let b = interp.run_vcycles(6).unwrap();
+        assert_eq!(a.displays, b.displays);
+        assert_eq!(fast.executed_per_core(), interp.executed_per_core());
+        assert_same_state(&fast, &interp, "permissive");
+    }
+
+    #[test]
+    fn pokes_above_the_footprint_read_back_after_a_run() {
+        for program in [fresh(), proven()] {
+            let mut m = Machine::from_program(program);
+            m.poke_reg(BUSY, r(100), 0xbeef);
+            m.poke_reg(INERT, r(2047), 0x1234);
+            m.run_vcycles(3).unwrap();
+            assert_eq!(m.read_reg(BUSY, r(100)), 0xbeef);
+            assert_eq!(m.read_reg(INERT, r(2047)), 0x1234);
+            assert_eq!(m.read_reg(BUSY, r(4)), 3, "scratch round trip");
+        }
+    }
+
+    #[test]
+    fn laneless_scratchpads_read_as_zeros() {
+        let mut m = Machine::from_program(fresh());
+        m.run_vcycles(3).unwrap();
+        let sw = m.config().scratch_words;
+        for core in [CoreId::new(0, 0), CoreId::new(0, 1), INERT] {
+            assert_eq!(m.core_scratch(core), vec![0u16; sw], "{core}");
+            assert_eq!(m.read_scratch(core, 10), 0);
+        }
+        assert_eq!(m.read_scratch(BUSY, 10), 3);
+        assert_eq!(m.core_scratch(BUSY).len(), sw);
+    }
+
+    /// Recomputes the checksum trailer over hand-edited bytes.
+    fn reseal(mut bytes: Vec<u8>) -> Vec<u8> {
+        let end = bytes.len() - 8;
+        let mut h = FnvHasher::default();
+        h.write(&bytes[..end]);
+        bytes[end..].copy_from_slice(&h.finish().to_le_bytes());
+        bytes
+    }
+
+    fn assert_corrupt(bytes: &[u8], program: &Arc<CompiledProgram>, what: &str) {
+        match load_checkpoint(bytes, program) {
+            Err(PersistError::Corrupt { detail }) => {
+                assert!(detail.contains(what), "{detail}")
+            }
+            other => panic!("expected Corrupt({what}), got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn load_rejects_registers_outside_the_footprint() {
+        let program = fresh();
+        let mut m = Machine::from_program(Arc::clone(&program));
+        m.run_vcycles(2).unwrap();
+        let clean = m.checkpoint();
+        assert!(load_checkpoint(&save_checkpoint(&clean), &program).is_ok());
+        // Register 7 is inside the register file but past the footprint.
+        let outside = manticore_isa::Reg(7);
+
+        let mut ring = clean.clone();
+        let cs = &mut ring.cores[1];
+        let slot = ((cs.ring_head + cs.ring_len) & cs.ring_mask) as usize;
+        cs.ring[slot] = PendingWrite {
+            commit_at: u64::MAX,
+            reg: outside.0,
+            value: 1,
+            carry: false,
+        };
+        cs.ring_len += 1;
+        assert_corrupt(&save_checkpoint(&ring), &program, "footprint");
+
+        let mut epilogue = clean.clone();
+        epilogue.cores[0].epilogue[0] = Some((outside, 1));
+        assert_corrupt(&save_checkpoint(&epilogue), &program, "footprint");
+
+        let mut message = clean.clone();
+        message.noc.in_flight.push(Message {
+            target: CoreId::new(0, 0),
+            rd: outside,
+            value: 1,
+            arrive_at: u64::MAX,
+        });
+        assert_corrupt(&save_checkpoint(&message), &program, "footprint");
+    }
+
+    #[test]
+    fn load_rejects_scratch_words_on_laneless_cores() {
+        let program = fresh();
+        let mut m = Machine::from_program(Arc::clone(&program));
+        // A recognisable run of words opens the register section.
+        for (i, v) in [0xa1b2u16, 0xc3d4, 0xe5f6, 0x1789].into_iter().enumerate() {
+            m.poke_reg(CoreId::new(0, 0), manticore_isa::Reg(100 + i as u16), v);
+        }
+        m.run_vcycles(2).unwrap();
+        let bytes = save_checkpoint(&m.checkpoint());
+        let config = program.config();
+        let marker: Vec<u8> = [0xa1b2u32, 0xc3d4, 0xe5f6, 0x1789]
+            .iter()
+            .flat_map(|w| w.to_le_bytes())
+            .collect();
+        let regs_at = bytes
+            .windows(marker.len())
+            .position(|w| w == marker)
+            .expect("marker in the register section")
+            - 100 * 4;
+        let scratch_at = regs_at + program.num_cores() * config.regfile_size * 4;
+        // Byte offset of core `idx`'s scratchpad word `addr`.
+        let word_at =
+            |idx: usize, addr: usize| scratch_at + (idx * config.scratch_words + addr) * 2;
+        // (1,0)'s lane holds the stored count at word 10; (0,1) has none.
+        assert_eq!(bytes[word_at(1, 10)], 2, "located the scratch section");
+        let mut bad = bytes.clone();
+        bad[word_at(2, 5)] = 1;
+        assert_corrupt(&reseal(bad), &program, "never addresses");
+    }
+}

@@ -36,7 +36,8 @@
 //! The stream is a pure function of the tape, built once when the program
 //! is frozen into a [`crate::CompiledProgram`] (and shared by every run of
 //! it) and used by the grid's micro-op replay path ([`crate::grid`])
-//! strictly after the validation Vcycle.
+//! strictly after a validation Vcycle of the program succeeded (in this
+//! run or an earlier one).
 
 use manticore_isa::{AluOp, ExceptionDescriptor, Instruction};
 
@@ -583,8 +584,10 @@ fn exec_mux<const DIRECT: bool>(
 /// Counter deltas (`instructions`, `executed`, `sends`) accumulate in
 /// locals and flush once — including on a faulting walk, where the
 /// prefix up to and through the faulting op is flushed exactly as the
-/// tape engine would have counted it. Only the privileged core can fault
-/// (`Expect`) or touch the cache; `cache` is `Some` exactly for it.
+/// tape engine would have counted it, and the fault comes back with its
+/// position (for [`ReplayTape::fault_counters`]). Only the privileged
+/// core can fault (`Expect`) or touch the cache; `cache` is `Some`
+/// exactly for it.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn run_core_uops<const DIRECT: bool>(
     exceptions: &[ExceptionDescriptor],
@@ -598,7 +601,7 @@ pub(crate) fn run_core_uops<const DIRECT: bool>(
     counters: &mut PerfCounters,
     events: &mut Vec<HostEvent>,
     send_vals: &mut Vec<u16>,
-) -> Result<(), MachineError> {
+) -> Result<(), (u64, MachineError)> {
     if DIRECT {
         // Writes left in flight by a previous Vcycle on another engine
         // (e.g. the validation Vcycle) commit now; no read could have
@@ -732,7 +735,7 @@ pub(crate) fn run_core_uops<const DIRECT: bool>(
                         counters,
                         events,
                     ) {
-                        result = Err(err);
+                        result = Err((pos, err));
                         break;
                     }
                 }
