@@ -7,7 +7,10 @@
 //! Reports per-design jobs/s (and their geomean), the cache counters
 //! (hit rate is *deterministic*: misses must equal the design count),
 //! and RSS flatness (final RSS vs RSS after the warm-up compiles — a
-//! leaky server fails the within-10% acceptance bound).
+//! leaky server fails the within-10% acceptance bound). Beside the RSS
+//! pair it reports live heap bytes at the same two points, counted by
+//! this binary's global allocator: RSS also moves with allocator arenas
+//! and thread stacks, live bytes only with what the process still holds.
 //!
 //! ```text
 //! serve_soak [--jobs N] [--conns C] [--vcycles V] [--workers W]
@@ -17,6 +20,8 @@
 //! The committed baseline is BENCH_serve.json; scripts/bench_gate.py
 //! gates fresh runs against it with `--serve-fresh/--serve-baseline`.
 
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 
 use manticore_bench::json::Val;
@@ -35,6 +40,59 @@ const DESIGNS: [(&str, &str, &str); 4] = [
 
 /// Submissions a connection keeps in flight before reading replies.
 const WINDOW: u64 = 32;
+
+/// The system allocator, keeping a count of live heap bytes.
+struct CountingAlloc;
+
+/// Bytes allocated and not yet freed, process-wide.
+static HEAP_LIVE: AtomicU64 = AtomicU64::new(0);
+
+// SAFETY: every call forwards to `System` unchanged; the counter only
+// observes the sizes.
+unsafe impl GlobalAlloc for CountingAlloc {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        // SAFETY: the caller's contract for `alloc`, passed on unchanged.
+        let p = unsafe { System.alloc(layout) };
+        if !p.is_null() {
+            HEAP_LIVE.fetch_add(layout.size() as u64, Ordering::Relaxed);
+        }
+        p
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        // SAFETY: the caller's contract for `alloc_zeroed`, passed on.
+        let p = unsafe { System.alloc_zeroed(layout) };
+        if !p.is_null() {
+            HEAP_LIVE.fetch_add(layout.size() as u64, Ordering::Relaxed);
+        }
+        p
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: `ptr` came from `System` through this allocator with
+        // `layout`, as the caller's contract for `dealloc` requires.
+        unsafe { System.dealloc(ptr, layout) };
+        HEAP_LIVE.fetch_sub(layout.size() as u64, Ordering::Relaxed);
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        // SAFETY: the caller's contract for `realloc`, passed on; `ptr`
+        // came from `System` through this allocator.
+        let p = unsafe { System.realloc(ptr, layout, new_size) };
+        if !p.is_null() {
+            HEAP_LIVE.fetch_add(new_size as u64, Ordering::Relaxed);
+            HEAP_LIVE.fetch_sub(layout.size() as u64, Ordering::Relaxed);
+        }
+        p
+    }
+}
+
+#[global_allocator]
+static ALLOC: CountingAlloc = CountingAlloc;
+
+fn heap_live_bytes() -> u64 {
+    HEAP_LIVE.load(Ordering::Relaxed)
+}
 
 fn rss_bytes() -> u64 {
     let status = std::fs::read_to_string("/proc/self/status").unwrap_or_default();
@@ -191,6 +249,7 @@ fn main() {
         });
     }
     let rss_warm = rss_bytes();
+    let heap_warm = heap_live_bytes();
     let warm = server.cache_stats();
     assert_eq!(
         warm.misses,
@@ -262,6 +321,7 @@ fn main() {
     }
     let wall_all = start_all.elapsed().as_secs_f64();
     let rss_final = rss_bytes();
+    let heap_final = heap_live_bytes();
     let geomean = (rates.iter().map(|r| r.ln()).sum::<f64>() / rates.len() as f64).exp();
 
     let cache = server.cache_stats();
@@ -271,6 +331,11 @@ fn main() {
     } else {
         1.0
     };
+    println!(
+        "heap: {:.1} MiB live after warm-up -> {:.1} MiB at the end",
+        heap_warm as f64 / (1 << 20) as f64,
+        heap_final as f64 / (1 << 20) as f64,
+    );
     // The acceptance bounds, asserted here so a local run fails loudly
     // without the gate: deterministic compile count (hence hit rate),
     // and flat memory.
@@ -319,6 +384,8 @@ fn main() {
             ("rss_warm_bytes", Val::Int(rss_warm)),
             ("rss_final_bytes", Val::Int(rss_final)),
             ("rss_growth", Val::Num(rss_growth)),
+            ("heap_live_warm_bytes", Val::Int(heap_warm)),
+            ("heap_live_final_bytes", Val::Int(heap_final)),
         ]);
         manticore_bench::json::write(&path, &out);
         println!("wrote {path}");

@@ -23,7 +23,7 @@ use manticore_util::{CancelToken, SmallRng};
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FaultKind {
     /// The worker thread executing the job panics — exercising the
-    /// fleet's `catch_unwind` isolation and barrier poisoning. The job
+    /// fleet's per-unit `catch_unwind` isolation. The job
     /// (and, for a gang, its lane-mates) reports
     /// [`crate::JobOutcome::WorkerPanic`]; the rest of the batch is
     /// unaffected.

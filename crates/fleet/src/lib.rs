@@ -17,17 +17,28 @@
 //!   the Vcycle budget. A job can also *resume* an existing [`Machine`]
 //!   ([`SimJob::resume`]), which is how a fleet drives long-running
 //!   simulations in slices.
-//! - [`Fleet`] — a fixed pool of worker threads driven by a work-stealing
-//!   scheduler: jobs are dealt round-robin into per-worker queues, each
-//!   worker drains its own queue from the front and steals from the back
-//!   of victims chosen by a seeded [`SmallRng`] when it runs dry. Workers
-//!   rendezvous on a [`SpinBarrier`] before the first pop so a batch
-//!   starts as one front, not a stagger.
+//! - [`Fleet`] — a handle on the process's persistent pool of worker
+//!   threads. Every fleet in a process shares the one pool, which grows
+//!   to the widest fleet's `workers` when that fleet first submits work;
+//!   a fleet of `w` workers runs on the pool's first `w` threads only. Idle workers
+//!   park on a condvar, and dropping the last fleet handle drains the
+//!   queues and joins the workers. Every batch entry point and every
+//!   [`Fleet::explore`] round submits owned units of work into the pool:
+//!   they are dealt round-robin into per-worker deques, each worker
+//!   drains its own deque from the front and steals from the back of
+//!   victims chosen by a seeded [`SmallRng`] when it runs dry. A
+//!   one-worker fleet's waiting caller runs its units itself, in the
+//!   order that worker would. No batch spawns a thread.
 //! - [`JobOutput`] — one job's outcome plus its finished machine (final
-//!   registers, counters, displays all readable). **Collection order is
-//!   the submission order**, bit-for-bit independent of how workers
-//!   interleaved: every job runs on a machine of its own, and its output
-//!   lands in the slot indexed by its submission position.
+//!   registers, counters, displays all readable). Workers send each
+//!   output down a channel to the thread that called the batch, which
+//!   hands it to the caller's sink (streaming entry points) or files it
+//!   into its submission slot. **Collection order is the submission
+//!   order**, bit-for-bit independent of how workers interleaved: every
+//!   job runs on a machine of its own, and its output carries its
+//!   submission index. [`Fleet::submit_ganged`] returns at once instead
+//!   and calls an owned sink on the worker — how a server keeps the pool
+//!   fed without waiting at a batch barrier.
 //! - [`Fleet::run_ganged`] — the same batch API with lane batching:
 //!   compatible jobs (one program, one set of engine knobs, one budget)
 //!   execute K-at-a-time as lanes of a lockstep
@@ -52,8 +63,10 @@
 //! for the differential fault-tolerance suite. Every output carries a
 //! typed [`JobOutcome`] saying how its run ended.
 
-use std::collections::{HashMap, VecDeque};
-use std::sync::Mutex;
+use std::collections::HashMap;
+use std::sync::mpsc;
+use std::sync::Arc;
+use std::time::Instant;
 
 use manticore_isa::{CoreId, Reg};
 pub use manticore_machine::CompiledProgram;
@@ -61,12 +74,13 @@ use manticore_machine::{
     Checkpoint, CoverageMap, GangMachine, Interrupt, Machine, MachineError, ReplayEngine,
     RunOutcome, MAX_LANES,
 };
-use manticore_util::{catch_silent_mut, CancelToken, SmallRng, SpinBarrier};
-use std::sync::Arc;
+use manticore_util::{catch_silent_mut, CancelToken, SmallRng};
 
 mod fault;
+mod pool;
 
 pub use fault::{BatchPolicy, FaultKind, FaultPlan, FaultPoint};
+use pool::{Pool, Task};
 
 /// The gang-compatibility key: program pointer, replay/engine/strict
 /// knobs, Vcycle budget, and cancellation-domain identity.
@@ -231,6 +245,14 @@ impl SimJob {
         )
     }
 
+    /// True when `self` and `other` would share one gang in a lane-batched
+    /// run ([`Fleet::run_ganged`]): both are gangable fresh boots with the
+    /// same program, engine knobs, Vcycle budget and cancellation domain.
+    /// A scheduler uses this to pick jobs that will run as one unit.
+    pub fn gangs_with(&self, other: &SimJob) -> bool {
+        self.gangable() && other.gangable() && self.gang_key() == other.gang_key()
+    }
+
     /// The effective cancellation token for this run: the per-job token,
     /// the batch token, or (when both are present) a two-parent merge
     /// tripped by whichever fires first.
@@ -247,8 +269,8 @@ impl SimJob {
     /// This is the entire per-job execution — it touches nothing shared
     /// except the read-only program, which is what makes fleet results
     /// independent of worker interleaving.
-    fn execute(self, index: usize, ctx: &RunCtx<'_>) -> JobOutput {
-        let cancel = self.effective_cancel(ctx.cancel);
+    fn execute(self, index: usize, ctx: &BatchCtx) -> JobOutput {
+        let cancel = self.effective_cancel(ctx.cancel.as_ref());
         let mut machine = match self.source {
             JobSource::Fresh(program) => Machine::from_program(program),
             JobSource::Resume(machine) => *machine,
@@ -470,13 +492,36 @@ impl JobOutput {
     }
 }
 
-/// The per-batch execution context handed down to every unit: the
-/// effective cancel token, the batch deadline, and the fault plan.
-#[derive(Debug, Clone, Copy)]
-struct RunCtx<'a> {
-    cancel: Option<&'a CancelToken>,
-    deadline: Option<std::time::Instant>,
-    faults: &'a FaultPlan,
+/// The per-batch execution context every unit of a batch shares: the
+/// effective cancel token, the batch deadline, the fault plan, and
+/// whether a failure cancels the rest. Owned, so units can outlive the
+/// call that submitted them.
+#[derive(Debug)]
+struct BatchCtx {
+    cancel: Option<CancelToken>,
+    deadline: Option<Instant>,
+    faults: FaultPlan,
+    fail_fast: bool,
+}
+
+impl BatchCtx {
+    fn new(policy: &BatchPolicy) -> BatchCtx {
+        // Fail-fast needs a token to trip, and a caller token must never
+        // be tripped by the fleet itself — so fail-fast on top of a
+        // caller token derives a child.
+        let cancel = match (&policy.cancel, policy.fail_fast) {
+            (Some(token), false) => Some(token.clone()),
+            (Some(token), true) => Some(token.child()),
+            (None, true) => Some(CancelToken::new()),
+            (None, false) => None,
+        };
+        BatchCtx {
+            cancel,
+            deadline: policy.deadline,
+            faults: policy.faults.clone(),
+            fail_fast: policy.fail_fast,
+        }
+    }
 }
 
 /// One schedulable unit on the worker pool: a solo job, or a gang of
@@ -498,7 +543,7 @@ impl Unit {
     }
 
     /// Runs the unit to completion, producing one output per job in it.
-    fn execute(self, ctx: &RunCtx<'_>, outs: &mut Vec<JobOutput>) {
+    fn execute(self, ctx: &BatchCtx, outs: &mut Vec<JobOutput>) {
         match self {
             Unit::Single(index, job) => outs.push(job.execute(index, ctx)),
             Unit::Gang(group) => {
@@ -536,12 +581,12 @@ impl Unit {
                 // All lanes share one cancellation domain (the gang key
                 // includes the token identity), so lane 0's effective
                 // token is the whole gang's.
-                gang.set_cancel_token(group[0].1.effective_cancel(ctx.cancel));
+                gang.set_cancel_token(group[0].1.effective_cancel(ctx.cancel.as_ref()));
                 gang.set_deadline(ctx.deadline);
                 // Lane -> submission index, for routing per-lane fault
                 // points.
                 let lane_jobs: Vec<usize> = group.iter().map(|(index, _)| *index).collect();
-                let results = run_gang_with_faults(&mut gang, vcycles, &lane_jobs, ctx.faults);
+                let results = run_gang_with_faults(&mut gang, vcycles, &lane_jobs, &ctx.faults);
                 gang.set_cancel_token(None);
                 gang.set_deadline(None);
                 let machines = gang.into_machines();
@@ -664,18 +709,24 @@ fn run_gang_with_faults(
     acc
 }
 
-/// A fixed-size worker pool executing [`SimJob`] batches with
-/// work-stealing. See the crate docs for the scheduling discipline and
-/// the determinism argument.
+/// A handle on the process's persistent work-stealing pool, executing
+/// [`SimJob`] batches on `workers` of its threads. Clones share the
+/// pool; the last fleet handle to drop joins its workers. See the crate
+/// docs for the scheduling discipline and the determinism argument.
 #[derive(Debug, Clone)]
 pub struct Fleet {
+    pool: Arc<Pool>,
     workers: usize,
 }
 
 impl Fleet {
-    /// A fleet of `workers` worker threads (clamped to at least 1).
+    /// A fleet of `workers` worker threads (clamped to at least 1) on the
+    /// process's pool, which grows to `workers` threads the first time
+    /// this fleet submits work; its threads stay parked until work
+    /// arrives.
     pub fn new(workers: usize) -> Fleet {
         Fleet {
+            pool: Pool::shared(),
             workers: workers.max(1),
         }
     }
@@ -693,7 +744,7 @@ impl Fleet {
     /// its own queue from the front (preserving submission locality) and,
     /// when dry, steals from the back of victims visited in a seeded
     /// pseudo-random order. A batch smaller than the pool simply leaves
-    /// the surplus workers stealing nothing.
+    /// the surplus workers parked.
     pub fn run(&self, jobs: Vec<SimJob>) -> Vec<JobOutput> {
         self.run_with(jobs, &BatchPolicy::default())
     }
@@ -702,38 +753,26 @@ impl Fleet {
     /// a batch deadline, fail-fast, and/or a deterministic [`FaultPlan`].
     /// With the default policy this is exactly [`Fleet::run`].
     pub fn run_with(&self, jobs: Vec<SimJob>, policy: &BatchPolicy) -> Vec<JobOutput> {
-        let n = jobs.len();
-        let units = jobs
-            .into_iter()
-            .enumerate()
-            .map(|(index, job)| Unit::Single(index, job))
-            .collect();
-        collect_in_order(n, |sink| self.run_units(units, policy, sink))
+        self.run_ganged_with(jobs, 1, policy)
     }
 
     /// [`Fleet::run_with`], streaming: every [`JobOutput`] is handed to
     /// `sink` **as its job finishes**, in completion order, instead of
-    /// being held until the batch barrier. `sink` is called from worker
-    /// threads (hence `Sync`) and must be cheap — it runs on the worker's
-    /// time. Outputs carry their [`JobOutput::index`], so a caller that
+    /// being held until the batch barrier. `sink` runs on the calling
+    /// thread, which receives each output from the workers over a
+    /// channel. Outputs carry their [`JobOutput::index`], so a caller that
     /// wants submission order can reorder; a caller that wants latency
-    /// (a server streaming results to clients as they land, a frontier
-    /// loop scoring children while their siblings still run) consumes
-    /// them as they come. The results themselves are bit-identical to
-    /// [`Fleet::run_with`] — streaming changes *when* an output is
-    /// observable, never what it contains.
+    /// (a frontier loop scoring children while their siblings still run)
+    /// consumes them as they come. The results themselves are
+    /// bit-identical to [`Fleet::run_with`] — streaming changes *when* an
+    /// output is observable, never what it contains.
     pub fn run_stream(
         &self,
         jobs: Vec<SimJob>,
         policy: &BatchPolicy,
         sink: &(dyn Fn(JobOutput) + Sync),
     ) {
-        let units = jobs
-            .into_iter()
-            .enumerate()
-            .map(|(index, job)| Unit::Single(index, job))
-            .collect();
-        self.run_units(units, policy, sink);
+        self.run_ganged_stream(jobs, 1, policy, sink);
     }
 
     /// Like [`Fleet::run`], but batches compatible jobs into gangs of up
@@ -761,8 +800,15 @@ impl Fleet {
         lanes: usize,
         policy: &BatchPolicy,
     ) -> Vec<JobOutput> {
-        let n = jobs.len();
-        collect_in_order(n, |sink| self.run_ganged_stream(jobs, lanes, policy, sink))
+        let mut slots: Vec<Option<JobOutput>> = (0..jobs.len()).map(|_| None).collect();
+        self.for_each_output(jobs, lanes, policy, &mut |output| {
+            let index = output.index;
+            slots[index] = Some(output);
+        });
+        slots
+            .into_iter()
+            .map(|slot| slot.expect("every submitted job produces exactly one output"))
+            .collect()
     }
 
     /// [`Fleet::run_ganged_with`], streaming — the lane-batched
@@ -776,195 +822,171 @@ impl Fleet {
         policy: &BatchPolicy,
         sink: &(dyn Fn(JobOutput) + Sync),
     ) {
-        if lanes <= 1 {
-            return self.run_stream(jobs, policy, sink);
-        }
-        // A gang machine holds at most MAX_LANES lanes; wider requests
-        // simply open another gang (never truncate a group against a
-        // silently-clamped machine).
-        let lanes = lanes.min(manticore_machine::MAX_LANES);
-        let mut units: Vec<Unit> = Vec::new();
-        // Open (not yet full) gang per compatibility key, as an index
-        // into `units`. Scanning in submission order keeps the grouping
-        // deterministic for any job set.
-        let mut open: HashMap<GangKey, usize> = HashMap::new();
-        for (index, job) in jobs.into_iter().enumerate() {
-            if !job.gangable() {
-                units.push(Unit::Single(index, job));
-                continue;
-            }
-            match open.entry(job.gang_key()) {
-                std::collections::hash_map::Entry::Occupied(entry) => {
-                    let slot = *entry.get();
-                    let Unit::Gang(group) = &mut units[slot] else {
-                        unreachable!("open gangs index gang units")
-                    };
-                    group.push((index, job));
-                    if group.len() == lanes {
-                        entry.remove();
-                    }
-                }
-                std::collections::hash_map::Entry::Vacant(entry) => {
-                    entry.insert(units.len());
-                    units.push(Unit::Gang(vec![(index, job)]));
-                }
-            }
-        }
-        // A gang of one gains nothing from the lane machinery; demote it
-        // to the plain per-job path.
-        for unit in &mut units {
-            if let Unit::Gang(group) = unit {
-                if group.len() == 1 {
-                    let (index, job) = group.pop().expect("len checked");
-                    *unit = Unit::Single(index, job);
-                }
-            }
-        }
-        self.run_units(units, policy, sink);
+        self.for_each_output(jobs, lanes, policy, &mut |output| sink(output));
     }
 
-    /// The worker pool proper: deals `units` round-robin and runs them
-    /// with work-stealing, handing each produced output to `sink` the
-    /// moment its unit finishes. Each unit executes under `catch_unwind`:
-    /// a panicking job (injected or genuine) yields
-    /// [`JobOutcome::WorkerPanic`] outputs for the unit's jobs and the
-    /// worker moves on to its next unit — the batch always emits exactly
-    /// one output per job.
-    fn run_units(&self, units: Vec<Unit>, policy: &BatchPolicy, sink: &(dyn Fn(JobOutput) + Sync)) {
-        if units.is_empty() {
+    /// Submits a batch and returns at once, without waiting for any of
+    /// it. The batch is grouped into units exactly as
+    /// [`Fleet::run_ganged_stream`] groups it, and its units join the
+    /// pool's queues behind whatever is already there. `sink` receives
+    /// every [`JobOutput`] (one per job, indexed by position in `jobs`)
+    /// on the worker thread that finished its unit, the moment it
+    /// finishes — so it must be cheap, it owns what it needs, and it must
+    /// not wait on a fleet batch (fleets share one pool, so its worker
+    /// could end up waiting for itself).
+    ///
+    /// This is how a server keeps the pool busy without a batch barrier:
+    /// it submits one unit of work whenever a worker frees up, and each
+    /// result goes back to its client from the worker that produced it.
+    pub fn submit_ganged(
+        &self,
+        jobs: Vec<SimJob>,
+        lanes: usize,
+        policy: &BatchPolicy,
+        sink: impl Fn(JobOutput) + Send + Sync + 'static,
+    ) {
+        let ctx = Arc::new(BatchCtx::new(policy));
+        let sink: Arc<dyn Fn(JobOutput) + Send + Sync> = Arc::new(sink);
+        let units = group_units(jobs, lanes);
+        self.pool.submit(
+            self.workers,
+            units.into_iter().map(|unit| {
+                let ctx = Arc::clone(&ctx);
+                let sink = Arc::clone(&sink);
+                Box::new(move || run_unit(unit, &ctx, &mut |output| sink(output))) as Task
+            }),
+        );
+    }
+
+    /// Runs a batch to completion, handing `f` each output on the calling
+    /// thread in completion order: exactly one per job. A one-worker
+    /// fleet would run the units one at a time while the caller waits, so
+    /// the caller runs them itself, in the order that worker would —
+    /// no hand-off, and no second thread's allocator arena left holding
+    /// the batch's memory.
+    fn for_each_output(
+        &self,
+        jobs: Vec<SimJob>,
+        lanes: usize,
+        policy: &BatchPolicy,
+        f: &mut dyn FnMut(JobOutput),
+    ) {
+        if self.workers == 1 {
+            let ctx = BatchCtx::new(policy);
+            for unit in group_units(jobs, lanes) {
+                run_unit(unit, &ctx, f);
+            }
             return;
         }
-        let workers = self.workers.min(units.len());
-
-        // The effective cancel token: fail-fast needs one to trip, and a
-        // caller token must never be tripped by the fleet itself — so
-        // fail-fast on top of a caller token derives a child.
-        let cancel: Option<CancelToken> = match (&policy.cancel, policy.fail_fast) {
-            (Some(token), false) => Some(token.clone()),
-            (Some(token), true) => Some(token.child()),
-            (None, true) => Some(CancelToken::new()),
-            (None, false) => None,
-        };
-        let ctx = RunCtx {
-            cancel: cancel.as_ref(),
-            deadline: policy.deadline,
-            faults: &policy.faults,
-        };
-        let fail_fast = policy.fail_fast;
-
-        // Deal units round-robin.
-        let mut queues: Vec<VecDeque<Unit>> = (0..workers).map(|_| VecDeque::new()).collect();
-        for (at, unit) in units.into_iter().enumerate() {
-            queues[at % workers].push_back(unit);
-        }
-        let queues: Vec<Mutex<VecDeque<Unit>>> = queues.into_iter().map(Mutex::new).collect();
-
-        let start = SpinBarrier::new(workers);
-        std::thread::scope(|scope| {
-            for w in 0..workers {
-                let queues = &queues;
-                let start = &start;
-                scope.spawn(move || {
-                    // Align the batch start: no worker races ahead while
-                    // its peers are still being spawned. The guard keeps a
-                    // worker that somehow dies here from stranding its
-                    // peers at the rendezvous.
-                    let _guard = start.guard();
-                    if start.wait().is_err() {
-                        return;
-                    }
-                    let mut rng = SmallRng::seed_from_u64(w as u64);
-                    loop {
-                        // Own queue first, front-out (submission order).
-                        let task = queues[w].lock().unwrap().pop_front();
-                        let task = match task {
-                            Some(t) => Some(t),
-                            // Dry: steal from the *back* of a victim,
-                            // taking the work its owner would reach last.
-                            // The visit order is randomized per attempt so
-                            // stealers spread over victims; every queue is
-                            // still visited each sweep, so an empty sweep
-                            // proves the batch is fully claimed (jobs
-                            // never enqueue new jobs).
-                            None => {
-                                let offset = rng.gen_range(0..workers);
-                                (0..workers)
-                                    .map(|i| (offset + i) % workers)
-                                    .filter(|&v| v != w)
-                                    .find_map(|v| queues[v].lock().unwrap().pop_back())
-                            }
-                        };
-                        match task {
-                            Some(unit) => {
-                                // Capture the unit's job indexes before it
-                                // is consumed, so a panic can still be
-                                // pinned to its jobs.
-                                let indexes = unit.job_indexes();
-                                let mut outs = Vec::new();
-                                let panicked =
-                                    catch_silent_mut(|| unit.execute(&ctx, &mut outs)).err();
-                                let mut failed = false;
-                                let mut produced = vec![false; indexes.len()];
-                                for output in outs {
-                                    failed |= output.outcome.is_failure();
-                                    if let Some(at) =
-                                        indexes.iter().position(|&i| i == output.index)
-                                    {
-                                        produced[at] = true;
-                                    }
-                                    sink(output);
-                                }
-                                // A panic mid-unit: every job the unit did
-                                // not get to report becomes a structured
-                                // WorkerPanic output.
-                                if let Some(message) = panicked {
-                                    failed = true;
-                                    for (&index, _) in
-                                        indexes.iter().zip(&produced).filter(|(_, &done)| !done)
-                                    {
-                                        sink(JobOutput {
-                                            index,
-                                            outcome: JobOutcome::WorkerPanic,
-                                            result: Err(MachineError::WorkerPanic {
-                                                message: message.clone(),
-                                            }),
-                                            machine: None,
-                                        });
-                                    }
-                                }
-                                if fail_fast && failed {
-                                    if let Some(token) = ctx.cancel {
-                                        token.cancel();
-                                    }
-                                }
-                            }
-                            None => break,
-                        }
-                    }
-                });
-            }
+        let n = jobs.len();
+        let (tx, rx) = mpsc::channel();
+        self.submit_ganged(jobs, lanes, policy, move |output| {
+            // A caller that stopped listening (its sink panicked) no
+            // longer needs the output.
+            let _ = tx.send(output);
         });
+        for output in rx.into_iter().take(n) {
+            f(output);
+        }
     }
 }
 
-/// Drives a streaming run and collects its outputs back into
-/// submission-order slots — how the batch APIs are built on the streaming
-/// one. `n` is the number of submitted jobs; the run must emit exactly
-/// one output per job.
-fn collect_in_order(n: usize, run: impl FnOnce(&(dyn Fn(JobOutput) + Sync))) -> Vec<JobOutput> {
-    let slots: Vec<Mutex<Option<JobOutput>>> = (0..n).map(|_| Mutex::new(None)).collect();
-    run(&|output: JobOutput| {
-        let index = output.index;
-        *slots[index].lock().unwrap() = Some(output);
-    });
-    slots
-        .into_iter()
-        .map(|slot| {
-            slot.into_inner()
-                .unwrap()
-                .expect("every submitted job produces exactly one output")
-        })
-        .collect()
+/// Splits a batch into schedulable units. With `lanes > 1`, fresh
+/// gangable jobs that share a gang key group into gangs of up to `lanes`
+/// (scanning in submission order, so the grouping is deterministic);
+/// every other job, and every gang of one, is a solo unit.
+fn group_units(jobs: Vec<SimJob>, lanes: usize) -> Vec<Unit> {
+    if lanes <= 1 {
+        return jobs
+            .into_iter()
+            .enumerate()
+            .map(|(index, job)| Unit::Single(index, job))
+            .collect();
+    }
+    // A gang machine holds at most MAX_LANES lanes; wider requests simply
+    // open another gang (never truncate a group against a
+    // silently-clamped machine).
+    let lanes = lanes.min(MAX_LANES);
+    let mut units: Vec<Unit> = Vec::new();
+    // Open (not yet full) gang per compatibility key, as an index into
+    // `units`.
+    let mut open: HashMap<GangKey, usize> = HashMap::new();
+    for (index, job) in jobs.into_iter().enumerate() {
+        if !job.gangable() {
+            units.push(Unit::Single(index, job));
+            continue;
+        }
+        match open.entry(job.gang_key()) {
+            std::collections::hash_map::Entry::Occupied(entry) => {
+                let slot = *entry.get();
+                let Unit::Gang(group) = &mut units[slot] else {
+                    unreachable!("open gangs index gang units")
+                };
+                group.push((index, job));
+                if group.len() == lanes {
+                    entry.remove();
+                }
+            }
+            std::collections::hash_map::Entry::Vacant(entry) => {
+                entry.insert(units.len());
+                units.push(Unit::Gang(vec![(index, job)]));
+            }
+        }
+    }
+    // A gang of one gains nothing from the lane machinery; demote it to
+    // the plain per-job path.
+    for unit in &mut units {
+        if let Unit::Gang(group) = unit {
+            if group.len() == 1 {
+                let (index, job) = group.pop().expect("len checked");
+                *unit = Unit::Single(index, job);
+            }
+        }
+    }
+    units
+}
+
+/// Runs one unit (on a pool worker, or on the caller of a one-worker
+/// fleet), handing each output to `sink` the moment the unit finishes. The unit executes under `catch_unwind`: a
+/// panicking job (injected or genuine) yields [`JobOutcome::WorkerPanic`]
+/// outputs for the unit's unreported jobs and the worker moves on — the
+/// batch always emits exactly one output per job. A failure trips the
+/// batch's token when the policy is fail-fast.
+fn run_unit(unit: Unit, ctx: &BatchCtx, sink: &mut dyn FnMut(JobOutput)) {
+    // Capture the unit's job indexes before it is consumed, so a panic
+    // can still be pinned to its jobs.
+    let indexes = unit.job_indexes();
+    let mut outs = Vec::new();
+    let panicked = catch_silent_mut(|| unit.execute(ctx, &mut outs)).err();
+    let mut failed = false;
+    let mut produced = vec![false; indexes.len()];
+    for output in outs {
+        failed |= output.outcome.is_failure();
+        if let Some(at) = indexes.iter().position(|&i| i == output.index) {
+            produced[at] = true;
+        }
+        sink(output);
+    }
+    // A panic mid-unit: every job the unit did not get to report becomes
+    // a structured WorkerPanic output.
+    if let Some(message) = panicked {
+        failed = true;
+        for (&index, _) in indexes.iter().zip(&produced).filter(|(_, &done)| !done) {
+            sink(JobOutput {
+                index,
+                outcome: JobOutcome::WorkerPanic,
+                result: Err(MachineError::WorkerPanic {
+                    message: message.clone(),
+                }),
+                machine: None,
+            });
+        }
+    }
+    if ctx.fail_fast && failed {
+        if let Some(token) = &ctx.cancel {
+            token.cancel();
+        }
+    }
 }
 
 /// Configuration for [`Fleet::explore`]: the shape of the scenario tree
@@ -1105,6 +1127,9 @@ impl Fleet {
         // Global child ordinal in submission order — the job index a
         // FaultPlan addresses.
         let mut next_child: usize = 0;
+        // Owned by the round's tasks, which outlive no round but run on
+        // the persistent pool.
+        let faults = Arc::new(policy.faults.clone());
 
         for _ in 0..cfg.rounds {
             // The round boundary is the only interruption point; see the
@@ -1140,9 +1165,10 @@ impl Fleet {
             let round_base = next_child;
             next_child += gangs.len() * lanes;
 
-            // Run the round's gangs across the worker pool. Workers send
-            // each finished gang down a channel the moment it completes;
-            // the merge below consumes them *as they finish*, holding
+            // Run the round's gangs on the worker pool. Each gang is one
+            // task, which sends the finished gang down a channel the
+            // moment it completes; the merge below consumes them *as they
+            // finish*, holding
             // early finishers in a reorder buffer so scoring still
             // happens in submission order (the tree stays a pure function
             // of `(program, config)`) while later gangs are still
@@ -1155,104 +1181,105 @@ impl Fleet {
                 Done(GangMachine, Vec<Result<RunOutcome, MachineError>>),
                 Lost,
             }
-            let queue: Mutex<Vec<(usize, GangMachine)>> =
-                Mutex::new(gangs.into_iter().enumerate().rev().collect());
-            let workers = self.workers.min(n);
-            let faults = &policy.faults;
             report.rounds_run += 1;
             let mut raisers: Vec<Checkpoint> = Vec::new();
             let mut pad: Vec<Checkpoint> = Vec::new();
-            let (tx, rx) = std::sync::mpsc::channel::<(usize, GangSlot)>();
-            std::thread::scope(|scope| {
-                for _ in 0..workers {
-                    let queue = &queue;
-                    let tx = tx.clone();
-                    scope.spawn(move || loop {
-                        let task = queue.lock().unwrap().pop();
-                        match task {
-                            Some((i, mut gang)) => {
-                                let filled = if faults.is_empty() {
-                                    let results = gang.run_vcycles(vcycles);
-                                    GangSlot::Done(gang, results)
-                                } else {
-                                    // Children of gang i are ordinals
-                                    // round_base + i*lanes + lane.
-                                    let base = round_base + i * lanes;
-                                    let lane_jobs: Vec<usize> =
-                                        (0..lanes).map(|lane| base + lane).collect();
-                                    catch_silent_mut(|| {
-                                        let results = run_gang_with_faults(
-                                            &mut gang, vcycles, &lane_jobs, faults,
-                                        );
-                                        (gang, results)
-                                    })
-                                    .map(|(gang, results)| GangSlot::Done(gang, results))
-                                    .unwrap_or(GangSlot::Lost)
-                                };
-                                if tx.send((i, filled)).is_err() {
-                                    break;
-                                }
-                            }
-                            None => break,
-                        }
-                    });
+            // Runs gang `i` of the round, containing an injected panic.
+            let run_gang = move |i: usize, mut gang: GangMachine, faults: &FaultPlan| {
+                if faults.is_empty() {
+                    let results = gang.run_vcycles(vcycles);
+                    return (i, GangSlot::Done(gang, results));
                 }
-                // The workers hold the clones; dropping the original lets
-                // the receive loop end when the last worker exits.
+                // Children of gang i are ordinals round_base + i*lanes + lane.
+                let base = round_base + i * lanes;
+                let lane_jobs: Vec<usize> = (0..lanes).map(|lane| base + lane).collect();
+                let slot = catch_silent_mut(|| {
+                    let results = run_gang_with_faults(&mut gang, vcycles, &lane_jobs, faults);
+                    (gang, results)
+                })
+                .map(|(gang, results)| GangSlot::Done(gang, results))
+                .unwrap_or(GangSlot::Lost);
+                (i, slot)
+            };
+            // A one-worker fleet runs the round on the calling thread, in
+            // order, as `for_each_output` does for batches.
+            let finished: Box<dyn Iterator<Item = (usize, GangSlot)>> = if self.workers == 1 {
+                let faults = &faults;
+                Box::new(
+                    gangs
+                        .into_iter()
+                        .enumerate()
+                        .map(move |(i, gang)| run_gang(i, gang, faults)),
+                )
+            } else {
+                let (tx, rx) = mpsc::channel::<(usize, GangSlot)>();
+                self.pool.submit(
+                    self.workers,
+                    gangs.into_iter().enumerate().map(|(i, gang)| {
+                        let tx = tx.clone();
+                        let faults = Arc::clone(&faults);
+                        Box::new(move || {
+                            let _ = tx.send(run_gang(i, gang, &faults));
+                        }) as Task
+                    }),
+                );
+                // The tasks hold the clones; dropping the original lets
+                // the receive loop end when the last task is done.
                 drop(tx);
+                Box::new(rx.into_iter())
+            };
 
-                // Merge in submission order as gangs finish: score every
-                // child against the shared map, keep coverage-raisers for
-                // the next frontier, pad with the round's earliest
-                // still-running children.
-                let mut pending: std::collections::BTreeMap<usize, GangSlot> =
-                    std::collections::BTreeMap::new();
-                let mut next_gang = 0usize;
-                for (i, slot) in rx {
-                    pending.insert(i, slot);
-                    while let Some(slot) = pending.remove(&next_gang) {
-                        next_gang += 1;
-                        let (gang, results) = match slot {
-                            GangSlot::Done(gang, results) => (gang, results),
-                            GangSlot::Lost => {
-                                report.killed += lanes as u64;
-                                continue;
+            // Merge in submission order as gangs finish: score every
+            // child against the shared map, keep coverage-raisers for the
+            // next frontier, pad with the round's earliest still-running
+            // children.
+            let mut pending: std::collections::BTreeMap<usize, GangSlot> =
+                std::collections::BTreeMap::new();
+            let mut next_gang = 0usize;
+            for (i, slot) in finished {
+                pending.insert(i, slot);
+                while let Some(slot) = pending.remove(&next_gang) {
+                    next_gang += 1;
+                    let (gang, results) = match slot {
+                        GangSlot::Done(gang, results) => (gang, results),
+                        GangSlot::Lost => {
+                            report.killed += lanes as u64;
+                            continue;
+                        }
+                    };
+                    for (machine, result) in gang.into_machines().into_iter().zip(results) {
+                        report.scenarios += 1;
+                        let newly = coverage.observe(&machine);
+                        let running = match &result {
+                            Ok(outcome) => {
+                                coverage.record_events(outcome.displays.len() as u64, 0);
+                                if outcome.finished {
+                                    report.finished += 1;
+                                }
+                                !outcome.finished
+                            }
+                            Err(MachineError::AssertFailed { .. }) => {
+                                coverage.record_events(0, 1);
+                                report.asserts += 1;
+                                false
+                            }
+                            Err(_) => {
+                                report.faults += 1;
+                                false
                             }
                         };
-                        for (machine, result) in gang.into_machines().into_iter().zip(results) {
-                            report.scenarios += 1;
-                            let newly = coverage.observe(&machine);
-                            let running = match &result {
-                                Ok(outcome) => {
-                                    coverage.record_events(outcome.displays.len() as u64, 0);
-                                    if outcome.finished {
-                                        report.finished += 1;
-                                    }
-                                    !outcome.finished
-                                }
-                                Err(MachineError::AssertFailed { .. }) => {
-                                    coverage.record_events(0, 1);
-                                    report.asserts += 1;
-                                    false
-                                }
-                                Err(_) => {
-                                    report.faults += 1;
-                                    false
-                                }
-                            };
-                            if !running {
-                                continue;
-                            }
-                            if newly > 0 && raisers.len() < cap {
-                                raisers.push(machine.checkpoint());
-                            } else if pad.len() < cap {
-                                pad.push(machine.checkpoint());
-                            }
+                        if !running {
+                            continue;
+                        }
+                        if newly > 0 && raisers.len() < cap {
+                            raisers.push(machine.checkpoint());
+                        } else if pad.len() < cap {
+                            pad.push(machine.checkpoint());
                         }
                     }
                 }
-                assert_eq!(next_gang, n, "every gang produces a result");
-            });
+            }
+            assert_eq!(next_gang, n, "every gang produces a result");
             let mut next = raisers;
             for cp in pad {
                 if next.len() >= cap {
@@ -1277,6 +1304,7 @@ impl Fleet {
 mod tests {
     use super::*;
     use manticore_isa::{AluOp, Binary, CoreImage, Instruction, MachineConfig};
+    use std::sync::Mutex;
 
     /// A 1×1 counter program: `r1 += r2` once per Vcycle.
     fn counter_program() -> Arc<CompiledProgram> {
@@ -1737,6 +1765,108 @@ mod tests {
             &|out| seen.lock().unwrap().push(out.index),
         );
         assert_eq!(seen.into_inner().unwrap(), vec![0, 1, 2]);
+    }
+
+    /// A fleet on a pool of its own, so a test can count and join its
+    /// threads while other tests share the process pool.
+    fn private_fleet(workers: usize) -> Fleet {
+        let pool = Arc::new(Pool::empty());
+        pool.grow(workers);
+        Fleet { pool, workers }
+    }
+
+    /// Submits a probe task at `width` that reports the thread it ran on.
+    fn probe(pool: &Pool, width: usize, tx: &mpsc::Sender<std::thread::ThreadId>) {
+        let tx = tx.clone();
+        pool.submit(
+            width,
+            [Box::new(move || {
+                let _ = tx.send(std::thread::current().id());
+            }) as Task],
+        );
+    }
+
+    #[test]
+    fn two_hundred_batches_run_on_the_same_two_worker_threads() {
+        let program = counter_program();
+        let fleet = private_fleet(2);
+        let workers = fleet.pool.thread_ids();
+        assert_eq!(workers.len(), 2);
+        // Each batch also carries a probe that reports the thread it ran
+        // on; a pool that spawned per batch would report new ids.
+        let (tx, rx) = mpsc::channel();
+        for batch in 0..200u64 {
+            probe(&fleet.pool, 2, &tx);
+            let jobs: Vec<SimJob> = (0..3).map(|_| SimJob::new(&program, 2)).collect();
+            let outputs = match batch % 3 {
+                0 => fleet.run(jobs),
+                1 => fleet.run_ganged(jobs, 2),
+                _ => {
+                    let seen = Mutex::new(Vec::new());
+                    fleet.run_stream(jobs, &BatchPolicy::default(), &|out| {
+                        seen.lock().unwrap().push(out)
+                    });
+                    seen.into_inner().unwrap()
+                }
+            };
+            assert_eq!(outputs.len(), 3, "batch {batch}");
+        }
+        drop(tx);
+        let ran_on: std::collections::HashSet<_> = rx.into_iter().collect();
+        assert!(!ran_on.is_empty() && ran_on.len() <= 2);
+        assert!(ran_on.iter().all(|id| workers.contains(id)));
+        assert_eq!(fleet.pool.thread_ids(), workers, "no thread was added");
+    }
+
+    #[test]
+    fn a_fleet_runs_only_on_as_many_threads_as_it_has_workers() {
+        let pool = private_fleet(3).pool;
+        let ids = pool.thread_ids();
+        let (tx, rx) = mpsc::channel();
+        for _ in 0..60 {
+            probe(&pool, 1, &tx);
+        }
+        drop(tx);
+        assert!(
+            rx.into_iter().all(|id| id == ids[0]),
+            "width 1: worker 0 only"
+        );
+        let (tx, rx) = mpsc::channel();
+        for _ in 0..60 {
+            probe(&pool, 2, &tx);
+        }
+        drop(tx);
+        assert!(
+            rx.into_iter().all(|id| id != ids[2]),
+            "width 2: workers 0 and 1"
+        );
+    }
+
+    #[test]
+    fn fleets_share_the_process_pool_and_grow_it_on_first_use() {
+        let small = Fleet::new(1);
+        let wide = Fleet::new(3);
+        assert!(Arc::ptr_eq(&small.pool, &wide.pool));
+        assert_eq!((small.workers(), wide.workers()), (1, 3));
+        let outputs = wide.run(vec![SimJob::new(&counter_program(), 2)]);
+        assert_eq!(outputs.len(), 1);
+        assert!(wide.pool.thread_ids().len() >= 3);
+    }
+
+    #[test]
+    fn dropping_the_last_handle_joins_the_workers() {
+        let program = counter_program();
+        let fleet = private_fleet(2);
+        let alive = fleet.pool.liveness();
+        let clone = fleet.clone();
+        drop(fleet);
+        // A surviving clone keeps the pool serving.
+        assert_eq!(clone.run(vec![SimJob::new(&program, 3)]).len(), 1);
+        assert!(alive.upgrade().is_some());
+        // The last drop returns only after every worker has exited: no
+        // worker holds the shared state any more.
+        drop(clone);
+        assert_eq!(alive.strong_count(), 0);
     }
 
     #[test]

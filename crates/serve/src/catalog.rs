@@ -14,11 +14,18 @@
 //! Each micro design exposes a writable input register (`count`, `acc`,
 //! `lfsr`, `t`) so jobs can carry distinct input vectors, and keeps its
 //! state observable through an output of the same name.
+//!
+//! Building a benchmark netlist costs milliseconds, and hashing it for
+//! its cache key most of another. A server resolves names through a
+//! [`Catalog`], which does both once per (design, grid) and hands later
+//! submissions the memoized result.
 
 use manticore::isa::MachineConfig;
 use manticore::netlist::{Netlist, NetlistBuilder};
 use manticore_util::FnvHasher;
+use std::collections::HashMap;
 use std::hash::Hasher;
+use std::sync::{Arc, Mutex, PoisonError};
 
 /// The micro design names served at grid 2×2 by default.
 pub const MICRO_DESIGNS: [&str; 4] = ["counter", "accum", "lfsr", "toggle"];
@@ -48,6 +55,69 @@ pub fn netlist_hash(netlist: &Netlist, config: &MachineConfig) -> u64 {
     h.write(format!("{netlist:?}").as_bytes());
     h.write(format!("{config:?}").as_bytes());
     h.finish()
+}
+
+/// A catalog design resolved for one grid: what [`lookup`] and
+/// [`netlist_hash`] produce for it.
+#[derive(Debug)]
+pub struct Resolved {
+    /// The design's netlist.
+    pub netlist: Arc<Netlist>,
+    /// The machine configuration for the requested grid.
+    pub config: MachineConfig,
+    /// The program-cache key, `netlist_hash(&netlist, &config)`.
+    pub key: u64,
+}
+
+/// Most (design, grid) pairs a [`Catalog`] memoizes. Past it, names still
+/// resolve, just without the memo, so a client sweeping grid sizes cannot
+/// grow the server's memory without bound.
+const MEMO_CAP: usize = 64;
+
+/// Resolved designs by (name, requested grid).
+type Memo = HashMap<(String, Option<usize>), Arc<Resolved>>;
+
+/// A memoizing front end to [`lookup`] + [`netlist_hash`]: each
+/// (design, grid) pair is built and hashed once, then served from the
+/// memo. Names the catalog does not serve are never memoized.
+#[derive(Debug, Default)]
+pub struct Catalog {
+    memo: Mutex<Memo>,
+}
+
+impl Catalog {
+    /// An empty catalog memo.
+    pub fn new() -> Catalog {
+        Catalog::default()
+    }
+
+    /// Resolves `name` at `grid` (as [`lookup`] does), or `None` for a
+    /// name the catalog does not serve.
+    pub fn resolve(&self, name: &str, grid: Option<usize>) -> Option<Arc<Resolved>> {
+        let memo_key = (name.to_string(), grid);
+        if let Some(hit) = self.lock().get(&memo_key) {
+            return Some(Arc::clone(hit));
+        }
+        // Build outside the lock: a miss must not stall other readers.
+        let (netlist, config) = lookup(name, grid)?;
+        let key = netlist_hash(&netlist, &config);
+        let resolved = Arc::new(Resolved {
+            netlist: Arc::new(netlist),
+            config,
+            key,
+        });
+        let mut memo = self.lock();
+        if memo.len() < MEMO_CAP {
+            // Two racing misses built identical values; keep the first.
+            return Some(Arc::clone(memo.entry(memo_key).or_insert(resolved)));
+        }
+        Some(resolved)
+    }
+
+    /// The memo holds no user code, so a poisoned lock is still sound.
+    fn lock(&self) -> std::sync::MutexGuard<'_, Memo> {
+        self.memo.lock().unwrap_or_else(PoisonError::into_inner)
+    }
 }
 
 /// A free-running 16-bit counter; poke `count` to set the start value.
@@ -141,6 +211,36 @@ mod tests {
 
         let (lfsr, cl) = lookup("lfsr", None).unwrap();
         assert_ne!(netlist_hash(&n1, &c1), netlist_hash(&lfsr, &cl));
+    }
+
+    #[test]
+    fn memoized_keys_equal_the_direct_hash_for_every_design() {
+        let catalog = Catalog::new();
+        let names = MICRO_DESIGNS
+            .iter()
+            .map(|n| n.to_string())
+            .chain(
+                manticore::workloads::all()
+                    .into_iter()
+                    .map(|w| w.name.to_string()),
+            )
+            .chain(["soc".to_string()]);
+        for name in names {
+            for grid in [None, Some(3)] {
+                let (netlist, config) = lookup(&name, grid).unwrap();
+                let direct = netlist_hash(&netlist, &config);
+                for round in 0..2 {
+                    let resolved = catalog.resolve(&name, grid).unwrap();
+                    assert_eq!(resolved.key, direct, "{name} {grid:?} round {round}");
+                    assert_eq!(resolved.config, config);
+                }
+            }
+        }
+        assert!(catalog.resolve("no_such_design", None).is_none());
+        assert!(!catalog
+            .lock()
+            .keys()
+            .any(|(name, _)| name == "no_such_design"));
     }
 
     #[test]

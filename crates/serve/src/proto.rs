@@ -65,16 +65,19 @@ impl fmt::Display for FrameError {
 
 impl std::error::Error for FrameError {}
 
-/// Writes `value` as one length-prefixed frame.
+/// Writes `value` as one length-prefixed frame, prefix and payload in a
+/// single write: on a socket, a separate 4-byte prefix write would leave
+/// the payload waiting (Nagle) for the peer's delayed ACK of the prefix.
 ///
 /// # Errors
 ///
 /// Propagates I/O failure (a disconnected peer, typically).
 pub fn write_frame(w: &mut impl Write, value: &Value) -> std::io::Result<()> {
     let payload = value.render();
-    let len = payload.len() as u32;
-    w.write_all(&len.to_be_bytes())?;
-    w.write_all(payload.as_bytes())?;
+    let mut frame = Vec::with_capacity(4 + payload.len());
+    frame.extend_from_slice(&(payload.len() as u32).to_be_bytes());
+    frame.extend_from_slice(payload.as_bytes());
+    w.write_all(&frame)?;
     w.flush()
 }
 
@@ -655,6 +658,36 @@ impl Reply {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn a_frame_is_one_write() {
+        /// Counts `write` calls, accepting every byte at once.
+        #[derive(Default)]
+        struct CountingWriter {
+            writes: usize,
+            bytes: Vec<u8>,
+        }
+        impl Write for CountingWriter {
+            fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+                self.writes += 1;
+                self.bytes.extend_from_slice(buf);
+                Ok(buf.len())
+            }
+            fn flush(&mut self) -> std::io::Result<()> {
+                Ok(())
+            }
+        }
+        let mut w = CountingWriter::default();
+        for (n, id) in [1u64, 2, 3].into_iter().enumerate() {
+            write_frame(&mut w, &Value::obj(vec![("id", Value::Int(id))])).unwrap();
+            assert_eq!(w.writes, n + 1, "frame {id} took more than one write");
+        }
+        let mut r = &w.bytes[..];
+        for _ in 0..3 {
+            assert!(read_frame(&mut r).unwrap().is_some());
+        }
+        assert!(read_frame(&mut r).unwrap().is_none());
+    }
 
     #[test]
     fn frames_round_trip_over_a_byte_pipe() {

@@ -7,19 +7,31 @@
 //! **reader** (parses frames, runs admission — including the compile on
 //! a cache miss — and enqueues) and a **writer** (drains a channel of
 //! reply frames; results are pushed to it from whatever thread finished
-//! the job). One **dispatcher** thread assembles batches with deficit
-//! round robin across connections and runs them on the fleet via the
-//! streaming path, so each result is written back the moment its job
-//! finishes — not at the batch barrier. One **reaper** thread drops idle
-//! parked sessions.
+//! the job). Catalog names resolve through a memo, so a submission
+//! builds and hashes its design's netlist only the first time.
+//!
+//! One **dispatcher** thread owns the fleet: a persistent pool of
+//! `workers` threads, spawned once at bind. Dispatch is late-bound.
+//! Whenever fewer than `workers` of the daemon's units are in flight,
+//! the dispatcher takes one fair pick and submits it to the pool without
+//! waiting for it. The worker that finishes a unit renders each job's
+//! reply, pushes it to the job's writer, and frees the slot, which wakes
+//! the dispatcher for the next pick. No batch barrier exists: a short
+//! job waits for a free worker, never for the slowest job of someone
+//! else's batch. One **reaper** thread drops idle parked sessions.
 //!
 //! ## Fairness, backpressure, cancellation
 //!
 //! Admission rejects (with a retry hint) once the total queued work
 //! passes the high-water mark — the client, not an unbounded queue,
-//! holds the overload. Dispatch is deficit round robin: each connection
-//! accrues `drr_quantum` Vcycles of credit per round and dispatches jobs
-//! while its credit covers their cost, so a flood of cheap jobs from one
+//! holds the overload. Dispatch is deficit round robin over the
+//! connections, one pick at a time. A pick is a connection's front job
+//! plus up to `lanes − 1` of its queued followers that share the front's
+//! program and budget, so they run as one gang. The connection being
+//! served keeps picking while its credit covers the next job's cost;
+//! then the next backlogged connection, in id order, gains `drr_quantum`
+//! Vcycles of credit and takes its turn. A job's cost is its Vcycle
+//! budget clamped to one quantum, so a flood of cheap jobs from one
 //! client cannot starve another's. Every job carries its connection's
 //! cancel token: a disconnect trips it, stopping that client's running
 //! jobs at their next Vcycle boundary and discarding its queued ones,
@@ -32,7 +44,7 @@ use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc::{Receiver, Sender};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
 use manticore::compiler::{
@@ -45,7 +57,7 @@ use manticore::netlist::Netlist;
 use manticore_util::{catch_silent_mut, CancelToken};
 
 use crate::cache::{CacheEntry, CacheStats, ProgramCache};
-use crate::catalog;
+use crate::catalog::{self, Catalog};
 use crate::durable::{DurableStore, Envelope};
 use crate::json::Value;
 use crate::proto::{
@@ -73,9 +85,9 @@ pub struct ServerConfig {
     pub queue_high_water: usize,
     /// Milliseconds clients are told to back off when rejected.
     pub retry_after_ms: u64,
-    /// Most jobs dispatched to the fleet in one batch.
-    pub batch_max: usize,
-    /// Vcycles of credit each connection accrues per scheduling round.
+    /// Vcycles of credit a backlogged connection gains each time its
+    /// deficit-round-robin turn comes up; also the most one job is
+    /// charged.
     pub drr_quantum: u64,
     /// Idle time after which a parked session is reaped.
     pub session_ttl: Duration,
@@ -111,7 +123,6 @@ impl Default for ServerConfig {
             compile_slots: 1,
             queue_high_water: 1024,
             retry_after_ms: 20,
-            batch_max: 256,
             drr_quantum: 50_000,
             session_ttl: Duration::from_secs(30),
             reaper_period: Duration::from_millis(500),
@@ -158,8 +169,80 @@ struct Sched {
     conns: HashMap<u64, ConnQueue>,
     /// Total queued jobs across all connections.
     queued: usize,
-    /// Where the next DRR round starts, for rotating first-served.
-    cursor: usize,
+    /// Picks submitted to the fleet whose unit has not finished yet.
+    inflight: usize,
+    /// The connection whose DRR turn it is; it already holds this turn's
+    /// credit.
+    active: Option<u64>,
+}
+
+impl Sched {
+    /// Takes the next deficit-round-robin pick: the serving connection's
+    /// front job plus up to `lanes - 1` of its queued followers that
+    /// would gang with it, all covered by its credit. Moves the turn on,
+    /// crediting one `quantum`, while the serving connection cannot
+    /// afford its front job. `None` only when nothing is queued.
+    fn pick(&mut self, quantum: u64, lanes: usize) -> Option<Vec<PendingJob>> {
+        if self.queued == 0 {
+            return None;
+        }
+        loop {
+            if let Some(conn) = self.active.and_then(|id| self.conns.get_mut(&id)) {
+                match conn.queue.front() {
+                    // Clamp the charge to one quantum (the classic DRR
+                    // requirement): a job dearer than the quantum costs a
+                    // full turn's credit, not an unbounded wait.
+                    Some(front) if front.cost.clamp(1, quantum) <= conn.deficit => {
+                        let pick = conn.take_pick(quantum, lanes);
+                        self.queued -= pick.len();
+                        return Some(pick);
+                    }
+                    Some(_) => {}
+                    // An idle connection banks no credit.
+                    None => conn.deficit = 0,
+                }
+            }
+            // The next connection in id order, wrapping, gets the turn.
+            let after = self.active.unwrap_or(0);
+            let next = self
+                .conns
+                .keys()
+                .copied()
+                .filter(|&id| id > after)
+                .min()
+                .or_else(|| self.conns.keys().copied().min())?;
+            self.active = Some(next);
+            let conn = self.conns.get_mut(&next).expect("id was just listed");
+            conn.deficit = if conn.queue.is_empty() {
+                0
+            } else {
+                conn.deficit.saturating_add(quantum)
+            };
+        }
+    }
+}
+
+impl ConnQueue {
+    /// Pops the front job and up to `lanes - 1` queued jobs that gang
+    /// with it (same program, knobs and budget, hence the same cost),
+    /// charging each against the deficit while it lasts. The caller has
+    /// checked that the front job is affordable.
+    fn take_pick(&mut self, quantum: u64, lanes: usize) -> Vec<PendingJob> {
+        let front = self.queue.pop_front().expect("caller saw a front job");
+        let cost = front.cost.clamp(1, quantum);
+        self.deficit -= cost;
+        let mut pick = vec![front];
+        let mut at = 0;
+        while pick.len() < lanes && at < self.queue.len() && cost <= self.deficit {
+            if pick[0].job.gangs_with(&self.queue[at].job) {
+                self.deficit -= cost;
+                pick.push(self.queue.remove(at).expect("index in range"));
+            } else {
+                at += 1;
+            }
+        }
+        pick
+    }
 }
 
 #[derive(Default)]
@@ -176,7 +259,7 @@ struct Counters {
 
 struct Shared {
     cfg: ServerConfig,
-    fleet: Fleet,
+    catalog: Catalog,
     cache: ProgramCache,
     sessions: SessionTable,
     durable: Option<DurableStore>,
@@ -212,8 +295,9 @@ impl Server {
             Some(dir) => Some(DurableStore::open(dir)?),
             None => None,
         };
+        let fleet = Fleet::new(cfg.workers);
         let shared = Arc::new(Shared {
-            fleet: Fleet::new(cfg.workers),
+            catalog: Catalog::new(),
             cache: ProgramCache::new(cfg.cache_bytes, cfg.compile_slots),
             sessions: SessionTable::new(cfg.session_ttl),
             durable,
@@ -236,7 +320,7 @@ impl Server {
         }
         {
             let shared = Arc::clone(&shared);
-            threads.push(std::thread::spawn(move || dispatch_loop(shared)));
+            threads.push(std::thread::spawn(move || dispatch_loop(shared, fleet)));
         }
         {
             let shared = Arc::clone(&shared);
@@ -302,6 +386,9 @@ fn accept_loop(listener: TcpListener, shared: Arc<Shared>) {
             break;
         }
         let Ok(stream) = stream else { continue };
+        // Replies are small frames written as they finish; Nagle would
+        // hold each one back until the client's delayed ACK.
+        stream.set_nodelay(true).ok();
         next_conn += 1;
         let conn_id = next_conn;
         shared.counters.conns_opened.fetch_add(1, Ordering::Relaxed);
@@ -450,18 +537,18 @@ fn admit_submit(
             message,
         })
     };
-    let Some((netlist, config)) = catalog::lookup(&req.design, req.grid) else {
+    let Some(design) = shared.catalog.resolve(&req.design, req.grid) else {
         return err(format!("unknown design `{}`", req.design));
     };
-    let key = catalog::netlist_hash(&netlist, &config);
+    let config = &design.config;
     // Miss path: compile on this reader thread, bounded by the cache's
     // compile slots; concurrent requests for the same key wait and share.
-    let entry = shared.cache.get_or_compile(key, || {
+    let entry = shared.cache.get_or_compile(design.key, || {
         let options = CompileOptions {
             config: config.clone(),
             ..Default::default()
         };
-        let output = Arc::new(compile(&netlist, &options).map_err(|e| e.to_string())?);
+        let output = Arc::new(compile(&design.netlist, &options).map_err(|e| e.to_string())?);
         let program = CompiledProgram::compile_shared(config.clone(), &output.binary)
             .map_err(|e| e.to_string())?;
         let bytes = program.approx_bytes() + output.binary.total_instructions() * 8;
@@ -822,92 +909,66 @@ fn enqueue(pending: PendingJob, conn_id: u64, shared: &Shared) -> Option<Reply> 
     None
 }
 
-/// The dispatcher: DRR batch assembly, then a streaming fleet run whose
-/// sink writes each reply the moment its job finishes.
-fn dispatch_loop(shared: Arc<Shared>) {
-    loop {
-        let Some(batch) = next_batch(&shared) else {
-            return;
-        };
+/// The dispatcher: whenever a worker is free, take one DRR pick and
+/// submit it to the fleet without waiting for it. The worker that
+/// finishes the pick writes its replies and frees the slot. On shutdown
+/// the fleet drops here, which drains the in-flight picks (the shutdown
+/// token cancels them at their next Vcycle boundary) and joins the
+/// workers.
+fn dispatch_loop(shared: Arc<Shared>, fleet: Fleet) {
+    let policy = BatchPolicy {
+        cancel: Some(shared.shutdown.clone()),
+        ..BatchPolicy::default()
+    };
+    while let Some(pick) = next_pick(&shared, fleet.workers()) {
         let (jobs, metas): (Vec<SimJob>, Vec<JobMeta>) =
-            batch.into_iter().map(|p| (p.job, p.meta)).unzip();
-        let policy = BatchPolicy {
-            cancel: Some(shared.shutdown.clone()),
-            ..BatchPolicy::default()
-        };
-        shared
-            .fleet
-            .run_ganged_stream(jobs, shared.cfg.lanes, &policy, &|out: JobOutput| {
-                let meta = &metas[out.index];
-                let reply = finish_job(meta, out, &shared);
-                // A send failure means the client is gone; its work was
-                // already cancelled by the disconnect path.
-                let _ = meta.tx.send(reply.to_value());
-                shared.counters.completed.fetch_add(1, Ordering::Relaxed);
-            });
+            pick.into_iter().map(|p| (p.job, p.meta)).unzip();
+        let slot = SlotGuard(Arc::clone(&shared));
+        fleet.submit_ganged(jobs, shared.cfg.lanes, &policy, move |out: JobOutput| {
+            let shared = &slot.0;
+            let meta = &metas[out.index];
+            let reply = finish_job(meta, out, shared);
+            // Counted before the reply goes out, so a client that holds
+            // its reply never reads a `stats` that misses it.
+            shared.counters.completed.fetch_add(1, Ordering::Relaxed);
+            // A send failure means the client is gone; its work was
+            // already cancelled by the disconnect path.
+            let _ = meta.tx.send(reply.to_value());
+        });
     }
 }
 
-/// Assembles the next batch with deficit round robin, blocking until
-/// there is work. `None` on shutdown.
-fn next_batch(shared: &Shared) -> Option<Vec<PendingJob>> {
+/// One pick's dispatch slot, owned by the pick's sink. The fleet drops
+/// the sink once every unit of the pick has run, even one that panicked,
+/// and the drop frees the slot and wakes the dispatcher.
+struct SlotGuard(Arc<Shared>);
+
+impl Drop for SlotGuard {
+    fn drop(&mut self) {
+        // A drop must not panic; one decrement leaves the table valid
+        // even if another thread poisoned the lock.
+        let mut sched = self.0.sched.lock().unwrap_or_else(PoisonError::into_inner);
+        sched.inflight -= 1;
+        drop(sched);
+        self.0.work.notify_all();
+    }
+}
+
+/// Blocks until a worker is free and a job is queued, then takes the
+/// next DRR pick and counts it in flight. `None` on shutdown.
+fn next_pick(shared: &Shared, workers: usize) -> Option<Vec<PendingJob>> {
     let mut sched = shared.sched.lock().expect("sched lock poisoned");
     loop {
         if shared.shutdown.is_cancelled() {
             return None;
         }
-        if sched.queued == 0 {
-            sched = shared.work.wait(sched).expect("sched lock poisoned");
-            continue;
-        }
-        let mut batch = Vec::new();
-        // Rounds continue until something dispatches: every round adds a
-        // quantum to each backlogged connection, so even a job costing
-        // many quanta eventually accrues the credit to run.
-        while batch.len() < shared.cfg.batch_max && sched.queued > 0 {
-            let mut ids: Vec<u64> = sched.conns.keys().copied().collect();
-            ids.sort_unstable();
-            if ids.is_empty() {
-                break;
-            }
-            // Rotate who goes first so low conn ids get no edge.
-            let start = sched.cursor % ids.len();
-            ids.rotate_left(start);
-            sched.cursor = sched.cursor.wrapping_add(1);
-            for id in ids {
-                let Some(conn) = sched.conns.get_mut(&id) else {
-                    continue;
-                };
-                if conn.queue.is_empty() {
-                    // An idle connection banks no credit.
-                    conn.deficit = 0;
-                    continue;
-                }
-                conn.deficit = conn.deficit.saturating_add(shared.cfg.drr_quantum);
-                let mut popped = 0;
-                while batch.len() < shared.cfg.batch_max {
-                    let Some(front) = conn.queue.front() else {
-                        conn.deficit = 0;
-                        break;
-                    };
-                    // Clamp the charge to one quantum (the classic DRR
-                    // requirement): a job dearer than the quantum costs
-                    // a full round's credit, not an unbounded wait.
-                    let cost = front.cost.clamp(1, shared.cfg.drr_quantum);
-                    if cost > conn.deficit {
-                        break;
-                    }
-                    conn.deficit -= cost;
-                    let pending = conn.queue.pop_front().expect("front just observed");
-                    popped += 1;
-                    batch.push(pending);
-                }
-                sched.queued -= popped;
+        if sched.inflight < workers {
+            if let Some(pick) = sched.pick(shared.cfg.drr_quantum, shared.cfg.lanes) {
+                sched.inflight += 1;
+                return Some(pick);
             }
         }
-        if !batch.is_empty() {
-            return Some(batch);
-        }
+        sched = shared.work.wait(sched).expect("sched lock poisoned");
     }
 }
 
@@ -1127,5 +1188,80 @@ fn reaper_loop(shared: Arc<Shared>) {
             std::thread::sleep(slice);
             remaining = remaining.saturating_sub(slice);
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// The counter design compiled at grid `side`: one program per side.
+    fn counter(side: usize) -> (Arc<CompiledProgram>, Arc<CompileOutput>) {
+        let (netlist, config) = catalog::lookup("counter", Some(side)).expect("catalog design");
+        let options = CompileOptions {
+            config: config.clone(),
+            ..Default::default()
+        };
+        let output = Arc::new(compile(&netlist, &options).expect("counter compiles"));
+        let program = CompiledProgram::compile_shared(config, &output.binary).expect("loads");
+        (program, output)
+    }
+
+    /// Queues job `id` of `program` for `vcycles` on connection `conn`.
+    fn push(
+        sched: &mut Sched,
+        conn: u64,
+        (program, output): &(Arc<CompiledProgram>, Arc<CompileOutput>),
+        vcycles: u64,
+        id: u64,
+    ) {
+        let queue = sched.conns.entry(conn).or_insert_with(|| ConnQueue {
+            queue: VecDeque::new(),
+            deficit: 0,
+            cancel: CancelToken::new(),
+        });
+        let (tx, _) = std::sync::mpsc::channel();
+        queue.queue.push_back(PendingJob {
+            job: SimJob::new(program, vcycles).cancel_token(queue.cancel.clone()),
+            meta: JobMeta {
+                id,
+                reads: Vec::new(),
+                output: Arc::clone(output),
+                park: false,
+                source: SessionSource::Catalog {
+                    name: "counter".into(),
+                    grid: 2,
+                },
+                tx,
+            },
+            cost: vcycles,
+        });
+        sched.queued += 1;
+    }
+
+    #[test]
+    fn picks_gang_followers_and_pass_the_turn_when_credit_runs_out() {
+        let (a, b) = (counter(2), counter(3));
+        let mut sched = Sched::default();
+        // Connection 1: three `a` jobs interleaved with a `b` job, then
+        // an `a` job with a different budget. Connection 2: one job.
+        for (id, (design, vcycles)) in [(&a, 200), (&b, 200), (&a, 200), (&a, 200), (&a, 500)]
+            .into_iter()
+            .enumerate()
+        {
+            push(&mut sched, 1, design, vcycles, id as u64);
+        }
+        push(&mut sched, 2, &a, 200, 10);
+        let mut picks = Vec::new();
+        while let Some(pick) = sched.pick(1_000, 3) {
+            picks.push(pick.iter().map(|p| p.meta.id).collect::<Vec<_>>());
+        }
+        // Connection 1's turn (1000 credit) takes a gang of three `a`
+        // jobs past the `b` job (600), then the `b` job (200), then
+        // stops at the 500-Vcycle job it cannot afford (200 left).
+        // Connection 2's turn follows; connection 1 then finishes on its
+        // next turn.
+        assert_eq!(picks, vec![vec![0, 2, 3], vec![1], vec![10], vec![4]]);
+        assert_eq!(sched.queued, 0);
     }
 }

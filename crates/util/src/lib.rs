@@ -5,8 +5,7 @@
 //!
 //! - [`spin::SpinBarrier`] — the spinning arrive-await rendezvous used by
 //!   the Verilator-analog macro-task executor and §7.1 scaling models
-//!   (`manticore_refsim`) and by the fleet's batch start
-//!   (`manticore_fleet`);
+//!   (`manticore_refsim`);
 //! - [`pool::parallel_map`] / [`pool::parallel_map_mut`] — the scoped,
 //!   index-ordered worker pool behind the compiler's parallel passes:
 //!   results land in pre-assigned slots, so output is bit-identical at

@@ -11,6 +11,7 @@
 //! - admission control rejects past the high-water mark with a usable
 //!   retry hint, and the retry succeeds;
 //! - a mid-job disconnect cancels only the disconnecting client's work;
+//! - a short job is not held behind another client's long-running one;
 //! - park → resume continues a run with a state fingerprint identical
 //!   to one uninterrupted run.
 
@@ -160,8 +161,11 @@ fn a_tiny_byte_budget_evicts_lru_and_recompiles() {
 
 #[test]
 fn admission_rejects_past_high_water_and_the_retry_succeeds() {
-    let server = test_server(|cfg| cfg.queue_high_water = 2);
-    // Connection A occupies the dispatcher with an effectively unbounded
+    let server = test_server(|cfg| {
+        cfg.queue_high_water = 2;
+        cfg.workers = 1;
+    });
+    // Connection A occupies the only worker with an effectively unbounded
     // job (it only ends when A disconnects and cancellation trips).
     let mut blocker = Client::connect(server.local_addr()).unwrap();
     blocker
@@ -169,8 +173,8 @@ fn admission_rejects_past_high_water_and_the_retry_succeeds() {
         .unwrap();
     std::thread::sleep(Duration::from_millis(150));
 
-    // Connection B floods: with the dispatcher busy, at least one of
-    // these must bounce off the high-water mark.
+    // Connection B floods: with the worker busy, at least one of these
+    // must bounce off the high-water mark.
     let mut client = Client::connect(server.local_addr()).unwrap();
     for id in 1..=3u64 {
         client
@@ -183,7 +187,13 @@ fn admission_rejects_past_high_water_and_the_retry_succeeds() {
             ))
             .unwrap();
     }
-    drop(blocker); // frees the dispatcher: A's job cancels at a Vcycle boundary
+    // A must not leave before the server has read all three: its
+    // disconnect frees the worker, which would drain B's queue.
+    let mut observer = Client::connect(server.local_addr()).unwrap();
+    while stat(&mut observer, "jobs_submitted") + stat(&mut observer, "jobs_rejected") < 4 {
+        std::thread::sleep(Duration::from_millis(5));
+    }
+    drop(blocker); // frees the worker: A's job cancels at a Vcycle boundary
 
     let mut accepted = Vec::new();
     let mut rejected = Vec::new();
@@ -253,6 +263,62 @@ fn disconnect_cancels_only_that_clients_jobs() {
     // poison the dispatcher.
     let r = expect_result(b.call(&submit(3, "counter", 10, &[], &["count"])).unwrap());
     assert_eq!(r.regs, vec![("count".to_string(), 10)]);
+}
+
+/// A stats counter, read over `client`.
+fn stat(client: &mut Client, name: &str) -> u64 {
+    let stats = client.stats().expect("stats");
+    stats.get(name).and_then(|v| v.as_u64()).expect("counter")
+}
+
+#[test]
+fn a_short_job_is_not_held_behind_a_long_one() {
+    let server = test_server(|cfg| cfg.workers = 2);
+    let mut b = Client::connect(server.local_addr()).unwrap();
+    // A's job would run for minutes (10^10 Vcycles): it only ends when A
+    // disconnects.
+    let mut a = Client::connect(server.local_addr()).unwrap();
+    a.send(&submit(1, "counter", 10_000_000_000, &[], &[]))
+        .unwrap();
+    // Wait until A's job has left the queue for a worker.
+    let started = std::time::Instant::now();
+    while stat(&mut b, "jobs_submitted") < 1 || stat(&mut b, "queued") > 0 {
+        assert!(started.elapsed() < Duration::from_secs(30), "A never ran");
+        std::thread::sleep(Duration::from_millis(10));
+    }
+
+    // B's 200-Vcycle job takes the free worker and answers while A's job
+    // is still running, rather than waiting for it to finish.
+    let (tx, rx) = std::sync::mpsc::channel();
+    let addr = server.local_addr();
+    std::thread::spawn(move || {
+        let mut b = Client::connect(addr).unwrap();
+        let reply = b.call(&submit(2, "counter", 200, &[("count", 5)], &["count"]));
+        let _ = tx.send(reply.map(expect_result));
+    });
+    let r = rx
+        .recv_timeout(Duration::from_secs(20))
+        .expect("B's short job was held behind A's long one")
+        .unwrap();
+    assert_eq!(r.outcome, "budget");
+    assert_eq!(r.regs, vec![("count".to_string(), 205)]);
+    assert_eq!(
+        stat(&mut b, "jobs_completed"),
+        1,
+        "A's job is still running"
+    );
+
+    // A walks away: its job is cancelled at a Vcycle boundary and
+    // completes long before its budget could run out.
+    drop(a);
+    let dropped = std::time::Instant::now();
+    while stat(&mut b, "jobs_completed") < 2 {
+        assert!(
+            dropped.elapsed() < Duration::from_secs(20),
+            "A's job was not cancelled"
+        );
+        std::thread::sleep(Duration::from_millis(10));
+    }
 }
 
 #[test]
