@@ -17,18 +17,17 @@
 //!   the Vcycle budget. A job can also *resume* an existing [`Machine`]
 //!   ([`SimJob::resume`]), which is how a fleet drives long-running
 //!   simulations in slices.
-//! - [`Fleet`] — a handle on the process's persistent pool of worker
-//!   threads. Every fleet in a process shares the one pool, which grows
-//!   to the widest fleet's `workers` when that fleet first submits work;
-//!   a fleet of `w` workers runs on the pool's first `w` threads only. Idle workers
-//!   park on a condvar, and dropping the last fleet handle drains the
-//!   queues and joins the workers. Every batch entry point and every
-//!   [`Fleet::explore`] round submits owned units of work into the pool:
-//!   they are dealt round-robin into per-worker deques, each worker
-//!   drains its own deque from the front and steals from the back of
-//!   victims chosen by a seeded [`SmallRng`] when it runs dry. A
-//!   one-worker fleet's waiting caller runs its units itself, in the
-//!   order that worker would. No batch spawns a thread.
+//! - [`Fleet`] — a handle on a persistent pool of `workers` threads,
+//!   shared by the fleet's clones. The threads are spawned the first
+//!   time the fleet submits work, park on a condvar while idle, and are
+//!   joined (after the queues drain) when the last handle drops. Every
+//!   batch entry point and every [`Fleet::explore`] round submits owned
+//!   units of work into the pool: they are dealt round-robin into
+//!   per-worker deques, each worker drains its own deque from the front
+//!   and steals from the back of victims chosen by a seeded [`SmallRng`]
+//!   when it runs dry. A one-worker fleet's waiting caller runs its
+//!   units itself, in the order that worker would. No batch spawns a
+//!   thread.
 //! - [`JobOutput`] — one job's outcome plus its finished machine (final
 //!   registers, counters, displays all readable). Workers send each
 //!   output down a channel to the thread that called the batch, which
@@ -709,31 +708,28 @@ fn run_gang_with_faults(
     acc
 }
 
-/// A handle on the process's persistent work-stealing pool, executing
-/// [`SimJob`] batches on `workers` of its threads. Clones share the
-/// pool; the last fleet handle to drop joins its workers. See the crate
-/// docs for the scheduling discipline and the determinism argument.
+/// A handle on a persistent work-stealing pool of `workers` threads,
+/// executing [`SimJob`] batches. Clones share the pool; the last handle
+/// to drop joins its workers. See the crate docs for the scheduling
+/// discipline and the determinism argument.
 #[derive(Debug, Clone)]
 pub struct Fleet {
     pool: Arc<Pool>,
-    workers: usize,
 }
 
 impl Fleet {
-    /// A fleet of `workers` worker threads (clamped to at least 1) on the
-    /// process's pool, which grows to `workers` threads the first time
-    /// this fleet submits work; its threads stay parked until work
-    /// arrives.
+    /// A fleet of `workers` worker threads (clamped to at least 1). The
+    /// threads are spawned the first time the fleet submits work to
+    /// them, and park while no work is queued.
     pub fn new(workers: usize) -> Fleet {
         Fleet {
-            pool: Pool::shared(),
-            workers: workers.max(1),
+            pool: Arc::new(Pool::new(workers)),
         }
     }
 
     /// The configured worker count.
     pub fn workers(&self) -> usize {
-        self.workers
+        self.pool.workers()
     }
 
     /// Runs every job in the batch and returns the outputs **in
@@ -832,8 +828,8 @@ impl Fleet {
     /// every [`JobOutput`] (one per job, indexed by position in `jobs`)
     /// on the worker thread that finished its unit, the moment it
     /// finishes — so it must be cheap, it owns what it needs, and it must
-    /// not wait on a fleet batch (fleets share one pool, so its worker
-    /// could end up waiting for itself).
+    /// not wait on a batch of this fleet (its worker could end up waiting
+    /// for itself). The sink is dropped once every unit has run.
     ///
     /// This is how a server keeps the pool busy without a batch barrier:
     /// it submits one unit of work whenever a worker frees up, and each
@@ -848,14 +844,11 @@ impl Fleet {
         let ctx = Arc::new(BatchCtx::new(policy));
         let sink: Arc<dyn Fn(JobOutput) + Send + Sync> = Arc::new(sink);
         let units = group_units(jobs, lanes);
-        self.pool.submit(
-            self.workers,
-            units.into_iter().map(|unit| {
-                let ctx = Arc::clone(&ctx);
-                let sink = Arc::clone(&sink);
-                Box::new(move || run_unit(unit, &ctx, &mut |output| sink(output))) as Task
-            }),
-        );
+        self.pool.submit(units.into_iter().map(|unit| {
+            let ctx = Arc::clone(&ctx);
+            let sink = Arc::clone(&sink);
+            Box::new(move || run_unit(unit, &ctx, &mut |output| sink(output))) as Task
+        }));
     }
 
     /// Runs a batch to completion, handing `f` each output on the calling
@@ -871,7 +864,7 @@ impl Fleet {
         policy: &BatchPolicy,
         f: &mut dyn FnMut(JobOutput),
     ) {
-        if self.workers == 1 {
+        if self.workers() == 1 {
             let ctx = BatchCtx::new(policy);
             for unit in group_units(jobs, lanes) {
                 run_unit(unit, &ctx, f);
@@ -947,10 +940,11 @@ fn group_units(jobs: Vec<SimJob>, lanes: usize) -> Vec<Unit> {
 }
 
 /// Runs one unit (on a pool worker, or on the caller of a one-worker
-/// fleet), handing each output to `sink` the moment the unit finishes. The unit executes under `catch_unwind`: a
-/// panicking job (injected or genuine) yields [`JobOutcome::WorkerPanic`]
-/// outputs for the unit's unreported jobs and the worker moves on — the
-/// batch always emits exactly one output per job. A failure trips the
+/// fleet), handing each output to `sink` the moment the unit finishes.
+/// The unit executes under `catch_unwind`: a panicking job (injected or
+/// genuine) yields [`JobOutcome::WorkerPanic`] outputs for the unit's
+/// unreported jobs and the worker moves on — the batch always emits
+/// exactly one output per job. A failure trips the
 /// batch's token when the policy is fail-fast.
 fn run_unit(unit: Unit, ctx: &BatchCtx, sink: &mut dyn FnMut(JobOutput)) {
     // Capture the unit's job indexes before it is consumed, so a panic
@@ -1203,7 +1197,7 @@ impl Fleet {
             };
             // A one-worker fleet runs the round on the calling thread, in
             // order, as `for_each_output` does for batches.
-            let finished: Box<dyn Iterator<Item = (usize, GangSlot)>> = if self.workers == 1 {
+            let finished: Box<dyn Iterator<Item = (usize, GangSlot)>> = if self.workers() == 1 {
                 let faults = &faults;
                 Box::new(
                     gangs
@@ -1213,16 +1207,14 @@ impl Fleet {
                 )
             } else {
                 let (tx, rx) = mpsc::channel::<(usize, GangSlot)>();
-                self.pool.submit(
-                    self.workers,
-                    gangs.into_iter().enumerate().map(|(i, gang)| {
+                self.pool
+                    .submit(gangs.into_iter().enumerate().map(|(i, gang)| {
                         let tx = tx.clone();
                         let faults = Arc::clone(&faults);
                         Box::new(move || {
                             let _ = tx.send(run_gang(i, gang, &faults));
                         }) as Task
-                    }),
-                );
+                    }));
                 // The tasks hold the clones; dropping the original lets
                 // the receive loop end when the last task is done.
                 drop(tx);
@@ -1767,36 +1759,24 @@ mod tests {
         assert_eq!(seen.into_inner().unwrap(), vec![0, 1, 2]);
     }
 
-    /// A fleet on a pool of its own, so a test can count and join its
-    /// threads while other tests share the process pool.
-    fn private_fleet(workers: usize) -> Fleet {
-        let pool = Arc::new(Pool::empty());
-        pool.grow(workers);
-        Fleet { pool, workers }
-    }
-
-    /// Submits a probe task at `width` that reports the thread it ran on.
-    fn probe(pool: &Pool, width: usize, tx: &mpsc::Sender<std::thread::ThreadId>) {
+    /// Submits a probe task that reports the thread it ran on.
+    fn probe(fleet: &Fleet, tx: &mpsc::Sender<std::thread::ThreadId>) {
         let tx = tx.clone();
-        pool.submit(
-            width,
-            [Box::new(move || {
-                let _ = tx.send(std::thread::current().id());
-            }) as Task],
-        );
+        fleet.pool.submit([Box::new(move || {
+            let _ = tx.send(std::thread::current().id());
+        }) as Task]);
     }
 
     #[test]
     fn two_hundred_batches_run_on_the_same_two_worker_threads() {
         let program = counter_program();
-        let fleet = private_fleet(2);
-        let workers = fleet.pool.thread_ids();
-        assert_eq!(workers.len(), 2);
+        let fleet = Fleet::new(2);
+        assert!(fleet.pool.thread_ids().is_empty(), "spawned on first use");
         // Each batch also carries a probe that reports the thread it ran
         // on; a pool that spawned per batch would report new ids.
         let (tx, rx) = mpsc::channel();
         for batch in 0..200u64 {
-            probe(&fleet.pool, 2, &tx);
+            probe(&fleet, &tx);
             let jobs: Vec<SimJob> = (0..3).map(|_| SimJob::new(&program, 2)).collect();
             let outputs = match batch % 3 {
                 0 => fleet.run(jobs),
@@ -1812,61 +1792,54 @@ mod tests {
             assert_eq!(outputs.len(), 3, "batch {batch}");
         }
         drop(tx);
+        let workers = fleet.pool.thread_ids();
+        assert_eq!(workers.len(), 2);
         let ran_on: std::collections::HashSet<_> = rx.into_iter().collect();
         assert!(!ran_on.is_empty() && ran_on.len() <= 2);
         assert!(ran_on.iter().all(|id| workers.contains(id)));
-        assert_eq!(fleet.pool.thread_ids(), workers, "no thread was added");
     }
 
     #[test]
-    fn a_fleet_runs_only_on_as_many_threads_as_it_has_workers() {
-        let pool = private_fleet(3).pool;
-        let ids = pool.thread_ids();
-        let (tx, rx) = mpsc::channel();
-        for _ in 0..60 {
-            probe(&pool, 1, &tx);
-        }
-        drop(tx);
+    fn clones_share_a_pool_and_separate_fleets_do_not() {
+        let fleet = Fleet::new(2);
+        assert!(Arc::ptr_eq(&fleet.pool, &fleet.clone().pool));
+        let other = Fleet::new(2);
+        assert!(!Arc::ptr_eq(&fleet.pool, &other.pool));
+        assert_eq!(other.run(vec![SimJob::new(&counter_program(), 2)]).len(), 1);
+        let (mine, theirs) = (fleet.pool.thread_ids(), other.pool.thread_ids());
         assert!(
-            rx.into_iter().all(|id| id == ids[0]),
-            "width 1: worker 0 only"
+            mine.is_empty(),
+            "a fleet that never submitted has no thread"
         );
-        let (tx, rx) = mpsc::channel();
-        for _ in 0..60 {
-            probe(&pool, 2, &tx);
-        }
-        drop(tx);
-        assert!(
-            rx.into_iter().all(|id| id != ids[2]),
-            "width 2: workers 0 and 1"
-        );
-    }
-
-    #[test]
-    fn fleets_share_the_process_pool_and_grow_it_on_first_use() {
-        let small = Fleet::new(1);
-        let wide = Fleet::new(3);
-        assert!(Arc::ptr_eq(&small.pool, &wide.pool));
-        assert_eq!((small.workers(), wide.workers()), (1, 3));
-        let outputs = wide.run(vec![SimJob::new(&counter_program(), 2)]);
-        assert_eq!(outputs.len(), 1);
-        assert!(wide.pool.thread_ids().len() >= 3);
+        assert_eq!(theirs.len(), 2);
     }
 
     #[test]
     fn dropping_the_last_handle_joins_the_workers() {
         let program = counter_program();
-        let fleet = private_fleet(2);
+        let fleet = Fleet::new(2);
         let alive = fleet.pool.liveness();
         let clone = fleet.clone();
         drop(fleet);
         // A surviving clone keeps the pool serving.
         assert_eq!(clone.run(vec![SimJob::new(&program, 3)]).len(), 1);
         assert!(alive.upgrade().is_some());
+        // Work submitted without waiting still runs: the last drop drains
+        // the queues before it joins.
+        let (tx, rx) = mpsc::channel();
+        clone.submit_ganged(
+            vec![SimJob::new(&program, 3)],
+            1,
+            &BatchPolicy::default(),
+            move |out| {
+                let _ = tx.send(out.index);
+            },
+        );
         // The last drop returns only after every worker has exited: no
         // worker holds the shared state any more.
         drop(clone);
         assert_eq!(alive.strong_count(), 0);
+        assert_eq!(rx.try_recv(), Ok(0), "the queued unit ran before the join");
     }
 
     #[test]

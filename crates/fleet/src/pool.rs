@@ -1,29 +1,23 @@
-//! The process's persistent worker pool.
+//! A fleet's persistent worker pool.
 //!
-//! Every [`crate::Fleet`] in a process submits into one [`Pool`] (a
-//! one-worker fleet's synchronous batches run on their caller). Its
-//! threads are spawned once, on first need, parked on a condvar when
-//! idle, and kept until the last fleet handle drops. The pool grows to
-//! the widest fleet that has submitted: a fleet of `w` workers runs its
-//! units on the pool's first `w` threads only, so its parallelism is exactly its worker count however
-//! many other fleets share the pool. Sharing is what keeps memory flat:
-//! each thread that allocates binds a malloc arena that keeps the memory
-//! it frees, so fleets with private threads would each hold an arena's
-//! worth of simulation state.
+//! Each [`crate::Fleet`] owns one [`Pool`], shared by the fleet's clones.
+//! Its `workers` threads are spawned once, on the first submission (a
+//! fleet that never submits costs no thread), park on a condvar when
+//! idle, and are joined when the last handle drops. The drop drains the
+//! queues first: every submitted task runs before the join returns.
 //!
-//! Tasks are owned `'static` closures tagged with their fleet's width.
-//! They carry everything they need (jobs, batch context, output sender),
-//! so no task borrows from a caller's stack and the pool needs no scoped
-//! threads and no `unsafe`. A submission deals its tasks round-robin into
-//! the first `width` per-worker deques. Each worker pops its own deque
-//! from the front (submission order) and, when that is dry, steals the
-//! back-most task it may run from a victim, visiting victims in a seeded
-//! pseudo-random order. A worker parks only when no deque holds a task it
-//! may run.
+//! Tasks are owned `'static` closures. They carry everything they need
+//! (jobs, batch context, output sender), so no task borrows from a
+//! caller's stack and the pool needs no scoped threads and no `unsafe`.
+//! A submission deals its tasks round-robin into the per-worker deques.
+//! Each worker pops its own deque from the front (submission order) and,
+//! when that is dry, steals the back-most task of a victim, visiting
+//! victims in a seeded pseudo-random order. A worker parks only when
+//! every deque is empty.
 
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError, Weak};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
 
 use manticore_util::SmallRng;
@@ -31,18 +25,12 @@ use manticore_util::SmallRng;
 /// One unit of work on the pool.
 pub(crate) type Task = Box<dyn FnOnce() + Send + 'static>;
 
-/// A queued task and the width of the fleet that submitted it: only
-/// workers `0..width` may run it.
-struct Queued {
-    width: usize,
-    task: Task,
-}
-
 /// The queues and the lifecycle flag, under one lock.
 struct Queues {
     /// One deque per worker thread.
-    deques: Vec<VecDeque<Queued>>,
-    /// Round-robin dealing position; a task goes to `deal % width`.
+    deques: Vec<VecDeque<Task>>,
+    /// Round-robin dealing position, carried across submissions so
+    /// one-task submissions spread over the workers too.
     deal: usize,
     /// Set by [`Pool`]'s `Drop`: workers exit once no task is left.
     shutdown: bool,
@@ -66,29 +54,21 @@ impl Shared {
 /// Long-lived worker threads with per-worker deques.
 pub(crate) struct Pool {
     shared: Arc<Shared>,
+    /// Worker threads, fixed at construction.
+    workers: usize,
+    /// Empty until the first submission spawns all the workers.
     threads: Mutex<Vec<JoinHandle<()>>>,
 }
 
-/// The pool every fleet of this process shares, while any fleet lives.
-static PROCESS_POOL: Mutex<Weak<Pool>> = Mutex::new(Weak::new());
-
 impl Pool {
-    /// The process's pool; a fresh one when no fleet holds it.
-    pub(crate) fn shared() -> Arc<Pool> {
-        let mut slot = PROCESS_POOL.lock().unwrap_or_else(PoisonError::into_inner);
-        slot.upgrade().unwrap_or_else(|| {
-            let pool = Arc::new(Pool::empty());
-            *slot = Arc::downgrade(&pool);
-            pool
-        })
-    }
-
-    /// A pool with no threads yet.
-    pub(crate) fn empty() -> Pool {
+    /// A pool of `workers` (at least 1) threads, none spawned yet.
+    pub(crate) fn new(workers: usize) -> Pool {
+        let workers = workers.max(1);
         Pool {
+            workers,
             shared: Arc::new(Shared {
                 queues: Mutex::new(Queues {
-                    deques: Vec::new(),
+                    deques: (0..workers).map(|_| VecDeque::new()).collect(),
                     deal: 0,
                     shutdown: false,
                 }),
@@ -98,13 +78,33 @@ impl Pool {
         }
     }
 
-    /// Spawns parked workers until the pool has at least `workers`.
-    pub(crate) fn grow(&self, workers: usize) {
+    /// The number of worker threads the pool runs once started.
+    pub(crate) fn workers(&self) -> usize {
+        self.workers
+    }
+
+    /// Deals `tasks` round-robin into the per-worker deques and wakes the
+    /// workers, spawning them if this is the first submission. Returns at
+    /// once; the tasks run on the pool.
+    pub(crate) fn submit(&self, tasks: impl IntoIterator<Item = Task>) {
+        self.start();
+        let mut queues = self.shared.lock();
+        for task in tasks {
+            let at = queues.deal % self.workers;
+            queues.deques[at].push_back(task);
+            queues.deal = queues.deal.wrapping_add(1);
+        }
+        drop(queues);
+        self.shared.work.notify_all();
+    }
+
+    /// Spawns the workers unless they are already running.
+    fn start(&self) {
         let mut threads = self.threads.lock().unwrap_or_else(PoisonError::into_inner);
-        while threads.len() < workers {
-            let w = threads.len();
-            // The deque exists before its worker looks for it.
-            self.shared.lock().deques.push(VecDeque::new());
+        if !threads.is_empty() {
+            return;
+        }
+        for w in 0..self.workers {
             let shared = Arc::clone(&self.shared);
             let handle = std::thread::Builder::new()
                 .name(format!("fleet-worker-{w}"))
@@ -114,26 +114,8 @@ impl Pool {
         }
     }
 
-    /// Deals `tasks` round-robin into the deques of workers `0..width`
-    /// and wakes the workers. Returns at once; the tasks run on the pool.
-    /// Workers are spawned here, on first need, rather than when a fleet
-    /// is built: a fleet that never submits costs no thread.
-    pub(crate) fn submit(&self, width: usize, tasks: impl IntoIterator<Item = Task>) {
-        self.grow(width);
-        let mut queues = self.shared.lock();
-        for task in tasks {
-            let at = queues.deal % width;
-            queues.deques[at].push_back(Queued { width, task });
-            queues.deal = queues.deal.wrapping_add(1);
-        }
-        drop(queues);
-        // Every worker checks: a wakened worker that may not run the new
-        // tasks parks again, and no eligible one is left asleep.
-        self.shared.work.notify_all();
-    }
-
-    /// The ids of the worker threads, in worker order, for tests that
-    /// check where tasks ran.
+    /// The ids of the spawned worker threads, in worker order, for tests
+    /// that check where tasks ran.
     #[cfg(test)]
     pub(crate) fn thread_ids(&self) -> Vec<std::thread::ThreadId> {
         let threads = self.threads.lock().unwrap_or_else(PoisonError::into_inner);
@@ -143,15 +125,18 @@ impl Pool {
     /// A weak handle on the workers' shared state: it dies only once
     /// every worker has exited, so tests can observe the join.
     #[cfg(test)]
-    pub(crate) fn liveness(&self) -> Weak<impl Sized> {
+    pub(crate) fn liveness(&self) -> std::sync::Weak<impl Sized> {
         Arc::downgrade(&self.shared)
     }
 }
 
 impl std::fmt::Debug for Pool {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let threads = self.threads.lock().map_or(0, |t| t.len());
-        f.debug_struct("Pool").field("threads", &threads).finish()
+        let spawned = self.threads.lock().map_or(0, |t| t.len());
+        f.debug_struct("Pool")
+            .field("workers", &self.workers)
+            .field("spawned", &spawned)
+            .finish()
     }
 }
 
@@ -180,14 +165,12 @@ fn worker_loop(shared: &Shared, w: usize) {
     let mut rng = SmallRng::seed_from_u64(w as u64);
     let mut queues = shared.lock();
     loop {
-        // Own deque first, front-out (submission order): everything dealt
-        // here is from a fleet wider than `w`.
         let task = match queues.deques[w].pop_front() {
             Some(task) => Some(task),
             None => steal(&mut queues.deques, w, &mut rng),
         };
         match task {
-            Some(Queued { task, .. }) => {
+            Some(task) => {
                 drop(queues);
                 // Batch tasks contain their own panics and report them as
                 // outputs; this guard only keeps a panicking caller-side
@@ -206,18 +189,14 @@ fn worker_loop(shared: &Shared, w: usize) {
     }
 }
 
-/// Takes, from the *back* of a victim's deque, the last task worker `w`
-/// may run: the work its owner would reach last. The visit order starts
-/// at a random victim so stealers spread out; every deque is visited, so
-/// `None` proves nothing is runnable by `w`.
-fn steal(deques: &mut [VecDeque<Queued>], w: usize, rng: &mut SmallRng) -> Option<Queued> {
+/// Takes the *back* task of a victim's deque: the work its owner would
+/// reach last. The visit order starts at a random victim so stealers
+/// spread out; every deque is visited, so `None` proves all are empty.
+fn steal(deques: &mut [VecDeque<Task>], w: usize, rng: &mut SmallRng) -> Option<Task> {
     let n = deques.len();
     let offset = rng.gen_range(0..n);
     (0..n)
         .map(|i| (offset + i) % n)
         .filter(|&v| v != w)
-        .find_map(|v| {
-            let at = deques[v].iter().rposition(|q| q.width > w)?;
-            deques[v].remove(at)
-        })
+        .find_map(|v| deques[v].pop_back())
 }

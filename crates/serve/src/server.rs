@@ -11,14 +11,15 @@
 //! builds and hashes its design's netlist only the first time.
 //!
 //! One **dispatcher** thread owns the fleet: a persistent pool of
-//! `workers` threads, spawned once at bind. Dispatch is late-bound.
-//! Whenever fewer than `workers` of the daemon's units are in flight,
-//! the dispatcher takes one fair pick and submits it to the pool without
-//! waiting for it. The worker that finishes a unit renders each job's
-//! reply, pushes it to the job's writer, and frees the slot, which wakes
-//! the dispatcher for the next pick. No batch barrier exists: a short
-//! job waits for a free worker, never for the slowest job of someone
-//! else's batch. One **reaper** thread drops idle parked sessions.
+//! `workers` threads of the server's own, spawned on the first pick and
+//! joined at shutdown, once every in-flight pick has replied. Dispatch
+//! is late-bound. Whenever fewer than `workers` of the daemon's units
+//! are in flight, the dispatcher takes one fair pick and submits it to
+//! the pool without waiting for it. The worker that finishes a unit
+//! renders each job's reply, pushes it to the job's writer, and frees
+//! the slot, which wakes the dispatcher for the next pick. No batch
+//! barrier exists: a short job waits for a free worker, never for the
+//! slowest job of someone else's batch. One **reaper** thread drops idle parked sessions.
 //!
 //! ## Fairness, backpressure, cancellation
 //!
@@ -911,10 +912,7 @@ fn enqueue(pending: PendingJob, conn_id: u64, shared: &Shared) -> Option<Reply> 
 
 /// The dispatcher: whenever a worker is free, take one DRR pick and
 /// submit it to the fleet without waiting for it. The worker that
-/// finishes the pick writes its replies and frees the slot. On shutdown
-/// the fleet drops here, which drains the in-flight picks (the shutdown
-/// token cancels them at their next Vcycle boundary) and joins the
-/// workers.
+/// finishes the pick writes its replies and frees the slot.
 fn dispatch_loop(shared: Arc<Shared>, fleet: Fleet) {
     let policy = BatchPolicy {
         cancel: Some(shared.shutdown.clone()),
@@ -936,6 +934,11 @@ fn dispatch_loop(shared: Arc<Shared>, fleet: Fleet) {
             let _ = meta.tx.send(reply.to_value());
         });
     }
+    // The dispatcher holds the fleet's only handle, so this drop drains
+    // the pool and joins its workers: every in-flight pick (cancelled by
+    // the shutdown token at its next Vcycle boundary) has replied before
+    // `Server::shutdown` returns.
+    drop(fleet);
 }
 
 /// One pick's dispatch slot, owned by the pick's sink. The fleet drops
@@ -1263,5 +1266,58 @@ mod tests {
         // next turn.
         assert_eq!(picks, vec![vec![0, 2, 3], vec![1], vec![10], vec![4]]);
         assert_eq!(sched.queued, 0);
+    }
+
+    #[test]
+    fn shutdown_waits_for_in_flight_picks_while_another_fleet_is_busy() {
+        // Another fleet in the process holds both of its workers in
+        // blocked sinks until `release` drops. The server's picks must
+        // neither queue behind them nor outlive the server's shutdown.
+        let other = Fleet::new(2);
+        let (entered_tx, entered) = std::sync::mpsc::channel();
+        let (release, gate) = std::sync::mpsc::channel::<()>();
+        let (entered_tx, gate) = (Mutex::new(entered_tx), Mutex::new(gate));
+        let program = counter(2).0;
+        other.submit_ganged(
+            vec![SimJob::new(&program, 1), SimJob::new(&program, 1)],
+            1,
+            &BatchPolicy::default(),
+            move |_| {
+                let _ = entered_tx.lock().expect("entered").send(());
+                let _ = gate.lock().expect("gate").recv();
+            },
+        );
+        for _ in 0..2 {
+            entered
+                .recv()
+                .expect("both workers of the other fleet are held");
+        }
+
+        let mut server = Server::bind("127.0.0.1:0", ServerConfig::default()).expect("bind");
+        let mut client = crate::client::Client::connect(server.local_addr()).expect("connect");
+        client
+            .send(&crate::proto::Request::Submit(crate::proto::SubmitReq {
+                id: 1,
+                design: "counter".into(),
+                grid: None,
+                vcycles: u64::MAX / 2,
+                pokes: Vec::new(),
+                reads: Vec::new(),
+                deadline_ms: None,
+                park: false,
+            }))
+            .expect("send");
+        let started = Instant::now();
+        while server.shared.sched.lock().expect("sched").inflight == 0 {
+            assert!(started.elapsed() < Duration::from_secs(30), "never picked");
+            std::thread::sleep(Duration::from_millis(5));
+        }
+
+        server.shutdown();
+        // The pick ran its sink (a cancelled reply) and freed its slot
+        // before shutdown returned.
+        assert_eq!(server.shared.counters.completed.load(Ordering::Relaxed), 1);
+        assert_eq!(server.shared.sched.lock().expect("sched").inflight, 0);
+        drop(release);
     }
 }

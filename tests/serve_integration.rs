@@ -161,19 +161,24 @@ fn a_tiny_byte_budget_evicts_lru_and_recompiles() {
 
 #[test]
 fn admission_rejects_past_high_water_and_the_retry_succeeds() {
-    let server = test_server(|cfg| {
-        cfg.queue_high_water = 2;
-        cfg.workers = 1;
-    });
-    // Connection A occupies the only worker with an effectively unbounded
-    // job (it only ends when A disconnects and cancellation trips).
-    let mut blocker = Client::connect(server.local_addr()).unwrap();
-    blocker
-        .send(&submit(0, "counter", u64::MAX / 2, &[], &[]))
-        .unwrap();
-    std::thread::sleep(Duration::from_millis(150));
+    let server = test_server(|cfg| cfg.queue_high_water = 2);
+    // Connections A1 and A2 occupy both workers with effectively
+    // unbounded jobs (each only ends when its client disconnects and
+    // cancellation trips). Two connections, so the jobs cannot gang.
+    let mut blockers = Vec::new();
+    for id in [0, 100] {
+        let mut blocker = Client::connect(server.local_addr()).unwrap();
+        blocker
+            .send(&submit(id, "counter", u64::MAX / 2, &[], &[]))
+            .unwrap();
+        blockers.push(blocker);
+    }
+    let mut observer = Client::connect(server.local_addr()).unwrap();
+    while stat(&mut observer, "jobs_submitted") < 2 || stat(&mut observer, "queued") > 0 {
+        std::thread::sleep(Duration::from_millis(5));
+    }
 
-    // Connection B floods: with the worker busy, at least one of these
+    // Connection B floods: with the workers busy, at least one of these
     // must bounce off the high-water mark.
     let mut client = Client::connect(server.local_addr()).unwrap();
     for id in 1..=3u64 {
@@ -187,13 +192,12 @@ fn admission_rejects_past_high_water_and_the_retry_succeeds() {
             ))
             .unwrap();
     }
-    // A must not leave before the server has read all three: its
-    // disconnect frees the worker, which would drain B's queue.
-    let mut observer = Client::connect(server.local_addr()).unwrap();
-    while stat(&mut observer, "jobs_submitted") + stat(&mut observer, "jobs_rejected") < 4 {
+    // The blockers must not leave before the server has read all three:
+    // a disconnect frees a worker, which would drain B's queue.
+    while stat(&mut observer, "jobs_submitted") + stat(&mut observer, "jobs_rejected") < 5 {
         std::thread::sleep(Duration::from_millis(5));
     }
-    drop(blocker); // frees the worker: A's job cancels at a Vcycle boundary
+    drop(blockers); // frees the workers: A's jobs cancel at a Vcycle boundary
 
     let mut accepted = Vec::new();
     let mut rejected = Vec::new();
