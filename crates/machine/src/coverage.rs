@@ -16,8 +16,6 @@
 //! ([`CoverageMap::observe`] walks the register file once per finished
 //! child), which costs nothing inside a Vcycle.
 
-use manticore_isa::{CoreId, Reg};
-
 use crate::grid::Machine;
 use crate::program::CompiledProgram;
 
@@ -31,7 +29,6 @@ pub struct CoverageMap {
     /// Bits of each register word ever observed clear.
     seen_clear: Vec<u16>,
     regfile_size: usize,
-    grid_width: usize,
     /// `$display` lines the observed scenarios produced.
     pub displays: u64,
     /// Assertion failures the observed scenarios produced.
@@ -46,7 +43,6 @@ impl CoverageMap {
             seen_set: vec![0; words],
             seen_clear: vec![0; words],
             regfile_size: program.config().regfile_size,
-            grid_width: program.config().grid_width,
             displays: 0,
             asserts: 0,
         }
@@ -59,18 +55,22 @@ impl CoverageMap {
     /// `manticore-fleet`) use to prioritize children.
     pub fn observe(&mut self, machine: &Machine) -> u64 {
         let rf = self.regfile_size;
-        let gw = self.grid_width;
         let mut newly = 0u64;
-        for i in 0..self.seen_set.len() {
-            let core = i / rf;
-            let core_id = CoreId::new((core % gw) as u8, (core / gw) as u8);
-            let v = machine.read_reg(core_id, Reg((i % rf) as u16));
-            let set = &mut self.seen_set[i];
-            let clear = &mut self.seen_clear[i];
-            let before = (*set & *clear).count_ones();
-            *set |= v;
-            *clear |= !v;
-            newly += u64::from((*set & *clear).count_ones() - before);
+        let cores = self
+            .seen_set
+            .chunks_exact_mut(rf)
+            .zip(self.seen_clear.chunks_exact_mut(rf));
+        for (idx, (sets, clears)) in cores.enumerate() {
+            // Below the hazard span a write may be in flight; above it the
+            // committed word's low half is the host view.
+            let (flushed, above) = machine.flushed_regs(idx);
+            let values = flushed.chain(above.iter().map(|&w| w as u16));
+            for ((set, clear), v) in sets.iter_mut().zip(clears.iter_mut()).zip(values) {
+                let before = (*set & *clear).count_ones();
+                *set |= v;
+                *clear |= !v;
+                newly += u64::from((*set & *clear).count_ones() - before);
+            }
         }
         newly
     }

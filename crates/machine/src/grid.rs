@@ -11,6 +11,7 @@ use std::fmt;
 use std::sync::Arc;
 
 use manticore_isa::{Binary, CoreId, MachineConfig, Reg};
+use manticore_util::hash::{fnv_prime_pow, FNV_OFFSET, FNV_PRIME};
 
 use crate::cache::{Cache, CacheStats};
 use crate::core::{CoreState, CoreView};
@@ -19,6 +20,33 @@ use crate::noc::{Message, Noc};
 use crate::program::CompiledProgram;
 use crate::replay::ReplayTape;
 use crate::uops::run_core_uops;
+
+/// Mixes `words` (each mapped through `value`) into fingerprint state
+/// `h`, one FNV step per word, folding every run of zero values into one
+/// multiply by `PRIME^run`. Blocks of 16 are tested for all-zero first,
+/// so a mostly-zero slice costs a vectorizable OR per block.
+fn mix_words<T: Copy>(mut h: u64, words: &[T], value: impl Fn(T) -> u64) -> u64 {
+    let mut zeros = 0u64;
+    for block in words.chunks(16) {
+        if block.iter().fold(0, |acc, &w| acc | value(w)) == 0 {
+            zeros += block.len() as u64;
+            continue;
+        }
+        for &w in block {
+            let v = value(w);
+            if v == 0 {
+                zeros += 1;
+                continue;
+            }
+            if zeros > 0 {
+                h = h.wrapping_mul(fnv_prime_pow(zeros));
+                zeros = 0;
+            }
+            h = (h ^ v).wrapping_mul(FNV_PRIME);
+        }
+    }
+    h.wrapping_mul(fnv_prime_pow(zeros))
+}
 
 /// Hardware performance counters (§7.7 uses these for the global-stall
 /// experiment).
@@ -600,6 +628,22 @@ impl Machine {
         self.cache.peek(addr)
     }
 
+    /// Core `idx`'s register file as the host sees it, split at the
+    /// core's hazard-table span: an iterator over the flushed values of
+    /// registers `0..span` (a write may still be in flight there), and
+    /// the committed words of registers `span..`, whose low 16 bits are
+    /// the host view — no write can be in flight above the span.
+    pub(crate) fn flushed_regs(&self, idx: usize) -> (impl Iterator<Item = u16> + '_, &[u32]) {
+        let cs = &self.cores[idx];
+        let lane = self.reg_lane(idx);
+        let (below, above) = lane.split_at(cs.inflight.len().min(lane.len()));
+        let flushed = below
+            .iter()
+            .enumerate()
+            .map(move |(r, &word)| cs.reg_value_flushed_word(word, r));
+        (flushed, above)
+    }
+
     /// An FNV-1a fingerprint of the run's full architectural state at a
     /// Vcycle boundary: the seven performance counters, every register of
     /// every core through the flushed host view ([`Machine::read_reg`]),
@@ -608,12 +652,17 @@ impl Machine {
     /// the summary the simulation service returns per job so a client (or
     /// the differential test suites) can hold a served result against a
     /// direct run without shipping megabytes of state.
+    ///
+    /// Each word is one FNV step `h = (h ^ word) * PRIME`, so a zero word
+    /// is a bare multiply and a run of `k` of them one multiply by
+    /// `PRIME^k`. The cost follows the program's footprint: registers
+    /// above the hazard span and scratch lanes fold their zero runs, and
+    /// a core without a scratchpad costs one multiply — the value is the
+    /// same as mixing every word in turn.
     pub fn state_fingerprint(&self) -> u64 {
-        const PRIME: u64 = 0x0000_0100_0000_01b3;
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        let mut mix = |v: u64| h = (h ^ v).wrapping_mul(PRIME);
+        let mix = |h: u64, v: u64| (h ^ v).wrapping_mul(FNV_PRIME);
         let c = self.counters();
-        for v in [
+        let mut h = [
             c.compute_cycles,
             c.stall_cycles,
             c.vcycles,
@@ -621,23 +670,23 @@ impl Machine {
             c.sends,
             c.messages_delivered,
             c.exceptions,
-        ] {
-            mix(v);
+        ]
+        .into_iter()
+        .fold(FNV_OFFSET, mix);
+        let laneless = fnv_prime_pow(self.program.config.scratch_words as u64);
+        // Linear core order is row-major, the order the host view walks.
+        for idx in 0..self.program.num_cores() {
+            let (flushed, above) = self.flushed_regs(idx);
+            h = flushed.fold(h, |h, v| mix(h, v as u64));
+            h = mix_words(h, above, |w| w as u16 as u64);
+            let lane = self.program.scratch_range(idx);
+            h = if lane.is_empty() {
+                h.wrapping_mul(laneless)
+            } else {
+                mix_words(h, &self.scratch[lane], u64::from)
+            };
         }
-        let config = &self.program.config;
-        for y in 0..config.grid_height {
-            for x in 0..config.grid_width {
-                let core = CoreId::new(x as u8, y as u8);
-                for r in 0..config.regfile_size {
-                    mix(self.read_reg(core, Reg(r as u16)) as u64);
-                }
-                for &w in self.core_scratch(core) {
-                    mix(w as u64);
-                }
-            }
-        }
-        mix(self.finished() as u64);
-        h
+        mix(h, self.finished() as u64)
     }
 
     /// Attaches (or with `None` detaches) a cooperative cancellation

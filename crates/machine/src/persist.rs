@@ -21,11 +21,10 @@
 //! or adversarial file yields a typed [`PersistError`], never a panic or
 //! an absurd allocation.
 
-use std::hash::Hasher;
 use std::sync::Arc;
 
 use manticore_isa::{CoreId, Reg};
-use manticore_util::FnvHasher;
+use manticore_util::fnv1a;
 
 use crate::cache::{Cache, CacheStats, Line};
 use crate::checkpoint::Checkpoint;
@@ -90,12 +89,6 @@ impl std::fmt::Display for PersistError {
 
 impl std::error::Error for PersistError {}
 
-fn fnv64(bytes: &[u8]) -> u64 {
-    let mut h = FnvHasher::default();
-    h.write(bytes);
-    h.finish()
-}
-
 fn corrupt(detail: impl Into<String>) -> PersistError {
     PersistError::Corrupt {
         detail: detail.into(),
@@ -110,8 +103,10 @@ struct Writer {
 }
 
 impl Writer {
-    fn new() -> Writer {
-        Writer { buf: Vec::new() }
+    fn with_capacity(bytes: usize) -> Writer {
+        Writer {
+            buf: Vec::with_capacity(bytes),
+        }
     }
     fn u8(&mut self, v: u8) {
         self.buf.push(v);
@@ -134,6 +129,28 @@ impl Writer {
     fn str(&mut self, s: &str) {
         self.u32(s.len() as u32);
         self.buf.extend_from_slice(s.as_bytes());
+    }
+    /// A whole `u32` section in one resize: the same bytes as `u32` per
+    /// word.
+    fn u32s(&mut self, words: &[u32]) {
+        let at = self.buf.len();
+        self.buf.resize(at + words.len() * 4, 0);
+        for (dst, w) in self.buf[at..].chunks_exact_mut(4).zip(words) {
+            dst.copy_from_slice(&w.to_le_bytes());
+        }
+    }
+    /// A whole `u16` section in one resize: the same bytes as `u16` per
+    /// word.
+    fn u16s(&mut self, words: &[u16]) {
+        let at = self.buf.len();
+        self.buf.resize(at + words.len() * 2, 0);
+        for (dst, w) in self.buf[at..].chunks_exact_mut(2).zip(words) {
+            dst.copy_from_slice(&w.to_le_bytes());
+        }
+    }
+    /// `n` zero bytes.
+    fn zeros(&mut self, n: usize) {
+        self.buf.resize(self.buf.len() + n, 0);
     }
     fn core_id(&mut self, c: CoreId) {
         self.u8(c.x);
@@ -187,6 +204,22 @@ impl<'a> Reader<'a> {
         let x = self.u8()?;
         let y = self.u8()?;
         Ok(CoreId { x, y })
+    }
+    /// Fills `out` from a section written by [`Writer::u32s`].
+    fn u32s(&mut self, out: &mut [u32]) -> Result<(), PersistError> {
+        let bytes = self.take(out.len() * 4)?;
+        for (w, src) in out.iter_mut().zip(bytes.chunks_exact(4)) {
+            *w = u32::from_le_bytes(src.try_into().unwrap());
+        }
+        Ok(())
+    }
+    /// Fills `out` from a section written by [`Writer::u16s`].
+    fn u16s(&mut self, out: &mut [u16]) -> Result<(), PersistError> {
+        let bytes = self.take(out.len() * 2)?;
+        for (w, src) in out.iter_mut().zip(bytes.chunks_exact(2)) {
+            *w = u16::from_le_bytes(src.try_into().unwrap());
+        }
+        Ok(())
     }
 }
 
@@ -337,12 +370,19 @@ fn link_tag(l: LinkId) -> (u8, CoreId) {
 /// self-contained except for the program, which must be recompiled and
 /// supplied to [`load_checkpoint`].
 pub fn save_checkpoint(cp: &Checkpoint) -> Vec<u8> {
-    let mut w = Writer::new();
+    // Reserve once: the register file, every core's scratchpad and the
+    // cache dominate; the rest is small and bounded by the same counts.
+    let config = cp.program.config();
+    let bulk = cp.regs.len() * 4
+        + cp.cores.len() * config.scratch_words * 2
+        + cp.cache.data.len() * 2
+        + cp.cache.lines.len() * 10
+        + cp.cache.dram.len() * 10;
+    let mut w = Writer::with_capacity(bulk + 1024 + cp.cores.len() * 64);
     w.buf.extend_from_slice(&MAGIC);
     w.u32(VERSION);
 
     // Structural shape of the owning program, verified at load.
-    let config = cp.program.config();
     w.u32(config.grid_width as u32);
     w.u32(config.grid_height as u32);
     w.u32(config.regfile_size as u32);
@@ -384,18 +424,13 @@ pub fn save_checkpoint(cp: &Checkpoint) -> Vec<u8> {
     // SoA register file, then every core's scratchpad in core order — a
     // core without a scratchpad lane reads as zeros, so the layout is the
     // whole grid's whatever the program's footprint.
-    for &word in &cp.regs {
-        w.u32(word);
-    }
+    w.u32s(&cp.regs);
     for idx in 0..cp.cores.len() {
         let lane = cp.program.scratch_range(idx);
-        let words = if lane.is_empty() {
-            &cp.program.zero_scratch[..]
+        if lane.is_empty() {
+            w.zeros(config.scratch_words * 2);
         } else {
-            &cp.scratch[lane]
-        };
-        for &word in words {
-            w.u16(word);
+            w.u16s(&cp.scratch[lane]);
         }
     }
 
@@ -431,9 +466,7 @@ pub fn save_checkpoint(cp: &Checkpoint) -> Vec<u8> {
         w.bool(line.valid);
         w.bool(line.dirty);
     }
-    for &word in &cp.cache.data {
-        w.u16(word);
-    }
+    w.u16s(&cp.cache.data);
     let mut dram: Vec<(u64, u16)> = cp.cache.dram.iter().map(|(a, v)| (*a, *v)).collect();
     dram.sort_unstable_by_key(|&(a, _)| a);
     w.usize(dram.len());
@@ -489,7 +522,7 @@ pub fn save_checkpoint(cp: &Checkpoint) -> Vec<u8> {
         }
     }
 
-    let checksum = fnv64(&w.buf);
+    let checksum = fnv1a(&w.buf);
     w.u64(checksum);
     w.buf
 }
@@ -516,7 +549,7 @@ pub fn load_checkpoint(
     }
     let (content, trailer) = bytes.split_at(bytes.len() - 8);
     let want = u64::from_le_bytes(trailer.try_into().unwrap());
-    if fnv64(content) != want {
+    if fnv1a(content) != want {
         return Err(PersistError::BadChecksum);
     }
 
@@ -640,16 +673,12 @@ pub fn load_checkpoint(
     // the cores with a scratchpad lane keep theirs; any other core's must
     // be all zeros, since no instruction of the program can write it.
     let mut regs = vec![0u32; num_cores * regfile_size];
-    for word in regs.iter_mut() {
-        *word = r.u32()?;
-    }
+    r.u32s(&mut regs)?;
     let mut scratch = vec![0u16; program.scratch_lanes * config.scratch_words];
     for idx in 0..num_cores {
         let lane = program.scratch_range(idx);
         if !lane.is_empty() {
-            for word in scratch[lane].iter_mut() {
-                *word = r.u16()?;
-            }
+            r.u16s(&mut scratch[lane])?;
         } else {
             let bytes = r.take(config.scratch_words * 2)?;
             if let Some(addr) = bytes.chunks_exact(2).position(|w| w != [0, 0]) {
@@ -702,9 +731,7 @@ pub fn load_checkpoint(
             dirty: r.bool()?,
         };
     }
-    for word in cache.data.iter_mut() {
-        *word = r.u16()?;
-    }
+    r.u16s(&mut cache.data)?;
     let n_dram = r.usize()?;
     for _ in 0..n_dram {
         let addr = r.u64()?;
@@ -830,7 +857,7 @@ mod tests {
         }
         let (content, trailer) = bytes.split_at(bytes.len() - 8);
         let want = u64::from_le_bytes(trailer.try_into().unwrap());
-        if fnv64(content) != want {
+        if fnv1a(content) != want {
             return Err(PersistError::BadChecksum);
         }
         let mut r = Reader {
@@ -847,11 +874,11 @@ mod tests {
     fn single_bit_flip_fails_the_checksum() {
         // A synthetic well-framed stream: magic + version + padding, with
         // a valid trailer; flipping any one bit must trip the checksum.
-        let mut w = Writer::new();
+        let mut w = Writer::with_capacity(24);
         w.buf.extend_from_slice(&MAGIC);
         w.u32(VERSION);
         w.u64(0xdead_beef);
-        let sum = fnv64(&w.buf);
+        let sum = fnv1a(&w.buf);
         w.u64(sum);
         let good = w.buf;
         assert!(frame_check(&good).is_ok());

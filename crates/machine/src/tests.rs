@@ -2057,6 +2057,159 @@ mod footprint {
         }
     }
 
+    /// The fingerprint's defining formula: one FNV step per counter, per
+    /// register of every core through [`Machine::read_reg`], per
+    /// scratchpad word, then the finished flag — the oracle the
+    /// footprint-proportional [`Machine::state_fingerprint`] must equal.
+    fn dense_fingerprint(m: &Machine) -> u64 {
+        const PRIME: u64 = 0x0000_0100_0000_01b3;
+        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+        let mut mix = |v: u64| h = (h ^ v).wrapping_mul(PRIME);
+        let c = m.counters();
+        for v in [
+            c.compute_cycles,
+            c.stall_cycles,
+            c.vcycles,
+            c.instructions,
+            c.sends,
+            c.messages_delivered,
+            c.exceptions,
+        ] {
+            mix(v);
+        }
+        let config = m.config();
+        for y in 0..config.grid_height {
+            for x in 0..config.grid_width {
+                let core = CoreId::new(x as u8, y as u8);
+                for reg in 0..config.regfile_size {
+                    mix(m.read_reg(core, r(reg as u16)) as u64);
+                }
+                for &w in m.core_scratch(core) {
+                    mix(w as u64);
+                }
+            }
+        }
+        mix(m.finished() as u64);
+        h
+    }
+
+    /// Toggle coverage by its definition, over every register through
+    /// [`Machine::read_reg`]: `(newly covered bits, covered bits)` after
+    /// folding `m` into the dense `(seen_set, seen_clear)` maps.
+    fn dense_observe(maps: &mut (Vec<u16>, Vec<u16>), m: &Machine) -> (u64, u64) {
+        let config = m.config();
+        let rf = config.regfile_size;
+        let mut newly = 0;
+        for i in 0..maps.0.len() {
+            let core = CoreId::new(
+                ((i / rf) % config.grid_width) as u8,
+                (i / rf / config.grid_width) as u8,
+            );
+            let v = m.read_reg(core, r((i % rf) as u16));
+            let before = (maps.0[i] & maps.1[i]).count_ones();
+            maps.0[i] |= v;
+            maps.1[i] |= !v;
+            newly += u64::from((maps.0[i] & maps.1[i]).count_ones() - before);
+        }
+        let covered = maps
+            .0
+            .iter()
+            .zip(&maps.1)
+            .map(|(s, c)| u64::from((s & c).count_ones()))
+            .sum();
+        (newly, covered)
+    }
+
+    /// Machines in every state the footprint split must see through:
+    /// fresh and proven programs, pokes above the footprint, a faulted
+    /// run, every lane of an unbundled gang, and restored checkpoints —
+    /// one carrying a write in flight across the Vcycle boundary.
+    fn footprint_states() -> Vec<(String, Machine)> {
+        let mut states = Vec::new();
+        for (name, program) in [("fresh", fresh()), ("proven", proven())] {
+            let copy = |m: &Machine| {
+                let mut c = Machine::from_program(Arc::clone(&program));
+                c.restore(&m.checkpoint()).unwrap();
+                c
+            };
+            let mut m = Machine::from_program(Arc::clone(&program));
+            states.push((format!("{name} at boot"), copy(&m)));
+            m.run_vcycles(5).unwrap();
+            states.push((format!("{name} after 5"), copy(&m)));
+            m.poke_reg(BUSY, r(100), 0xbeef);
+            m.poke_reg(INERT, r(2047), 0x1234);
+            m.poke_reg(CoreId::new(0, 1), r(2000), 0x8000);
+            m.run_vcycles(3).unwrap();
+            states.push((format!("{name} poked"), copy(&m)));
+
+            let mut faulted = Machine::from_program(Arc::clone(&program));
+            faulted.run_vcycles(2).unwrap();
+            faulted.poke_reg(CoreId::new(0, 0), r(3), 1);
+            assert!(faulted.run_vcycles(3).is_err());
+            assert!(faulted.fault().is_some());
+            states.push((format!("{name} faulted"), faulted));
+
+            let mut gang = crate::GangMachine::from_program(Arc::clone(&program), 3);
+            gang.poke_reg(0, INERT, r(2047), 7);
+            gang.poke_reg(1, CoreId::new(0, 0), r(3), 1);
+            gang.poke_reg(2, BUSY, r(1), 0xffff);
+            gang.run_vcycles(4);
+            for (lane, m) in gang.into_machines().into_iter().enumerate() {
+                states.push((format!("{name} gang lane {lane}"), m));
+            }
+
+            let mut restored = Machine::from_program(Arc::clone(&program));
+            let bytes = save_checkpoint(&m.checkpoint());
+            restored
+                .restore(&load_checkpoint(&bytes, &program).unwrap())
+                .unwrap();
+            states.push((format!("{name} restored"), restored));
+
+            // A write to r4 of (1,0) still in the pipeline: the flushed
+            // view reads its value, not the committed word.
+            let mut cp = m.checkpoint();
+            let cs = &mut cp.cores[1];
+            let slot = ((cs.ring_head + cs.ring_len) & cs.ring_mask) as usize;
+            cs.ring[slot] = PendingWrite {
+                commit_at: u64::MAX,
+                reg: 4,
+                value: 0x5a5a,
+                carry: false,
+            };
+            cs.inflight[4] += 1;
+            cs.last_writer[4] = slot as u32;
+            cs.ring_len += 1;
+            let mut in_flight = Machine::from_program(Arc::clone(&program));
+            in_flight.restore(&cp).unwrap();
+            assert_eq!(in_flight.read_reg(BUSY, r(4)), 0x5a5a);
+            states.push((format!("{name} write in flight"), in_flight));
+        }
+        states
+    }
+
+    #[test]
+    fn fingerprint_equals_the_dense_formula() {
+        for (what, m) in footprint_states() {
+            assert_eq!(m.state_fingerprint(), dense_fingerprint(&m), "{what}");
+        }
+    }
+
+    #[test]
+    fn coverage_equals_the_dense_definition() {
+        let program = fresh();
+        let mut map = crate::CoverageMap::for_program(&program);
+        let words = program.num_cores() * program.config().regfile_size;
+        let mut dense = (vec![0u16; words], vec![0u16; words]);
+        for (what, m) in footprint_states() {
+            let newly = map.observe(&m);
+            assert_eq!(
+                (newly, map.covered_bits()),
+                dense_observe(&mut dense, &m),
+                "{what}"
+            );
+        }
+    }
+
     #[test]
     fn laneless_scratchpads_read_as_zeros() {
         let mut m = Machine::from_program(fresh());

@@ -34,11 +34,10 @@
 //! recovering nine of ten sessions beats refusing to start.
 
 use std::fs;
-use std::hash::Hasher;
-use std::io;
+use std::io::{self, Write as _};
 use std::path::{Path, PathBuf};
 
-use manticore_util::FnvHasher;
+use manticore_util::{fnv1a, fnv1a_from};
 
 use crate::json::Value;
 use crate::session::SessionSource;
@@ -100,15 +99,25 @@ impl DurableStore {
     /// mid-write leaves either the old file or the new one, never a
     /// torn hybrid.
     ///
+    /// The checkpoint blob is written straight from `env`, never copied
+    /// into an envelope buffer: the checksum runs over the header, then
+    /// over the blob, and header, blob and trailer go to the file in
+    /// turn.
+    ///
     /// # Errors
     ///
     /// On any filesystem failure; the caller decides whether that
     /// degrades the park to memory-only or fails the request.
     pub fn save(&self, env: &Envelope) -> io::Result<()> {
-        let bytes = encode(env);
+        let head = header(env);
+        let check = fnv1a_from(fnv1a(&head), &env.checkpoint);
         let path = self.path_for(&env.id);
         let tmp = path.with_extension("tmp");
-        fs::write(&tmp, &bytes)?;
+        let mut file = fs::File::create(&tmp)?;
+        file.write_all(&head)?;
+        file.write_all(&env.checkpoint)?;
+        file.write_all(&check.to_le_bytes())?;
+        drop(file);
         fs::rename(&tmp, &path)
     }
 
@@ -146,13 +155,9 @@ impl DurableStore {
     }
 }
 
-fn fnv64(bytes: &[u8]) -> u64 {
-    let mut h = FnvHasher::default();
-    h.write(bytes);
-    h.finish()
-}
-
-fn encode(env: &Envelope) -> Vec<u8> {
+/// Everything in the file before the checkpoint blob: magic, version,
+/// the metadata, and the blob's length.
+fn header(env: &Envelope) -> Vec<u8> {
     let source = match &env.source {
         SessionSource::Catalog { name, grid } => Value::obj(vec![
             ("kind", Value::Str("catalog".into())),
@@ -166,15 +171,12 @@ fn encode(env: &Envelope) -> Vec<u8> {
         ]),
     };
     let meta = Value::obj(vec![("id", Value::Str(env.id.clone())), ("source", source)]).render();
-    let mut out = Vec::with_capacity(4 + 4 + 4 + meta.len() + 8 + env.checkpoint.len() + 8);
+    let mut out = Vec::with_capacity(4 + 4 + 4 + meta.len() + 8);
     out.extend_from_slice(&MAGIC);
     out.extend_from_slice(&VERSION.to_le_bytes());
     out.extend_from_slice(&(meta.len() as u32).to_le_bytes());
     out.extend_from_slice(meta.as_bytes());
     out.extend_from_slice(&(env.checkpoint.len() as u64).to_le_bytes());
-    out.extend_from_slice(&env.checkpoint);
-    let check = fnv64(&out);
-    out.extend_from_slice(&check.to_le_bytes());
     out
 }
 
@@ -184,7 +186,7 @@ fn decode(bytes: &[u8]) -> Result<Envelope, String> {
     }
     let (body, trailer) = bytes.split_at(bytes.len() - 8);
     let stored = u64::from_le_bytes(trailer.try_into().expect("8-byte trailer"));
-    if fnv64(body) != stored {
+    if fnv1a(body) != stored {
         return Err("envelope checksum mismatch".into());
     }
     let mut pos = 0usize;

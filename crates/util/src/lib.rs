@@ -12,7 +12,8 @@
 //!   any thread count;
 //! - [`hash::FnvHasher`] — a fast non-cryptographic hasher for hot
 //!   compiler maps whose keys come from the design, not from untrusted
-//!   input;
+//!   input; its byte form [`hash::fnv1a`] checksums durable machine state
+//!   and folds each run of zero 8-byte chunks into one multiply;
 //! - [`rng::SmallRng`] — a tiny deterministic PRNG (SplitMix64 seeding an
 //!   xorshift64* stream) backing the seeded randomized tests across the
 //!   workspace. The test suites are differential (two implementations must
@@ -33,7 +34,7 @@ pub mod rng;
 pub mod spin;
 
 pub use cancel::CancelToken;
-pub use hash::{FnvBuildHasher, FnvHashMap, FnvHashSet, FnvHasher};
+pub use hash::{fnv1a, fnv1a_from, FnvBuildHasher, FnvHashMap, FnvHashSet, FnvHasher};
 pub use panic::{catch_silent, catch_silent_mut};
 pub use pool::{parallel_map, parallel_map_mut};
 pub use rng::SmallRng;
