@@ -8,11 +8,11 @@
 //! cycles exactly in the absence of off-chip accesses).
 //!
 //! Three extra columns measure *the model itself* on this host — the
-//! cycle-accurate grid interpreter versus its two validate-once /
-//! replay-many lowerings: the pre-decoded tape (`rp kHz`) and the fused
-//! micro-op stream over structure-of-arrays state (`uop kHz`). `rp x` and
-//! `uop x` are the resulting vcycles/second speedups over the
-//! interpreter; results are bit-identical in every column.
+//! cycle-accurate grid interpreter (`model kHz`) versus its validate-once
+//! / replay-many engine, the fused micro-op stream over
+//! structure-of-arrays state (`uop kHz`). `uop x` is the resulting
+//! vcycles/second speedup over the interpreter; results are bit-identical
+//! in every column.
 //!
 //! Run: `cargo run --release -p manticore-bench --bin table3_performance`
 //!
@@ -29,19 +29,18 @@ use manticore::isa::MachineConfig;
 use manticore::sim::{Simulator, TapeSim};
 use manticore::workloads;
 use manticore::ManticoreSim;
-use manticore_bench::{
-    compile_for_grid, fmt, json::Val, reject_unknown_args, row, take_flag, ModelEngine,
-};
+use manticore_bench::{compile_for_grid, fmt, json::Val, reject_unknown_args, row, take_flag};
 
-/// Measured machine-model rate in kHz over `vcycles` Vcycles.
+/// Measured machine-model rate in kHz over `vcycles` Vcycles, on the
+/// micro-op replay engine or (`replay` false) the interpreter.
 fn measured_model_khz(
     out: &Arc<manticore::compiler::CompileOutput>,
     config: &MachineConfig,
-    engine: ModelEngine,
+    replay: bool,
     vcycles: u64,
 ) -> Option<f64> {
     let mut sim = ManticoreSim::from_output(out.clone(), config.clone()).ok()?;
-    engine.apply(&mut sim);
+    sim.set_replay(replay);
     sim.run_cycles(vcycles).ok()?;
     Some(sim.perf().measured_rate_khz())
 }
@@ -72,23 +71,19 @@ fn main() {
         "xS".into(),
         "xMT".into(),
         "model kHz".into(),
-        "rp kHz".into(),
         "uop kHz".into(),
-        "rp x".into(),
         "uop x".into(),
         "VCPL".into(),
         "cores".into(),
     ]);
-    println!("|---|---|---|---|---|---|---|---|---|---|---|---|---|---|---|");
+    println!("|---|---|---|---|---|---|---|---|---|---|---|---|---|");
 
     let mut geo_s = 1.0f64;
     let mut geo_mt = 1.0f64;
     let mut geo_self = 1.0f64;
-    let mut geo_rp = 1.0f64;
     let mut geo_uop = 1.0f64;
-    let mut geo_uop_rp = 1.0f64;
     let mut n = 0u32;
-    let mut n_rp = 0u32;
+    let mut n_uop = 0u32;
     let mut json_rows: Vec<Val> = Vec::new();
     for w in workloads::all() {
         let cycles = match vcycle_cap {
@@ -112,19 +107,14 @@ fn main() {
         let config = MachineConfig::default();
         let m_khz = config.simulation_rate_khz(out.report.vcpl);
 
-        // Measure the model itself: full interpreter vs the two replay
-        // lowerings.
+        // Measure the model itself: full interpreter vs the replay engine.
         let model_vcycles = cycles.min(300);
-        let interp_khz = measured_model_khz(&out, &config, ModelEngine::Interpreter, model_vcycles);
-        let replay_khz = measured_model_khz(&out, &config, ModelEngine::TapeReplay, model_vcycles);
-        let uop_khz = measured_model_khz(&out, &config, ModelEngine::MicroOps, model_vcycles);
-        let ratio = |num: Option<f64>, den: Option<f64>| match (num, den) {
-            (Some(r), Some(i)) if i > 0.0 => Some(r / i),
+        let interp_khz = measured_model_khz(&out, &config, false, model_vcycles);
+        let uop_khz = measured_model_khz(&out, &config, true, model_vcycles);
+        let uop_x = match (uop_khz, interp_khz) {
+            (Some(u), Some(i)) if i > 0.0 => Some(u / i),
             _ => None,
         };
-        let rp_x = ratio(replay_khz, interp_khz);
-        let uop_x = ratio(uop_khz, interp_khz);
-        let uop_rp = ratio(uop_khz, replay_khz);
         let opt = |v: Option<f64>| v.map(fmt).unwrap_or_else(|| "-".into());
 
         let xs = m_khz / s_khz;
@@ -133,11 +123,9 @@ fn main() {
         geo_s *= xs;
         geo_mt *= xmt;
         geo_self *= xself;
-        if let (Some(r), Some(u), Some(ur)) = (rp_x, uop_x, uop_rp) {
-            geo_rp *= r;
+        if let Some(u) = uop_x {
             geo_uop *= u;
-            geo_uop_rp *= ur;
-            n_rp += 1;
+            n_uop += 1;
         }
         n += 1;
 
@@ -151,9 +139,7 @@ fn main() {
             fmt(xs),
             fmt(xmt),
             opt(interp_khz),
-            opt(replay_khz),
             opt(uop_khz),
-            opt(rp_x),
             opt(uop_x),
             out.report.vcpl.to_string(),
             out.report.cores_used.to_string(),
@@ -169,11 +155,8 @@ fn main() {
             ("manticore_khz", Val::Num(m_khz)),
             ("model_vcycles", Val::Int(model_vcycles)),
             ("interp_khz", f(interp_khz)),
-            ("replay_khz", f(replay_khz)),
             ("uop_khz", f(uop_khz)),
-            ("replay_x", f(rp_x)),
             ("uop_x", f(uop_x)),
-            ("uop_over_replay", f(uop_rp)),
         ]));
     }
     let g = |v: f64, k: u32| {
@@ -197,10 +180,8 @@ fn main() {
         gs(geo_self, n),
     );
     println!(
-        "model engines vs interpreter: tape replay = {}, micro-ops = {} (uop/replay = {})",
-        gs(geo_rp, n_rp),
-        gs(geo_uop, n_rp),
-        gs(geo_uop_rp, n_rp)
+        "model replay engine vs interpreter: micro-ops = {}",
+        gs(geo_uop, n_uop)
     );
     println!("\npaper anchors (225-core, 475 MHz): geomean xS 2.8-3.4, xMT 2.1-4.2;");
     println!("manticore wins everywhere except jpeg (serial Huffman chain).");
@@ -216,9 +197,7 @@ fn main() {
                 Val::obj(vec![
                     ("xs", Val::Num(g(geo_s, n))),
                     ("xmt", Val::Num(g(geo_mt, n))),
-                    ("replay_vs_interp", Val::Num(g(geo_rp, n_rp))),
-                    ("uop_vs_interp", Val::Num(g(geo_uop, n_rp))),
-                    ("uop_vs_replay", Val::Num(g(geo_uop_rp, n_rp))),
+                    ("uop_vs_interp", Val::Num(g(geo_uop, n_uop))),
                 ]),
             ),
         ]);

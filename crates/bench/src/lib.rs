@@ -265,31 +265,6 @@ pub fn reject_unknown_args(args: &[String]) {
     }
 }
 
-/// The three machine-model engines the perf binaries sweep: the
-/// position-by-position interpreter (replay off) and the two replay
-/// lowerings.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ModelEngine {
-    /// Full per-position interpreter (replay disabled).
-    Interpreter,
-    /// Validate-once / replay-many, pre-decoded tape.
-    TapeReplay,
-    /// Validate-once / replay-many, fused micro-op stream.
-    MicroOps,
-}
-
-impl ModelEngine {
-    /// Configures a machine simulator to run on this engine.
-    pub fn apply(self, sim: &mut manticore::ManticoreSim) {
-        use manticore::machine::ReplayEngine;
-        match self {
-            ModelEngine::Interpreter => sim.set_replay(false),
-            ModelEngine::TapeReplay => sim.set_replay_engine(ReplayEngine::Tape),
-            ModelEngine::MicroOps => sim.set_replay_engine(ReplayEngine::MicroOps),
-        }
-    }
-}
-
 /// Formats a float with sensible precision for tables.
 pub fn fmt(v: f64) -> String {
     if v >= 1000.0 {

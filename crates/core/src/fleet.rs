@@ -48,7 +48,7 @@ pub use manticore_fleet::{
     JobOutput, SimJob,
 };
 use manticore_isa::{CoreId, MachineConfig, Reg};
-use manticore_machine::{GangMachine, Machine, ReplayEngine, RunOutcome};
+use manticore_machine::{GangMachine, Machine, RunOutcome};
 use manticore_util::CancelToken;
 
 use crate::sim::{SimOutcome, SimPerf, Simulator};
@@ -116,13 +116,6 @@ impl FleetJob {
     #[must_use]
     pub fn replay(mut self, enabled: bool) -> FleetJob {
         self.inner = self.inner.replay(enabled);
-        self
-    }
-
-    /// Selects the replay lowering (tape or fused micro-ops).
-    #[must_use]
-    pub fn replay_engine(mut self, engine: ReplayEngine) -> FleetJob {
-        self.inner = self.inner.replay_engine(engine);
         self
     }
 
@@ -478,14 +471,11 @@ impl FleetBackend {
 impl Simulator for FleetBackend {
     fn backend(&self) -> String {
         let base = format!("manticore-fleet({})", self.fleet.workers());
-        // Same replay-lowering suffix convention as the direct machine
-        // backends (`ManticoreSim::backend`).
+        // Same replay suffix convention as the direct machine backends
+        // (`ManticoreSim::backend`).
         let machine = self.machine.as_ref().expect("machine present at rest");
         if machine.replay_armed() {
-            match machine.replay_engine() {
-                ReplayEngine::Tape => format!("{base}+replay"),
-                ReplayEngine::MicroOps => format!("{base}+uops"),
-            }
+            format!("{base}+uops")
         } else {
             base
         }
@@ -549,9 +539,9 @@ impl Simulator for FleetBackend {
 /// ([`GangMachine`]): every lane boots the same design, `run_cycles`
 /// advances all of them together, and the trait's observers read lane 0.
 /// Architecturally identical to the direct machine backends — what it
-/// adds is coverage of the lane-batched dispatch, the lane-major state
-/// layout, and the gather/scatter fallback, under every agreement test
-/// that sweeps [`crate::sim::backends`].
+/// adds is coverage of the lane-batched dispatch and the lane-major state
+/// layout under every agreement test that sweeps
+/// [`crate::sim::backends`].
 #[derive(Debug)]
 pub struct GangBackend {
     gang: GangMachine,
@@ -574,24 +564,14 @@ impl GangBackend {
             wall_seconds: 0.0,
         }
     }
-
-    /// Selects the gang-wide replay lowering (micro-ops run the ganged
-    /// inner loop; the tape runs each lane through the solo engine).
-    pub fn set_replay_engine(&mut self, engine: ReplayEngine) {
-        self.gang.set_replay_engine(engine);
-    }
 }
 
 impl Simulator for GangBackend {
     fn backend(&self) -> String {
         let base = format!("manticore-gang({})", self.gang.lanes());
-        // Same replay-lowering suffix convention as the other machine
-        // backends.
+        // Same replay suffix convention as the other machine backends.
         if self.gang.replay_armed() {
-            match self.gang.replay_engine() {
-                ReplayEngine::Tape => format!("{base}+replay"),
-                ReplayEngine::MicroOps => format!("{base}+uops"),
-            }
+            format!("{base}+uops")
         } else {
             base
         }

@@ -63,7 +63,7 @@ pub mod prelude {
     pub use manticore_isa::{CoreId, MachineConfig, Reg};
     pub use manticore_machine::{
         Checkpoint, CompiledProgram, CoverageMap, GangMachine, Interrupt, Machine, MachineError,
-        ReplayEngine, RunOutcome, MAX_LANES,
+        RunOutcome, MAX_LANES,
     };
     pub use manticore_netlist::{eval::Evaluator, NetlistBuilder};
     pub use manticore_util::CancelToken;
@@ -79,7 +79,7 @@ pub mod prelude {
 use manticore_bits::Bits;
 use manticore_compiler::{compile, CompileError, CompileOptions, CompileOutput};
 use manticore_isa::MachineConfig;
-use manticore_machine::{Machine, MachineError, ReplayEngine, RunOutcome};
+use manticore_machine::{Machine, MachineError, RunOutcome};
 use manticore_netlist::Netlist;
 use manticore_refsim::TapeError;
 
@@ -126,7 +126,7 @@ impl From<MachineError> for SimError {
 #[derive(Debug)]
 pub struct ManticoreSim {
     machine: Machine,
-    /// Shared so several machines (e.g. one per replay lowering) can run
+    /// Shared so several machines (e.g. replay on and off) can run
     /// one compiled design without recompiling.
     output: std::sync::Arc<CompileOutput>,
     displays: Vec<String>,
@@ -161,7 +161,8 @@ impl ManticoreSim {
     }
 
     /// Boots a machine from an already-compiled design. Lets several
-    /// simulators (e.g. one per [`ReplayEngine`]) share one compilation.
+    /// simulators (e.g. the interpreter and the replay engine) share one
+    /// compilation.
     ///
     /// # Errors
     ///
@@ -213,12 +214,6 @@ impl ManticoreSim {
     /// path (on by default; bit-identical either way).
     pub fn set_replay(&mut self, enabled: bool) {
         self.machine.set_replay(enabled);
-    }
-
-    /// Selects the machine's replay lowering: the pre-decoded tape or the
-    /// fused micro-op stream (default; bit-identical either way).
-    pub fn set_replay_engine(&mut self, engine: ReplayEngine) {
-        self.machine.set_replay_engine(engine);
     }
 
     /// Selects strict or permissive hazard checking — the solo mirror of

@@ -4,17 +4,16 @@
 //!
 //! | backend | engine | crate |
 //! |---|---|---|
-//! | `manticore-serial` | machine grid, one thread | `manticore_machine` |
-//! | `manticore-serial+replay` | machine grid, validate-once / replay-many tape | `manticore_machine` |
-//! | `manticore-serial+uops` | machine grid, fused micro-op replay over SoA state | `manticore_machine` |
+//! | `manticore-serial` | machine grid, position-by-position reference interpreter | `manticore_machine` |
+//! | `manticore-serial+uops` | machine grid, validate-once / replay-many fused micro-ops over SoA state | `manticore_machine` |
 //! | `manticore-fleet(k)` | machine grid dispatched through a `k`-worker fleet pool | `manticore_fleet` |
 //! | `manticore-gang(k)` | `k` lockstep lanes over lane-major state, one micro-op fetch per gang | `manticore_machine` |
 //! | `tape-serial` | Verilator-analog tape, one thread | `manticore_refsim` |
 //! | `tape-parallel(k)` | Verilator-analog macro-tasks, `k` threads | `manticore_refsim` |
 //!
-//! The machine backends accept a `+replay` or `+uops` suffix in their
-//! reported names: the Vcycle-periodic replay fast path is on by default
-//! and bit-identical in either lowering (see `manticore_machine`'s crate
+//! The machine backends report a `+uops` suffix while replay is armed:
+//! the Vcycle-periodic replay fast path is on by default and
+//! bit-identical to the interpreter (see `manticore_machine`'s crate
 //! docs), so agreement tests sweep both explicitly.
 //!
 //! Before this trait existed, every experiment binary and agreement test
@@ -27,7 +26,7 @@ use std::time::Instant;
 
 use manticore_bits::Bits;
 use manticore_compiler::{compile, CompileOptions};
-use manticore_machine::{PerfCounters, ReplayEngine};
+use manticore_machine::PerfCounters;
 use manticore_netlist::Netlist;
 use manticore_refsim::{serial, MacroTaskPlan, Tape, TapeState};
 
@@ -133,10 +132,7 @@ impl Simulator for ManticoreSim {
     fn backend(&self) -> String {
         let base = "manticore-serial";
         if self.machine().replay_armed() {
-            match self.machine().replay_engine() {
-                ReplayEngine::Tape => format!("{base}+replay"),
-                ReplayEngine::MicroOps => format!("{base}+uops"),
-            }
+            format!("{base}+uops")
         } else {
             base.to_string()
         }
@@ -331,16 +327,15 @@ impl Simulator for TapeSim {
 
 /// Builds one of every backend for `netlist`: Manticore serial (the
 /// position-by-position reference interpreter), Manticore serial with the
-/// validate-once / replay-many tape, Manticore serial with the fused
-/// micro-op replay stream, the fleet-dispatched machine (a
+/// fused micro-op replay stream, the fleet-dispatched machine (a
 /// `threads`-worker pool), the lane-batched gang machine (a
-/// `threads`-lane lockstep gang, in both replay lowerings), tape serial,
-/// and tape parallel with `threads` workers.
+/// `threads`-lane lockstep gang), tape serial, and tape parallel with
+/// `threads` workers.
 ///
 /// All machine-grid backends share **one** compilation *and* one frozen
-/// [`manticore_machine::CompiledProgram`] — the replay tape and micro-op
-/// streams are built once and aliased, the compile-once / run-many path
-/// the fleet engine scales up.
+/// [`manticore_machine::CompiledProgram`] — the replay schedule and
+/// micro-op streams are built once and aliased, the compile-once /
+/// run-many path the fleet engine scales up.
 ///
 /// # Errors
 ///
@@ -363,28 +358,21 @@ pub fn backends(
     let program = manticore_machine::CompiledProgram::compile_shared(config, &output.binary)?;
     let mut serial_machine = ManticoreSim::from_program(program.clone(), output.clone());
     serial_machine.set_replay(false);
-    let mut replay_machine = ManticoreSim::from_program(program.clone(), output.clone());
-    replay_machine.set_replay_engine(ReplayEngine::Tape);
-    let mut uop_machine = ManticoreSim::from_program(program.clone(), output.clone());
-    uop_machine.set_replay_engine(ReplayEngine::MicroOps);
+    let uop_machine = ManticoreSim::from_program(program.clone(), output.clone());
     // One fleet row: its `run_cycles` dispatches a single resume job, so
     // the pool engages one worker per call regardless of capacity — the
     // coverage it adds is the dispatch/steal path itself, which a second
     // row would merely repeat.
     let fleet = crate::fleet::FleetBackend::new(&program, output.clone(), threads);
-    // Two gang rows: the micro-op lowering exercises the ganged inner
-    // loop (plus the per-lane validation fallback), the tape lowering
-    // keeps the lane gather/scatter path under the agreement sweep.
-    let gang_uops = crate::fleet::GangBackend::new(&program, output.clone(), threads);
-    let mut gang_tape = crate::fleet::GangBackend::new(&program, output, threads);
-    gang_tape.set_replay_engine(ReplayEngine::Tape);
+    // One gang row: the ganged inner loop plus the per-lane validation
+    // Vcycle. (The post-interleave gather/scatter fallback needs a knob
+    // change mid-run, which the machine crate's unit tests drive.)
+    let gang = crate::fleet::GangBackend::new(&program, output, threads);
     Ok(vec![
         Box::new(serial_machine),
-        Box::new(replay_machine),
         Box::new(uop_machine),
         Box::new(fleet),
-        Box::new(gang_uops),
-        Box::new(gang_tape),
+        Box::new(gang),
         Box::new(TapeSim::serial(netlist)?),
         Box::new(TapeSim::parallel(netlist, threads, 32)?),
     ])

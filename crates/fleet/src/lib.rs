@@ -13,7 +13,7 @@
 //!
 //! - [`SimJob`] — the description of one simulation: which program, the
 //!   per-run input vector (register pokes applied before the first
-//!   Vcycle), the engine knobs (replay lowering, hazard strictness), and
+//!   Vcycle), the engine knobs (replay on/off, hazard strictness), and
 //!   the Vcycle budget. A job can also *resume* an existing [`Machine`]
 //!   ([`SimJob::resume`]), which is how a fleet drives long-running
 //!   simulations in slices.
@@ -70,8 +70,7 @@ use std::time::Instant;
 use manticore_isa::{CoreId, Reg};
 pub use manticore_machine::CompiledProgram;
 use manticore_machine::{
-    Checkpoint, CoverageMap, GangMachine, Interrupt, Machine, MachineError, ReplayEngine,
-    RunOutcome, MAX_LANES,
+    Checkpoint, CoverageMap, GangMachine, Interrupt, Machine, MachineError, RunOutcome, MAX_LANES,
 };
 use manticore_util::{catch_silent_mut, CancelToken, SmallRng};
 
@@ -81,9 +80,9 @@ mod pool;
 pub use fault::{BatchPolicy, FaultKind, FaultPlan, FaultPoint};
 use pool::{Pool, Task};
 
-/// The gang-compatibility key: program pointer, replay/engine/strict
-/// knobs, Vcycle budget, and cancellation-domain identity.
-type GangKey = (usize, u8, u8, u8, u64, usize);
+/// The gang-compatibility key: program pointer, replay/strict knobs,
+/// Vcycle budget, and cancellation-domain identity.
+type GangKey = (usize, u8, u8, u64, usize);
 
 /// Where a job's machine comes from: a fresh boot of a shared program, or
 /// an existing run handed back to the fleet for another slice.
@@ -104,7 +103,6 @@ pub struct SimJob {
     /// applied before execution.
     pokes: Vec<(CoreId, Reg, u16)>,
     replay: Option<bool>,
-    engine: Option<ReplayEngine>,
     strict: Option<bool>,
     vcycles: u64,
     deadline: Option<std::time::Instant>,
@@ -120,7 +118,6 @@ impl SimJob {
             source: JobSource::Fresh(Arc::clone(program)),
             pokes: Vec::new(),
             replay: None,
-            engine: None,
             strict: None,
             vcycles,
             deadline: None,
@@ -136,7 +133,6 @@ impl SimJob {
             source: JobSource::Resume(Box::new(machine)),
             pokes: Vec::new(),
             replay: None,
-            engine: None,
             strict: None,
             vcycles,
             deadline: None,
@@ -156,13 +152,6 @@ impl SimJob {
     #[must_use]
     pub fn replay(mut self, enabled: bool) -> SimJob {
         self.replay = Some(enabled);
-        self
-    }
-
-    /// Selects the replay lowering (tape or fused micro-ops).
-    #[must_use]
-    pub fn replay_engine(mut self, engine: ReplayEngine) -> SimJob {
-        self.engine = Some(engine);
         self
     }
 
@@ -224,11 +213,6 @@ impl SimJob {
             Some(false) => 1,
             Some(true) => 2,
         };
-        let engine = match self.engine {
-            None => 0u8,
-            Some(ReplayEngine::Tape) => 1,
-            Some(ReplayEngine::MicroOps) => 2,
-        };
         let strict = match self.strict {
             None => 0u8,
             Some(false) => 1,
@@ -237,7 +221,6 @@ impl SimJob {
         (
             Arc::as_ptr(program) as usize,
             replay,
-            engine,
             strict,
             self.vcycles,
             self.cancel.as_ref().map_or(0, CancelToken::id),
@@ -279,9 +262,6 @@ impl SimJob {
         }
         if let Some(enabled) = self.replay {
             machine.set_replay(enabled);
-        }
-        if let Some(engine) = self.engine {
-            machine.set_replay_engine(engine);
         }
         for &(core, reg, value) in &self.pokes {
             machine.poke_reg(core, reg, value);
@@ -549,18 +529,12 @@ impl Unit {
                 // All jobs share a gang key (program, knobs, budget); the
                 // input vectors are per-lane.
                 let lanes = group.len();
-                let (program, vcycles, strict, replay, engine) = {
+                let (program, vcycles, strict, replay) = {
                     let job = &group[0].1;
                     let JobSource::Fresh(program) = &job.source else {
                         unreachable!("gangs are built from fresh jobs only")
                     };
-                    (
-                        Arc::clone(program),
-                        job.vcycles,
-                        job.strict,
-                        job.replay,
-                        job.engine,
-                    )
+                    (Arc::clone(program), job.vcycles, job.strict, job.replay)
                 };
                 let mut gang = GangMachine::from_program(program, lanes);
                 if let Some(strict) = strict {
@@ -568,9 +542,6 @@ impl Unit {
                 }
                 if let Some(enabled) = replay {
                     gang.set_replay(enabled);
-                }
-                if let Some(engine) = engine {
-                    gang.set_replay_engine(engine);
                 }
                 for (lane, (_, job)) in group.iter().enumerate() {
                     for &(core, reg, value) in &job.pokes {
@@ -1398,9 +1369,9 @@ mod tests {
     fn ganged_run_matches_solo_run_for_mixed_job_sets() {
         let program = counter_program();
         let core = CoreId::new(0, 0);
-        // A deliberately lumpy set: three gangable groups (two budgets x
-        // two engines) plus non-gangable jobs carrying a far-future
-        // per-job deadline, interleaved.
+        // A deliberately lumpy set: four gangable groups (two budgets x
+        // strict/permissive hazards) plus non-gangable jobs carrying a
+        // far-future per-job deadline, interleaved.
         let far = std::time::Instant::now() + std::time::Duration::from_secs(3600);
         let make_jobs = || -> Vec<SimJob> {
             (0..11)
@@ -1411,12 +1382,18 @@ mod tests {
                         job = job.deadline(far);
                     }
                     if i % 3 == 0 {
-                        job = job.replay_engine(ReplayEngine::Tape);
+                        job = job.strict_hazards(false);
                     }
                     job
                 })
                 .collect()
         };
+        let keys: std::collections::HashSet<GangKey> = make_jobs()
+            .iter()
+            .filter(|job| job.gangable())
+            .map(SimJob::gang_key)
+            .collect();
+        assert!(keys.len() >= 3, "{} gang groups", keys.len());
         let reference = Fleet::new(1).run(make_jobs());
         for lanes in [2, 4, 8] {
             let ganged = Fleet::new(2).run_ganged(make_jobs(), lanes);

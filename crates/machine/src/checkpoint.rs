@@ -17,8 +17,8 @@
 //! lane-batched form of "what happens from here under K different
 //! inputs?". The differential harness in `tests/checkpoint_equivalence.rs`
 //! pins every state-movement path here (snapshot, restore, fork, lane
-//! round-trip) bit-identical to an uninterrupted run across all engine
-//! variants.
+//! round-trip) bit-identical to an uninterrupted run across every engine
+//! knob.
 //!
 //! The per-Vcycle scratch buffers a machine carries (`send_buf`,
 //! `send_vals_buf`, `due_buf`) are deliberately *not* captured: they are
@@ -30,7 +30,7 @@ use std::sync::Arc;
 use crate::cache::Cache;
 use crate::core::CoreState;
 use crate::gang::GangMachine;
-use crate::grid::{HostEvent, Machine, MachineError, PerfCounters, ReplayEngine};
+use crate::grid::{HostEvent, Machine, MachineError, PerfCounters};
 use crate::noc::Noc;
 use crate::program::CompiledProgram;
 
@@ -52,7 +52,6 @@ pub struct Checkpoint {
     pub(crate) finish_requested: bool,
     pub(crate) events: Vec<HostEvent>,
     pub(crate) replay_enabled: bool,
-    pub(crate) replay_engine: ReplayEngine,
     pub(crate) tape_invalidated: bool,
     /// `Some` when the snapshot was taken from a parked (faulted) gang
     /// lane or a parked machine: forking it reproduces lanes parked with
@@ -106,7 +105,6 @@ impl Checkpoint {
             finish_requested: self.finish_requested,
             events: self.events.clone(),
             replay_enabled: self.replay_enabled,
-            replay_engine: self.replay_engine,
             tape_invalidated: self.tape_invalidated,
             send_buf: Vec::new(),
             send_vals_buf: Vec::new(),
@@ -150,7 +148,6 @@ impl Machine {
             finish_requested: self.finish_requested,
             events: self.events.clone(),
             replay_enabled: self.replay_enabled,
-            replay_engine: self.replay_engine,
             tape_invalidated: self.tape_invalidated,
             fault: self.fault.clone(),
         }
@@ -183,7 +180,6 @@ impl Machine {
         self.finish_requested = cp.finish_requested;
         self.events.clone_from(&cp.events);
         self.replay_enabled = cp.replay_enabled;
-        self.replay_engine = cp.replay_engine;
         self.tape_invalidated = cp.tape_invalidated;
         self.send_buf.clear();
         self.send_vals_buf.clear();

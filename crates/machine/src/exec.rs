@@ -1,11 +1,8 @@
-//! The per-core instruction step, shared by the grid interpreter and the
-//! tape replay engine.
+//! The per-core instruction step of the grid interpreter.
 //!
-//! The interpreter ([`crate::grid`]) and the tape replay engine
-//! ([`crate::replay`]) must be bit-identical. The way we get that by
-//! construction is to funnel *all* architectural effects of one core
-//! executing one Vcycle position through this module's executors: the
-//! interpreter calls [`step_core`], which mutates only
+//! All architectural effects of one core executing one Vcycle position
+//! go through this module's executors: the interpreter ([`crate::grid`])
+//! calls [`step_core`], which mutates only
 //!
 //! - the core's own state (a [`CoreView`]: per-core metadata plus the
 //!   core's register-file and scratchpad lanes of the machine's
@@ -20,9 +17,9 @@
 //! validation — stays in the grid.
 //!
 //! The micro-op replay engine ([`crate::uops`]) does *not* go through this
-//! module's interpreters — that is its point — but it is compiled from the
-//! same decoded instructions and validated against these executors by the
-//! equivalence suite.
+//! module's interpreter — that is its point — but it is compiled from the
+//! same decoded instructions and validated against it by the equivalence
+//! suites; it shares [`service_exception`] and [`exec_epilogue_slot`].
 
 use manticore_isa::{CoreId, ExceptionDescriptor, ExceptionKind, Instruction, MachineConfig, Reg};
 
@@ -155,11 +152,10 @@ pub(crate) fn service_exception(
 /// All effects go through the caller-supplied accumulators (the
 /// machine's globals).
 ///
-/// This is the fetch/decode wrapper around [`exec_instr`]: it resolves the
-/// position into a body instruction or an epilogue slot. The replay engine
-/// ([`crate::replay`]) skips it and calls [`exec_instr`] /
-/// [`exec_epilogue_slot`] directly with pre-decoded entries — both paths
-/// share the same executors, so the replay tape cannot drift semantically.
+/// This is the single source of architectural truth for instruction
+/// semantics: the interpreter funnels every position through here (the
+/// micro-op engine is compiled from the same instructions and checked
+/// against this interpreter).
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn step_core(
     env: &ExecEnv<'_>,
@@ -206,46 +202,6 @@ pub(crate) fn step_core(
     }
 
     let instr = core.prog.body[pos as usize];
-    exec_instr(
-        env, core, core_id, pos, now, instr, cache, counters, events, sends,
-    )
-}
-
-/// Executes one filled epilogue slot (`SET rd, value`) at compute time
-/// `now`. Shared by [`step_core`] and the replay engines' dense epilogue
-/// walks.
-pub(crate) fn exec_epilogue_slot(
-    core: &mut CoreView<'_>,
-    now: u64,
-    lat: u64,
-    rd: Reg,
-    value: u16,
-    counters: &mut PerfCounters,
-) {
-    core.write_reg(now, lat, rd, value, false);
-    core.cs.executed += 1;
-    counters.instructions += 1;
-}
-
-/// Executes one already-decoded body instruction. This is the single
-/// source of architectural truth for instruction semantics: the
-/// interpreter and the tape replay engine both funnel
-/// every body instruction through here (the micro-op engine is compiled
-/// from the same instructions and checked against this interpreter).
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn exec_instr(
-    env: &ExecEnv<'_>,
-    core: &mut CoreView<'_>,
-    core_id: CoreId,
-    pos: u64,
-    now: u64,
-    instr: Instruction,
-    cache: Option<&mut Cache>,
-    counters: &mut PerfCounters,
-    events: &mut Vec<HostEvent>,
-    sends: &mut Vec<SendRecord>,
-) -> Result<(), MachineError> {
-    let lat = env.config.hazard_latency as u64;
     if !matches!(instr, Instruction::Nop) {
         core.cs.executed += 1;
         counters.instructions += 1;
@@ -395,6 +351,22 @@ pub(crate) fn exec_instr(
         }
     }
     Ok(())
+}
+
+/// Executes one filled epilogue slot (`SET rd, value`) at compute time
+/// `now`. Shared by [`step_core`] and the micro-op engine's ringed
+/// epilogue walk.
+pub(crate) fn exec_epilogue_slot(
+    core: &mut CoreView<'_>,
+    now: u64,
+    lat: u64,
+    rd: Reg,
+    value: u16,
+    counters: &mut PerfCounters,
+) {
+    core.write_reg(now, lat, rd, value, false);
+    core.cs.executed += 1;
+    counters.instructions += 1;
 }
 
 /// Applies a 4-input LUT truth table across the 16 bit lanes — the

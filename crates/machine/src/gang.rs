@@ -22,13 +22,13 @@
 //! per scenario drops by ~K while the data cost stays what it was.
 //!
 //! **Two phases.** Lanes start as plain solo [`Machine`]s (contiguous
-//! per-run state): the validation Vcycle, the tape lowering, unreplayable
-//! programs, and disabled replay all execute there, through the one true
-//! solo engine ([`Machine::step_vcycle`]) with zero copying. The
+//! per-run state): the validation Vcycle, unreplayable programs, and
+//! disabled replay all execute there, through the one true solo engine
+//! ([`Machine::step_vcycle`]) with zero copying. The
 //! validation Vcycle runs only until some run has proven the program's
 //! schedule ([`CompiledProgram::schedule_proven`]): the first lane to
 //! validate proves it for its siblings and for every later gang. The
-//! first time the ganged fast path becomes eligible (micro-op lowering,
+//! first time the ganged fast path becomes eligible (replay armed,
 //! schedule proven), the register files are transposed once into the
 //! lane-major layout as single sequential passes. The solo machines stay
 //! around as *shells*: they keep owning each lane's NoC, cache, counters,
@@ -57,7 +57,7 @@
 //!
 //! **Bit-identity.** The equivalence suite (`tests/gang_equivalence.rs`)
 //! pins the ganged path to K solo runs bit for bit: registers, counters,
-//! displays, and errors — across lane counts, replay lowerings, and
+//! displays, and errors — across lane counts, replay on and off, and
 //! hazard strictness.
 
 use std::sync::Arc;
@@ -68,7 +68,8 @@ use crate::checkpoint::Checkpoint;
 use crate::core::CoreState;
 use crate::exec::service_exception;
 use crate::grid::{
-    HostEvent, Interrupt, Machine, MachineError, PerfCounters, ReplayEngine, RunOutcome,
+    replay_armed, replays_next_vcycle, HostEvent, Interrupt, Machine, MachineError, PerfCounters,
+    RunOutcome,
 };
 use crate::program::CompiledProgram;
 use crate::uops::{MicroOp, UOp};
@@ -135,7 +136,6 @@ pub struct GangMachine {
     lane_status: Vec<LaneStatus>,
     strict_hazards: bool,
     replay_enabled: bool,
-    replay_engine: ReplayEngine,
     tape_invalidated: bool,
     /// Cooperative cancellation, polled between lockstep Vcycles —
     /// [`Machine::set_cancel_token`] for the whole gang.
@@ -166,7 +166,6 @@ impl GangMachine {
             lane_status: vec![LaneStatus::Running; lanes],
             strict_hazards: true,
             replay_enabled: true,
-            replay_engine: ReplayEngine::MicroOps,
             tape_invalidated: false,
             cancel: None,
             deadline: None,
@@ -204,7 +203,6 @@ impl GangMachine {
             lane_status: vec![status; lanes],
             strict_hazards: cp.strict_hazards,
             replay_enabled: cp.replay_enabled,
-            replay_engine: cp.replay_engine,
             tape_invalidated: cp.tape_invalidated,
             cancel: None,
             deadline: None,
@@ -258,23 +256,6 @@ impl GangMachine {
         }
     }
 
-    /// Gang-wide replay lowering; the ganged inner loop exists for
-    /// [`ReplayEngine::MicroOps`], everything else runs lane-at-a-time
-    /// through the solo engine.
-    pub fn set_replay_engine(&mut self, engine: ReplayEngine) {
-        self.replay_engine = engine;
-        if let LaneState::Solo(machines) = &mut self.state {
-            for m in machines {
-                m.set_replay_engine(engine);
-            }
-        }
-    }
-
-    /// The currently selected replay lowering.
-    pub fn replay_engine(&self) -> ReplayEngine {
-        self.replay_engine
-    }
-
     /// Installs (or clears) the cooperative cancellation token the gang
     /// polls between lockstep Vcycles — [`Machine::set_cancel_token`] for
     /// the whole gang.
@@ -312,10 +293,15 @@ impl GangMachine {
             .splice(0..0, displays.into_iter().map(HostEvent::Display));
     }
 
-    /// True when replay is enabled and a frozen tape exists — mirrors
-    /// [`Machine::replay_armed`] for backend naming.
+    /// Whether post-validation Vcycles run the micro-op engine — the
+    /// gang-wide [`Machine::replay_armed`].
     pub fn replay_armed(&self) -> bool {
-        self.replay_enabled && !self.tape_invalidated && self.program.replay_tape.is_some()
+        replay_armed(
+            &self.program,
+            self.replay_enabled,
+            self.tape_invalidated,
+            self.strict_hazards,
+        )
     }
 
     /// Overwrites one lane's architectural register — the per-lane input
@@ -400,7 +386,6 @@ impl GangMachine {
                     finish_requested: false,
                     events: shell.events.clone(),
                     replay_enabled: self.replay_enabled,
-                    replay_engine: self.replay_engine,
                     tape_invalidated: self.tape_invalidated,
                     fault: None,
                 }
@@ -412,7 +397,6 @@ impl GangMachine {
         // snapshot.
         cp.strict_hazards = self.strict_hazards;
         cp.replay_enabled = self.replay_enabled;
-        cp.replay_engine = self.replay_engine;
         cp.tape_invalidated = self.tape_invalidated;
         cp.finish_requested = finished || cp.finish_requested;
         cp.fault = fault;
@@ -499,14 +483,14 @@ impl GangMachine {
                 }
                 self.run_one_vcycle_uops_gang();
             } else {
-                // Validation Vcycle, tape lowering, unreplayable program,
-                // disabled replay, or invalidated tape: step each lane
-                // through the solo engine (one source of truth for
-                // those paths). In the solo phase that is copy-free; after
-                // the gang has interleaved it gathers/scatters the lane
-                // through its shell. The first lane to validate proves the
-                // schedule for the whole program, so its siblings start on
-                // the micro-op lowering (see `Machine::step_vcycle`).
+                // Validation Vcycle, unreplayable program, disabled or
+                // disarmed replay: step each lane through the solo engine
+                // (one source of truth for those paths). In the solo phase
+                // that is copy-free; after the gang has interleaved it
+                // gathers/scatters the lane through its shell. The first
+                // lane to validate proves the schedule for the whole
+                // program, so its siblings start on the micro-op engine
+                // (see `Machine::step_vcycle`).
                 for l in 0..lanes {
                     if !matches!(self.lane_status[l], LaneStatus::Running) {
                         continue;
@@ -591,7 +575,6 @@ impl GangMachine {
             // unbundled machines must carry the gang's current settings.
             m.strict_hazards = self.strict_hazards;
             m.replay_enabled = self.replay_enabled;
-            m.replay_engine = self.replay_engine;
             m.tape_invalidated = self.tape_invalidated;
             m.finish_requested = matches!(self.lane_status[lane], LaneStatus::Finished);
             // A parked lane unbundles into a parked machine carrying the
@@ -605,30 +588,15 @@ impl GangMachine {
     }
 
     /// True when the next Vcycle can run the ganged micro-op inner loop:
-    /// replay armed, micro-op lowering selected, no strict cross-boundary
-    /// hazard (which needs the tape engine's live checks), and the running
-    /// lanes are past their validation Vcycle or the program's schedule
-    /// is already proven ([`CompiledProgram::schedule_proven`]). Running
-    /// lanes are in lockstep, so one lane's Vcycle count speaks for all.
+    /// the solo engine's choice ([`replays_next_vcycle`]) for the gang's
+    /// knobs. Running lanes are in lockstep, so one lane's Vcycle count
+    /// speaks for all.
     fn gang_replay_ready(&self) -> bool {
-        if !self.replay_enabled
-            || self.tape_invalidated
-            || self.replay_engine != ReplayEngine::MicroOps
-            || self.program.replay_tape.is_none()
-        {
-            return false;
-        }
-        let cross_hazard = self
-            .program
-            .micro_prog
-            .as_ref()
-            .is_some_and(|p| p.cross_hazard);
-        if self.strict_hazards && cross_hazard {
-            return false;
-        }
         (0..self.lanes)
             .find(|&l| matches!(self.lane_status[l], LaneStatus::Running))
-            .is_some_and(|l| self.counters(l).vcycles > 0 || self.program.schedule_proven())
+            .is_some_and(|l| {
+                replays_next_vcycle(&self.program, self.replay_armed(), self.counters(l).vcycles)
+            })
     }
 
     /// Transposes the solo-phase machines' register files into the
@@ -672,8 +640,9 @@ impl GangMachine {
     /// Post-interleave solo fallback: gathers one lane into its shell,
     /// steps the shell one Vcycle on the solo engine, and scatters the
     /// state back into the lane-major arrays. Only reached when a knob
-    /// change (e.g. switching to the tape lowering after ganged Vcycles
-    /// ran) forces a ganged lane back onto the solo engine.
+    /// change after ganged Vcycles ran (replay disabled, or strictness
+    /// re-armed after a permissive start) forces a ganged lane back onto
+    /// the solo engine.
     fn step_lane_solo_ganged(&mut self, lane: usize) -> Result<(), MachineError> {
         let LaneState::Ganged(gs) = &mut self.state else {
             unreachable!("step_lane_solo_ganged is a ganged-phase operation")
@@ -683,7 +652,6 @@ impl GangMachine {
         let shell = &mut gs.shells[lane];
         shell.strict_hazards = self.strict_hazards;
         shell.replay_enabled = self.replay_enabled;
-        shell.replay_engine = self.replay_engine;
         shell.tape_invalidated = self.tape_invalidated;
         for (i, r) in shell.regs.iter_mut().enumerate() {
             *r = gs.regs[i * lanes + lane];
@@ -825,7 +793,7 @@ impl GangMachine {
         } else {
             // Permissive mode: frozen delivery schedule into the epilogue
             // slots, then the validated slot walk through each lane's
-            // pipeline ring — `replay_delivery_and_epilogue`, per lane.
+            // pipeline ring — the solo engine's ringed epilogue, per lane.
             for d in &tape.deliveries {
                 let t = d.target as usize;
                 let sv = d.send_idx as usize * lanes;

@@ -15,10 +15,9 @@ use manticore_util::hash::{fnv_prime_pow, FNV_OFFSET, FNV_PRIME};
 
 use crate::cache::{Cache, CacheStats};
 use crate::core::{CoreState, CoreView};
-use crate::exec::{core_id_of, exec_epilogue_slot, exec_instr, step_core, ExecEnv, SendRecord};
+use crate::exec::{core_id_of, exec_epilogue_slot, step_core, ExecEnv, SendRecord};
 use crate::noc::{Message, Noc};
 use crate::program::CompiledProgram;
-use crate::replay::ReplayTape;
 use crate::uops::run_core_uops;
 
 /// Mixes `words` (each mapped through `value`) into fingerprint state
@@ -298,27 +297,10 @@ impl fmt::Display for MachineError {
 
 impl std::error::Error for MachineError {}
 
-/// Which lowering the validate-once / replay-many fast path executes once
-/// the validation Vcycle has proven the static schedule.
-///
-/// Both are bit-identical to the full interpreter; they differ only in how
-/// much interpretation overhead survives per replayed position.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ReplayEngine {
-    /// The pre-decoded tape, executed through the shared interpreter
-    /// executors (`exec_instr`), hazard checks and all.
-    Tape,
-    /// The fused micro-op stream over structure-of-arrays state: operands
-    /// pre-resolved to flat offsets, dead hazard checks removed, counters
-    /// bulk-accumulated, common adjacent pairs fused into one dispatch.
-    /// The default.
-    MicroOps,
-}
-
 /// The Manticore machine: one *run* of a compiled design.
 ///
 /// The immutable side — validated per-core programs, exception table,
-/// initial state images, the frozen replay tape and its micro-op
+/// initial state images, the frozen replay schedule and its micro-op
 /// lowering — lives in a shared [`CompiledProgram`] behind an [`Arc`];
 /// a `Machine` owns only the mutable run state (SoA register file and
 /// scratchpad, pipeline rings, NoC, cache, counters). Booting additional
@@ -348,12 +330,10 @@ pub struct Machine {
     /// Whether the validate-once / replay-many fast path may be used once
     /// the validation Vcycle has completed.
     pub(crate) replay_enabled: bool,
-    /// Which replay lowering to execute (tape or fused micro-ops).
-    pub(crate) replay_engine: ReplayEngine,
     /// True after [`Machine::set_strict_hazards`] re-armed hazard checks a
-    /// permissive validation Vcycle never proved: the shared tape stays in
-    /// the program (other runs may still use it), but *this* run must stay
-    /// on the full per-position engines.
+    /// permissive validation Vcycle never proved: the shared micro-op
+    /// lowering stays in the program (other runs may still use it), but
+    /// *this* run must stay on the interpreter.
     pub(crate) tape_invalidated: bool,
     /// Reusable per-Vcycle scratch: `Send` records collected during a body
     /// phase. Hoisted onto the machine so the hot Vcycle loops allocate
@@ -442,7 +422,6 @@ impl Machine {
             finish_requested: false,
             events: Vec::new(),
             replay_enabled: true,
-            replay_engine: ReplayEngine::MicroOps,
             tape_invalidated: false,
             send_buf: Vec::new(),
             send_vals_buf: Vec::new(),
@@ -473,13 +452,12 @@ impl Machine {
     /// (what the real pipeline would do) instead of erroring. Used by
     /// failure-injection tests.
     ///
-    /// *Enabling* strictness invalidates the replay tape and its micro-op
-    /// lowering *for this run*: it re-arms hazard checks a permissive
-    /// validation Vcycle never proved, and those checks rely on the full
-    /// engines' position-major error ordering. (The tape itself lives in
+    /// *Enabling* strictness disarms replay *for this run*: it re-arms
+    /// hazard checks a permissive validation Vcycle never proved, and only
+    /// the interpreter runs those checks. (The micro-op lowering lives in
     /// the shared [`CompiledProgram`] and stays available to other runs.)
-    /// Relaxing to permissive only removes checks, so the tape stays valid
-    /// (replay executes the same stale reads the permissive interpreter
+    /// Relaxing to permissive only removes checks, so replay stays armed
+    /// (it executes the same stale reads the permissive interpreter
     /// would).
     pub fn set_strict_hazards(&mut self, strict: bool) {
         if strict && !self.strict_hazards {
@@ -493,11 +471,11 @@ impl Machine {
     /// Replay is enabled by default and is architecturally invisible: after
     /// a first Vcycle validates the static schedule (link collisions,
     /// delivery timing, epilogue accounting — once per program, see
-    /// [`CompiledProgram::schedule_proven`]), Vcycles execute a
-    /// frozen, pre-decoded schedule that skips NOPs, empty tail positions,
-    /// and all per-position NoC bookkeeping — bit-identical results,
-    /// measurably faster. Disable it to benchmark the full interpreter.
-    /// See [`Machine::set_replay_engine`] for the two replay lowerings.
+    /// [`CompiledProgram::schedule_proven`]), Vcycles execute the fused
+    /// micro-op stream, which skips NOPs, empty tail positions, and all
+    /// per-position NoC bookkeeping — bit-identical results, measurably
+    /// faster. Disable it to run the position-by-position interpreter, the
+    /// reference the micro-op engine is tested against.
     pub fn set_replay(&mut self, enabled: bool) {
         self.replay_enabled = enabled;
     }
@@ -505,20 +483,6 @@ impl Machine {
     /// Whether the replay fast path may be used (see [`Machine::set_replay`]).
     pub fn replay_enabled(&self) -> bool {
         self.replay_enabled
-    }
-
-    /// Selects which replay lowering post-validation Vcycles execute:
-    /// the pre-decoded tape through the shared interpreter, or the fused
-    /// micro-op stream ([`ReplayEngine::MicroOps`], the default). Both are
-    /// bit-identical; the engine can be switched freely between
-    /// [`Machine::run_vcycles`] calls.
-    pub fn set_replay_engine(&mut self, engine: ReplayEngine) {
-        self.replay_engine = engine;
-    }
-
-    /// The currently selected replay lowering.
-    pub fn replay_engine(&self) -> ReplayEngine {
-        self.replay_engine
     }
 
     /// Micro-op stream statistics for the loaded program, when one exists
@@ -532,25 +496,19 @@ impl Machine {
         self.program.micro_op_stats()
     }
 
-    /// True when replay is enabled *and* a frozen tape exists for the
-    /// loaded program — i.e. post-validation Vcycles will actually replay.
-    /// False for unreplayable programs or after the tape was invalidated
-    /// for this run, where execution stays on the full per-position
-    /// engines.
+    /// True when post-validation Vcycles of this run execute the micro-op
+    /// engine: replay is enabled, the program has a micro-op lowering, and
+    /// no check the lowering cannot run is armed (strictness re-enabled
+    /// after a permissive start, or strict mode over a static
+    /// cross-Vcycle hazard). Otherwise every Vcycle runs on the
+    /// interpreter.
     pub fn replay_armed(&self) -> bool {
-        self.replay_enabled && !self.tape_invalidated && self.program.replay_tape.is_some()
-    }
-
-    /// True when the micro-op engine must defer to the tape engine: strict
-    /// mode with a static cross-Vcycle-boundary hazard, where only the
-    /// tape's live per-read checks reproduce the interpreter's error.
-    pub(crate) fn uops_defer_to_tape(&self) -> bool {
-        self.strict_hazards
-            && self
-                .program
-                .micro_prog
-                .as_ref()
-                .is_some_and(|p| p.cross_hazard)
+        replay_armed(
+            &self.program,
+            self.replay_enabled,
+            self.tape_invalidated,
+            self.strict_hazards,
+        )
     }
 
     /// The machine configuration.
@@ -798,35 +756,16 @@ impl Machine {
         Ok(outcome)
     }
 
-    /// Executes exactly one Vcycle, dispatching to
-    /// the interpreter (validation / unreplayable programs) or the armed
-    /// replay lowering. Shared by [`Machine::run_vcycles`] and the gang
-    /// engine's per-lane fallback ([`crate::gang`]), so lane-at-a-time
-    /// execution cannot drift from a solo run.
-    ///
-    /// A fresh run's first Vcycle validates the static schedule in the
-    /// interpreter — unless another run already proved it for this
-    /// program ([`CompiledProgram::schedule_proven`]): what validation
-    /// checks depends on the program alone, so the run then starts on the
-    /// micro-op lowering directly (when that is the selected one).
+    /// Executes exactly one Vcycle on the micro-op engine or the
+    /// interpreter, as [`replays_next_vcycle`] picks. Shared by
+    /// [`Machine::run_vcycles`] and the gang engine's per-lane fallback
+    /// ([`crate::gang`]), so lane-at-a-time execution cannot drift from a
+    /// solo run.
     pub(crate) fn step_vcycle(&mut self) -> Result<(), MachineError> {
-        if !self.replay_armed() {
-            return self.run_one_vcycle();
-        }
-        // A static cross-boundary hazard needs the tape engine's live
-        // checks to report the interpreter's exact error (no compiled
-        // workload has one).
-        let uops = self.replay_engine == ReplayEngine::MicroOps && !self.uops_defer_to_tape();
-        if self.counters.vcycles == 0 {
-            if uops && self.program.schedule_proven() {
-                self.run_one_vcycle_uops()
-            } else {
-                self.run_one_vcycle()
-            }
-        } else if uops {
+        if replays_next_vcycle(&self.program, self.replay_armed(), self.counters.vcycles) {
             self.run_one_vcycle_uops()
         } else {
-            self.run_one_vcycle_replay()
+            self.run_one_vcycle()
         }
     }
 
@@ -974,117 +913,24 @@ impl Machine {
         Ok(())
     }
 
-    /// One Vcycle on the frozen replay tape (see [`crate::replay`]).
-    ///
-    /// The validation Vcycle proved the static schedule's assumptions, so
-    /// this path skips NOP positions, idle-tail positions, the per-position
-    /// `take_due` scan, and all link bookkeeping. Instructions still
-    /// execute through the shared executors (`exec_instr` /
-    /// `exec_epilogue_slot`) at their original `(position, compute-time)`
-    /// coordinates, so every architecturally visible bit — registers,
-    /// pending-write timing, counters, host events, data-dependent
-    /// exceptions — is identical to the per-position engine.
-    ///
-    /// Execution is core-major rather than position-major; that is
-    /// invisible because cores only interact through the (frozen) delivery
-    /// schedule, and the only *fallible* instructions in a replayed Vcycle
-    /// are the privileged core's `Expect`s (everything position-dependent —
-    /// hazards, collisions, delivery timing — is static and was validated),
-    /// so error selection matches the interpreter's encounter order too.
-    fn run_one_vcycle_replay(&mut self) -> Result<(), MachineError> {
-        let Machine {
-            program,
-            cores,
-            regs,
-            scratch,
-            cache,
-            compute_time,
-            counters,
-            strict_hazards,
-            events,
-            send_buf,
-            ..
-        } = self;
-        let config = &program.config;
-        let vcycle_len = program.vcycle_len;
-        let tape = program
-            .replay_tape
-            .as_ref()
-            .expect("replay_armed checked the tape");
-        let env = ExecEnv {
-            config,
-            exceptions: &program.exceptions,
-            strict_hazards: *strict_hazards,
-            vcycle: counters.vcycles,
-        };
-        let vstart = *compute_time;
-        let rf = config.regfile_size;
-
-        // Body phase: dense, pre-decoded, core-major. The send buffer is
-        // the machine's reusable scratch — no per-Vcycle allocation.
-        let sends = send_buf;
-        sends.clear();
-        sends.reserve(tape.sends_per_vcycle);
-        for (idx, ops) in tape.body.iter().enumerate() {
-            let mut view = CoreView {
-                cs: &mut cores[idx],
-                prog: &program.cores[idx],
-                regs: &mut regs[idx * rf..(idx + 1) * rf],
-                scratch: &mut scratch[program.scratch_range(idx)],
-            };
-            let core_id = core_id_of(idx, config.grid_width);
-            let is_privileged = core_id == CoreId::PRIVILEGED;
-            for op in ops {
-                let pos = op.pos as u64;
-                let now = vstart + pos;
-                view.commit_due(now);
-                let cache_arg = if is_privileged {
-                    Some(&mut *cache)
-                } else {
-                    None
-                };
-                if let Err(e) = exec_instr(
-                    &env, &mut view, core_id, pos, now, op.instr, cache_arg, counters, events,
-                    sends,
-                ) {
-                    counters.add(&tape.fault_counters(&program.cores, pos));
-                    return Err(e);
-                }
-            }
-        }
-        debug_assert_eq!(sends.len(), tape.sends_per_vcycle);
-
-        replay_delivery_and_epilogue(
-            tape,
-            program,
-            cores,
-            regs,
-            scratch,
-            config,
-            vstart,
-            counters,
-            |i| sends[i as usize].value,
-        );
-
-        *compute_time += vcycle_len;
-        counters.compute_cycles += vcycle_len;
-        counters.vcycles += 1;
-        Ok(())
-    }
-
     /// One Vcycle on the fused micro-op stream (see [`crate::uops`]) —
     /// also a fresh run's first Vcycle once its program's schedule is
-    /// proven ([`Machine::step_vcycle`]).
+    /// proven ([`replays_next_vcycle`]).
     ///
-    /// Identical phase structure to [`Machine::run_one_vcycle_replay`] —
-    /// core-major body walk, frozen delivery schedule, dense epilogue —
-    /// but the body walk dispatches pre-resolved micro-ops instead of
-    /// interpreting decoded instructions, skips architecturally inert
-    /// cores entirely, and accumulates counters in bulk. In strict mode
-    /// (no read can observe an in-flight write — validated) register
-    /// writes commit directly and the epilogue collapses to the
-    /// pre-resolved `epi_prog` write list; permissive mode keeps the
-    /// pipeline ring for exact stale-read semantics.
+    /// The validation Vcycle proved the static schedule's assumptions, so
+    /// this path skips NOP positions, idle-tail positions, the
+    /// per-position `take_due` scan, and all link bookkeeping: a
+    /// core-major walk of pre-resolved micro-ops over the active cores,
+    /// with counters accumulated in bulk, then the frozen delivery
+    /// schedule and a dense epilogue. Core-major order is invisible
+    /// because cores only interact through the (frozen) delivery
+    /// schedule, and the only *fallible* micro-ops are the privileged
+    /// core's `Expect`s, so error selection matches the interpreter's
+    /// encounter order too. In strict mode (no read can observe an
+    /// in-flight write — validated) register writes commit directly and
+    /// the epilogue collapses to the pre-resolved `epi_prog` write list;
+    /// permissive mode keeps the pipeline ring for exact stale-read
+    /// semantics.
     pub(crate) fn run_one_vcycle_uops(&mut self) -> Result<(), MachineError> {
         let Machine {
             program,
@@ -1170,17 +1016,34 @@ impl Machine {
                 counters.instructions += epi;
             }
         } else {
-            replay_delivery_and_epilogue(
-                tape,
-                program,
-                cores,
-                regs,
-                scratch,
-                config,
-                vstart,
-                counters,
-                |i| send_vals[i as usize],
-            );
+            // Delivery phase: the frozen schedule already knows every
+            // arrival position and slot; only the values change between
+            // Vcycles.
+            for d in &tape.deliveries {
+                let core = &mut cores[d.target as usize];
+                core.epilogue[d.slot as usize] = Some((d.rd, send_vals[d.send_idx as usize]));
+                core.received += 1;
+                counters.messages_delivered += 1;
+            }
+            // Epilogue phase through the pipeline ring: every slot was
+            // validated to fill and to issue within the Vcycle (`epi_exec`
+            // clamps the ones that never issue).
+            for (idx, core) in cores.iter_mut().enumerate() {
+                let mut view = CoreView {
+                    cs: core,
+                    prog: &program.cores[idx],
+                    regs: &mut regs[idx * rf..(idx + 1) * rf],
+                    scratch: &mut scratch[program.scratch_range(idx)],
+                };
+                let body_len = view.prog.body.len() as u64;
+                for slot in 0..tape.epi_exec[idx] {
+                    let now = vstart + body_len + slot as u64;
+                    view.commit_due(now);
+                    let (rd, value) = view.cs.epilogue[slot].expect("validated: every slot fills");
+                    exec_epilogue_slot(&mut view, now, lat, rd, value, counters);
+                }
+                view.cs.wrap_vcycle();
+            }
         }
 
         *compute_time += vcycle_len;
@@ -1190,54 +1053,31 @@ impl Machine {
     }
 }
 
-/// Applies the frozen delivery schedule and walks the validated epilogue
-/// slots through the pipeline ring, wrapping every core — the shared
-/// back half of a tape-replay or ringed micro-op Vcycle. `value_of` maps
-/// a schedule entry's send index to this Vcycle's value, the only thing
-/// that differs between the two callers (keeping the walk itself in one
-/// place, so the engines cannot drift by parallel maintenance).
-#[allow(clippy::too_many_arguments)]
-fn replay_delivery_and_epilogue(
-    tape: &ReplayTape,
+/// Whether replay is armed for a run with these knobs: see
+/// [`Machine::replay_armed`], which the gang engine mirrors through this
+/// same function.
+pub(crate) fn replay_armed(
     program: &CompiledProgram,
-    cores: &mut [CoreState],
-    regs: &mut [u32],
-    scratch: &mut [u16],
-    config: &MachineConfig,
-    vstart: u64,
-    counters: &mut PerfCounters,
-    value_of: impl Fn(u32) -> u16,
-) {
-    let lat = config.hazard_latency as u64;
-    let rf = config.regfile_size;
+    enabled: bool,
+    invalidated: bool,
+    strict: bool,
+) -> bool {
+    enabled
+        && !invalidated
+        && program
+            .micro_prog
+            .as_ref()
+            .is_some_and(|p| !(strict && p.cross_hazard))
+}
 
-    // Delivery phase: the frozen schedule already knows every arrival
-    // position and slot; only the values change between Vcycles.
-    for d in &tape.deliveries {
-        let core = &mut cores[d.target as usize];
-        core.epilogue[d.slot as usize] = Some((d.rd, value_of(d.send_idx)));
-        core.received += 1;
-        counters.messages_delivered += 1;
-    }
-
-    // Epilogue phase: every slot was validated to fill and to issue
-    // within the Vcycle (`epi_exec` clamps the ones that never issue).
-    for (idx, core) in cores.iter_mut().enumerate() {
-        let mut view = CoreView {
-            cs: core,
-            prog: &program.cores[idx],
-            regs: &mut regs[idx * rf..(idx + 1) * rf],
-            scratch: &mut scratch[program.scratch_range(idx)],
-        };
-        let body_len = view.prog.body.len() as u64;
-        for slot in 0..tape.epi_exec[idx] {
-            let now = vstart + body_len + slot as u64;
-            view.commit_due(now);
-            let (rd, value) = view.cs.epilogue[slot].expect("validated: every slot fills");
-            exec_epilogue_slot(&mut view, now, lat, rd, value, counters);
-        }
-        view.cs.wrap_vcycle();
-    }
+/// The one engine choice for a run's next Vcycle, shared by the solo and
+/// gang engines: the micro-op engine when replay is `armed` and the static
+/// schedule is proven — by this run's own validation Vcycle (`vcycles >
+/// 0`), or by an earlier run of the program, since what validation checks
+/// depends on the program alone ([`CompiledProgram::schedule_proven`]).
+/// Everything else runs on the position-by-position interpreter.
+pub(crate) fn replays_next_vcycle(program: &CompiledProgram, armed: bool, vcycles: u64) -> bool {
+    armed && (vcycles > 0 || program.schedule_proven())
 }
 
 /// Utilization report: executed instructions per core (for Fig. 9-style

@@ -36,19 +36,22 @@
 //!
 //! The grid runs on the calling thread; host parallelism lives one layer
 //! up, in the fleet's worker pool and the gang engine's lanes. The engine
-//! exploits the model's determinism with a *validate-once / replay-many* fast path ([`Machine::set_replay`], on by
-//! default): the first Vcycle of the first run validates the static
-//! schedule in full — once per program, since the schedule is the
-//! program's — after which execution switches to a frozen, pre-decoded
-//! replay schedule that
-//! skips NOPs, idle-tail positions, and all per-position NoC bookkeeping —
-//! same bits, fewer interpreted steps. Two lowerings exist
-//! ([`Machine::set_replay_engine`]): the pre-decoded tape through the
-//! shared interpreter, and the default *fused micro-op stream* over the
-//! machine's structure-of-arrays state, with operands pre-resolved to flat
+//! exploits the model's determinism with a *validate-once / replay-many*
+//! fast path ([`Machine::set_replay`], on by default): the first Vcycle
+//! of the first run validates the static schedule in full — once per
+//! program, since the schedule is the program's — after which execution
+//! switches to a *fused micro-op stream* over the machine's
+//! structure-of-arrays state. It skips NOPs, idle-tail positions, and all
+//! per-position NoC bookkeeping, with operands pre-resolved to flat
 //! offsets, dead hazard checks removed, counters bulk-accumulated, and the
-//! measured-hottest adjacent instruction pairs fused into one dispatch
-//! (see the crate-private `replay`/`uops` modules and `ARCHITECTURE.md`).
+//! measured-hottest adjacent instruction pairs fused into one dispatch —
+//! same bits, fewer interpreted steps. The stream is lowered from a frozen
+//! replay tape (dense per-core schedules plus the delivery schedule); see
+//! the crate-private `replay`/`uops` modules and `ARCHITECTURE.md`. The
+//! position-by-position interpreter (`set_replay(false)`) is the reference
+//! the micro-op engine is tested against, and it runs every Vcycle the
+//! micro-ops cannot (validation, strictness re-armed after a permissive
+//! start, a strict static cross-Vcycle hazard).
 //!
 //! Finally, runs are first-class *scenario-tree* nodes: a [`Checkpoint`]
 //! is a serialize-free snapshot of one run at a Vcycle boundary, keyed to
@@ -75,9 +78,7 @@ pub use cache::{Cache, CacheStats};
 pub use checkpoint::Checkpoint;
 pub use coverage::CoverageMap;
 pub use gang::{GangMachine, MAX_LANES};
-pub use grid::{
-    HostEvent, Interrupt, Machine, MachineError, PerfCounters, ReplayEngine, RunOutcome,
-};
+pub use grid::{HostEvent, Interrupt, Machine, MachineError, PerfCounters, RunOutcome};
 pub use persist::{load_checkpoint, save_checkpoint, PersistError};
 pub use program::CompiledProgram;
 

@@ -29,7 +29,7 @@ use manticore_util::fnv1a;
 use crate::cache::{Cache, CacheStats, Line};
 use crate::checkpoint::Checkpoint;
 use crate::core::{CoreState, PendingWrite};
-use crate::grid::{HostEvent, MachineError, PerfCounters, ReplayEngine};
+use crate::grid::{HostEvent, MachineError, PerfCounters};
 use crate::noc::{LinkId, Message, Noc};
 use crate::program::CompiledProgram;
 
@@ -504,13 +504,11 @@ pub fn save_checkpoint(cp: &Checkpoint) -> Vec<u8> {
     }
 
     // Engine knobs. The leading tag is the retired exec-mode field; this
-    // build always writes 0 (serial).
+    // build always writes 0 (serial). The byte after `replay_enabled` is
+    // the retired replay-engine tag; this build always writes 1.
     w.u8(0);
     w.bool(cp.replay_enabled);
-    w.u8(match cp.replay_engine {
-        ReplayEngine::Tape => 0,
-        ReplayEngine::MicroOps => 1,
-    });
+    w.u8(1);
     w.bool(cp.tape_invalidated);
 
     // Fault.
@@ -779,11 +777,13 @@ pub fn load_checkpoint(
         t => return Err(corrupt(format!("bad exec-mode tag {t}"))),
     }
     let replay_enabled = r.bool()?;
-    let replay_engine = match r.u8()? {
-        0 => ReplayEngine::Tape,
-        1 => ReplayEngine::MicroOps,
+    // Retired replay-engine tag: 0 is the tape engine of older builds, 1
+    // the micro-op engine. Either resumes on today's single replay engine
+    // (the state at a Vcycle boundary is engine-independent).
+    match r.u8()? {
+        0 | 1 => {}
         t => return Err(corrupt(format!("bad replay-engine tag {t}"))),
-    };
+    }
     let tape_invalidated = r.bool()?;
 
     let fault = match r.u8()? {
@@ -812,7 +812,6 @@ pub fn load_checkpoint(
         finish_requested,
         events,
         replay_enabled,
-        replay_engine,
         tape_invalidated,
         fault,
     })

@@ -4,7 +4,8 @@
 //! [`CompiledProgram`] is the frozen artifact a [`crate::Machine`] executes:
 //! the validated per-core programs, the exception table, the initial
 //! register/scratchpad/DRAM images, and — because they are pure functions of
-//! the program — the replay tape and its fused micro-op lowering. It is
+//! the program — the replay tape and the fused micro-op stream lowered
+//! from it. It is
 //! immutable after construction and shared behind an `Arc`, so *N*
 //! concurrent simulations of the same design (a fleet, a gang, a
 //! parameter sweep) pay for validation, tape freezing, and
@@ -19,7 +20,7 @@
 //! so it is proven once per program: the first run whose strict
 //! validation Vcycle succeeds marks the artifact
 //! ([`CompiledProgram::schedule_proven`]), and every later fresh run of it
-//! starts on the replay lowering directly.
+//! starts on the micro-op engine directly.
 //!
 //! The split is also what keeps the fast paths honest: nothing a Vcycle
 //! executes can scribble on the schedule it is replaying, because the
@@ -104,7 +105,7 @@ pub struct CompiledProgram {
     /// Vcycle proves — link collisions, delivery timing, epilogue
     /// accounting, strict hazards, custom-function slots — depends on the
     /// program alone, never on run data, so every later fresh run may
-    /// start on the replay lowering ([`crate::Machine`]'s `step_vcycle`).
+    /// start on the micro-op engine ([`crate::Machine`]'s `step_vcycle`).
     /// A failed validation never sets it.
     pub(crate) proven: AtomicBool,
     /// Initial DRAM contents, applied to each run's fresh cache.
@@ -362,7 +363,7 @@ impl CompiledProgram {
 
     /// True once some run's strict validation Vcycle of this program
     /// succeeded: every later fresh run trusts that proof and starts on
-    /// the micro-op replay lowering (when it is the selected one).
+    /// the micro-op engine (when replay is armed).
     pub fn schedule_proven(&self) -> bool {
         // Relaxed: the flag guards no data — the program it vouches for
         // is immutable and already visible to every run holding the Arc.

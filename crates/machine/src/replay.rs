@@ -1,5 +1,6 @@
 //! The validate-once / replay-many tape: frozen per-core schedules and the
-//! machine-wide delivery schedule.
+//! machine-wide delivery schedule — the intermediate form the micro-op
+//! stream ([`crate::uops`]) is lowered from.
 //!
 //! Manticore's compute domain is statically scheduled and deterministic:
 //! every Vcycle executes the same instruction at the same position on every
@@ -8,33 +9,32 @@
 //! Vcycles. The first Vcycle therefore acts as a **validation** pass — it
 //! proves the schedule's assumptions (no link collisions, no late or
 //! missing messages, no epilogue overflow, and, in strict mode, no data
-//! hazards) — and every later Vcycle can execute a frozen **replay tape**
-//! that skips all of the interpreter overhead those proofs made redundant:
+//! hazards) — and every later Vcycle can execute a frozen schedule that
+//! drops all of the interpreter overhead those proofs made redundant:
 //!
 //! - **NOP and idle-tail positions** — the dense per-core tape holds only
 //!   `(position, pre-decoded instruction)` entries, so a core whose body is
 //!   ten instructions in a 400-cycle Vcycle costs ten steps, not 400;
 //! - **per-position message scanning** — the interpreter scans the NoC's
-//!   in-flight list at every position (`take_due`); the replay engine uses
-//!   the precomputed [`ReplayTape::deliveries`] schedule, which maps the
+//!   in-flight list at every position (`take_due`); replay uses the
+//!   precomputed [`ReplayTape::deliveries`] schedule, which maps the
 //!   *k*-th send of the Vcycle straight to its `(target, slot, rd)`;
 //! - **link bookkeeping** — routes and reservations never change, so the
 //!   NoC is bypassed entirely.
 //!
 //! The tape is a pure function of the loaded program and the machine
 //! configuration, so it is built once when the program is frozen into a
-//! [`crate::CompiledProgram`] and shared by every run; it is
-//! *used* only after a validation Vcycle of the program completed
-//! successfully — in the same run, or in any earlier run, since what it
-//! proves depends on the program alone
-//! ([`crate::CompiledProgram::schedule_proven`]). A program whose
-//! validation Vcycle fails never reaches the replay path.
-//! Bit-identity with the per-position engines is structural: the tape
-//! replays through the same `exec_instr` / `exec_epilogue_slot` executors
-//! at the same `(position, compute-time)` coordinates, and the delivery
-//! schedule reproduces the interpreter's exact delivery order — sorted by
-//! `(delivery position, arrival time, injection order)`, the order
-//! `Noc::take_due` yields.
+//! [`crate::CompiledProgram`] and shared by every run. Nothing executes
+//! the tape itself: the micro-op engine runs the stream lowered from its
+//! body, and reuses its delivery schedule, epilogue extents and
+//! [`ReplayTape::fault_counters`] directly. Replay is *used* only after a
+//! validation Vcycle of the program completed successfully — in the same
+//! run, or in any earlier run, since what it proves depends on the
+//! program alone ([`crate::CompiledProgram::schedule_proven`]). A program
+//! whose validation Vcycle fails never reaches the replay path. The
+//! delivery schedule reproduces the interpreter's exact delivery order —
+//! sorted by `(delivery position, arrival time, injection order)`, the
+//! order `Noc::take_due` yields.
 
 use manticore_isa::{Instruction, MachineConfig, Reg};
 
@@ -46,7 +46,7 @@ use crate::program::CoreProgram;
 pub(crate) struct TapeOp {
     /// Position within the Vcycle.
     pub pos: u32,
-    /// The instruction, pre-fetched so replay never touches `core.body`.
+    /// The decoded instruction the micro-op lowering consumes.
     pub instr: Instruction,
 }
 
@@ -56,7 +56,7 @@ pub(crate) struct TapeOp {
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct ReplayDelivery {
     /// Index of the producing send in core-major collection order (the
-    /// order a replayed body phase records `SendRecord`s).
+    /// order a replayed body phase records send values).
     pub send_idx: u32,
     /// Target core, linear row-major index.
     pub target: u32,
@@ -121,10 +121,10 @@ impl ReplayTape {
     /// before `pos`, the messages delivered at or before `pos`, and `pos`
     /// compute cycles.
     ///
-    /// The replay engines walk core-major and the privileged core (linear
-    /// index 0, the only core that can fault) first, so a faulting walk
-    /// has counted only the privileged core's prefix; adding this makes
-    /// their error-path [`PerfCounters`] the interpreter's.
+    /// The micro-op engines walk core-major and the privileged core
+    /// (linear index 0, the only core that can fault) first, so a faulting
+    /// walk has counted only the privileged core's prefix; adding this
+    /// makes their error-path [`PerfCounters`] the interpreter's.
     pub(crate) fn fault_counters(&self, cores: &[CoreProgram], pos: u64) -> PerfCounters {
         let mut c = PerfCounters {
             compute_cycles: pos,
@@ -157,8 +157,8 @@ impl ReplayTape {
     /// - the per-target delivery count does not equal the declared epilogue
     ///   length (validation fails with overflow/missing messages).
     ///
-    /// Returning `None` simply keeps the machine on the full per-position
-    /// engines, which then report the failure exactly as before.
+    /// Returning `None` simply keeps the machine on the interpreter, which
+    /// then reports the failure exactly as before.
     pub fn build(
         cores: &[CoreProgram],
         config: &MachineConfig,

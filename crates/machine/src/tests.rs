@@ -720,12 +720,12 @@ fn enabling_strict_hazards_disarms_replay() {
         init_scratch: vec![],
     });
     let mut m = Machine::load(test_config(1, 1), &binary).unwrap();
-    assert!(m.replay_armed(), "tape frozen at load");
-    // Relaxing to permissive only removes checks: the tape stays valid.
+    assert!(m.replay_armed(), "micro-ops frozen at load");
+    // Relaxing to permissive only removes checks: replay stays armed.
     m.set_strict_hazards(false);
     assert!(m.replay_armed());
     // Re-enabling strictness arms checks the (permissive) validation
-    // Vcycle never proved: the tape is dropped for good.
+    // Vcycle never proved: replay is disarmed for good.
     m.set_strict_hazards(true);
     assert!(!m.replay_armed());
     m.set_replay(true);
@@ -835,13 +835,14 @@ fn mul_and_mulh_compose() {
 }
 
 mod replay_engines {
-    //! Unit tests for the validate-once / replay-many lowerings: the
+    //! Unit tests for the validate-once / replay-many engine: the
     //! pipeline write ring, micro-op fusion, and the static
     //! cross-Vcycle-boundary hazard analysis that decides when the
-    //! micro-op engine may commit writes directly.
+    //! micro-op engine may run at all in strict mode.
 
     use super::*;
-    use crate::ReplayEngine;
+    use crate::{CompiledProgram, GangMachine, RunOutcome};
+    use std::sync::Arc;
 
     /// A counter whose increment issues at the *last* body position, so
     /// its write is still in the pipeline ring at every Vcycle boundary.
@@ -882,19 +883,18 @@ mod replay_engines {
     fn host_reads_see_flushed_tail_writes_on_every_engine() {
         // `read_reg` must return the in-flight (flushed) value at the
         // Vcycle boundary, whether the write sits in the ring
-        // (interpreter, tape, permissive micro-ops) or was committed
-        // directly (strict micro-ops).
-        for engine in [None, Some(ReplayEngine::Tape), Some(ReplayEngine::MicroOps)] {
+        // (interpreter, permissive micro-ops) or was committed directly
+        // (strict micro-ops).
+        for (replay, strict) in [(false, true), (true, false), (true, true)] {
             let mut m = Machine::load(test_config(1, 1), &tail_write_binary()).unwrap();
-            match engine {
-                None => m.set_replay(false),
-                Some(e) => m.set_replay_engine(e),
-            }
+            m.set_strict_hazards(strict);
+            m.set_replay(replay);
             m.run_vcycles(5).unwrap();
-            assert_eq!(m.read_reg(CoreId::new(0, 0), r(1)), 5, "{engine:?}");
+            let what = format!("replay {replay} strict {strict}");
+            assert_eq!(m.read_reg(CoreId::new(0, 0), r(1)), 5, "{what}");
             // r3 snapshots r1 before the increment of the same Vcycle:
             // at Vcycle 4's position 2, four increments have committed.
-            assert_eq!(m.read_reg(CoreId::new(0, 0), r(3)), 4, "{engine:?}");
+            assert_eq!(m.read_reg(CoreId::new(0, 0), r(3)), 4, "{what}");
         }
     }
 
@@ -978,22 +978,35 @@ mod replay_engines {
     #[test]
     fn cross_boundary_hazard_reported_identically_by_every_engine() {
         // Strict mode: the interpreter reports the hazard at Vcycle 1
-        // position 0. The micro-op engine cannot run hazard checks, so it
-        // must detect the static cross-boundary window and defer to the
-        // tape engine — reporting the identical error.
-        let expect_hazard = |m: &mut Machine, what: &str| match m.run_vcycles(5) {
+        // position 0. The micro-op engine cannot run hazard checks, so the
+        // static cross-boundary window must keep the default machine, and
+        // every lane of a gang, on the interpreter — reporting the
+        // identical error, counters included.
+        let check = |res: Result<RunOutcome, MachineError>, what: &str| match res {
             Err(MachineError::Hazard { position, reg, .. }) => {
                 assert_eq!((position, reg), (0, r(1)), "{what}");
             }
             other => panic!("{what}: expected hazard, got {other:?}"),
         };
-        for engine in [None, Some(ReplayEngine::Tape), Some(ReplayEngine::MicroOps)] {
-            let mut m = Machine::load(test_config(1, 1), &cross_boundary_hazard_binary()).unwrap();
-            match engine {
-                None => m.set_replay(false),
-                Some(e) => m.set_replay_engine(e),
-            }
-            expect_hazard(&mut m, &format!("{engine:?}"));
+        let program =
+            CompiledProgram::compile_shared(test_config(1, 1), &cross_boundary_hazard_binary())
+                .unwrap();
+        let mut interp = Machine::from_program(Arc::clone(&program));
+        interp.set_replay(false);
+        check(interp.run_vcycles(5), "interpreter");
+        // The interpreter's validation Vcycle proved the schedule, so the
+        // default machine and the gang would start on micro-ops if the
+        // hazard did not rule them out.
+        assert!(program.schedule_proven());
+        let mut m = Machine::from_program(Arc::clone(&program));
+        assert!(!m.replay_armed());
+        check(m.run_vcycles(5), "default machine");
+        assert_eq!(m.counters(), interp.counters(), "default machine");
+        let mut gang = GangMachine::from_program(Arc::clone(&program), 3);
+        assert!(!gang.replay_armed());
+        for (lane, res) in gang.run_vcycles(5).into_iter().enumerate() {
+            check(res, &format!("gang lane {lane}"));
+            assert_eq!(gang.counters(lane), interp.counters(), "gang lane {lane}");
         }
     }
 
@@ -1008,20 +1021,18 @@ mod replay_engines {
         reference.set_strict_hazards(false);
         reference.set_replay(false);
         reference.run_vcycles(6).unwrap();
-        for engine in [ReplayEngine::Tape, ReplayEngine::MicroOps] {
-            let mut m = Machine::load(test_config(1, 1), &cross_boundary_hazard_binary()).unwrap();
-            m.set_strict_hazards(false);
-            m.set_replay_engine(engine);
-            m.run_vcycles(6).unwrap();
-            for reg in [r(1), r(3)] {
-                assert_eq!(
-                    reference.read_reg(CoreId::new(0, 0), reg),
-                    m.read_reg(CoreId::new(0, 0), reg),
-                    "{engine:?}: {reg}"
-                );
-            }
-            assert_eq!(reference.counters(), m.counters(), "{engine:?}");
+        let mut m = Machine::load(test_config(1, 1), &cross_boundary_hazard_binary()).unwrap();
+        m.set_strict_hazards(false);
+        assert!(m.replay_armed(), "permissive mode replays through the ring");
+        m.run_vcycles(6).unwrap();
+        for reg in [r(1), r(3)] {
+            assert_eq!(
+                reference.read_reg(CoreId::new(0, 0), reg),
+                m.read_reg(CoreId::new(0, 0), reg),
+                "{reg}"
+            );
         }
+        assert_eq!(reference.counters(), m.counters());
     }
 }
 
@@ -1393,7 +1404,7 @@ mod failed_run_displays {
 /// sweep lives in `tests/gang_equivalence.rs`).
 mod gang_bringup {
     use super::*;
-    use crate::{CompiledProgram, GangMachine, ReplayEngine};
+    use crate::{CompiledProgram, GangMachine};
     use std::sync::Arc;
 
     /// `r1 += r2` once per Vcycle; per-lane pokes of `r2` give every lane
@@ -1420,27 +1431,20 @@ mod gang_bringup {
     fn gang_lanes_match_solo_machines_on_every_engine_knob() {
         let program = counter_program();
         let c00 = CoreId::new(0, 0);
-        for (engine, strict) in [
-            (Some(ReplayEngine::MicroOps), true),
-            (Some(ReplayEngine::MicroOps), false),
-            (Some(ReplayEngine::Tape), true),
-            (None, true), // replay disabled: pure solo-fallback gang
+        for (replay, strict) in [
+            (true, true),
+            (true, false),
+            (false, true), // replay disabled: pure solo-fallback gang
         ] {
             let lanes = 3;
             let mut gang = GangMachine::from_program(Arc::clone(&program), lanes);
             gang.set_strict_hazards(strict);
-            match engine {
-                Some(e) => gang.set_replay_engine(e),
-                None => gang.set_replay(false),
-            }
+            gang.set_replay(replay);
             let mut solos: Vec<Machine> = (0..lanes)
                 .map(|lane| {
                     let mut m = Machine::from_program(Arc::clone(&program));
                     m.set_strict_hazards(strict);
-                    match engine {
-                        Some(e) => m.set_replay_engine(e),
-                        None => m.set_replay(false),
-                    }
+                    m.set_replay(replay);
                     m.poke_reg(c00, r(2), (lane + 1) as u16);
                     m
                 })
@@ -1450,7 +1454,7 @@ mod gang_bringup {
             }
             let results = gang.run_vcycles(10);
             for (lane, solo) in solos.iter_mut().enumerate() {
-                let what = format!("engine {engine:?} strict {strict} lane {lane}");
+                let what = format!("replay {replay} strict {strict} lane {lane}");
                 let solo_out = solo.run_vcycles(10).unwrap();
                 let gang_out = results[lane].as_ref().unwrap();
                 assert_eq!(gang_out.vcycles_run, solo_out.vcycles_run, "{what}");
@@ -1949,25 +1953,21 @@ mod footprint {
     #[test]
     fn replayed_faults_report_the_interpreters_counters() {
         // The assertion arms after three clean Vcycles, so the fault lands
-        // in a replayed Vcycle on the tape and micro-op lowerings.
-        let run = |replay: Option<crate::ReplayEngine>| {
+        // in a replayed Vcycle on the micro-op engine.
+        let run = |replay: bool| {
             let mut m = Machine::from_program(fresh());
-            match replay {
-                None => m.set_replay(false),
-                Some(engine) => m.set_replay_engine(engine),
-            }
+            m.set_replay(replay);
             m.run_vcycles(3).unwrap();
             m.poke_reg(CoreId::new(0, 0), r(3), 1);
             let err = m.run_vcycles(4).unwrap_err();
             (err, m.drain_pending_displays(), m.counters())
         };
-        let interp = run(None);
+        let interp = run(false);
         assert!(matches!(
             interp.0,
             MachineError::AssertFailed { vcycle: 3, .. }
         ));
-        assert_eq!(run(Some(crate::ReplayEngine::Tape)), interp);
-        assert_eq!(run(Some(crate::ReplayEngine::MicroOps)), interp);
+        assert_eq!(run(true), interp);
     }
 
     #[test]
@@ -1988,6 +1988,89 @@ mod footprint {
         for lane in [0, 2] {
             assert_eq!(results[lane].as_ref().unwrap().vcycles_run, 4);
             assert_eq!(gang.counters(lane), solo.counters());
+        }
+    }
+
+    /// One `run_vcycles` result in comparable form: the error, or the
+    /// outcome's Vcycle count, displays and finish flag.
+    fn summary(
+        res: &Result<crate::RunOutcome, MachineError>,
+    ) -> Result<(u64, Vec<String>, bool), MachineError> {
+        res.as_ref()
+            .map(|o| (o.vcycles_run, o.displays.clone(), o.finished))
+            .map_err(Clone::clone)
+    }
+
+    #[test]
+    fn ganged_lanes_fall_back_to_the_solo_engine_after_a_knob_change() {
+        // A gang that ran ganged micro-op Vcycles, then lost the micro-op
+        // engine to a knob change: every running lane is gathered into
+        // its shell, stepped on the solo engine and scattered back. Each
+        // lane must equal a solo machine given the same knob sequence,
+        // pokes and budgets — including a lane that faults in the
+        // fallback.
+        let program = proven();
+        let lanes = 3;
+        let c00 = CoreId::new(0, 0);
+        for permissive_start in [false, true] {
+            let knobs = if permissive_start {
+                "permissive then strict"
+            } else {
+                "replay off"
+            };
+            let switch = |m: &mut Machine| {
+                if permissive_start {
+                    m.set_strict_hazards(true);
+                } else {
+                    m.set_replay(false);
+                }
+            };
+            let mut gang = crate::GangMachine::from_program(Arc::clone(&program), lanes);
+            gang.set_strict_hazards(!permissive_start);
+            let mut solos: Vec<Machine> = (0..lanes)
+                .map(|lane| {
+                    let mut m = Machine::from_program(Arc::clone(&program));
+                    m.set_strict_hazards(!permissive_start);
+                    m.poke_reg(BUSY, r(2), lane as u16 + 1);
+                    gang.poke_reg(lane, BUSY, r(2), lane as u16 + 1);
+                    m
+                })
+                .collect();
+            assert!(gang.replay_armed(), "{knobs}: gangs on a proven program");
+            let first = gang.run_vcycles(4);
+            if permissive_start {
+                gang.set_strict_hazards(true);
+            } else {
+                gang.set_replay(false);
+            }
+            assert!(!gang.replay_armed(), "{knobs}: falls back");
+            gang.poke_reg(1, c00, r(3), 1); // lane 1 faults in the fallback
+            let second = gang.run_vcycles(5);
+            let mut machines = gang.into_machines();
+            for (lane, solo) in solos.iter_mut().enumerate() {
+                let what = format!("{knobs}: lane {lane}");
+                assert_eq!(
+                    summary(&first[lane]),
+                    summary(&solo.run_vcycles(4)),
+                    "{what}"
+                );
+                switch(solo);
+                if lane == 1 {
+                    solo.poke_reg(c00, r(3), 1);
+                }
+                assert_eq!(
+                    summary(&second[lane]),
+                    summary(&solo.run_vcycles(5)),
+                    "{what}"
+                );
+                assert_eq!(second[lane].is_err(), lane == 1, "{what}");
+                assert_eq!(
+                    machines[lane].drain_pending_displays(),
+                    solo.drain_pending_displays(),
+                    "{what}"
+                );
+                assert_same_state(&machines[lane], solo, &what);
+            }
         }
     }
 

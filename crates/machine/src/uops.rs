@@ -1,15 +1,16 @@
-//! The fused micro-op stream: a second lowering stage over the replay
+//! The fused micro-op stream: the replay engine, lowered from the replay
 //! tape.
 //!
-//! The tape replay engine ([`crate::replay`]) already skips NOPs, idle
-//! tails, and all NoC bookkeeping, but every replayed position still pays
-//! the general interpreter's costs: the full [`Instruction`] match with
-//! `Reg` unwrapping, per-operand strict-hazard branches, two counter
-//! read-modify-writes per instruction, and a non-inlinable call into
-//! `exec_instr`. All of that is *static* — the validation Vcycle proved
-//! hazards cannot fire, the instruction mix never changes, and the
-//! per-Vcycle counter deltas are constants of the program. So this module
-//! compiles each core's tape into a dense [`MicroOp`] stream with
+//! The tape ([`crate::replay`]) already drops NOPs, idle tails, and all
+//! NoC bookkeeping, but interpreting its entries would still pay the
+//! general interpreter's costs at every replayed position: the full
+//! [`Instruction`] match with `Reg` unwrapping, per-operand strict-hazard
+//! branches, two counter read-modify-writes per instruction, and a
+//! non-inlinable call into the executor. All of that is *static* — the
+//! validation Vcycle proved hazards cannot fire, the instruction mix never
+//! changes, and the per-Vcycle counter deltas are constants of the
+//! program. So this module compiles each core's tape into a dense
+//! [`MicroOp`] stream with
 //!
 //! - **pre-resolved operands** — flat `u16` register-file indices instead
 //!   of `Reg` newtypes, `Slice` masks precomputed from the width, custom
@@ -23,7 +24,7 @@
 //!   latency)` arithmetic, identically to the interpreter;
 //! - **bulk counters** — `instructions`/`executed`/`sends` accumulate in
 //!   locals and flush once per core walk (flushed even on a faulting walk,
-//!   so error-path counters match the tape engine bit-for-bit);
+//!   so error-path counters match the interpreter bit-for-bit);
 //! - **peephole fusion** of the adjacent-position pairs the compiled
 //!   workloads actually emit. Measured over all nine workloads on the
 //!   15×15 grid (`examples/pair_histogram.rs`): `Alu→Alu` is 58.7% of
@@ -192,11 +193,11 @@ pub(crate) struct MicroProgram {
     /// True if some register written near the Vcycle end is read early
     /// enough in the next Vcycle to observe the write still in flight.
     /// This is a static property (`write pos + hazard latency >
-    /// vcycle_len + read pos`, all constants), and when it holds the
-    /// strict engines must keep runtime hazard checks — the micro-op
-    /// engine then defers to the tape engine, which reports the exact
-    /// interpreter error. No compiled workload exhibits it; the flag
-    /// exists so the fast path cannot silently change semantics.
+    /// vcycle_len + read pos`, all constants), and when it holds strict
+    /// mode must keep runtime hazard checks — such a run stays on the
+    /// interpreter, which reports the exact error. No compiled workload
+    /// exhibits it; the flag exists so the fast path cannot silently
+    /// change semantics.
     pub cross_hazard: bool,
     /// Tape entries absorbed into fused pairs (reporting only).
     pub fused_pairs: usize,
@@ -584,7 +585,7 @@ fn exec_mux<const DIRECT: bool>(
 /// Counter deltas (`instructions`, `executed`, `sends`) accumulate in
 /// locals and flush once — including on a faulting walk, where the
 /// prefix up to and through the faulting op is flushed exactly as the
-/// tape engine would have counted it, and the fault comes back with its
+/// interpreter would have counted it, and the fault comes back with its
 /// position (for [`ReplayTape::fault_counters`]). Only the privileged
 /// core can fault (`Expect`) or touch the cache; `cache` is `Some`
 /// exactly for it.

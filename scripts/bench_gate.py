@@ -4,7 +4,7 @@
 Compares a fresh `table3_performance --json` run against the committed
 baseline (`BENCH_table3.json`) within a relative tolerance, and fails the
 build when any compared metric drifts out of band — e.g. a 2x slowdown of
-a replay lowering.
+the replay engine.
 
 What is compared, and why:
 
@@ -12,12 +12,12 @@ What is compared, and why:
   `manticore_khz`: deterministic compiler/model outputs, so any drift at
   all is a real change (the tolerance merely keeps float rendering
   honest);
-- `geomean.replay_vs_interp`, `geomean.uop_vs_interp`,
-  `geomean.uop_vs_replay`: the measured engine-speedup ratios that the
-  committed baseline tracks per PR. Geomeans over the nine workloads are
-  stable to a few percent between runs on one host; the per-row measured
-  kHz columns are NOT compared because single-workload wall-clock ratios
-  can legitimately wobble past 25% on shared CI runners.
+- `geomean.uop_vs_interp`: the measured speedup of the micro-op replay
+  engine over the position-by-position interpreter, which the committed
+  baseline tracks per PR. Geomeans over the nine workloads are stable to
+  a few percent between runs on one host; the per-row measured kHz
+  columns are NOT compared because single-workload wall-clock ratios can
+  legitimately wobble past 25% on shared CI runners.
 
 With `--fleet-fresh`/`--fleet-baseline`, the gate additionally compares
 the fleet_throughput gang section: `gang.geomean_gang_vs_fleet` (the
@@ -91,7 +91,7 @@ import json
 import sys
 
 PER_ROW = ["vcpl", "cores_used", "manticore_khz"]
-GEOMEAN = ["replay_vs_interp", "uop_vs_interp", "uop_vs_replay"]
+GEOMEAN = ["uop_vs_interp"]
 
 
 def check(label, fresh, base, tolerance, failures):

@@ -2,9 +2,8 @@
 //! macro-task parallel) must agree with the reference evaluator on the
 //! real workloads — the baseline side of Table 3 rests on this — and
 //! every `Simulator` backend `backends()` constructs (machine
-//! interpreter, tape replay, micro-op replay, fleet, gang, and the two
-//! Verilator-analog executors) must agree with each other through
-//! nothing but the trait.
+//! interpreter, micro-op replay, fleet, gang, and the two Verilator-analog
+//! executors) must agree with each other through nothing but the trait.
 
 use manticore::isa::MachineConfig;
 use manticore::netlist::eval::Evaluator;

@@ -2,8 +2,8 @@
 //! that is snapshotted mid-flight and continued from the restored
 //! snapshot — on a fresh machine, or through a gang-lane round-trip
 //! (`fork(1)` then `into_machines()`) — is bit-identical to the run that
-//! was never interrupted, across every engine variant (interp / tape /
-//! uops × strict / permissive) and all nine workloads.
+//! was never interrupted, across every engine variant (interp / uops ×
+//! strict / permissive) and all nine workloads.
 //!
 //! The harness is property-style: the snapshot Vcycle is drawn from a
 //! local PRNG per (workload, variant), and the comparison is a full state
@@ -21,7 +21,7 @@ use manticore::compiler::{compile, CompileOptions, CompileOutput};
 use manticore::isa::{CacheConfig, CoreId, MachineConfig, Reg};
 use manticore::machine::{
     load_checkpoint, save_checkpoint, Checkpoint, CompiledProgram, GangMachine, Machine,
-    MachineError, ReplayEngine, MAX_LANES,
+    MachineError, PersistError, MAX_LANES,
 };
 use manticore::netlist::{Netlist, NetlistBuilder};
 use manticore::util::SmallRng;
@@ -61,33 +61,23 @@ fn fingerprint(machine: &Machine, regfile_size: usize, grid: usize) -> Vec<u64> 
     fp
 }
 
-/// The full engine matrix the issue pins: interpreter, tape replay, and
-/// fused micro-ops, each under strict and permissive hazards.
-fn variants() -> Vec<(&'static str, bool, Option<ReplayEngine>, bool)> {
+/// The full engine matrix: the interpreter and the micro-op replay
+/// engine, each under strict and permissive hazards.
+fn variants() -> Vec<(&'static str, bool, bool)> {
     vec![
-        ("interp+strict", false, None, true),
-        ("interp+permissive", false, None, false),
-        ("tape+strict", true, Some(ReplayEngine::Tape), true),
-        ("tape+permissive", true, Some(ReplayEngine::Tape), false),
-        ("uops+strict", true, Some(ReplayEngine::MicroOps), true),
-        ("uops+permissive", true, Some(ReplayEngine::MicroOps), false),
+        ("interp+strict", false, true),
+        ("interp+permissive", false, false),
+        ("uops+strict", true, true),
+        ("uops+permissive", true, false),
     ]
 }
 
 /// Boots a machine with a variant's knobs, in the same order the fleet's
 /// `SimJob::execute` applies them.
-fn boot(
-    program: &Arc<CompiledProgram>,
-    replay: bool,
-    engine: Option<ReplayEngine>,
-    strict: bool,
-) -> Machine {
+fn boot(program: &Arc<CompiledProgram>, replay: bool, strict: bool) -> Machine {
     let mut m = Machine::from_program(Arc::clone(program));
     m.set_strict_hazards(strict);
     m.set_replay(replay);
-    if let Some(engine) = engine {
-        m.set_replay_engine(engine);
-    }
     m
 }
 
@@ -109,7 +99,7 @@ fn restored_and_forked_runs_are_bit_identical_to_uninterrupted_runs() {
     let rf = MachineConfig::with_grid(GRID, GRID).regfile_size;
     for w in workloads::all() {
         let (_, program) = compile_workload(w.name);
-        for (vname, replay, engine, strict) in variants() {
+        for (vname, replay, strict) in variants() {
             let what = format!("{} {vname}", w.name);
             // Property-style split point: random per (workload, variant),
             // strictly inside the run so the snapshot is genuinely
@@ -121,7 +111,7 @@ fn restored_and_forked_runs_are_bit_identical_to_uninterrupted_runs() {
 
             // The uninterrupted reference: run to the split, snapshot,
             // keep going on the same machine.
-            let mut original = boot(&program, replay, engine, strict);
+            let mut original = boot(&program, replay, strict);
             original
                 .run_vcycles(split)
                 .unwrap_or_else(|e| panic!("{what}: first segment: {e}"));
@@ -198,9 +188,9 @@ fn forked_children_match_solo_runs_given_the_same_mid_run_pokes() {
     let lanes = 4usize;
     let split = 7u64;
 
-    for (vname, replay, engine, strict) in variants() {
+    for (vname, replay, strict) in variants() {
         let what = format!("bc fork {vname}");
-        let mut root = boot(&program, replay, engine, strict);
+        let mut root = boot(&program, replay, strict);
         root.run_vcycles(split)
             .unwrap_or_else(|e| panic!("{what}: warmup: {e}"));
         let cp = root.checkpoint();
@@ -472,4 +462,69 @@ fn checkpoint_saved_under_the_retired_sharded_engine_resumes_bit_identically() {
         fingerprint(&reference, config.regfile_size, grid),
         "resumed legacy checkpoint diverged from the uninterrupted run"
     );
+}
+
+#[test]
+fn checkpoint_saved_under_the_retired_tape_engine_resumes_bit_identically() {
+    // Builds that still had the tape replay engine wrote its tag, 0, into
+    // the replay-engine byte; this build writes 1 and ignores the value on
+    // load. Patch a fresh blob's byte to 0 (re-sealing the checksum) and
+    // the snapshot must load and resume like an uninterrupted interpreter
+    // run, while any other tag stays corrupt.
+    const SPLIT: u64 = 13;
+    let grid = 2;
+    let config = MachineConfig {
+        regfile_size: 256,
+        scratch_words: 64,
+        ..MachineConfig::with_grid(grid, grid)
+    };
+    let options = CompileOptions {
+        config: config.clone(),
+        ..Default::default()
+    };
+    let out = compile(&legacy_fixture_design(), &options).expect("compile");
+    let program = CompiledProgram::compile_shared(config.clone(), &out.binary).expect("load");
+
+    let mut source = Machine::from_program(Arc::clone(&program));
+    source.run_vcycles(SPLIT).expect("head");
+    let bytes = save_checkpoint(&source.checkpoint());
+    // A clean snapshot ends `.. engine tag, tape_invalidated, fault tag 0`
+    // and the 8-byte checksum trailer.
+    let tag_at = bytes.len() - 8 - 3;
+    assert_eq!(bytes[tag_at], 1, "this build writes engine tag 1");
+    let with_tag = |tag: u8| {
+        let mut b = bytes.clone();
+        b[tag_at] = tag;
+        let body = b.len() - 8;
+        let sum = manticore::util::fnv1a(&b[..body]);
+        b[body..].copy_from_slice(&sum.to_le_bytes());
+        b
+    };
+
+    let cp = load_checkpoint(&with_tag(0), &program).expect("tape-era checkpoint must load");
+    assert_eq!(save_checkpoint(&cp), bytes, "re-saving writes tag 1");
+    let mut resumed = Machine::from_program(Arc::clone(&program));
+    resumed.restore(&cp).unwrap();
+    let tail = resumed.run_vcycles(1000).expect("resumed run");
+
+    let mut reference = Machine::from_program(Arc::clone(&program));
+    reference.set_replay(false);
+    reference.run_vcycles(SPLIT).expect("reference head");
+    let ref_tail = reference.run_vcycles(1000).expect("reference tail");
+    assert!(tail.finished, "the resumed run must reach $finish");
+    assert_eq!(tail.vcycles_run, ref_tail.vcycles_run);
+    assert_eq!(tail.displays, ref_tail.displays);
+    assert_eq!(resumed.counters(), reference.counters());
+    assert_eq!(
+        fingerprint(&resumed, config.regfile_size, grid),
+        fingerprint(&reference, config.regfile_size, grid),
+        "resumed tape-era checkpoint diverged from the interpreter"
+    );
+
+    match load_checkpoint(&with_tag(2), &program) {
+        Err(PersistError::Corrupt { detail }) => {
+            assert!(detail.contains("replay-engine tag 2"), "{detail}");
+        }
+        other => panic!("engine tag 2 must be corrupt, got {other:?}"),
+    }
 }

@@ -1,14 +1,14 @@
-//! Tape / micro-op edge cases: degenerate grids and programs that stress
-//! the replay lowerings' boundary conditions — empty-body (epilogue-only)
-//! cores, all-NOP bodies, a 1×1 grid, a grid at the 256-dimension
-//! addressing limit, and Vcycles with zero sends. Every scenario runs
-//! through the interpreter, the tape replay, and the micro-op replay, and
+//! Replay-engine edge cases: degenerate grids and programs that stress
+//! the micro-op engine's boundary conditions — empty-body
+//! (epilogue-only) cores, all-NOP bodies, a 1×1 grid, a grid at the
+//! 256-dimension addressing limit, and Vcycles with zero sends. Every
+//! scenario runs through the interpreter and the micro-op replay, and
 //! must agree bit-for-bit (or report the identical error). Netlist-level
 //! scenarios additionally sweep every backend through the unified
 //! `Simulator` trait.
 
 use manticore::isa::{AluOp, Binary, CoreId, CoreImage, Instruction, MachineConfig, Reg};
-use manticore::machine::{Machine, MachineError, ReplayEngine};
+use manticore::machine::{Machine, MachineError};
 use manticore::netlist::NetlistBuilder;
 use manticore::sim::backends;
 
@@ -27,58 +27,42 @@ fn empty_binary(w: u32, h: u32, vcycle_len: u32) -> Binary {
     }
 }
 
-/// Every engine variant: replay off, on the tape, and on micro-ops.
-const VARIANTS: [(&str, Option<ReplayEngine>); 3] = [
-    ("serial", None),
-    ("serial+replay", Some(ReplayEngine::Tape)),
-    ("serial+uops", Some(ReplayEngine::MicroOps)),
-];
-
-fn configure(m: &mut Machine, replay: Option<ReplayEngine>) {
-    match replay {
-        None => m.set_replay(false),
-        Some(e) => m.set_replay_engine(e),
-    }
-}
-
-/// Runs `vcycles` on every engine variant and asserts identical outcome,
-/// counters, and probed registers against the serial interpreter.
+/// Runs `vcycles` on the micro-op replay engine (the default) and
+/// asserts identical outcome, counters, and probed registers against the
+/// position-by-position interpreter.
 fn assert_engines_agree(config: &MachineConfig, binary: &Binary, vcycles: u64, probes: &[Reg]) {
     let mut reference = Machine::load(config.clone(), binary).expect("load");
     reference.set_replay(false);
     let ref_out = reference.run_vcycles(vcycles).expect("reference run");
 
-    for (what, replay) in VARIANTS {
-        let mut m = Machine::load(config.clone(), binary).expect("load");
-        configure(&mut m, replay);
-        let out = m
-            .run_vcycles(vcycles)
-            .unwrap_or_else(|e| panic!("{what}: run failed: {e}"));
-        assert_eq!(ref_out.displays, out.displays, "{what}: displays");
-        assert_eq!(ref_out.vcycles_run, out.vcycles_run, "{what}: vcycles");
-        assert_eq!(reference.counters(), m.counters(), "{what}: counters");
-        assert_eq!(
-            reference.executed_per_core(),
-            m.executed_per_core(),
-            "{what}: executed"
-        );
-        for y in 0..config.grid_height as u8 {
-            for x in 0..config.grid_width as u8 {
-                for &p in probes {
-                    let core = CoreId::new(x, y);
-                    assert_eq!(
-                        reference.read_reg(core, p),
-                        m.read_reg(core, p),
-                        "{what}: {core} {p}"
-                    );
-                }
+    let mut m = Machine::load(config.clone(), binary).expect("load");
+    let out = m
+        .run_vcycles(vcycles)
+        .unwrap_or_else(|e| panic!("replay run failed: {e}"));
+    assert_eq!(ref_out.displays, out.displays, "displays");
+    assert_eq!(ref_out.vcycles_run, out.vcycles_run, "vcycles");
+    assert_eq!(reference.counters(), m.counters(), "counters");
+    assert_eq!(
+        reference.executed_per_core(),
+        m.executed_per_core(),
+        "executed"
+    );
+    for y in 0..config.grid_height as u8 {
+        for x in 0..config.grid_width as u8 {
+            for &p in probes {
+                let core = CoreId::new(x, y);
+                assert_eq!(
+                    reference.read_reg(core, p),
+                    m.read_reg(core, p),
+                    "{core} {p}"
+                );
             }
         }
     }
 }
 
-/// Runs on every engine variant and asserts all report the reference
-/// engine's error.
+/// Runs on the replay engine and asserts it reports the interpreter's
+/// error.
 fn assert_engines_agree_on_error(
     config: &MachineConfig,
     binary: &Binary,
@@ -92,15 +76,10 @@ fn assert_engines_agree_on_error(
         .run_vcycles(vcycles)
         .expect_err("reference must fail");
 
-    for (what, replay) in VARIANTS {
-        let mut m = Machine::load(config.clone(), binary).expect("load");
-        m.set_strict_hazards(strict);
-        configure(&mut m, replay);
-        let err = m
-            .run_vcycles(vcycles)
-            .expect_err(&format!("{what}: must fail"));
-        assert_eq!(ref_err, err, "{what}: error diverged");
-    }
+    let mut m = Machine::load(config.clone(), binary).expect("load");
+    m.set_strict_hazards(strict);
+    let err = m.run_vcycles(vcycles).expect_err("replay run must fail");
+    assert_eq!(ref_err, err, "error diverged");
     ref_err
 }
 
@@ -218,7 +197,7 @@ fn grid_at_the_256_dimension_limit() {
 
 #[test]
 fn zero_send_vcycles_run_on_every_engine() {
-    // Pure compute, empty delivery schedule: the replay lowerings' send
+    // Pure compute, empty delivery schedule: the replay engine's send
     // collection and delivery phases see zero traffic.
     let mut binary = empty_binary(2, 1, 8);
     for x in 0..2u8 {
@@ -263,7 +242,7 @@ fn epilogue_only_core_fails_identically_on_every_engine() {
     // message can arrive. Strict mode reports the empty slot at issue;
     // permissive mode reports the late delivery — identically on every
     // engine (the failure happens in the validation Vcycle, so the replay
-    // lowerings never even engage).
+    // engine never even engages).
     let mut binary = empty_binary(2, 1, 12);
     binary.cores.push(CoreImage {
         core: CoreId::new(0, 0),
@@ -318,7 +297,7 @@ fn epilogue_only_core_fails_identically_on_every_engine() {
 fn simulator_trait_sweeps_degenerate_netlists() {
     // The same edge shapes at the `Simulator` level: a 1x1-grid counter
     // and a design whose state never changes, across every backend
-    // `backends()` constructs (interpreter, tape replay, micro-op replay,
+    // `backends()` constructs (interpreter, micro-op replay,
     // fleet, gang, and both Verilator-analog executors).
     for (label, grid, constant) in [("counter-1x1", 1usize, false), ("constant-2x2", 2, true)] {
         let mut b = NetlistBuilder::new(label);

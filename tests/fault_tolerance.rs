@@ -5,7 +5,7 @@
 //! clean run (injection may kill work, never corrupt it), and (3) report
 //! the exact same outcome labels run after run, at any worker count.
 //!
-//! The matrix: mm/bc workloads × tape/uops replay engines × the three
+//! The matrix: mm/bc workloads × interpreter/micro-op engines × the three
 //! execution planes (per-job fleet, lane-batched gangs, scenario-tree
 //! exploration).
 
@@ -13,7 +13,6 @@ use std::sync::Arc;
 
 use manticore::fleet::{ExploreConfig, FleetSim};
 use manticore::isa::MachineConfig;
-use manticore::machine::ReplayEngine;
 use manticore::workloads;
 use manticore_fleet::{BatchPolicy, FaultPlan, Fleet, JobOutcome, JobOutput, SimJob};
 
@@ -36,20 +35,12 @@ fn compile(wname: &str) -> (Arc<manticore::machine::CompiledProgram>, usize) {
     (program, config.regfile_size)
 }
 
-/// The job set for one workload: jobs alternate the two replay lowerings
-/// (tape / micro-ops) so one batch covers the engine axis of the matrix.
+/// The job set for one workload: jobs alternate the interpreter and the
+/// micro-op replay engine so one batch covers the engine axis of the
+/// matrix.
 fn job_set(program: &Arc<manticore::machine::CompiledProgram>) -> Vec<SimJob> {
     (0..N_JOBS)
-        .map(|i| {
-            let engine = if i % 2 == 0 {
-                ReplayEngine::Tape
-            } else {
-                ReplayEngine::MicroOps
-            };
-            SimJob::new(program, VCYCLES + (i / 2) as u64)
-                .replay(true)
-                .replay_engine(engine)
-        })
+        .map(|i| SimJob::new(program, VCYCLES + (i / 2) as u64).replay(i % 2 == 1))
         .collect()
 }
 
@@ -150,12 +141,7 @@ fn gang_faults_park_one_lane_and_panics_kill_one_gang() {
             .unwrap_or_else(|e| panic!("{wname}: fleet compile failed: {e}"));
         let jobs = || -> Vec<manticore::fleet::FleetJob> {
             (0..N_JOBS)
-                .map(|_| {
-                    fleet
-                        .job(VCYCLES)
-                        .replay(true)
-                        .replay_engine(ReplayEngine::MicroOps)
-                })
+                .map(|_| fleet.job(VCYCLES).replay(true))
                 .collect()
         };
 

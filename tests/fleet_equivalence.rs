@@ -13,7 +13,7 @@ use std::time::{Duration, Instant};
 use manticore::bits::Bits;
 use manticore::fleet::{FleetJob, FleetSim};
 use manticore::isa::MachineConfig;
-use manticore::machine::{Machine, ReplayEngine};
+use manticore::machine::Machine;
 use manticore::util::SmallRng;
 use manticore::workloads;
 use manticore_fleet::{Fleet, JobOutput, SimJob};
@@ -42,13 +42,13 @@ fn rtl_regs(machine: &Machine, out: &manticore::compiler::CompileOutput) -> Vec<
 
 /// The engine-knob variants every job set cycles through. The second
 /// field gives the job a far-future per-job deadline, which never fires
-/// but makes the job non-gangable.
-fn variants() -> Vec<(&'static str, bool, Option<ReplayEngine>, bool)> {
+/// but makes the job non-gangable; the third is the replay knob.
+fn variants() -> Vec<(&'static str, bool, bool)> {
     vec![
-        ("uops", false, Some(ReplayEngine::MicroOps), true),
-        ("tape", false, Some(ReplayEngine::Tape), true),
-        ("interp", false, None, false),
-        ("deadline+uops", true, Some(ReplayEngine::MicroOps), true),
+        ("uops", false, true),
+        ("interp", false, false),
+        ("deadline+uops", true, true),
+        ("deadline+interp", true, false),
     ]
 }
 
@@ -71,7 +71,7 @@ fn fleet_jobs_are_bit_identical_to_alone_runs() {
         // nonce per variant so inputs genuinely differ between jobs.
         let mut jobs: Vec<FleetJob> = Vec::new();
         let mut alone: Vec<manticore::ManticoreSim> = Vec::new();
-        for (vi, (_, deadline, engine, replay)) in variants().into_iter().enumerate() {
+        for (vi, (_, deadline, replay)) in variants().into_iter().enumerate() {
             let mut job = fleet.job(VCYCLES).replay(replay);
             let mut solo = manticore::ManticoreSim::from_output(
                 output.clone(),
@@ -81,10 +81,6 @@ fn fleet_jobs_are_bit_identical_to_alone_runs() {
             solo.set_replay(replay);
             if deadline {
                 job = job.deadline(far_future());
-            }
-            if let Some(engine) = engine {
-                job = job.replay_engine(engine);
-                solo.set_replay_engine(engine);
             }
             if wname == "bc" {
                 let nonce = (vi as u64 + 1) << 20;
@@ -145,16 +141,13 @@ fn machine_job_set(
     order
         .iter()
         .map(|&i| {
-            let (_, deadline, engine, replay) = variants[i % variants.len()];
+            let (_, deadline, replay) = variants[i % variants.len()];
             // Distinct budgets (30, 31, 32, ...) make every job's final
             // state unique, so a mixed-up result slot cannot pass.
             let mut job =
                 SimJob::new(program, VCYCLES + (i / variants.len()) as u64).replay(replay);
             if deadline {
                 job = job.deadline(far_future());
-            }
-            if let Some(engine) = engine {
-                job = job.replay_engine(engine);
             }
             job
         })

@@ -1,7 +1,7 @@
 //! The gang engine must be architecturally invisible: a K-lane lockstep
 //! gang — one micro-op fetch per gang, lane-major machine state — yields
 //! bit-identical per-lane outcomes to K solo `ManticoreSim` runs, across
-//! lane counts, replay lowerings, and hazard strictness, with full
+//! lane counts and hazard strictness, with full
 //! register-file fingerprints. A lane that faults mid-run parks with the
 //! solo run's exact error and state while the surviving lanes finish
 //! unchanged.
@@ -15,7 +15,7 @@ use std::sync::Arc;
 use manticore::bits::Bits;
 use manticore::fleet::{FleetJob, FleetSim};
 use manticore::isa::MachineConfig;
-use manticore::machine::{Machine, ReplayEngine};
+use manticore::machine::Machine;
 use manticore::netlist::NetlistBuilder;
 use manticore::workloads;
 
@@ -49,17 +49,6 @@ fn fingerprint(machine: &Machine, regfile_size: usize, grid: usize) -> Vec<u64> 
     fp
 }
 
-/// The engine-knob matrix the issue pins: both replay lowerings, strict
-/// and permissive hazards.
-fn variants() -> Vec<(&'static str, ReplayEngine, bool)> {
-    vec![
-        ("uops+strict", ReplayEngine::MicroOps, true),
-        ("uops+permissive", ReplayEngine::MicroOps, false),
-        ("tape+strict", ReplayEngine::Tape, true),
-        ("tape+permissive", ReplayEngine::Tape, false),
-    ]
-}
-
 #[test]
 fn gang_lanes_bit_identical_to_solo_runs() {
     // mm exercises dense compute, bc additionally gets a distinct input
@@ -74,24 +63,20 @@ fn gang_lanes_bit_identical_to_solo_runs() {
         let rf = config.regfile_size;
 
         for lanes in [1usize, 2, 8] {
-            for (vname, engine, strict) in variants() {
-                let what = format!("{wname} lanes {lanes} {vname}");
+            for strict in [true, false] {
+                let what = format!("{wname} lanes {lanes} strict {strict}");
 
                 // K identically-knobbed jobs (one gang) with per-lane
                 // inputs, against K solo ManticoreSims.
                 let mut jobs: Vec<FleetJob> = Vec::new();
                 let mut solos: Vec<manticore::ManticoreSim> = Vec::new();
                 for lane in 0..lanes {
-                    let mut job = fleet
-                        .job(VCYCLES)
-                        .replay_engine(engine)
-                        .strict_hazards(strict);
+                    let mut job = fleet.job(VCYCLES).strict_hazards(strict);
                     let mut solo = manticore::ManticoreSim::from_program(
                         Arc::clone(fleet.program()),
                         output.clone(),
                     );
                     solo.set_strict_hazards(strict);
-                    solo.set_replay_engine(engine);
                     if wname == "bc" {
                         let nonce = ((lane as u64) + 1) << 20;
                         job = job.with_reg("nonce0", nonce).unwrap();

@@ -1,8 +1,8 @@
-//! Both validate-once / replay-many lowerings (pre-decoded tape, fused
-//! micro-op stream) must be bit-identical to the position-by-position grid
-//! interpreter on every real workload: same final register state, same
-//! displays, same `PerfCounters` and cache statistics, under strict and
-//! permissive hazard checking.
+//! The validate-once / replay-many engine (the fused micro-op stream) must
+//! be bit-identical to the position-by-position grid interpreter on every
+//! real workload: same final register state, same displays, same
+//! `PerfCounters` and cache statistics, under strict and permissive
+//! hazard checking.
 //!
 //! This is the machine-side analog of `backend_agreement.rs` (which covers
 //! the Verilator-analog tape executors): together they pin down that every
@@ -12,7 +12,7 @@
 use manticore::bits::Bits;
 use manticore::compiler::{compile, CompileOptions};
 use manticore::isa::MachineConfig;
-use manticore::machine::{Machine, ReplayEngine};
+use manticore::machine::Machine;
 use manticore::workloads;
 
 const GRID: usize = 6;
@@ -37,7 +37,7 @@ fn rtl_regs(machine: &Machine, out: &manticore::compiler::CompileOutput) -> Vec<
         .collect()
 }
 
-/// Sweeps both replay lowerings against the plain interpreter on every
+/// Sweeps the replay engine against the plain interpreter on every
 /// workload, under the given hazard mode.
 fn sweep_all_workloads(strict: bool) {
     for w in workloads::all() {
@@ -59,54 +59,55 @@ fn sweep_all_workloads(strict: bool) {
             .unwrap_or_else(|e| panic!("{}: serial run failed: {e}", w.name));
         let s_regs = rtl_regs(&serial, &out);
 
-        // Sweep both replay lowerings against it.
-        for (what, engine) in [
-            ("serial+replay", ReplayEngine::Tape),
-            ("serial+uops", ReplayEngine::MicroOps),
-        ] {
-            let what = format!("{what} ({})", if strict { "strict" } else { "permissive" });
-            let mut par = Machine::load(config.clone(), &out.binary).unwrap();
-            par.set_strict_hazards(strict);
-            par.set_replay_engine(engine);
-            let p_run = par
-                .run_vcycles(VCYCLES)
-                .unwrap_or_else(|e| panic!("{}: {what} run failed: {e}", w.name));
+        // The replay engine (the default) against it.
+        let what = format!(
+            "serial+uops ({})",
+            if strict { "strict" } else { "permissive" }
+        );
+        let mut par = Machine::load(config.clone(), &out.binary).unwrap();
+        par.set_strict_hazards(strict);
+        // Replay must actually engage (no unreplayable program, no strict
+        // cross-Vcycle hazard), or this sweep compares the interpreter
+        // with itself.
+        assert!(par.replay_armed(), "{}: {what} not armed", w.name);
+        let p_run = par
+            .run_vcycles(VCYCLES)
+            .unwrap_or_else(|e| panic!("{}: {what} run failed: {e}", w.name));
 
+        assert_eq!(
+            s_run.displays, p_run.displays,
+            "{}: displays diverged at {what}",
+            w.name
+        );
+        assert_eq!(
+            s_run.finished, p_run.finished,
+            "{}: finish flag diverged at {what}",
+            w.name
+        );
+        assert_eq!(
+            s_run.vcycles_run, p_run.vcycles_run,
+            "{}: vcycle count diverged at {what}",
+            w.name
+        );
+        assert_eq!(
+            serial.counters(),
+            par.counters(),
+            "{}: PerfCounters diverged at {what}",
+            w.name
+        );
+        assert_eq!(
+            serial.cache_stats(),
+            par.cache_stats(),
+            "{}: cache stats diverged at {what}",
+            w.name
+        );
+        let p_regs = rtl_regs(&par, &out);
+        for (ri, reg) in out.optimized.registers().iter().enumerate() {
             assert_eq!(
-                s_run.displays, p_run.displays,
-                "{}: displays diverged at {what}",
-                w.name
+                s_regs[ri], p_regs[ri],
+                "{}: register `{}` diverged at {what}",
+                w.name, reg.name
             );
-            assert_eq!(
-                s_run.finished, p_run.finished,
-                "{}: finish flag diverged at {what}",
-                w.name
-            );
-            assert_eq!(
-                s_run.vcycles_run, p_run.vcycles_run,
-                "{}: vcycle count diverged at {what}",
-                w.name
-            );
-            assert_eq!(
-                serial.counters(),
-                par.counters(),
-                "{}: PerfCounters diverged at {what}",
-                w.name
-            );
-            assert_eq!(
-                serial.cache_stats(),
-                par.cache_stats(),
-                "{}: cache stats diverged at {what}",
-                w.name
-            );
-            let p_regs = rtl_regs(&par, &out);
-            for (ri, reg) in out.optimized.registers().iter().enumerate() {
-                assert_eq!(
-                    s_regs[ri], p_regs[ri],
-                    "{}: register `{}` diverged at {what}",
-                    w.name, reg.name
-                );
-            }
         }
     }
 }
@@ -126,9 +127,9 @@ fn replay_lowerings_are_bit_identical_on_all_workloads_permissive() {
 
 #[test]
 fn replay_mode_switches_are_seamless() {
-    // Replay can be toggled and lowerings swapped between `run_vcycles`
-    // calls without perturbing a single architectural bit: the machine
-    // state at every Vcycle boundary is engine-independent.
+    // Replay can be toggled between `run_vcycles` calls without
+    // perturbing a single architectural bit: the machine state at every
+    // Vcycle boundary is engine-independent.
     let w = workloads::by_name("mm").unwrap();
     let config = MachineConfig::with_grid(GRID, GRID);
     let options = CompileOptions {
@@ -143,18 +144,14 @@ fn replay_mode_switches_are_seamless() {
 
     let mut mixed = Machine::load(config.clone(), &out.binary).unwrap();
     mixed.run_vcycles(6).unwrap(); // validation + micro-op replay (default)
-    mixed.set_replay_engine(ReplayEngine::Tape);
-    mixed.run_vcycles(6).unwrap(); // tape replay
     mixed.set_replay(false);
     mixed.run_vcycles(6).unwrap(); // full interpreter
     mixed.set_replay(true);
-    mixed.set_replay_engine(ReplayEngine::Tape);
-    mixed.run_vcycles(6).unwrap(); // back onto tape replay
+    mixed.run_vcycles(6).unwrap(); // back onto micro-op replay
     mixed.set_replay(false);
     mixed.run_vcycles(6).unwrap(); // interpreter again
     mixed.set_replay(true);
-    mixed.set_replay_engine(ReplayEngine::MicroOps);
-    mixed.run_vcycles(6).unwrap(); // micro-op replay
+    mixed.run_vcycles(12).unwrap(); // micro-op replay
     assert_eq!(reference.counters(), mixed.counters());
     let a = rtl_regs(&reference, &out);
     let b = rtl_regs(&mixed, &out);
