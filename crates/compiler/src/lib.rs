@@ -15,12 +15,12 @@
 //!    allocation, current/next coalescing, binary emission ([`regalloc`]).
 //!
 //! The manager wraps every pass with wall-time and IR-size instrumentation
-//! ([`report::PassStat`]). [`CompileOptions::compile_threads`] selects the
-//! pipeline implementation: `1` (the default) is the reference serial
-//! pipeline; `> 1` fans the heavy passes out over a scoped worker pool and
-//! uses restructured inner algorithms whose outputs are **bit-identical**
-//! to the serial pipeline — the compile-determinism suite compares the
-//! emitted binaries byte-for-byte across thread counts.
+//! ([`report::PassStat`]). There is one pipeline:
+//! [`CompileOptions::compile_threads`] only sets how many workers the
+//! heavy passes fan their independent per-cone / per-process work out
+//! over, and the emitted binary is **bit-identical** at any thread count
+//! — the compile-determinism suite compares the binaries byte-for-byte
+//! across thread counts.
 //!
 //! Both intermediate representations are executable: the netlist via
 //! `manticore_netlist::eval` and the lower assembly via [`interp`] — the
@@ -58,6 +58,8 @@ pub mod report;
 pub mod schedule;
 
 #[cfg(test)]
+mod oracle;
+#[cfg(test)]
 mod tests;
 
 use manticore_isa::{Binary, MachineConfig};
@@ -81,9 +83,9 @@ pub struct CompileOptions {
     pub custom_functions: bool,
     /// Enable netlist-level optimization.
     pub netlist_opt: bool,
-    /// Compiler worker threads. `1` (the default) runs the reference
-    /// serial pipeline; `> 1` runs the parallel pipeline (bit-identical
-    /// output); `0` resolves to `max(2, available_parallelism)`.
+    /// Compiler worker threads for the heavy passes' parallel stages.
+    /// `1` (the default) runs them inline on the caller; `0` resolves to
+    /// `available_parallelism`. The output is bit-identical at any value.
     pub compile_threads: usize,
 }
 
@@ -101,14 +103,11 @@ impl Default for CompileOptions {
 
 impl CompileOptions {
     /// The worker count the pipeline will actually run with: `0` resolves
-    /// to `max(2, available_parallelism)` (auto always picks the parallel
-    /// pipeline — its restructured passes win even on one CPU), any other
-    /// value is taken as-is.
+    /// to `available_parallelism` (1 when unknown), any other value is
+    /// taken as-is.
     pub fn resolved_compile_threads(&self) -> usize {
         match self.compile_threads {
-            0 => std::thread::available_parallelism()
-                .map_or(2, |n| n.get())
-                .max(2),
+            0 => std::thread::available_parallelism().map_or(1, |n| n.get()),
             n => n,
         }
     }

@@ -24,25 +24,21 @@
 //!
 //! # Parallel structure and determinism
 //!
-//! [`partition_threaded`] decomposes the pass into an embarrassingly
-//! parallel cone phase (each seed's fan-in closure is independent given the
-//! def table), a **serial** merge (the greedy loop is a sequential decision
-//! process), and an embarrassingly parallel materialization (each surviving
-//! unit rebuilds its instruction list independently; Sends and the
-//! exception remap are appended serially afterwards). Parallel stages fan
-//! out with [`manticore_util::parallel_map`], which assigns results to
+//! [`partition`] decomposes the pass into an embarrassingly parallel cone
+//! phase (each seed's fan-in closure is independent given the def table),
+//! a **serial** merge (the greedy loop is a sequential decision process),
+//! and an embarrassingly parallel materialization (each surviving unit
+//! rebuilds its instruction list independently; Sends and the exception
+//! remap are appended serially afterwards). Parallel stages fan out with
+//! [`manticore_util::parallel_map`], which assigns results to
 //! pre-determined slots — output is a pure function of the index, so the
 //! pass is bit-identical at any thread count.
 //!
-//! At `threads > 1` the balanced merge switches to
-//! `merge_balanced_fast`, an incremental-bookkeeping reimplementation
-//! that replays the reference greedy loop's *exact* decision sequence
-//! (same cheapest-unit, partner, and stop decisions, including
-//! first-minimal tie-breaks) while replacing the reference's
-//! O(units² · states) rescans with cached per-unit costs, per-state live
-//! reader counts, and masked-popcount union costs. A unit test checks the
-//! two merges agree on every workload-sized program; the end-to-end
-//! compile-determinism suite checks the emitted binaries byte-for-byte.
+//! The balanced merge keeps per-unit costs, per-state live-reader counts
+//! and per-weight word masks up to date incrementally instead of
+//! rescanning every unit each iteration. The test oracle in `oracle.rs`
+//! computes the same merge from first principles, and a unit test holds
+//! the two to identical results on every workload.
 
 use std::collections::{BTreeSet, HashMap};
 
@@ -71,54 +67,22 @@ pub enum PartitionStrategy {
 /// One mergeable unit: a cone of monolithic instructions plus its state
 /// interface.
 #[derive(Debug, Clone)]
-struct Unit {
-    instrs: BitSet,
+pub(crate) struct Unit {
+    pub(crate) instrs: BitSet,
     /// Deduplicated instruction cost (weighted popcount of `instrs`).
-    base_cost: usize,
+    pub(crate) base_cost: usize,
     /// States committed inside this unit.
-    commits: BTreeSet<StateId>,
+    pub(crate) commits: BTreeSet<StateId>,
     /// States read (live-in) by this unit.
-    reads: BTreeSet<StateId>,
-}
-
-/// Splits and merges the monolithic program onto `num_cores` cores using
-/// the reference serial pipeline (`threads = 1`).
-///
-/// # Panics
-///
-/// Panics if `prog` is not monolithic (exactly one process).
-pub fn partition(prog: &LirProgram, num_cores: usize, strategy: PartitionStrategy) -> LirProgram {
-    partition_threaded(prog, num_cores, strategy, 1)
+    pub(crate) reads: BTreeSet<StateId>,
 }
 
 /// Splits and merges the monolithic program onto `num_cores` cores,
-/// fanning the cone and materialization phases over `threads` workers and
-/// (for the balanced strategy at `threads > 1`) using the incremental
-/// merge. Output is bit-identical at any thread count.
-///
-/// # Panics
-///
-/// Panics if `prog` is not monolithic (exactly one process).
-pub fn partition_threaded(
-    prog: &LirProgram,
-    num_cores: usize,
-    strategy: PartitionStrategy,
-    threads: usize,
-) -> LirProgram {
-    partition_controlled(
-        prog,
-        num_cores,
-        strategy,
-        threads,
-        &CompileControl::default(),
-    )
-    .expect("unconstrained partition cannot be interrupted")
-}
-
-/// [`partition_threaded`] with a [`CompileControl`]: the serial merge loop
-/// polls the control every `MERGE_POLL_PERIOD` iterations, so a tripped
+/// fanning the cone and materialization phases over `threads` workers.
+/// Output is bit-identical at any thread count. The serial merge loop
+/// polls `control` every `MERGE_POLL_PERIOD` iterations, so a tripped
 /// deadline or cancel token stops the pass with a structured error
-/// instead of running the (potentially quadratic) merge to completion.
+/// instead of running the merge to completion.
 ///
 /// # Errors
 ///
@@ -128,13 +92,52 @@ pub fn partition_threaded(
 /// # Panics
 ///
 /// Panics if `prog` is not monolithic (exactly one process).
-pub fn partition_controlled(
+pub fn partition(
     prog: &LirProgram,
     num_cores: usize,
     strategy: PartitionStrategy,
     threads: usize,
     control: &CompileControl,
 ) -> Result<LirProgram, CompileError> {
+    let split = split(prog, threads);
+    // Merge (inherently serial: a sequential greedy decision process).
+    let merged_sets = match strategy {
+        PartitionStrategy::Balanced => merge_balanced(
+            split.units,
+            num_cores,
+            &split.instr_cost,
+            prog.states.len(),
+            control,
+        )?,
+        PartitionStrategy::Lpt => merge_lpt(split.units, num_cores),
+    };
+    Ok(materialize(
+        prog,
+        &merged_sets,
+        &split.def_of,
+        &split.vreg_state,
+        threads,
+    ))
+}
+
+/// The split phase's output: the mergeable units plus the lookup tables
+/// the merge and materialization share.
+pub(crate) struct Split {
+    pub(crate) units: Vec<Unit>,
+    /// Issue slots per monolithic instruction (`Const`s weigh 0).
+    pub(crate) instr_cost: Vec<usize>,
+    def_of: Vec<Option<usize>>,
+    vreg_state: HashMap<VReg, StateId>,
+}
+
+/// Splits the monolithic program into per-sink cones and unites them by
+/// memory and privilege affinity, building each cone on `threads`
+/// workers.
+///
+/// # Panics
+///
+/// Panics if `prog` is not monolithic (exactly one process).
+pub(crate) fn split(prog: &LirProgram, threads: usize) -> Split {
     assert_eq!(
         prog.processes.len(),
         1,
@@ -276,32 +279,17 @@ pub fn partition_controlled(
         .collect()
     };
 
-    // ------------------------------------------------------------------
-    // Merge (inherently serial: a sequential greedy decision process).
-    // ------------------------------------------------------------------
-    let merged_sets = match (strategy, threads > 1) {
-        (PartitionStrategy::Balanced, false) => {
-            merge_balanced(units, num_cores, &instr_cost, control)?
-        }
-        (PartitionStrategy::Balanced, true) => {
-            merge_balanced_fast(units, num_cores, &instr_cost, prog.states.len(), control)?
-        }
-        (PartitionStrategy::Lpt, _) => merge_lpt(units, num_cores),
-    };
-
-    Ok(materialize(
-        prog,
-        mono,
-        &merged_sets,
-        &def_of,
-        &vreg_state,
-        threads,
-    ))
+    Split {
+        units,
+        instr_cost,
+        def_of,
+        vreg_state,
+    }
 }
 
 /// Send count of unit `u` given current ownership: one per (state committed
 /// by `u`, other live unit reading it).
-fn send_count(u: usize, units: &[Unit], alive: &[bool]) -> usize {
+pub(crate) fn send_count(u: usize, units: &[Unit], alive: &[bool]) -> usize {
     let mut sends = 0;
     for s in &units[u].commits {
         for (v, other) in units.iter().enumerate() {
@@ -313,122 +301,33 @@ fn send_count(u: usize, units: &[Unit], alive: &[bool]) -> usize {
     sends
 }
 
-/// The reference balanced merge: recomputes unit costs and merged costs
-/// from first principles every iteration. Kept verbatim as the serial
-/// pipeline and as the oracle for `merge_balanced_fast`.
-fn merge_balanced(
-    mut units: Vec<Unit>,
-    num_cores: usize,
-    instr_cost: &[usize],
-    control: &CompileControl,
-) -> Result<Vec<BitSet>, CompileError> {
-    let mut alive = vec![true; units.len()];
-    let mut iterations = 0usize;
-    loop {
-        if iterations.is_multiple_of(MERGE_POLL_PERIOD) {
-            control.check("partition")?;
-        }
-        iterations += 1;
-        let live: Vec<usize> = (0..units.len()).filter(|&i| alive[i]).collect();
-        if live.len() <= 1 {
-            break;
-        }
-        let must_merge = live.len() > num_cores;
-        let cost = |i: usize, units: &[Unit], alive: &[bool]| {
-            units[i].base_cost + send_count(i, units, alive)
-        };
-        // Cheapest live unit.
-        let &u = live
-            .iter()
-            .min_by_key(|&&i| cost(i, &units, &alive))
-            .unwrap();
-        // Communicating partners.
-        let partners: Vec<usize> = live
-            .iter()
-            .copied()
-            .filter(|&v| {
-                v != u
-                    && (units[u].commits.iter().any(|s| units[v].reads.contains(s))
-                        || units[v].commits.iter().any(|s| units[u].reads.contains(s)))
-            })
-            .collect();
-        let candidates = if partners.is_empty() {
-            live.iter().copied().filter(|&v| v != u).collect::<Vec<_>>()
-        } else {
-            partners
-        };
-        // Merged cost of u+v: deduped instructions + sends of the union.
-        let merged_cost = |v: usize, units: &[Unit], alive: &[bool]| -> usize {
-            let mut base = 0usize;
-            // weighted union popcount
-            let set = &units[u].instrs;
-            let other = &units[v].instrs;
-            for i in set.iter() {
-                base += instr_cost[i];
-            }
-            for i in other.iter() {
-                if !set.contains(i) {
-                    base += instr_cost[i];
-                }
-            }
-            let mut sends = 0;
-            for s in units[u].commits.iter().chain(units[v].commits.iter()) {
-                for (w, ww) in units.iter().enumerate() {
-                    if w != u && w != v && alive[w] && ww.reads.contains(s) {
-                        sends += 1;
-                    }
-                }
-            }
-            base + sends
-        };
-        let best = candidates
-            .iter()
-            .map(|&v| (merged_cost(v, &units, &alive), v))
-            .min();
-        let Some((best_cost, v)) = best else { break };
-        if !must_merge {
-            let straggler = live.iter().map(|&i| cost(i, &units, &alive)).max().unwrap();
-            if best_cost > straggler {
-                break;
-            }
-        }
-        // Merge v into u.
-        let vv = units[v].clone();
-        units[u].instrs.union_with(&vv.instrs);
-        units[u].base_cost = units[u].instrs.iter().map(|i| instr_cost[i]).sum();
-        units[u].commits.extend(vv.commits.iter().copied());
-        units[u].reads.extend(vv.reads.iter().copied());
-        alive[v] = false;
-    }
-    Ok(units
-        .into_iter()
-        .zip(alive)
-        .filter_map(|(un, a)| a.then_some(un.instrs))
-        .collect())
-}
-
-/// The incremental balanced merge: replays [`merge_balanced`]'s exact
-/// decision sequence with cached bookkeeping.
+/// The communication-aware balanced merge: repeatedly merge the cheapest
+/// live unit into the communicating partner (any live unit when none
+/// communicates) that minimizes the merged cost, past the core count
+/// while that cost stays within the straggler's.
 ///
-/// Why the decisions cannot diverge:
+/// Costs are kept up to date incrementally rather than recomputed from
+/// first principles each iteration, as the definition (the test oracle
+/// `merge_balanced_ref` in `oracle.rs`) does. Why the decisions match
+/// the definition's:
 ///
-/// - **Unit cost.** The reference's `cost(i) = base_cost(i) + sends(i)`
+/// - **Unit cost.** The definition's `cost(i) = base_cost(i) + sends(i)`
 ///   where `sends(i) = Σ_{s ∈ commits_i} |{v alive, v ≠ i, s ∈ reads_v}|`.
 ///   Here `readers_cnt[s]` maintains the number of *live* units reading
 ///   `s`, so `sends(i) = Σ_s (readers_cnt[s] − [i reads s])`; `cost[]` is
 ///   kept consistent across merges by local updates (below) plus a full
 ///   recompute of the merged unit.
-/// - **Cheapest unit.** The reference takes `min_by_key` over live units
+/// - **Cheapest unit.** The definition takes `min_by_key` over live units
 ///   in ascending index order, which returns the *first* minimum; the scan
 ///   here uses strict `<` over the same order.
-/// - **Partner choice.** The reference minimizes `(merged_cost, v)`
+/// - **Partner choice.** The definition minimizes `(merged_cost, v)`
 ///   tuples; `merged_cost(v)` = weighted union popcount + chained sends
 ///   `Σ_{s ∈ commits_u ∪ commits_v} (readers_cnt[s] − [u reads s] −
 ///   [v reads s])` — the same quantity, computed via per-weight word masks
 ///   (`popcount(w & mask1) + 2·popcount(w & mask2)`) instead of bit
 ///   iteration. Note `commits_u` and `commits_v` are disjoint (each state
 ///   has exactly one committer), so the chained iteration counts each
-///   state once, exactly like the reference.
+///   state once, exactly like the definition.
 /// - **Stop rule.** `must_merge` and the straggler bound use the same
 ///   cached costs.
 ///
@@ -437,7 +336,7 @@ fn merge_balanced(
 /// committer (if distinct from `u`/`v`) loses one send; `v`'s committed
 /// states transfer their committer to `u`; `cost[u]` is recomputed in
 /// full. Everything else is unchanged.
-fn merge_balanced_fast(
+pub(crate) fn merge_balanced(
     mut units: Vec<Unit>,
     num_cores: usize,
     instr_cost: &[usize],
@@ -522,7 +421,7 @@ fn merge_balanced_fast(
                 u = i;
             }
         }
-        // Communicating partners (same membership test as the reference).
+        // Communicating partners.
         let mut candidates: Vec<usize> = (0..nunits)
             .filter(|&v| {
                 alive[v]
@@ -610,13 +509,6 @@ fn merge_lpt(units: Vec<Unit>, num_cores: usize) -> Vec<BitSet> {
     if nbins == 0 {
         return Vec::new();
     }
-    let cap = units
-        .first()
-        .map(|u| u.instrs.iter().max().map_or(1, |m| m + 1))
-        .unwrap_or(1);
-    // Bitsets in the bins need the monolithic instruction capacity; take it
-    // from any unit's backing size (all share it).
-    let _ = cap;
     let mut bins: Vec<Option<BitSet>> = vec![None; nbins];
     let mut bin_load = vec![0usize; nbins];
     for i in order {
@@ -637,12 +529,12 @@ fn merge_lpt(units: Vec<Unit>, num_cores: usize) -> Vec<BitSet> {
 /// serially afterwards (they read cross-unit ownership).
 fn materialize(
     prog: &LirProgram,
-    mono: &Process,
     units: &[BitSet],
     def_of: &[Option<usize>],
     vreg_state: &HashMap<VReg, StateId>,
     threads: usize,
 ) -> LirProgram {
+    let mono = &prog.processes[0];
     let rebuilt: Vec<(Process, HashMap<VReg, VReg>)> = parallel_map(units.len(), threads, |ui| {
         let unit = &units[ui];
         let mut p = Process::default();

@@ -9,21 +9,15 @@
 //!
 //! # Thread count and determinism
 //!
-//! `CompileCtx::threads` selects the pipeline implementation:
-//!
-//! - `1` — the **reference pipeline**: the paper's serial algorithms,
-//!   exactly as before the pass-manager refactor;
-//! - `> 1` — the **parallel pipeline**: the heavy passes fan per-cone /
-//!   per-process work out over a scoped worker pool
-//!   ([`manticore_util::parallel_map`]) and use restructured inner
-//!   algorithms (incremental merge bookkeeping, vector-indexed maps)
-//!   whose *decision sequences* replicate the reference exactly.
-//!
-//! Both pipelines emit **bit-identical binaries**; the compile-determinism
-//! suite compares `Binary::to_bytes` across 1/2/4 threads on every
-//! workload. The structural reasons each parallel pass stays deterministic
-//! are documented in the respective modules ([`partition`], [`schedule`],
-//! [`regalloc`]) and in ARCHITECTURE.md.
+//! There is one pipeline. `CompileCtx::threads` only sets how many
+//! workers the parallel stages of the heavy passes fan out over
+//! ([`manticore_util::parallel_map`]); at 1 they run inline on the
+//! caller. Every pass runs the same algorithm at every thread count, so
+//! the emitted binary is **bit-identical** at any thread count; the
+//! compile-determinism suite compares `Binary::to_bytes` across 1/2/4
+//! threads on every workload. The structural reasons each parallel stage
+//! stays deterministic are documented in the respective modules
+//! ([`partition`], [`schedule`], [`regalloc`]) and in ARCHITECTURE.md.
 
 use std::time::Instant;
 
@@ -98,7 +92,8 @@ pub struct CompileCtx<'a> {
     pub netlist: &'a Netlist,
     /// Compilation options (target config, strategy, feature toggles).
     pub options: &'a CompileOptions,
-    /// Resolved worker count: 1 = reference pipeline, >1 = parallel.
+    /// Resolved worker count for the parallel stages (1 runs them inline);
+    /// it never changes which algorithm a pass runs.
     pub threads: usize,
     /// After `netlist-opt`: the netlist actually compiled.
     pub optimized: Option<Netlist>,
@@ -268,8 +263,7 @@ impl Pass for LirOptPass {
 }
 
 /// Cone split + communication-aware merge (stage 4). Parallel cone
-/// extraction and materialization; the merge itself is serial and
-/// deterministic in both pipelines.
+/// extraction and materialization; the merge itself is serial.
 struct PartitionPass;
 
 impl Pass for PartitionPass {
@@ -281,7 +275,7 @@ impl Pass for PartitionPass {
     }
     fn run(&self, ctx: &mut CompileCtx) -> Result<(), CompileError> {
         let mono = ctx.mono.as_ref().expect("lir-opt ran");
-        let parted = partition::partition_controlled(
+        let parted = partition::partition(
             mono,
             ctx.options.config.num_cores(),
             ctx.options.partition,
@@ -329,7 +323,7 @@ impl Pass for CustomFunctionsPass {
 
 /// List scheduling against the hazard/NoC models (stage 6). Per-process
 /// graph construction parallelizes; the global link-reserving issue loop
-/// is serial in both pipelines (it is the NoC arbitration semantics).
+/// is serial (it is the NoC arbitration semantics).
 struct SchedulePass;
 
 impl Pass for SchedulePass {
@@ -341,7 +335,7 @@ impl Pass for SchedulePass {
     }
     fn run(&self, ctx: &mut CompileCtx) -> Result<(), CompileError> {
         let parted = ctx.parted.as_ref().expect("partition ran");
-        ctx.schedule = Some(schedule::schedule_threaded(
+        ctx.schedule = Some(schedule::schedule(
             parted,
             &ctx.options.config,
             ctx.threads,
@@ -367,7 +361,7 @@ impl Pass for RegallocEmitPass {
     fn run(&self, ctx: &mut CompileCtx) -> Result<(), CompileError> {
         let parted = ctx.parted.as_ref().expect("partition ran");
         let schedule = ctx.schedule.as_ref().expect("schedule ran");
-        ctx.emitted = Some(regalloc::emit_threaded(
+        ctx.emitted = Some(regalloc::emit(
             parted,
             schedule,
             &ctx.options.config,

@@ -11,20 +11,21 @@
 //!
 //! # Parallel structure and determinism
 //!
-//! [`emit_threaded`] keeps the cheap cross-process phases serial —
-//! persistent-register assignment, scratchpad layout, custom-function
-//! tables, the exception table, and metadata — and fans the per-process
-//! work (liveness, coalescing, linear scan, body emission, scratch image)
-//! out over the worker pool. Results land in pre-assigned process slots
-//! and the `Binary`'s core images are assembled in process-index order, so
+//! [`emit`] keeps the cheap cross-process phases serial — persistent-
+//! register assignment, scratchpad layout, custom-function tables, the
+//! exception table, and metadata — and fans the per-process work
+//! (liveness, coalescing, linear scan, body emission, scratch image) out
+//! over the worker pool. Results land in pre-assigned process slots and
+//! the `Binary`'s core images are assembled in process-index order, so
 //! the output is bit-identical at any thread count.
 //!
-//! At `threads > 1` the allocator switches from the reference hash-map
-//! implementation to a vector-indexed one (`alloc_process_fast`) that
-//! replays the same decision sequence: liveness and coalescing produce the
-//! same per-vreg facts, and the linear scan's free-list (LIFO) and active
-//! list (insertion-ordered `retain`) are plain vectors in both. The two
-//! allocators differ only in lookup structures, never in decisions.
+//! The allocator keeps every per-vreg fact in a vreg-indexed vector; the
+//! test oracle in `oracle.rs` keeps them in hash maps. Liveness and
+//! coalescing produce the same per-vreg facts, and the linear scan's free
+//! list (LIFO) and active list (insertion-ordered `retain`) are plain
+//! vectors in both, so the two differ only in lookup structures, never
+//! in decisions. A unit test holds them to the same register assignment
+//! on every workload.
 //!
 //! The scratchpad base table is a `BTreeMap` on purpose: the boot image
 //! `init_scratch` is emitted by iterating it, and a hash map here would
@@ -56,36 +57,17 @@ pub struct EmitOutput {
     pub per_core: Vec<CoreBreakdown>,
 }
 
-/// The final vreg → machine-register assignment of one process, behind
-/// either lookup structure (reference hash map vs. fast vector).
-#[derive(Debug, Clone)]
-enum RegView {
-    Map(HashMap<VReg, Reg>),
-    Table(Vec<Option<Reg>>),
-}
-
-impl RegView {
-    #[inline]
-    fn get(&self, v: VReg) -> Reg {
-        match self {
-            RegView::Map(m) => m[&v],
-            RegView::Table(t) => t[v.index()].expect("vreg allocated"),
-        }
-    }
-}
-
-/// Allocates registers and emits the machine binary with the reference
-/// serial pipeline.
-///
-/// # Errors
-///
-/// Register-file or scratchpad overflow.
-pub fn emit(
-    prog: &LirProgram,
-    schedule: &Schedule,
-    config: &MachineConfig,
-) -> Result<EmitOutput, CompileError> {
-    emit_threaded(prog, schedule, config, 1)
+/// Per-process persistent registers (phase A of emission): the always-
+/// zero register, pooled constants and state homes.
+pub(crate) struct Persistent {
+    /// Per process: vreg -> machine reg for constants and state live-ins.
+    pub(crate) pinned: Vec<HashMap<VReg, Reg>>,
+    /// Per process: state -> home register.
+    pub(crate) state_reg: Vec<BTreeMap<StateId, Reg>>,
+    /// Per process: first register available for temporaries.
+    pub(crate) temp_base: Vec<u16>,
+    /// Per process: boot-time register initialization.
+    init_regs: Vec<Vec<(Reg, u16)>>,
 }
 
 /// Allocates registers and emits the machine binary, running per-process
@@ -95,66 +77,20 @@ pub fn emit(
 /// # Errors
 ///
 /// Register-file or scratchpad overflow (reported for the lowest failing
-/// process index, like the serial pipeline).
-pub fn emit_threaded(
+/// process index).
+pub fn emit(
     prog: &LirProgram,
     schedule: &Schedule,
     config: &MachineConfig,
     threads: usize,
 ) -> Result<EmitOutput, CompileError> {
     let nproc = prog.processes.len();
-
-    // ------------------------------------------------------------------
-    // Phase A: persistent registers on every core.
-    // ------------------------------------------------------------------
-    // Per process: vreg -> machine reg for constants and state live-ins.
-    let mut pinned: Vec<HashMap<VReg, Reg>> = vec![HashMap::new(); nproc];
-    // Per process: state -> home register.
-    let mut state_reg: Vec<BTreeMap<StateId, Reg>> = vec![BTreeMap::new(); nproc];
-    // Per process: first register available for temporaries.
-    let mut temp_base: Vec<u16> = vec![1; nproc];
-    // Per process: boot-time register initialization.
-    let mut init_regs: Vec<Vec<(Reg, u16)>> = vec![Vec::new(); nproc];
-
-    for pi in 0..nproc {
-        let p = &prog.processes[pi];
-        let mut next = 1u16;
-        // Constants (value 0 aliases the zero register).
-        let mut by_value: BTreeMap<u16, Reg> = BTreeMap::new();
-        let consts = &schedule.const_vregs[pi];
-        let mut const_vregs: Vec<(&VReg, &u16)> = consts.iter().collect();
-        const_vregs.sort(); // deterministic allocation order
-        for (&v, &val) in const_vregs {
-            let r = if val == 0 {
-                Reg::ZERO
-            } else {
-                *by_value.entry(val).or_insert_with(|| {
-                    let r = Reg(next);
-                    next += 1;
-                    init_regs[pi].push((r, val));
-                    r
-                })
-            };
-            pinned[pi].insert(v, r);
-        }
-        // State homes: states read here, plus states committed here.
-        let mut states: BTreeSet<StateId> = p.state_reads.keys().copied().collect();
-        for instr in &p.instrs {
-            if let LirOp::CommitLocal { state } = instr.op {
-                states.insert(state);
-            }
-        }
-        for s in states {
-            let r = Reg(next);
-            next += 1;
-            state_reg[pi].insert(s, r);
-            init_regs[pi].push((r, prog.states[s.index()].init));
-            if let Some(&lv) = p.state_reads.get(&s) {
-                pinned[pi].insert(lv, r);
-            }
-        }
-        temp_base[pi] = next;
-    }
+    let Persistent {
+        pinned,
+        state_reg,
+        temp_base,
+        init_regs,
+    } = assign_persistent(prog, schedule);
 
     // ------------------------------------------------------------------
     // Scratchpad layout per process. Ordered map: `init_scratch` below is
@@ -206,14 +142,15 @@ pub fn emit_threaded(
     // Phase B: per-process liveness, coalescing, linear scan, emission —
     // independent across processes, fanned out over the pool.
     // ------------------------------------------------------------------
-    let per_process = |pi: usize| -> Result<(RegView, CoreImage, CoreBreakdown), CompileError> {
-        let p = &prog.processes[pi];
-        let slots = &schedule.slots[pi];
-        let view = if threads > 1 {
-            alloc_process_fast(p, slots, &pinned[pi], &state_reg[pi], temp_base[pi], config)?
-        } else {
-            alloc_process_ref(p, slots, &pinned[pi], &state_reg[pi], temp_base[pi], config)?
-        };
+    let results = parallel_map(nproc, threads, |pi| {
+        let view = alloc_process(
+            &prog.processes[pi],
+            &schedule.slots[pi],
+            &pinned[pi],
+            &state_reg[pi],
+            temp_base[pi],
+            config,
+        )?;
 
         let (body, mut breakdown) = emit_body(
             pi,
@@ -250,13 +187,8 @@ pub fn emit_threaded(
             init_scratch,
         };
         Ok((view, image, breakdown))
-    };
-    let results: Vec<Result<(RegView, CoreImage, CoreBreakdown), CompileError>> = if threads > 1 {
-        parallel_map(nproc, threads, per_process)
-    } else {
-        (0..nproc).map(per_process).collect()
-    };
-    let mut views: Vec<RegView> = Vec::with_capacity(nproc);
+    });
+    let mut views: Vec<Vec<Option<Reg>>> = Vec::with_capacity(nproc);
     let mut images: Vec<CoreImage> = Vec::with_capacity(nproc);
     let mut per_core: Vec<CoreBreakdown> = Vec::with_capacity(nproc);
     for r in results {
@@ -279,7 +211,9 @@ pub fn emit_threaded(
                     format: format.clone(),
                     args: args
                         .iter()
-                        .map(|(regs, w)| (regs.iter().map(|&v| views[pi].get(v)).collect(), *w))
+                        .map(|(regs, w)| {
+                            (regs.iter().map(|&v| reg_of(&views[pi], v)).collect(), *w)
+                        })
                         .collect(),
                 }
             }
@@ -379,131 +313,76 @@ pub fn emit_threaded(
     })
 }
 
-/// Reference per-process allocation: liveness, commit coalescing, linear
-/// scan — hash-map lookup structures, kept verbatim from the serial
-/// pipeline and serving as the oracle for `alloc_process_fast`.
-fn alloc_process_ref(
-    p: &Process,
-    slots: &[Option<usize>],
-    pinned: &HashMap<VReg, Reg>,
-    state_reg: &BTreeMap<StateId, Reg>,
-    temp_base: u16,
-    config: &MachineConfig,
-) -> Result<RegView, CompileError> {
-    // Liveness over scheduled positions.
-    let mut def_slot: HashMap<VReg, usize> = HashMap::new();
-    let mut last_use: HashMap<VReg, usize> = HashMap::new();
-    for (t, slot) in slots.iter().enumerate() {
-        let Some(i) = *slot else { continue };
-        let instr = &p.instrs[i];
-        let read_at = t + instr.op.issue_slots() - 1;
-        for &a in &instr.args {
-            let e = last_use.entry(a).or_insert(read_at);
-            *e = (*e).max(read_at);
-        }
-        if let Some(d) = instr.dest {
-            def_slot.insert(d, t);
-        }
-    }
+/// Phase A: assigns every process's persistent registers — pooled
+/// constants first (value 0 aliases the zero register), then one home per
+/// state read or committed there.
+pub(crate) fn assign_persistent(prog: &LirProgram, schedule: &Schedule) -> Persistent {
+    let nproc = prog.processes.len();
+    let mut pinned: Vec<HashMap<VReg, Reg>> = vec![HashMap::new(); nproc];
+    let mut state_reg: Vec<BTreeMap<StateId, Reg>> = vec![BTreeMap::new(); nproc];
+    let mut temp_base: Vec<u16> = vec![1; nproc];
+    let mut init_regs: Vec<Vec<(Reg, u16)>> = vec![Vec::new(); nproc];
 
-    // Commit coalescing.
-    let mut elided_commits: BTreeSet<usize> = BTreeSet::new();
-    let mut coalesced: HashMap<VReg, Reg> = HashMap::new();
-    for (t, slot) in slots.iter().enumerate() {
-        let Some(i) = *slot else { continue };
-        let LirOp::CommitLocal { state } = p.instrs[i].op else {
-            continue;
-        };
-        let src = p.instrs[i].args[0];
-        let home = state_reg[&state];
-        // Identity commit: the next value IS the current value.
-        if p.state_reads.get(&state) == Some(&src) {
-            elided_commits.insert(i);
-            continue;
-        }
-        // Coalesce: src is an unpinned temp whose definition runs after
-        // every read of the current value.
-        let is_temp = !pinned.contains_key(&src) && !coalesced.contains_key(&src);
-        if is_temp {
-            let src_def = def_slot.get(&src).copied().unwrap_or(0);
-            let ok = match p.state_reads.get(&state) {
-                None => true,
-                Some(lv) => last_use.get(lv).is_none_or(|&lu| lu < src_def),
-            };
-            if ok {
-                coalesced.insert(src, home);
-                elided_commits.insert(i);
-            }
-        }
-        let _ = t;
-    }
-
-    // Linear scan for the remaining temporaries.
-    let mut alloc: HashMap<VReg, Reg> = HashMap::new();
-    let mut free: Vec<u16> = Vec::new();
-    let mut next_fresh = temp_base;
-    let mut active: Vec<(usize, VReg, Reg)> = Vec::new(); // (last_use, vreg, reg)
-    let mut max_reg_used = temp_base.saturating_sub(1) as usize;
-    for (t, slot) in slots.iter().enumerate() {
-        let Some(i) = *slot else { continue };
-        let Some(d) = p.instrs[i].dest else { continue };
-        if pinned.contains_key(&d) || coalesced.contains_key(&d) {
-            continue;
-        }
-        // Expire.
-        active.retain(|&(lu, _, r)| {
-            if lu <= t {
-                free.push(r.0);
-                false
+    for pi in 0..nproc {
+        let p = &prog.processes[pi];
+        let mut next = 1u16;
+        // Constants (value 0 aliases the zero register).
+        let mut by_value: BTreeMap<u16, Reg> = BTreeMap::new();
+        let consts = &schedule.const_vregs[pi];
+        let mut const_vregs: Vec<(&VReg, &u16)> = consts.iter().collect();
+        const_vregs.sort(); // deterministic allocation order
+        for (&v, &val) in const_vregs {
+            let r = if val == 0 {
+                Reg::ZERO
             } else {
-                true
-            }
-        });
-        let lu = last_use.get(&d).copied().unwrap_or(t);
-        let r = match free.pop() {
-            Some(r) => Reg(r),
-            None => {
-                let r = next_fresh;
-                next_fresh += 1;
-                Reg(r)
-            }
-        };
-        max_reg_used = max_reg_used.max(r.index());
-        alloc.insert(d, r);
-        if lu > t {
-            active.push((lu, d, r));
-        } else {
-            free.push(r.0);
+                *by_value.entry(val).or_insert_with(|| {
+                    let r = Reg(next);
+                    next += 1;
+                    init_regs[pi].push((r, val));
+                    r
+                })
+            };
+            pinned[pi].insert(v, r);
         }
-    }
-    if max_reg_used >= config.regfile_size {
-        return Err(CompileError::RegfileOverflow {
-            needed: max_reg_used + 1,
-            capacity: config.regfile_size,
-        });
+        // State homes: states read here, plus states committed here.
+        let mut states: BTreeSet<StateId> = p.state_reads.keys().copied().collect();
+        for instr in &p.instrs {
+            if let LirOp::CommitLocal { state } = instr.op {
+                states.insert(state);
+            }
+        }
+        for s in states {
+            let r = Reg(next);
+            next += 1;
+            state_reg[pi].insert(s, r);
+            init_regs[pi].push((r, prog.states[s.index()].init));
+            if let Some(&lv) = p.state_reads.get(&s) {
+                pinned[pi].insert(lv, r);
+            }
+        }
+        temp_base[pi] = next;
     }
 
-    // Final vreg -> machine reg view.
-    let mut reg_of: HashMap<VReg, Reg> = HashMap::new();
-    reg_of.extend(pinned.iter().map(|(&v, &r)| (v, r)));
-    reg_of.extend(coalesced.iter().map(|(&v, &r)| (v, r)));
-    reg_of.extend(alloc.iter().map(|(&v, &r)| (v, r)));
-    Ok(RegView::Map(reg_of))
+    Persistent {
+        pinned,
+        state_reg,
+        temp_base,
+        init_regs,
+    }
 }
 
-/// Fast per-process allocation: the same liveness facts, coalescing rules,
-/// and linear-scan decision sequence as [`alloc_process_ref`], with every
-/// hash map replaced by a vreg-indexed vector. The free list (LIFO pop)
-/// and the active list (insertion-ordered `retain`) are plain vectors in
-/// both implementations, so the register choices are identical.
-fn alloc_process_fast(
+/// Per-process allocation: liveness over scheduled positions, commit
+/// coalescing, then a linear scan (LIFO free list, insertion-ordered
+/// active list) for the remaining temporaries. Returns the final
+/// vreg-indexed register view.
+pub(crate) fn alloc_process(
     p: &Process,
     slots: &[Option<usize>],
     pinned: &HashMap<VReg, Reg>,
     state_reg: &BTreeMap<StateId, Reg>,
     temp_base: u16,
     config: &MachineConfig,
-) -> Result<RegView, CompileError> {
+) -> Result<Vec<Option<Reg>>, CompileError> {
     let nv = p.num_vregs as usize;
     let mut pinned_v: Vec<Option<Reg>> = vec![None; nv];
     for (&v, &r) in pinned {
@@ -595,19 +474,24 @@ fn alloc_process_fast(
         });
     }
 
-    let view: Vec<Option<Reg>> = (0..nv)
+    Ok((0..nv)
         .map(|v| alloc_v[v].or(coalesced_v[v]).or(pinned_v[v]))
-        .collect();
-    Ok(RegView::Table(view))
+        .collect())
 }
 
-/// Emits one process's body from its schedule and register view — shared
-/// by both pipelines (the view is the only allocation-dependent input).
+/// The machine register `v` was allocated in a process's view.
+#[inline]
+fn reg_of(view: &[Option<Reg>], v: VReg) -> Reg {
+    view[v.index()].expect("vreg allocated")
+}
+
+/// Emits one process's body from its schedule and register view (the
+/// view is the only allocation-dependent input).
 fn emit_body(
     pi: usize,
     prog: &LirProgram,
     schedule: &Schedule,
-    view: &RegView,
+    view: &[Option<Reg>],
     state_reg: &[BTreeMap<StateId, Reg>],
     cfu_tables: &[[u16; 16]],
     mem_base: &BTreeMap<u32, (usize, u16)>,
@@ -615,7 +499,7 @@ fn emit_body(
     let p = &prog.processes[pi];
     let slots = &schedule.slots[pi];
     let body_len = schedule.body_len[pi];
-    let reg = |v: VReg| -> Reg { view.get(v) };
+    let reg = |v: VReg| -> Reg { reg_of(view, v) };
     let mut body = vec![Instruction::Nop; body_len];
     let mut breakdown = CoreBreakdown::default();
 

@@ -99,7 +99,7 @@ pub struct PassStat {
     /// instructions for the rest).
     pub ir_size: usize,
     /// Worker threads the pass ran with (1 for inherently serial passes
-    /// and for the whole reference pipeline).
+    /// and for a one-thread compile).
     pub threads: usize,
 }
 
@@ -109,8 +109,8 @@ pub struct CompileReport {
     /// Per-pass instrumentation, in pipeline order (Fig. 13), recorded by
     /// the pass manager around each pass.
     pub passes: Vec<PassStat>,
-    /// Worker threads the pipeline ran with (1 = the serial reference
-    /// pipeline).
+    /// Worker threads the pipeline ran with (1 = every stage inline on
+    /// the caller).
     pub compile_threads: usize,
     /// Virtual critical-path length: machine cycles per RTL cycle. The
     /// simulation rate is `clock / vcpl` (Fig. 7, Table 3).

@@ -13,23 +13,26 @@
 //!
 //! # Parallel structure and determinism
 //!
-//! [`schedule_threaded`] splits the pass into per-process dependency-graph
+//! [`schedule`] splits the pass into per-process dependency-graph
 //! construction (independent across processes — fans out over the worker
-//! pool) and the global cycle-stepped issue loop, which stays serial in
-//! both pipelines: it *is* the NoC arbitration semantics (cores compete
-//! for link reservations cycle by cycle, in core order), so its decision
-//! order is the specification, not an implementation detail.
+//! pool) and the global cycle-stepped issue loop, which stays serial: it
+//! *is* the NoC arbitration semantics (cores compete for link
+//! reservations cycle by cycle, in core order), so its decision order is
+//! the specification, not an implementation detail. Graph results land
+//! in process-index slots, so the schedule is bit-identical at any thread
+//! count.
 //!
-//! At `threads > 1` graph construction switches from `build_graph_ref`
-//! to `build_graph_fast`, which replaces the reference's O(commits · n)
-//! scan for commit anti-edges with per-vreg use lists and its hash-map def
-//! table with a vector. The two builders can order a node's successor
-//! *list* differently, but they produce the same edge **multiset** — and
-//! every consumer is order-insensitive: `indeg` counts edges, `priority`
-//! and earliest-start times are maxima over predecessors/successors, and
-//! the ready heap pops the unique maximum `(priority, index)` tuple
-//! regardless of insertion order. Hence the issue loop makes identical
-//! decisions and the schedule is bit-identical at any thread count.
+//! The graph builder finds commit anti-edges through per-vreg use lists
+//! and keeps its def table in a vector. The test oracle in `oracle.rs`
+//! scans every instruction per commit and keeps its defs in a hash map.
+//! The two can order a node's successor *list* differently, but they
+//! produce the same edge **multiset**, and every consumer is
+//! order-insensitive: `indeg` counts
+//! edges, `priority` and earliest-start times are maxima over
+//! predecessors/successors, and the ready heap pops the unique maximum
+//! `(priority, index)` tuple regardless of insertion order. A unit test
+//! holds both builders to the same edge multisets and the same schedule
+//! on every workload.
 
 use std::collections::HashMap;
 
@@ -37,10 +40,10 @@ use manticore_isa::{CoreId, MachineConfig};
 use manticore_util::{parallel_map, FnvHashMap};
 
 use crate::error::CompileError;
-use crate::lir::{LirOp, LirProgram, Process, StateId, VReg};
+use crate::lir::{LirOp, LirProgram, Process, VReg};
 
 /// A scheduled program: placement, per-core slot assignment, Vcycle framing.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Schedule {
     /// Core of each process.
     pub core_of_process: Vec<CoreId>,
@@ -66,24 +69,14 @@ enum Link {
 }
 
 /// Per-process dependency graph over scheduled (non-`Const`) instructions.
-struct ProcGraph {
+pub(crate) struct ProcGraph {
     /// successor lists: (to, latency)
-    succs: Vec<Vec<(usize, u64)>>,
-    indeg: Vec<u32>,
-    priority: Vec<u64>,
+    pub(crate) succs: Vec<Vec<(usize, u64)>>,
+    pub(crate) indeg: Vec<u32>,
+    pub(crate) priority: Vec<u64>,
     /// instructions that take part in scheduling (non-Const)
-    active: Vec<bool>,
-    consts: HashMap<VReg, u16>,
-}
-
-/// Schedules a partitioned program with the reference serial pipeline.
-///
-/// # Errors
-///
-/// [`CompileError::TooManyProcesses`] if processes exceed cores and
-/// [`CompileError::ImemOverflow`] if a body outgrows instruction memory.
-pub fn schedule(prog: &LirProgram, config: &MachineConfig) -> Result<Schedule, CompileError> {
-    schedule_threaded(prog, config, 1)
+    pub(crate) active: Vec<bool>,
+    pub(crate) consts: HashMap<VReg, u16>,
 }
 
 /// Schedules a partitioned program, building the per-process dependency
@@ -94,7 +87,7 @@ pub fn schedule(prog: &LirProgram, config: &MachineConfig) -> Result<Schedule, C
 ///
 /// [`CompileError::TooManyProcesses`] if processes exceed cores and
 /// [`CompileError::ImemOverflow`] if a body outgrows instruction memory.
-pub fn schedule_threaded(
+pub fn schedule(
     prog: &LirProgram,
     config: &MachineConfig,
     threads: usize,
@@ -107,6 +100,25 @@ pub fn schedule_threaded(
             cores: ncores,
         });
     }
+
+    let lat = config.hazard_latency as u64;
+    let graphs = parallel_map(nproc, threads, |pi| build_graph(&prog.processes[pi], lat));
+    issue(prog, config, graphs)
+}
+
+/// Places the processes and runs the serial cycle-stepped issue loop over
+/// their dependency graphs, then frames the Vcycle.
+///
+/// # Errors
+///
+/// [`CompileError::ImemOverflow`] if a body outgrows instruction memory.
+pub(crate) fn issue(
+    prog: &LirProgram,
+    config: &MachineConfig,
+    graphs: Vec<ProcGraph>,
+) -> Result<Schedule, CompileError> {
+    let nproc = prog.processes.len();
+    let lat = config.hazard_latency as u64;
 
     // ------------------------------------------------------------------
     // Placement: privileged process on the privileged core; the rest by
@@ -131,21 +143,6 @@ pub fn schedule_threaded(
         core_of_process[i] = core_at(next_linear);
         next_linear += 1;
     }
-
-    // ------------------------------------------------------------------
-    // Per-process dependency graphs (independent — parallel).
-    // ------------------------------------------------------------------
-    let lat = config.hazard_latency as u64;
-    let graphs: Vec<ProcGraph> = if threads > 1 {
-        parallel_map(nproc, threads, |pi| {
-            build_graph_fast(&prog.processes[pi], lat)
-        })
-    } else {
-        prog.processes
-            .iter()
-            .map(|p| build_graph_ref(p, lat))
-            .collect()
-    };
 
     // ------------------------------------------------------------------
     // Global cycle-stepped issue.
@@ -294,108 +291,16 @@ pub fn schedule_threaded(
     })
 }
 
-/// Reference graph construction — the serial pipeline's implementation,
-/// kept verbatim and used as the oracle for `build_graph_fast`.
-fn build_graph_ref(p: &Process, lat: u64) -> ProcGraph {
-    let n = p.instrs.len();
-    let mut def_of: HashMap<VReg, usize> = HashMap::new();
-    let mut consts: HashMap<VReg, u16> = HashMap::new();
-    let mut active = vec![true; n];
-    for (i, instr) in p.instrs.iter().enumerate() {
-        if let LirOp::Const(v) = instr.op {
-            consts.insert(instr.dest.unwrap(), v);
-            active[i] = false;
-            continue;
-        }
-        if let Some(d) = instr.dest {
-            def_of.insert(d, i);
-        }
-    }
-    let mut succs: Vec<Vec<(usize, u64)>> = vec![Vec::new(); n];
-    let mut indeg = vec![0u32; n];
-    let add_edge = |succs: &mut Vec<Vec<(usize, u64)>>,
-                    indeg: &mut Vec<u32>,
-                    from: usize,
-                    to: usize,
-                    l: u64| {
-        if from != to {
-            succs[from].push((to, l));
-            indeg[to] += 1;
-        }
-    };
-    // Data edges.
-    for (i, instr) in p.instrs.iter().enumerate() {
-        if !active[i] {
-            continue;
-        }
-        for a in &instr.args {
-            if let Some(&d) = def_of.get(a) {
-                add_edge(&mut succs, &mut indeg, d, i, lat);
-            }
-        }
-    }
-    // Anti edges.
-    let livein_of: HashMap<StateId, VReg> = p.state_reads.iter().map(|(&s, &v)| (s, v)).collect();
-    let mut mem_loads: HashMap<u32, Vec<usize>> = HashMap::new();
-    let mut mem_stores: HashMap<u32, Vec<usize>> = HashMap::new();
-    let mut expects: Vec<usize> = Vec::new();
-    for (i, instr) in p.instrs.iter().enumerate() {
-        if !active[i] {
-            continue;
-        }
-        match &instr.op {
-            LirOp::LocalLoad { mem, .. } | LirOp::GlobalLoad { mem } => {
-                mem_loads.entry(mem.0).or_default().push(i)
-            }
-            LirOp::LocalStore { mem, .. } | LirOp::GlobalStore { mem } => {
-                mem_stores.entry(mem.0).or_default().push(i)
-            }
-            LirOp::Expect { .. } => expects.push(i),
-            LirOp::CommitLocal { state } => {
-                // The commit overwrites the state's home register: it
-                // must issue after every reader of the current value.
-                if let Some(lv) = livein_of.get(state) {
-                    for (j, other) in p.instrs.iter().enumerate() {
-                        if j != i && active[j] && other.args.contains(lv) {
-                            add_edge(&mut succs, &mut indeg, j, i, 1);
-                        }
-                    }
-                }
-            }
-            _ => {}
-        }
-    }
-    // All loads of a memory before all its stores (reads see pre-cycle
-    // contents); stores keep program order.
-    for (m, stores) in &mem_stores {
-        if let Some(loads) = mem_loads.get(m) {
-            for &l in loads {
-                for &s in stores {
-                    add_edge(&mut succs, &mut indeg, l, s, 1);
-                }
-            }
-        }
-        for w in stores.windows(2) {
-            add_edge(&mut succs, &mut indeg, w[0], w[1], 2);
-        }
-    }
-    // Exceptions fire in program order (deterministic $display order).
-    for w in expects.windows(2) {
-        add_edge(&mut succs, &mut indeg, w[0], w[1], 1);
-    }
-
-    finish_graph(p, succs, indeg, active, consts)
-}
-
-/// Fast graph construction: vector-indexed def table and per-vreg use
-/// lists. Produces the same edge multiset as `build_graph_ref` — data
+/// Dependency-graph construction: vector-indexed def table and per-vreg
+/// use lists. Produces the same edge multiset as the test oracle
+/// `build_graph_ref` (one scan per commit, hash-map def table) — data
 /// edges carry one entry per argument *occurrence* (use lists are built
 /// per occurrence), and commit anti-edges carry one entry per reading
 /// *instruction* (consecutive duplicates in a use list are collapsed;
 /// occurrences of one instruction are adjacent because the list is built
 /// in instruction-then-argument order). Successor-list order may differ;
 /// every consumer is order-insensitive (see module docs).
-fn build_graph_fast(p: &Process, lat: u64) -> ProcGraph {
+pub(crate) fn build_graph(p: &Process, lat: u64) -> ProcGraph {
     let n = p.instrs.len();
     let nv = p.num_vregs as usize;
     let mut def_of: Vec<Option<usize>> = vec![None; nv];
@@ -495,11 +400,11 @@ fn build_graph_fast(p: &Process, lat: u64) -> ProcGraph {
     finish_graph(p, succs, indeg, active, consts)
 }
 
-/// Critical-path priorities over the built edge set (shared tail of both
-/// graph builders). The longest-path fixpoint is the same for any valid
-/// topological order, so the builders' differing successor orders cannot
-/// change priorities.
-fn finish_graph(
+/// Critical-path priorities over the built edge set (shared with the
+/// test oracle's builder). The longest-path fixpoint is the same for any
+/// valid topological order, so differing successor orders cannot change
+/// priorities.
+pub(crate) fn finish_graph(
     p: &Process,
     succs: Vec<Vec<(usize, u64)>>,
     indeg: Vec<u32>,

@@ -21,7 +21,7 @@ fn test_config(grid: usize) -> MachineConfig {
     }
 }
 
-fn options(grid: usize) -> CompileOptions {
+pub(crate) fn options(grid: usize) -> CompileOptions {
     CompileOptions {
         config: test_config(grid),
         ..Default::default()
@@ -419,10 +419,11 @@ fn report_is_populated() {
 
 #[test]
 fn parallel_pipeline_is_bit_identical_and_reports_threads() {
-    // The structural heart of this module's differential tests, in unit
-    // form: serial (reference) vs. parallel (fast) pipelines must agree on
-    // the emitted bytes and the deterministic report fingerprint. The
-    // cross-workload version lives in tests/compile_determinism.rs.
+    // Parallel determinism in unit form: a compile fanned out over 2 or 4
+    // workers must emit the bytes and the deterministic report
+    // fingerprint of a one-thread compile. The cross-workload version
+    // lives in tests/compile_determinism.rs; the comparison of each heavy
+    // pass with its reference implementation is in `oracle.rs`.
     for seed in [7u64, 21, 42] {
         let n = random_netlist(seed, 60);
         let serial = compile(&n, &options(4)).unwrap();
@@ -468,7 +469,7 @@ fn rejects_open_designs() {
 
 /// Builds a random closed netlist: registers of mixed widths feeding a
 /// random combinational expression pool, plus a small memory.
-fn random_netlist(seed: u64, ops: usize) -> Netlist {
+pub(crate) fn random_netlist(seed: u64, ops: usize) -> Netlist {
     let mut rng = SmallRng::seed_from_u64(seed);
     let widths = [7usize, 16, 20, 33];
     let mut b = NetlistBuilder::new("rand");

@@ -209,7 +209,7 @@ impl FleetSim {
         workers: usize,
     ) -> Result<FleetSim, SimError> {
         // Compile with the same worker count the fleet will run with; the
-        // parallel pipeline's output is bit-identical to the serial one.
+        // output is bit-identical at any compile thread count.
         Self::compile_with(
             netlist,
             &CompileOptions {

@@ -80,9 +80,9 @@ mod pool;
 pub use fault::{BatchPolicy, FaultKind, FaultPlan, FaultPoint};
 use pool::{Pool, Task};
 
-/// The gang-compatibility key: program pointer, replay/strict knobs,
-/// Vcycle budget, and cancellation-domain identity.
-type GangKey = (usize, u8, u8, u64, usize);
+/// The gang-compatibility key: program pointer, resolved replay/strict
+/// knobs, Vcycle budget, and cancellation-domain identity.
+type GangKey = (usize, bool, bool, u64, usize);
 
 /// Where a job's machine comes from: a fresh boot of a shared program, or
 /// an existing run handed back to the fleet for another slice.
@@ -199,7 +199,8 @@ impl SimJob {
     }
 
     /// The compatibility key for gang grouping: jobs in one gang must
-    /// share the program (pointer identity), every engine knob, the
+    /// share the program (pointer identity), every engine knob as a fresh
+    /// boot resolves it (an unset knob keys as the machine default), the
     /// Vcycle budget, and the cancellation domain (per-job token
     /// identity, 0 when none) — everything except the input vector, which
     /// is per-lane by design. Only meaningful for [`SimJob::gangable`]
@@ -208,20 +209,12 @@ impl SimJob {
         let JobSource::Fresh(program) = &self.source else {
             unreachable!("gang_key is only asked of gangable jobs")
         };
-        let replay = match self.replay {
-            None => 0u8,
-            Some(false) => 1,
-            Some(true) => 2,
-        };
-        let strict = match self.strict {
-            None => 0u8,
-            Some(false) => 1,
-            Some(true) => 2,
-        };
+        // Key on the knob a fresh boot resolves to: unset runs the
+        // machine default, exactly as if it were set to it.
         (
             Arc::as_ptr(program) as usize,
-            replay,
-            strict,
+            self.replay.unwrap_or(Machine::DEFAULT_REPLAY),
+            self.strict.unwrap_or(Machine::DEFAULT_STRICT_HAZARDS),
             self.vcycles,
             self.cancel.as_ref().map_or(0, CancelToken::id),
         )
@@ -1362,6 +1355,46 @@ mod tests {
         for (i, out) in outputs.iter().enumerate() {
             assert_eq!(out.index, i);
             assert_eq!(out.machine().read_reg(core, Reg(1)), (5 * (i + 1)) as u16);
+        }
+    }
+
+    #[test]
+    fn unset_knobs_gang_with_their_machine_default() {
+        // A fresh boot replays and checks hazards strictly, so a job that
+        // leaves a knob unset runs exactly like one that sets it to that
+        // default: the two must share a gang, and only the other value
+        // may split them.
+        let program = counter_program();
+        let core = CoreId::new(0, 0);
+        assert!(Machine::from_program(Arc::clone(&program)).replay_enabled());
+        let plain = SimJob::new(&program, 5);
+        assert!(plain.gangs_with(&SimJob::new(&program, 5).replay(true)));
+        assert!(plain.gangs_with(&SimJob::new(&program, 5).strict_hazards(true)));
+        assert!(!plain.gangs_with(&SimJob::new(&program, 5).replay(false)));
+        assert!(!plain.gangs_with(&SimJob::new(&program, 5).strict_hazards(false)));
+        let jobs = || -> Vec<SimJob> {
+            vec![
+                SimJob::new(&program, 5).poke(core, Reg(2), 1),
+                SimJob::new(&program, 5).replay(true).poke(core, Reg(2), 2),
+                SimJob::new(&program, 5)
+                    .strict_hazards(true)
+                    .poke(core, Reg(2), 3),
+            ]
+        };
+        let units = group_units(jobs(), 4);
+        assert!(
+            matches!(units.as_slice(), [Unit::Gang(group)] if group.len() == 3),
+            "the three jobs must form one gang"
+        );
+        let reference = Fleet::new(1).run(jobs());
+        let ganged = Fleet::new(1).run_ganged(jobs(), 4);
+        for (out, re) in ganged.iter().zip(&reference) {
+            assert_eq!(out.index, re.index);
+            assert_eq!(
+                out.machine().read_reg(core, Reg(1)),
+                re.machine().read_reg(core, Reg(1))
+            );
+            assert_eq!(out.machine().counters(), re.machine().counters());
         }
     }
 

@@ -164,8 +164,8 @@ impl GangMachine {
             lanes,
             state: LaneState::Solo(machines),
             lane_status: vec![LaneStatus::Running; lanes],
-            strict_hazards: true,
-            replay_enabled: true,
+            strict_hazards: Machine::DEFAULT_STRICT_HAZARDS,
+            replay_enabled: Machine::DEFAULT_REPLAY,
             tape_invalidated: false,
             cancel: None,
             deadline: None,

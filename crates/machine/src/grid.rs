@@ -382,6 +382,13 @@ impl Machine {
         )?)))
     }
 
+    /// Whether a fresh boot replays proven Vcycles ([`Machine::set_replay`]).
+    pub const DEFAULT_REPLAY: bool = true;
+
+    /// Whether a fresh boot checks hazards strictly
+    /// ([`Machine::set_strict_hazards`]).
+    pub const DEFAULT_STRICT_HAZARDS: bool = true;
+
     /// Boots a fresh run of an already-frozen program: allocates the
     /// mutable state the program can touch (SoA register file, the
     /// scratchpad lanes of the cores that address one, pipeline rings
@@ -418,10 +425,10 @@ impl Machine {
             scratch,
             compute_time: 0,
             counters: PerfCounters::default(),
-            strict_hazards: true,
+            strict_hazards: Machine::DEFAULT_STRICT_HAZARDS,
             finish_requested: false,
             events: Vec::new(),
-            replay_enabled: true,
+            replay_enabled: Machine::DEFAULT_REPLAY,
             tape_invalidated: false,
             send_buf: Vec::new(),
             send_vals_buf: Vec::new(),
@@ -488,9 +495,17 @@ impl Machine {
     /// Micro-op stream statistics for the loaded program, when one exists
     /// and is still usable by this run: `(micro_ops, fused_pairs)` summed
     /// over the grid. `fused_pairs` counts adjacent tape-entry pairs
-    /// absorbed into a single dispatch.
+    /// absorbed into a single dispatch. `None` once the stream cannot arm
+    /// whatever [`Machine::set_replay`] says — strictness re-enabled after
+    /// a permissive start, or strict mode over a static cross-Vcycle
+    /// hazard.
     pub fn micro_op_stats(&self) -> Option<(usize, usize)> {
-        if self.tape_invalidated {
+        if !replay_armed(
+            &self.program,
+            true,
+            self.tape_invalidated,
+            self.strict_hazards,
+        ) {
             return None;
         }
         self.program.micro_op_stats()

@@ -1011,6 +1011,22 @@ mod replay_engines {
     }
 
     #[test]
+    fn micro_op_stats_are_withheld_while_a_static_hazard_disarms_the_stream() {
+        // Strict mode over a static cross-Vcycle hazard runs every Vcycle
+        // on the interpreter, so the stream is not usable by this run and
+        // its statistics must not be reported; permissive mode replays
+        // through the ring, so they are.
+        let mut m = Machine::load(test_config(1, 1), &cross_boundary_hazard_binary()).unwrap();
+        assert!(!m.replay_armed());
+        assert_eq!(m.micro_op_stats(), None);
+        m.set_strict_hazards(false);
+        assert!(m.replay_armed());
+        assert!(m.micro_op_stats().is_some());
+        m.set_strict_hazards(true);
+        assert_eq!(m.micro_op_stats(), None);
+    }
+
+    #[test]
     fn cross_boundary_stale_reads_agree_in_permissive_mode() {
         // Permissive mode: the same program runs, reading stale values
         // across the boundary. The micro-op engine keeps the pipeline

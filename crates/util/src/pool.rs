@@ -15,8 +15,8 @@
 //! task to be deterministic.
 //!
 //! With `threads <= 1` (or a single task) the map runs inline on the
-//! caller's thread — no spawn, identical results — which is what the
-//! reference compile pipeline uses.
+//! caller's thread — no spawn, identical results — which is what a
+//! one-thread compile uses.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 

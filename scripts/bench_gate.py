@@ -44,11 +44,15 @@ a drift is a behavior change, and a thread-count-dependent IR size
 would break the bit-identity contract); and the heavy-pass speedup
 geomeans (`geomean.heavy_speedup_t2/t4`, `geomean.soc_heavy_speedup_t4`)
 as ONE-SIDED floors — a fresh run only fails when it falls below
-`baseline * (1 - tolerance)`, never for being faster, since speedups
-are the thing being protected, not pinned. `soc_heavy_speedup_t4`
-additionally has the absolute acceptance floor of 1.8x: the parallel
-pass pipeline must stay at least 1.8x faster than the serial reference
-on the 16x16 SoC's heavy passes regardless of baseline drift.
+`baseline * (1 - tolerance)`, never for being faster. Every thread
+count runs the same pass algorithms, so these ratios measure thread
+scaling alone (on a 2-CPU host they sit below 1: the scoped workers
+cost more than they save). The heavy passes' one-thread wall time on
+the 16x16 SoC (the sum of the `soc` row's `ms_t1` over `heavy_passes`)
+additionally has an absolute CEILING of 223 ms, regardless of baseline
+drift: the committed measurement of the retired serial reference
+pipeline (401.47 ms) divided by the 1.8x the heavy-pass algorithms
+must keep winning over it.
 
 With `--serve-fresh`/`--serve-baseline`, the gate additionally compares
 a serve_soak run: the load geometry (`conns`, `vcycles`, `workers`,
@@ -173,17 +177,15 @@ def check_explore(fresh_path, base_path, tolerance, failures):
     )
 
 
-SOC_HEAVY_SPEEDUP_FLOOR = 1.8
+SOC_HEAVY_T1_MS_CEILING = 223.0
 
 
-def check_floor(label, fresh, base, tolerance, failures, absolute_floor=None):
+def check_floor(label, fresh, base, tolerance, failures):
     """One-sided gate for speedup ratios: fail only below the floor."""
     if fresh is None or base is None:
         failures.append(f"{label}: missing value (fresh={fresh}, baseline={base})")
         return
     floor = base * (1 - tolerance)
-    if absolute_floor is not None:
-        floor = max(floor, absolute_floor)
     ok = fresh >= floor
     status = "ok" if ok else "FAIL"
     print(f"  {status:>4}  {label:<32} baseline {base:>12.3f}  fresh {fresh:>12.3f}  floor {floor:8.3f}")
@@ -246,8 +248,25 @@ def check_compile(fresh_path, base_path, tolerance, failures):
         base.get("geomean", {}).get("soc_heavy_speedup_t4"),
         tolerance,
         failures,
-        absolute_floor=SOC_HEAVY_SPEEDUP_FLOOR,
     )
+    # Absolute ceiling on the SoC's one-thread heavy-pass time.
+    soc = fresh_rows.get("soc")
+    if soc is None:
+        failures.append("compile.soc: no soc row in the fresh compile run")
+        return
+    heavy = set(fresh.get("heavy_passes", []))
+    soc_ms = sum(p["ms_t1"] for p in soc.get("passes", []) if p["name"] in heavy)
+    ok = soc_ms <= SOC_HEAVY_T1_MS_CEILING
+    status = "ok" if ok else "FAIL"
+    print(
+        f"  {status:>4}  {'compile.soc.heavy_ms_t1':<32} fresh {soc_ms:>12.3f}  "
+        f"ceiling {SOC_HEAVY_T1_MS_CEILING:8.3f}"
+    )
+    if not ok:
+        failures.append(
+            f"compile.soc.heavy_ms_t1: {soc_ms:.1f} ms over the "
+            f"{SOC_HEAVY_T1_MS_CEILING:.0f} ms ceiling"
+        )
 
 
 SERVE_HIT_RATE_FLOOR = 0.90

@@ -1,10 +1,12 @@
 //! Compile determinism: the pass-manager pipeline must be a pure function
 //! of (netlist, options) — byte-identical binaries and identical
 //! deterministic report metadata across repeated runs *and* across worker
-//! thread counts. This is the contract that lets the parallel compiler
-//! replace the serial one everywhere: 1 thread runs the reference pass
-//! implementations, >1 runs the parallel ones, and this suite holds them
-//! bit-for-bit equal on every workload.
+//! thread counts. Every thread count runs the same pass algorithms (the
+//! count only sets how many workers their parallel stages use), so this
+//! suite is a parallel-determinism check: scheduling of the workers must
+//! never reach the output. The comparison of each heavy pass with its
+//! first-principles reference lives in the compiler's unit tests
+//! (`manticore-compiler`'s `oracle` module).
 
 use manticore::compiler::{compile, CompileOptions, PartitionStrategy};
 use manticore::isa::MachineConfig;
@@ -56,8 +58,8 @@ fn same_netlist_twice_is_byte_identical() {
 
 #[test]
 fn parallel_compile_is_bit_identical_to_serial() {
-    // The headline guarantee: at any worker count the parallel pipeline
-    // emits the exact bytes of the serial reference pipeline.
+    // The headline guarantee: at any worker count the pipeline emits the
+    // exact bytes of a one-thread compile, where every stage runs inline.
     for (name, netlist) in suite() {
         let serial = compile(&netlist, &options(6, 1, PartitionStrategy::Balanced))
             .unwrap_or_else(|e| panic!("{name}: {e}"));
@@ -83,8 +85,8 @@ fn parallel_compile_is_bit_identical_to_serial() {
 
 #[test]
 fn lpt_strategy_is_deterministic_across_threads_too() {
-    // The LPT merge has a single implementation shared by both pipelines;
-    // the rest of the passes still switch to their parallel forms.
+    // The LPT strategy under the same contract: the cone and
+    // materialization stages around its merge fan out over the workers.
     let netlist = workloads::by_name("blur").unwrap().netlist;
     let serial = compile(&netlist, &options(6, 1, PartitionStrategy::Lpt)).unwrap();
     let par = compile(&netlist, &options(6, 4, PartitionStrategy::Lpt)).unwrap();
