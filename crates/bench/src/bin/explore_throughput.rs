@@ -142,7 +142,7 @@ fn main() {
             .unwrap_or_else(|e| panic!("{name}: compile failed: {e}"));
         let t = Instant::now();
         let report = fleet
-            .explore_with(&stimulus, &cfg, &policy)
+            .explore(&stimulus, &cfg, &policy)
             .unwrap_or_else(|e| panic!("{name}: explore failed: {e}"));
         let secs = t.elapsed().as_secs_f64();
         if faults > 0 {

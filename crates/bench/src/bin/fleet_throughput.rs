@@ -13,9 +13,9 @@
 //!
 //! The **gang rows** isolate the execution engine: per workload, one
 //! shared compilation feeds the same scenario set twice through the same
-//! 4-worker pool — once one-machine-per-scenario (`Fleet::run`, the PR 4
-//! fleet), once lane-batched (`Fleet::run_ganged` with `--lanes` lanes,
-//! one micro-op fetch per gang). The `gang_vs_fleet` ratio is therefore a
+//! 4-worker pool — once one-machine-per-scenario (`FleetSim::run_ganged`
+//! at one lane), once lane-batched (`FleetSim::run_ganged` with
+//! `--lanes` lanes, one micro-op fetch per gang). The `gang_vs_fleet` ratio is therefore a
 //! pure dispatch-amortization measurement at equal worker count on the
 //! micro-op engine; `scripts/bench_gate.py --fleet-*` gates its geomean
 //! against the committed `BENCH_fleet.json`.
@@ -113,7 +113,7 @@ fn main() {
             let fleet = FleetSim::compile(&w.netlist, config.clone(), workers)
                 .unwrap_or_else(|e| panic!("{}: fleet compile failed: {e}", w.name));
             let jobs = (0..scenarios).map(|_| fleet.job(vcycles)).collect();
-            for run in fleet.run(jobs) {
+            for run in fleet.run_ganged(jobs, 1) {
                 run.result
                     .as_ref()
                     .unwrap_or_else(|e| panic!("{}: fleet run failed: {e}", w.name));
@@ -171,11 +171,11 @@ fn main() {
                 || -> Vec<FleetJob> { (0..gang_jobs).map(|_| fleet.job(gang_vcycles)).collect() };
             // Warm the shared program (validation schedule, page-in) so
             // neither side pays first-touch costs.
-            for run in fleet.run(vec![fleet.job(vcycles)]) {
+            for run in fleet.run_ganged(vec![fleet.job(vcycles)], 1) {
                 run.result.as_ref().unwrap();
             }
             let t = Instant::now();
-            for run in fleet.run(make_jobs()) {
+            for run in fleet.run_ganged(make_jobs(), 1) {
                 run.result.as_ref().unwrap();
             }
             let fleet_secs = t.elapsed().as_secs_f64();

@@ -146,7 +146,7 @@ fn direct_fingerprint(kind: &Kind, poke: (&str, u64), vcycles: u64) -> String {
     )
     .expect("compiles");
     let job = fleet.job(vcycles).with_reg(poke.0, poke.1).expect("reg");
-    let run = fleet.run(vec![job]).pop().expect("one run");
+    let run = fleet.run_ganged(vec![job], 1).pop().expect("one run");
     assert!(run.result.is_ok());
     format!("{:#018x}", run.sim().machine().state_fingerprint())
 }

@@ -10,6 +10,12 @@
 //! bit-identical to running each job alone on a [`ManticoreSim`] — the
 //! `fleet_equivalence` suite asserts exactly that.
 //!
+//! There are three calls: [`FleetSim::run_ganged`] runs a batch with up
+//! to `lanes` compatible jobs per lockstep gang (`lanes = 1` runs every
+//! job solo), [`FleetSim::run_ganged_with`] does the same under a
+//! [`BatchPolicy`], and [`FleetSim::explore`] grows a coverage-guided
+//! scenario tree.
+//!
 //! ```
 //! use manticore::fleet::FleetSim;
 //! use manticore::isa::MachineConfig;
@@ -29,7 +35,7 @@
 //! let jobs: Vec<_> = (0..4)
 //!     .map(|i| fleet.job(10).with_reg("count", i * 100).unwrap())
 //!     .collect();
-//! for (i, run) in fleet.run(jobs).into_iter().enumerate() {
+//! for (i, run) in fleet.run_ganged(jobs, 1).into_iter().enumerate() {
 //!     assert_eq!(run.index, i as usize);
 //!     run.result.as_ref().unwrap();
 //!     let count = run.sim().read_rtl_reg_by_name("count").unwrap().to_u64();
@@ -160,8 +166,8 @@ impl FleetJob {
 /// or keep running it.
 #[derive(Debug)]
 pub struct FleetRun {
-    /// The job's position in the submitted batch; [`FleetSim::run`]
-    /// returns runs sorted by it.
+    /// The job's position in the submitted batch;
+    /// [`FleetSim::run_ganged`] returns runs sorted by it.
     pub index: usize,
     /// How the run ended.
     pub outcome: JobOutcome,
@@ -208,13 +214,10 @@ impl FleetSim {
         config: MachineConfig,
         workers: usize,
     ) -> Result<FleetSim, SimError> {
-        // Compile with the same worker count the fleet will run with; the
-        // output is bit-identical at any compile thread count.
         Self::compile_with(
             netlist,
             &CompileOptions {
                 config,
-                compile_threads: workers.max(1),
                 ..Default::default()
             },
             workers,
@@ -281,48 +284,19 @@ impl FleetSim {
 
     /// Runs the batch on the worker pool and returns the outcomes **in
     /// submission order** (`runs[i]` belongs to `jobs[i]`), regardless of
-    /// worker interleaving.
-    pub fn run(&self, jobs: Vec<FleetJob>) -> Vec<FleetRun> {
-        self.run_with(jobs, &BatchPolicy::default())
-    }
-
-    /// [`FleetSim::run`] under a [`BatchPolicy`]: cooperative
-    /// cancellation, a batch deadline, fail-fast, and/or a deterministic
-    /// [`FaultPlan`] — see [`manticore_fleet::Fleet::run_with`].
-    pub fn run_with(&self, jobs: Vec<FleetJob>, policy: &BatchPolicy) -> Vec<FleetRun> {
-        let sim_jobs: Vec<SimJob> = jobs.into_iter().map(|j| j.inner).collect();
-        self.wrap_outputs(self.fleet.run_with(sim_jobs, policy))
-    }
-
-    /// [`FleetSim::run_with`], streaming: each [`FleetRun`] is handed to
-    /// `sink` **as its job finishes** (completion order — reorder by
-    /// [`FleetRun::index`] if needed) instead of being held until the
-    /// batch barrier. See [`manticore_fleet::Fleet::run_stream`]; results
-    /// are bit-identical to [`FleetSim::run_with`].
-    pub fn run_stream(
-        &self,
-        jobs: Vec<FleetJob>,
-        policy: &BatchPolicy,
-        sink: &(dyn Fn(FleetRun) + Sync),
-    ) {
-        let sim_jobs: Vec<SimJob> = jobs.into_iter().map(|j| j.inner).collect();
-        self.fleet
-            .run_stream(sim_jobs, policy, &|out| sink(self.wrap_output(out)));
-    }
-
-    /// Like [`FleetSim::run`], with lane batching: compatible jobs (same
-    /// knobs and budget — the input vectors may differ freely) execute up
-    /// to `lanes` at a time in lockstep on a gang machine, one micro-op
-    /// fetch per gang instead of per scenario. Bit-identical to
-    /// [`FleetSim::run`], still in submission order; see
-    /// [`Fleet::run_ganged`].
+    /// worker interleaving. Compatible jobs (same knobs and budget — the
+    /// input vectors may differ freely) execute up to `lanes` at a time
+    /// in lockstep on a gang machine, one micro-op fetch per gang instead
+    /// of per scenario; `lanes = 1` runs every job solo. Results do not
+    /// depend on `lanes`; see [`Fleet::run_ganged_with`].
     pub fn run_ganged(&self, jobs: Vec<FleetJob>, lanes: usize) -> Vec<FleetRun> {
         self.run_ganged_with(jobs, lanes, &BatchPolicy::default())
     }
 
-    /// [`FleetSim::run_ganged`] under a [`BatchPolicy`] — see
-    /// [`FleetSim::run_with`]. An injected [`FaultKind::Error`] parks just
-    /// its lane; the lane-mates run to completion.
+    /// [`FleetSim::run_ganged`] under a [`BatchPolicy`]: cooperative
+    /// cancellation, a batch deadline, and/or a deterministic
+    /// [`FaultPlan`]. An injected [`FaultKind::Error`] parks just its
+    /// lane; the lane-mates run to completion.
     pub fn run_ganged_with(
         &self,
         jobs: Vec<FleetJob>,
@@ -330,7 +304,11 @@ impl FleetSim {
         policy: &BatchPolicy,
     ) -> Vec<FleetRun> {
         let sim_jobs: Vec<SimJob> = jobs.into_iter().map(|j| j.inner).collect();
-        self.wrap_outputs(self.fleet.run_ganged_with(sim_jobs, lanes, policy))
+        self.fleet
+            .run_ganged_with(sim_jobs, lanes, policy)
+            .into_iter()
+            .map(|out| self.wrap_output(out))
+            .collect()
     }
 
     /// Coverage-guided scenario-tree exploration over this design
@@ -341,29 +319,16 @@ impl FleetSim {
     /// are resolved through the compiler's placement metadata into
     /// per-word `(core, reg, mask)` triples — fuzz values are masked to
     /// each register's width, exactly like [`FleetJob::with_reg`] inputs.
-    /// Any stimulus already present in `cfg` is kept.
+    /// Any stimulus already present in `cfg` is kept. See
+    /// [`manticore_fleet::Fleet::explore`] for how the policy's
+    /// cancellation, deadline, and fault injection interact with the
+    /// tree's determinism.
     ///
     /// # Errors
     ///
     /// [`SimError::Assert`] for an unknown stimulus register name, or the
     /// root warm-up's failure.
     pub fn explore(
-        &self,
-        stimulus: &[&str],
-        cfg: &ExploreConfig,
-    ) -> Result<ExploreReport, SimError> {
-        self.explore_with(stimulus, cfg, &BatchPolicy::default())
-    }
-
-    /// [`FleetSim::explore`] under a [`BatchPolicy`] — see
-    /// [`manticore_fleet::Fleet::explore_with`] for how cancellation,
-    /// deadlines, and fault injection interact with the tree's
-    /// determinism.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`FleetSim::explore`].
-    pub fn explore_with(
         &self,
         stimulus: &[&str],
         cfg: &ExploreConfig,
@@ -384,15 +349,8 @@ impl FleetSim {
             }
         }
         self.fleet
-            .explore_with(&self.program, &cfg, policy)
+            .explore(&self.program, &cfg, policy)
             .map_err(SimError::from)
-    }
-
-    fn wrap_outputs(&self, outputs: Vec<JobOutput>) -> Vec<FleetRun> {
-        outputs
-            .into_iter()
-            .map(|out| self.wrap_output(out))
-            .collect()
     }
 
     fn wrap_output(&self, out: JobOutput) -> FleetRun {
@@ -484,7 +442,11 @@ impl Simulator for FleetBackend {
     fn run_cycles(&mut self, max_cycles: u64) -> Result<SimOutcome, SimError> {
         let machine = self.machine.take().expect("machine is only taken here");
         let start = Instant::now();
-        let mut outputs = self.fleet.run(vec![SimJob::resume(machine, max_cycles)]);
+        let mut outputs = self.fleet.run_ganged_with(
+            vec![SimJob::resume(machine, max_cycles)],
+            1,
+            &BatchPolicy::default(),
+        );
         self.wall_seconds += start.elapsed().as_secs_f64();
         let out = outputs.pop().expect("one job in, one output out");
         // A single resumed job under the default (empty) fault plan never
@@ -646,7 +608,7 @@ mod tests {
         let jobs: Vec<FleetJob> = (0..7u64)
             .map(|i| fleet.job(5).with_reg("count", i * 1000).unwrap())
             .collect();
-        let runs = fleet.run(jobs);
+        let runs = fleet.run_ganged(jobs, 1);
         for (i, run) in runs.iter().enumerate() {
             assert_eq!(run.index, i);
             assert!(run.result.is_ok());

@@ -346,11 +346,8 @@ pub fn backends(
     threads: usize,
 ) -> Result<Vec<Box<dyn Simulator>>, SimError> {
     // One compilation and one frozen program feed all machine backends.
-    // The compile reuses the same worker count as the execution backends;
-    // its output is bit-identical at any compile thread count.
     let options = CompileOptions {
         config: config.clone(),
-        compile_threads: threads.max(1),
         ..Default::default()
     };
     let output = Arc::new(compile(netlist, &options)?);

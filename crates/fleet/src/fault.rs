@@ -14,8 +14,7 @@
 //! per job and takes the exact single-`run_vcycles` path it always took.
 //!
 //! [`BatchPolicy`] bundles the plan with the batch-wide control plane:
-//! a cooperative [`CancelToken`], a wall-clock deadline, and fail-fast
-//! (first fault cancels the survivors).
+//! a cooperative [`CancelToken`] and a wall-clock deadline.
 
 use manticore_util::{CancelToken, SmallRng};
 
@@ -157,38 +156,19 @@ impl FaultPlan {
     }
 }
 
-/// Batch-wide run controls for [`crate::Fleet::run_with`] and friends.
-/// The default policy (no token, no deadline, no fail-fast, empty plan)
-/// makes `run_with(jobs, &BatchPolicy::default())` identical to
-/// `run(jobs)`.
+/// Batch-wide run controls for [`crate::Fleet::run_ganged_with`], its
+/// streaming and submitting siblings, and [`crate::Fleet::explore`]. The
+/// default policy (no token, no deadline, empty plan) controls nothing.
 #[derive(Debug, Clone, Default)]
 pub struct BatchPolicy {
     /// Cooperative cancellation observed by every job at its Vcycle
-    /// boundaries. The fleet never trips the caller's token itself: with
-    /// `fail_fast` it derives a child token, so batch-internal
-    /// cancellation stays invisible to the caller.
+    /// boundaries. The fleet never trips the caller's token itself.
     pub cancel: Option<CancelToken>,
     /// Wall-clock deadline for the whole batch; jobs still running when
     /// it passes stop with [`crate::JobOutcome::Deadline`].
     pub deadline: Option<std::time::Instant>,
-    /// When true, the first job that faults (or panics its worker)
-    /// cancels every job still running; already-finished jobs keep their
-    /// results. Cancellation is cooperative, so in-flight jobs stop at
-    /// their next Vcycle boundary with [`crate::JobOutcome::Cancelled`].
-    pub fail_fast: bool,
     /// The injection schedule. Empty means the untouched fast path.
     pub faults: FaultPlan,
-}
-
-impl BatchPolicy {
-    /// `true` when every control is off — the policy that must cost
-    /// nothing.
-    pub fn is_default(&self) -> bool {
-        self.cancel.is_none()
-            && self.deadline.is_none()
-            && !self.fail_fast
-            && self.faults.is_empty()
-    }
 }
 
 #[cfg(test)]

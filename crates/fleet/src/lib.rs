@@ -21,29 +21,29 @@
 //!   shared by the fleet's clones. The threads are spawned the first
 //!   time the fleet submits work, park on a condvar while idle, and are
 //!   joined (after the queues drain) when the last handle drops. Every
-//!   batch entry point and every [`Fleet::explore`] round submits owned
-//!   units of work into the pool: they are dealt round-robin into
-//!   per-worker deques, each worker drains its own deque from the front
-//!   and steals from the back of victims chosen by a seeded [`SmallRng`]
-//!   when it runs dry. A one-worker fleet's waiting caller runs its
-//!   units itself, in the order that worker would. No batch spawns a
-//!   thread.
+//!   batch and every [`Fleet::explore`] round goes through one dispatch:
+//!   owned units of work are dealt round-robin into per-worker deques,
+//!   each worker drains its own deque from the front and steals from the
+//!   back of victims chosen by a seeded [`SmallRng`] when it runs dry. A
+//!   one-worker fleet's waiting caller runs its units itself, in the
+//!   order that worker would. No batch spawns a thread.
 //! - [`JobOutput`] — one job's outcome plus its finished machine (final
 //!   registers, counters, displays all readable). Workers send each
 //!   output down a channel to the thread that called the batch, which
-//!   hands it to the caller's sink (streaming entry points) or files it
-//!   into its submission slot. **Collection order is the submission
-//!   order**, bit-for-bit independent of how workers interleaved: every
-//!   job runs on a machine of its own, and its output carries its
-//!   submission index. [`Fleet::submit_ganged`] returns at once instead
-//!   and calls an owned sink on the worker — how a server keeps the pool
-//!   fed without waiting at a batch barrier.
-//! - [`Fleet::run_ganged`] — the same batch API with lane batching:
-//!   compatible jobs (one program, one set of engine knobs, one budget)
-//!   execute K-at-a-time as lanes of a lockstep
-//!   [`manticore_machine::GangMachine`], so each micro-op is fetched and
-//!   decoded once per K scenarios instead of once per scenario. Outputs
-//!   are bit-identical to [`Fleet::run`] and still in submission order.
+//!   hands it to the caller's sink ([`Fleet::run_ganged_stream`]) or
+//!   files it into its submission slot ([`Fleet::run_ganged_with`]).
+//!   **Collection order is the submission order**, bit-for-bit
+//!   independent of how workers interleaved: every job runs on a machine
+//!   of its own, and its output carries its submission index.
+//!   [`Fleet::submit_ganged`] returns at once instead and calls an owned
+//!   sink on the worker — how a server keeps the pool fed without
+//!   waiting at a batch barrier.
+//! - Lane batching: with `lanes > 1`, compatible jobs (one program, one
+//!   set of engine knobs, one budget) execute K-at-a-time as lanes of a
+//!   lockstep [`manticore_machine::GangMachine`], so each micro-op is
+//!   fetched and decoded once per K scenarios instead of once per
+//!   scenario. Outputs are bit-identical to `lanes = 1` (no ganging) and
+//!   still in submission order.
 //!
 //! Determinism is structural, not best-effort: jobs share nothing mutable
 //! (the `Arc`'d program is read-only), so scheduling can only change *when*
@@ -65,7 +65,6 @@
 use std::collections::HashMap;
 use std::sync::mpsc;
 use std::sync::Arc;
-use std::time::Instant;
 
 use manticore_isa::{CoreId, Reg};
 pub use manticore_machine::CompiledProgram;
@@ -221,7 +220,7 @@ impl SimJob {
     }
 
     /// True when `self` and `other` would share one gang in a lane-batched
-    /// run ([`Fleet::run_ganged`]): both are gangable fresh boots with the
+    /// run ([`Fleet::run_ganged_with`]): both are gangable fresh boots with the
     /// same program, engine knobs, Vcycle budget and cancellation domain.
     /// A scheduler uses this to pick jobs that will run as one unit.
     pub fn gangs_with(&self, other: &SimJob) -> bool {
@@ -244,8 +243,8 @@ impl SimJob {
     /// This is the entire per-job execution — it touches nothing shared
     /// except the read-only program, which is what makes fleet results
     /// independent of worker interleaving.
-    fn execute(self, index: usize, ctx: &BatchCtx) -> JobOutput {
-        let cancel = self.effective_cancel(ctx.cancel.as_ref());
+    fn execute(self, index: usize, policy: &BatchPolicy) -> JobOutput {
+        let cancel = self.effective_cancel(policy.cancel.as_ref());
         let mut machine = match self.source {
             JobSource::Fresh(program) => Machine::from_program(program),
             JobSource::Resume(machine) => *machine,
@@ -260,13 +259,13 @@ impl SimJob {
             machine.poke_reg(core, reg, value);
         }
         // Per-job deadline and batch deadline combine to the earlier one.
-        let deadline = match (self.deadline, ctx.deadline) {
+        let deadline = match (self.deadline, policy.deadline) {
             (Some(a), Some(b)) => Some(a.min(b)),
             (a, b) => a.or(b),
         };
         machine.set_cancel_token(cancel);
         machine.set_deadline(deadline);
-        let result = run_solo_with_faults(&mut machine, self.vcycles, ctx.faults.for_job(index));
+        let result = run_solo_with_faults(&mut machine, self.vcycles, policy.faults.for_job(index));
         // The controls belong to this batch, not to the machine the
         // caller may resume later.
         machine.set_cancel_token(None);
@@ -377,9 +376,9 @@ pub enum JobOutcome {
     /// The run stopped at a Vcycle boundary past its deadline
     /// ([`SimJob::deadline`] or [`BatchPolicy::deadline`]).
     Deadline,
-    /// The run observed its [`CancelToken`] (the caller's batch token,
-    /// the job's own [`SimJob::cancel_token`], or batch fail-fast) and
-    /// stopped at a Vcycle boundary.
+    /// The run observed its [`CancelToken`] (the caller's batch token or
+    /// the job's own [`SimJob::cancel_token`]) and stopped at a Vcycle
+    /// boundary.
     Cancelled,
     /// The machine aborted on a [`MachineError`] — a real determinism
     /// violation, a failed assertion, or an injected
@@ -415,8 +414,8 @@ impl JobOutcome {
         }
     }
 
-    /// True for the outcomes that trip a fail-fast batch: the job's run
-    /// is gone for a reason that was not the caller's own control plane.
+    /// True when the job's run is gone for a reason that was not the
+    /// caller's own control plane: it faulted or its worker panicked.
     pub fn is_failure(self) -> bool {
         matches!(self, JobOutcome::Faulted | JobOutcome::WorkerPanic)
     }
@@ -427,8 +426,9 @@ impl JobOutcome {
 /// displays readable).
 #[derive(Debug)]
 pub struct JobOutput {
-    /// The job's position in the submitted batch — [`Fleet::run`] returns
-    /// outputs sorted by this, so `outputs[i]` is always job `i`.
+    /// The job's position in the submitted batch —
+    /// [`Fleet::run_ganged_with`] returns outputs sorted by this, so
+    /// `outputs[i]` is always job `i`.
     pub index: usize,
     /// How the run ended.
     pub outcome: JobOutcome,
@@ -464,38 +464,6 @@ impl JobOutput {
     }
 }
 
-/// The per-batch execution context every unit of a batch shares: the
-/// effective cancel token, the batch deadline, the fault plan, and
-/// whether a failure cancels the rest. Owned, so units can outlive the
-/// call that submitted them.
-#[derive(Debug)]
-struct BatchCtx {
-    cancel: Option<CancelToken>,
-    deadline: Option<Instant>,
-    faults: FaultPlan,
-    fail_fast: bool,
-}
-
-impl BatchCtx {
-    fn new(policy: &BatchPolicy) -> BatchCtx {
-        // Fail-fast needs a token to trip, and a caller token must never
-        // be tripped by the fleet itself — so fail-fast on top of a
-        // caller token derives a child.
-        let cancel = match (&policy.cancel, policy.fail_fast) {
-            (Some(token), false) => Some(token.clone()),
-            (Some(token), true) => Some(token.child()),
-            (None, true) => Some(CancelToken::new()),
-            (None, false) => None,
-        };
-        BatchCtx {
-            cancel,
-            deadline: policy.deadline,
-            faults: policy.faults.clone(),
-            fail_fast: policy.fail_fast,
-        }
-    }
-}
-
 /// One schedulable unit on the worker pool: a solo job, or a gang of
 /// compatible jobs executed as lanes of one [`GangMachine`].
 #[derive(Debug)]
@@ -515,9 +483,9 @@ impl Unit {
     }
 
     /// Runs the unit to completion, producing one output per job in it.
-    fn execute(self, ctx: &BatchCtx, outs: &mut Vec<JobOutput>) {
+    fn execute(self, policy: &BatchPolicy, outs: &mut Vec<JobOutput>) {
         match self {
-            Unit::Single(index, job) => outs.push(job.execute(index, ctx)),
+            Unit::Single(index, job) => outs.push(job.execute(index, policy)),
             Unit::Gang(group) => {
                 // All jobs share a gang key (program, knobs, budget); the
                 // input vectors are per-lane.
@@ -544,12 +512,12 @@ impl Unit {
                 // All lanes share one cancellation domain (the gang key
                 // includes the token identity), so lane 0's effective
                 // token is the whole gang's.
-                gang.set_cancel_token(group[0].1.effective_cancel(ctx.cancel.as_ref()));
-                gang.set_deadline(ctx.deadline);
+                gang.set_cancel_token(group[0].1.effective_cancel(policy.cancel.as_ref()));
+                gang.set_deadline(policy.deadline);
                 // Lane -> submission index, for routing per-lane fault
                 // points.
                 let lane_jobs: Vec<usize> = group.iter().map(|(index, _)| *index).collect();
-                let results = run_gang_with_faults(&mut gang, vcycles, &lane_jobs, &ctx.faults);
+                let results = run_gang_with_faults(&mut gang, vcycles, &lane_jobs, &policy.faults);
                 gang.set_cancel_token(None);
                 gang.set_deadline(None);
                 let machines = gang.into_machines();
@@ -698,62 +666,26 @@ impl Fleet {
 
     /// Runs every job in the batch and returns the outputs **in
     /// submission order** — `outputs[i]` belongs to `jobs[i]`, regardless
-    /// of which worker executed it or when.
+    /// of which worker executed it or when — under a [`BatchPolicy`]
+    /// (cooperative cancellation, a batch deadline, a deterministic
+    /// [`FaultPlan`]).
     ///
-    /// Jobs are dealt round-robin into per-worker queues; a worker pops
+    /// With `lanes > 1`, compatible jobs are batched into gangs of up to
+    /// `lanes` lanes: fresh jobs sharing one program, identical engine
+    /// knobs, and one Vcycle budget execute in lockstep on a
+    /// [`GangMachine`] — every micro-op fetched and decoded once for the
+    /// whole gang. Jobs that cannot gang (resumed machines, jobs with a
+    /// per-job deadline, or a gang of one) run solo, and `lanes = 1` runs
+    /// every job solo. Ganging changes scheduling, never results
+    /// (`tests/gang_equivalence.rs` holds this to full-regfile
+    /// fingerprints). An [`FaultKind::Error`] aimed at a ganged job parks
+    /// just that lane; its lane-mates run to completion.
+    ///
+    /// Units are dealt round-robin into per-worker queues; a worker pops
     /// its own queue from the front (preserving submission locality) and,
     /// when dry, steals from the back of victims visited in a seeded
     /// pseudo-random order. A batch smaller than the pool simply leaves
     /// the surplus workers parked.
-    pub fn run(&self, jobs: Vec<SimJob>) -> Vec<JobOutput> {
-        self.run_with(jobs, &BatchPolicy::default())
-    }
-
-    /// [`Fleet::run`] under a [`BatchPolicy`]: cooperative cancellation,
-    /// a batch deadline, fail-fast, and/or a deterministic [`FaultPlan`].
-    /// With the default policy this is exactly [`Fleet::run`].
-    pub fn run_with(&self, jobs: Vec<SimJob>, policy: &BatchPolicy) -> Vec<JobOutput> {
-        self.run_ganged_with(jobs, 1, policy)
-    }
-
-    /// [`Fleet::run_with`], streaming: every [`JobOutput`] is handed to
-    /// `sink` **as its job finishes**, in completion order, instead of
-    /// being held until the batch barrier. `sink` runs on the calling
-    /// thread, which receives each output from the workers over a
-    /// channel. Outputs carry their [`JobOutput::index`], so a caller that
-    /// wants submission order can reorder; a caller that wants latency
-    /// (a frontier loop scoring children while their siblings still run)
-    /// consumes them as they come. The results themselves are
-    /// bit-identical to [`Fleet::run_with`] — streaming changes *when* an
-    /// output is observable, never what it contains.
-    pub fn run_stream(
-        &self,
-        jobs: Vec<SimJob>,
-        policy: &BatchPolicy,
-        sink: &(dyn Fn(JobOutput) + Sync),
-    ) {
-        self.run_ganged_stream(jobs, 1, policy, sink);
-    }
-
-    /// Like [`Fleet::run`], but batches compatible jobs into gangs of up
-    /// to `lanes` lanes: fresh jobs sharing one program,
-    /// identical engine knobs, and one Vcycle budget execute in lockstep
-    /// on a [`GangMachine`] — every micro-op fetched and decoded once for
-    /// the whole gang. Jobs that cannot gang (resumed machines, jobs with
-    /// a per-job deadline, or a gang of one) run exactly as
-    /// [`Fleet::run`] would run them.
-    ///
-    /// Outputs are bit-identical to the ungganged path and still arrive
-    /// in submission order — ganging changes scheduling, never results
-    /// (`tests/gang_equivalence.rs` holds this to full-regfile
-    /// fingerprints).
-    pub fn run_ganged(&self, jobs: Vec<SimJob>, lanes: usize) -> Vec<JobOutput> {
-        self.run_ganged_with(jobs, lanes, &BatchPolicy::default())
-    }
-
-    /// [`Fleet::run_ganged`] under a [`BatchPolicy`] — see
-    /// [`Fleet::run_with`]. An [`FaultKind::Error`] aimed at a ganged job
-    /// parks just that lane; its lane-mates run to completion.
     pub fn run_ganged_with(
         &self,
         jobs: Vec<SimJob>,
@@ -761,7 +693,7 @@ impl Fleet {
         policy: &BatchPolicy,
     ) -> Vec<JobOutput> {
         let mut slots: Vec<Option<JobOutput>> = (0..jobs.len()).map(|_| None).collect();
-        self.for_each_output(jobs, lanes, policy, &mut |output| {
+        self.dispatch(group_units(jobs, lanes), unit_work(policy), &mut |output| {
             let index = output.index;
             slots[index] = Some(output);
         });
@@ -771,10 +703,15 @@ impl Fleet {
             .collect()
     }
 
-    /// [`Fleet::run_ganged_with`], streaming — the lane-batched
-    /// counterpart of [`Fleet::run_stream`]. A gang's outputs are emitted
-    /// together when the gang finishes (lanes run in lockstep, so they
-    /// finish together); solo jobs stream individually.
+    /// [`Fleet::run_ganged_with`], streaming: every [`JobOutput`] is
+    /// handed to `sink` **as its unit finishes**, in completion order,
+    /// instead of being held until the batch barrier. `sink` runs on the
+    /// calling thread. Outputs carry their [`JobOutput::index`], so a
+    /// caller that wants submission order can reorder; a caller that
+    /// wants latency consumes them as they come. A gang's outputs are
+    /// emitted together when the gang finishes (lanes run in lockstep);
+    /// solo jobs stream individually. Streaming changes *when* an output
+    /// is observable, never what it contains.
     pub fn run_ganged_stream(
         &self,
         jobs: Vec<SimJob>,
@@ -782,7 +719,9 @@ impl Fleet {
         policy: &BatchPolicy,
         sink: &(dyn Fn(JobOutput) + Sync),
     ) {
-        self.for_each_output(jobs, lanes, policy, &mut |output| sink(output));
+        self.dispatch(group_units(jobs, lanes), unit_work(policy), &mut |output| {
+            sink(output)
+        });
     }
 
     /// Submits a batch and returns at once, without waiting for any of
@@ -805,47 +744,69 @@ impl Fleet {
         policy: &BatchPolicy,
         sink: impl Fn(JobOutput) + Send + Sync + 'static,
     ) {
-        let ctx = Arc::new(BatchCtx::new(policy));
-        let sink: Arc<dyn Fn(JobOutput) + Send + Sync> = Arc::new(sink);
-        let units = group_units(jobs, lanes);
-        self.pool.submit(units.into_iter().map(|unit| {
-            let ctx = Arc::clone(&ctx);
+        self.submit(group_units(jobs, lanes), unit_work(policy), Arc::new(sink));
+    }
+
+    /// Queues one pool task per item and returns at once. Each task runs
+    /// `work` on its item and hands every result to `sink` on the worker.
+    fn submit<I, R>(&self, items: Vec<I>, work: Work<I, R>, sink: Arc<dyn Fn(R) + Send + Sync>)
+    where
+        I: Send + 'static,
+        R: 'static,
+    {
+        self.pool.submit(items.into_iter().map(|item| {
+            let work = Arc::clone(&work);
             let sink = Arc::clone(&sink);
-            Box::new(move || run_unit(unit, &ctx, &mut |output| sink(output))) as Task
+            Box::new(move || work(item, &mut |result| sink(result))) as Task
         }));
     }
 
-    /// Runs a batch to completion, handing `f` each output on the calling
-    /// thread in completion order: exactly one per job. A one-worker
-    /// fleet would run the units one at a time while the caller waits, so
-    /// the caller runs them itself, in the order that worker would —
-    /// no hand-off, and no second thread's allocator arena left holding
-    /// the batch's memory.
-    fn for_each_output(
-        &self,
-        jobs: Vec<SimJob>,
-        lanes: usize,
-        policy: &BatchPolicy,
-        f: &mut dyn FnMut(JobOutput),
-    ) {
+    /// Runs `work` over every item to completion, handing `f` each result
+    /// on the calling thread in completion order — the one dispatch under
+    /// every batch and every explore round. A one-worker fleet would run
+    /// the items one at a time while the caller waits, so the caller runs
+    /// them itself, in the order that worker would: no hand-off, and no
+    /// second thread's allocator arena left holding the results' memory.
+    /// Otherwise the items go to the pool and their results come back
+    /// over a channel.
+    fn dispatch<I, R>(&self, items: Vec<I>, work: Work<I, R>, f: &mut dyn FnMut(R))
+    where
+        I: Send + 'static,
+        R: Send + 'static,
+    {
         if self.workers() == 1 {
-            let ctx = BatchCtx::new(policy);
-            for unit in group_units(jobs, lanes) {
-                run_unit(unit, &ctx, f);
+            for item in items {
+                work(item, &mut *f);
             }
             return;
         }
-        let n = jobs.len();
         let (tx, rx) = mpsc::channel();
-        self.submit_ganged(jobs, lanes, policy, move |output| {
-            // A caller that stopped listening (its sink panicked) no
-            // longer needs the output.
-            let _ = tx.send(output);
-        });
-        for output in rx.into_iter().take(n) {
-            f(output);
+        // A caller that stopped listening (its `f` panicked) no longer
+        // needs the result.
+        self.submit(
+            items,
+            work,
+            Arc::new(move |result| {
+                let _ = tx.send(result);
+            }),
+        );
+        // The tasks hold the only sender, so the loop ends when the last
+        // of them is done.
+        for result in rx {
+            f(result);
         }
     }
+}
+
+/// The work a [`Fleet`] dispatch runs on each item: it hands every
+/// result it produces to the sink.
+type Work<I, R> = Arc<dyn Fn(I, &mut dyn FnMut(R)) + Send + Sync>;
+
+/// A batch's work: run each unit under the batch's policy, which the
+/// units share and which outlives the call that submitted them.
+fn unit_work(policy: &BatchPolicy) -> Work<Unit, JobOutput> {
+    let policy = policy.clone();
+    Arc::new(move |unit, sink| run_unit(unit, &policy, sink))
 }
 
 /// Splits a batch into schedulable units. With `lanes > 1`, fresh
@@ -908,18 +869,15 @@ fn group_units(jobs: Vec<SimJob>, lanes: usize) -> Vec<Unit> {
 /// The unit executes under `catch_unwind`: a panicking job (injected or
 /// genuine) yields [`JobOutcome::WorkerPanic`] outputs for the unit's
 /// unreported jobs and the worker moves on — the batch always emits
-/// exactly one output per job. A failure trips the
-/// batch's token when the policy is fail-fast.
-fn run_unit(unit: Unit, ctx: &BatchCtx, sink: &mut dyn FnMut(JobOutput)) {
+/// exactly one output per job.
+fn run_unit(unit: Unit, policy: &BatchPolicy, sink: &mut dyn FnMut(JobOutput)) {
     // Capture the unit's job indexes before it is consumed, so a panic
     // can still be pinned to its jobs.
     let indexes = unit.job_indexes();
     let mut outs = Vec::new();
-    let panicked = catch_silent_mut(|| unit.execute(ctx, &mut outs)).err();
-    let mut failed = false;
+    let panicked = catch_silent_mut(|| unit.execute(policy, &mut outs)).err();
     let mut produced = vec![false; indexes.len()];
     for output in outs {
-        failed |= output.outcome.is_failure();
         if let Some(at) = indexes.iter().position(|&i| i == output.index) {
             produced[at] = true;
         }
@@ -928,7 +886,6 @@ fn run_unit(unit: Unit, ctx: &BatchCtx, sink: &mut dyn FnMut(JobOutput)) {
     // A panic mid-unit: every job the unit did not get to report becomes
     // a structured WorkerPanic output.
     if let Some(message) = panicked {
-        failed = true;
         for (&index, _) in indexes.iter().zip(&produced).filter(|(_, &done)| !done) {
             sink(JobOutput {
                 index,
@@ -938,11 +895,6 @@ fn run_unit(unit: Unit, ctx: &BatchCtx, sink: &mut dyn FnMut(JobOutput)) {
                 }),
                 machine: None,
             });
-        }
-    }
-    if ctx.fail_fast && failed {
-        if let Some(token) = &ctx.cancel {
-            token.cancel();
         }
     }
 }
@@ -1040,30 +992,22 @@ impl Fleet {
     /// Children that fault (a failed assertion is *interesting*, not
     /// fatal) or finish are scored and counted but leave the frontier.
     ///
+    /// The [`BatchPolicy`]'s cancellation and deadline are honored
+    /// *between* rounds only — inside a round the tree must stay a pure
+    /// function of `(program, config)`, so every completed round is
+    /// exactly what an uninterrupted run would have produced.
+    /// [`FaultPlan`] points address children by their global submission
+    /// ordinal (round by round, frontier order, lane order): an injected
+    /// error parks that child (tallied in [`ExploreReport::faults`], like
+    /// a real fault), and an injected panic loses the child's whole gang
+    /// ([`ExploreReport::killed`]) while the frontier deterministically
+    /// continues from the surviving gangs.
+    ///
     /// # Errors
     ///
     /// Only the root warm-up can fail ([`Machine::run_vcycles`] on the
     /// unforked root); child faults are data, tallied in the report.
     pub fn explore(
-        &self,
-        program: &Arc<CompiledProgram>,
-        cfg: &ExploreConfig,
-    ) -> Result<ExploreReport, MachineError> {
-        self.explore_with(program, cfg, &BatchPolicy::default())
-    }
-
-    /// [`Fleet::explore`] under a [`BatchPolicy`]. Cancellation and the
-    /// deadline are honored *between* rounds only — inside a round the
-    /// tree must stay a pure function of `(program, config)`, so every
-    /// completed round is exactly what an uninterrupted run would have
-    /// produced. [`FaultPlan`] points address children by their global
-    /// submission ordinal (round by round, frontier order, lane order):
-    /// an injected error parks that child (tallied in
-    /// [`ExploreReport::faults`], like a real fault), and an injected
-    /// panic loses the child's whole gang ([`ExploreReport::killed`])
-    /// while the frontier deterministically continues from the surviving
-    /// gangs.
-    pub fn explore_with(
         &self,
         program: &Arc<CompiledProgram>,
         cfg: &ExploreConfig,
@@ -1085,8 +1029,8 @@ impl Fleet {
         // Global child ordinal in submission order — the job index a
         // FaultPlan addresses.
         let mut next_child: usize = 0;
-        // Owned by the round's tasks, which outlive no round but run on
-        // the persistent pool.
+        // Shared by every round's work, which runs on the persistent
+        // pool.
         let faults = Arc::new(policy.faults.clone());
 
         for _ in 0..cfg.rounds {
@@ -1123,16 +1067,14 @@ impl Fleet {
             let round_base = next_child;
             next_child += gangs.len() * lanes;
 
-            // Run the round's gangs on the worker pool. Each gang is one
-            // task, which sends the finished gang down a channel the
-            // moment it completes; the merge below consumes them *as they
-            // finish*, holding
-            // early finishers in a reorder buffer so scoring still
-            // happens in submission order (the tree stays a pure function
-            // of `(program, config)`) while later gangs are still
-            // running. A gang whose worker panics (injected faults only —
-            // the simulator itself returns errors) is recorded as lost,
-            // not resultless.
+            // Run the round's gangs through the fleet's dispatch, one item
+            // per gang. Each gang's result arrives the moment it
+            // finishes; the merge below holds early finishers in a
+            // reorder buffer so scoring still happens in submission order
+            // (the tree stays a pure function of `(program, config)`)
+            // while later gangs are still running. A gang whose worker
+            // panics (injected faults only — the simulator itself returns
+            // errors) is recorded as lost, not resultless.
             let n = gangs.len();
             let vcycles = cfg.vcycles_per_round.max(1);
             enum GangSlot {
@@ -1142,48 +1084,25 @@ impl Fleet {
             report.rounds_run += 1;
             let mut raisers: Vec<Checkpoint> = Vec::new();
             let mut pad: Vec<Checkpoint> = Vec::new();
+            let faults = Arc::clone(&faults);
             // Runs gang `i` of the round, containing an injected panic.
-            let run_gang = move |i: usize, mut gang: GangMachine, faults: &FaultPlan| {
-                if faults.is_empty() {
-                    let results = gang.run_vcycles(vcycles);
-                    return (i, GangSlot::Done(gang, results));
-                }
-                // Children of gang i are ordinals round_base + i*lanes + lane.
-                let base = round_base + i * lanes;
-                let lane_jobs: Vec<usize> = (0..lanes).map(|lane| base + lane).collect();
-                let slot = catch_silent_mut(|| {
-                    let results = run_gang_with_faults(&mut gang, vcycles, &lane_jobs, faults);
-                    (gang, results)
-                })
-                .map(|(gang, results)| GangSlot::Done(gang, results))
-                .unwrap_or(GangSlot::Lost);
-                (i, slot)
-            };
-            // A one-worker fleet runs the round on the calling thread, in
-            // order, as `for_each_output` does for batches.
-            let finished: Box<dyn Iterator<Item = (usize, GangSlot)>> = if self.workers() == 1 {
-                let faults = &faults;
-                Box::new(
-                    gangs
-                        .into_iter()
-                        .enumerate()
-                        .map(move |(i, gang)| run_gang(i, gang, faults)),
-                )
-            } else {
-                let (tx, rx) = mpsc::channel::<(usize, GangSlot)>();
-                self.pool
-                    .submit(gangs.into_iter().enumerate().map(|(i, gang)| {
-                        let tx = tx.clone();
-                        let faults = Arc::clone(&faults);
-                        Box::new(move || {
-                            let _ = tx.send(run_gang(i, gang, &faults));
-                        }) as Task
-                    }));
-                // The tasks hold the clones; dropping the original lets
-                // the receive loop end when the last task is done.
-                drop(tx);
-                Box::new(rx.into_iter())
-            };
+            let run_gang: Work<(usize, GangMachine), (usize, GangSlot)> =
+                Arc::new(move |(i, mut gang), sink| {
+                    if faults.is_empty() {
+                        let results = gang.run_vcycles(vcycles);
+                        return sink((i, GangSlot::Done(gang, results)));
+                    }
+                    // Children of gang i are ordinals round_base + i*lanes + lane.
+                    let base = round_base + i * lanes;
+                    let lane_jobs: Vec<usize> = (0..lanes).map(|lane| base + lane).collect();
+                    let slot = catch_silent_mut(|| {
+                        let results = run_gang_with_faults(&mut gang, vcycles, &lane_jobs, &faults);
+                        (gang, results)
+                    })
+                    .map(|(gang, results)| GangSlot::Done(gang, results))
+                    .unwrap_or(GangSlot::Lost);
+                    sink((i, slot));
+                });
 
             // Merge in submission order as gangs finish: score every
             // child against the shared map, keep coverage-raisers for the
@@ -1192,7 +1111,8 @@ impl Fleet {
             let mut pending: std::collections::BTreeMap<usize, GangSlot> =
                 std::collections::BTreeMap::new();
             let mut next_gang = 0usize;
-            for (i, slot) in finished {
+            let items = gangs.into_iter().enumerate().collect();
+            self.dispatch(items, run_gang, &mut |(i, slot)| {
                 pending.insert(i, slot);
                 while let Some(slot) = pending.remove(&next_gang) {
                     next_gang += 1;
@@ -1234,7 +1154,7 @@ impl Fleet {
                         }
                     }
                 }
-            }
+            });
             assert_eq!(next_gang, n, "every gang produces a result");
             let mut next = raisers;
             for cp in pad {
@@ -1303,7 +1223,7 @@ mod tests {
             let jobs: Vec<SimJob> = (0..13)
                 .map(|i| SimJob::new(&program, 10).poke(CoreId::new(0, 0), Reg(2), (i + 1) as u16))
                 .collect();
-            let outputs = fleet.run(jobs);
+            let outputs = fleet.run_ganged_with(jobs, 1, &BatchPolicy::default());
             assert_eq!(outputs.len(), 13);
             for (i, out) in outputs.iter().enumerate() {
                 assert_eq!(out.index, i);
@@ -1322,10 +1242,12 @@ mod tests {
     fn resume_continues_where_the_batch_left_off() {
         let program = counter_program();
         let fleet = Fleet::new(2);
-        let first = fleet.run(vec![SimJob::new(&program, 3)]);
+        let first =
+            fleet.run_ganged_with(vec![SimJob::new(&program, 3)], 1, &BatchPolicy::default());
         let machine = first.into_iter().next().unwrap().into_machine();
         assert_eq!(machine.read_reg(CoreId::new(0, 0), Reg(1)), 3);
-        let second = fleet.run(vec![SimJob::resume(machine, 4)]);
+        let second =
+            fleet.run_ganged_with(vec![SimJob::resume(machine, 4)], 1, &BatchPolicy::default());
         assert_eq!(
             second[0].machine().read_reg(CoreId::new(0, 0), Reg(1)),
             7,
@@ -1335,8 +1257,12 @@ mod tests {
 
     #[test]
     fn empty_batch_is_fine() {
-        assert!(Fleet::new(4).run(Vec::new()).is_empty());
-        assert!(Fleet::new(4).run_ganged(Vec::new(), 8).is_empty());
+        assert!(Fleet::new(4)
+            .run_ganged_with(Vec::new(), 1, &BatchPolicy::default())
+            .is_empty());
+        assert!(Fleet::new(4)
+            .run_ganged_with(Vec::new(), 8, &BatchPolicy::default())
+            .is_empty());
     }
 
     #[test]
@@ -1350,7 +1276,7 @@ mod tests {
         let jobs: Vec<SimJob> = (0..n)
             .map(|i| SimJob::new(&program, 5).poke(core, Reg(2), (i + 1) as u16))
             .collect();
-        let outputs = Fleet::new(2).run_ganged(jobs, n);
+        let outputs = Fleet::new(2).run_ganged_with(jobs, n, &BatchPolicy::default());
         assert_eq!(outputs.len(), n);
         for (i, out) in outputs.iter().enumerate() {
             assert_eq!(out.index, i);
@@ -1386,8 +1312,8 @@ mod tests {
             matches!(units.as_slice(), [Unit::Gang(group)] if group.len() == 3),
             "the three jobs must form one gang"
         );
-        let reference = Fleet::new(1).run(jobs());
-        let ganged = Fleet::new(1).run_ganged(jobs(), 4);
+        let reference = Fleet::new(1).run_ganged_with(jobs(), 1, &BatchPolicy::default());
+        let ganged = Fleet::new(1).run_ganged_with(jobs(), 4, &BatchPolicy::default());
         for (out, re) in ganged.iter().zip(&reference) {
             assert_eq!(out.index, re.index);
             assert_eq!(
@@ -1427,9 +1353,9 @@ mod tests {
             .map(SimJob::gang_key)
             .collect();
         assert!(keys.len() >= 3, "{} gang groups", keys.len());
-        let reference = Fleet::new(1).run(make_jobs());
+        let reference = Fleet::new(1).run_ganged_with(make_jobs(), 1, &BatchPolicy::default());
         for lanes in [2, 4, 8] {
-            let ganged = Fleet::new(2).run_ganged(make_jobs(), lanes);
+            let ganged = Fleet::new(2).run_ganged_with(make_jobs(), lanes, &BatchPolicy::default());
             assert_eq!(ganged.len(), reference.len());
             for (out, re) in ganged.iter().zip(&reference) {
                 assert_eq!(out.index, re.index, "lanes {lanes}: submission order");
@@ -1461,7 +1387,9 @@ mod tests {
             seed: 0xdead,
             stimulus: vec![(CoreId::new(0, 0), Reg(2), 0x00ff)],
         };
-        let reference = Fleet::new(1).explore(&program, &cfg).unwrap();
+        let reference = Fleet::new(1)
+            .explore(&program, &cfg, &BatchPolicy::default())
+            .unwrap();
         // The counter design never finishes or faults, so every round
         // forks a full frontier: 1 gang in round 1, `frontier_cap` after.
         assert_eq!(reference.rounds_run, 3);
@@ -1474,7 +1402,9 @@ mod tests {
         assert!(reference.covered_bits > 0, "fuzzing r2 must toggle bits");
         for workers in [2, 4] {
             assert_eq!(
-                Fleet::new(workers).explore(&program, &cfg).unwrap(),
+                Fleet::new(workers)
+                    .explore(&program, &cfg, &BatchPolicy::default())
+                    .unwrap(),
                 reference,
                 "{workers} workers: exploration tree diverged"
             );
@@ -1489,6 +1419,7 @@ mod tests {
                     seed: 1,
                     ..cfg.clone()
                 },
+                &BatchPolicy::default(),
             )
             .unwrap();
         assert_eq!(reseeded.scenarios, reference.scenarios);
@@ -1498,8 +1429,11 @@ mod tests {
     #[test]
     fn one_program_many_runs_share_the_artifact() {
         let program = counter_program();
-        let outputs =
-            Fleet::new(4).run((0..8).map(|_| SimJob::new(&program, 5)).collect::<Vec<_>>());
+        let outputs = Fleet::new(4).run_ganged_with(
+            (0..8).map(|_| SimJob::new(&program, 5)).collect::<Vec<_>>(),
+            1,
+            &BatchPolicy::default(),
+        );
         for out in &outputs {
             // Every run executes the same shared artifact...
             assert!(Arc::ptr_eq(out.machine().program(), &program));
@@ -1516,7 +1450,11 @@ mod tests {
         assert_eq!(Fleet::new(0).workers(), 1);
         // ...and a zero-worker request still executes a batch.
         let program = counter_program();
-        let outputs = Fleet::new(0).run(vec![SimJob::new(&program, 4)]);
+        let outputs = Fleet::new(0).run_ganged_with(
+            vec![SimJob::new(&program, 4)],
+            1,
+            &BatchPolicy::default(),
+        );
         assert_eq!(outputs.len(), 1);
         assert_eq!(outputs[0].outcome, JobOutcome::BudgetExhausted);
         assert_eq!(outputs[0].machine().read_reg(CoreId::new(0, 0), Reg(1)), 4);
@@ -1527,7 +1465,7 @@ mod tests {
         let program = counter_program();
         let fleet = Fleet::new(2);
         let mut machine = fleet
-            .run(vec![SimJob::new(&program, 3)])
+            .run_ganged_with(vec![SimJob::new(&program, 3)], 1, &BatchPolicy::default())
             .into_iter()
             .next()
             .unwrap()
@@ -1535,7 +1473,11 @@ mod tests {
         machine.inject_fault(MachineError::Injected { vcycle: 3 });
         let vcycles_before = machine.counters().vcycles;
         let out = fleet
-            .run(vec![SimJob::resume(machine, 10)])
+            .run_ganged_with(
+                vec![SimJob::resume(machine, 10)],
+                1,
+                &BatchPolicy::default(),
+            )
             .into_iter()
             .next()
             .unwrap();
@@ -1563,7 +1505,7 @@ mod tests {
             let jobs: Vec<SimJob> = (0..6)
                 .map(|i| SimJob::new(&program, 8).poke(core, Reg(2), (i + 1) as u16))
                 .collect();
-            let outputs = Fleet::new(workers).run_with(jobs, &policy);
+            let outputs = Fleet::new(workers).run_ganged_with(jobs, 1, &policy);
             assert_eq!(outputs.len(), 6);
             for (i, out) in outputs.iter().enumerate() {
                 assert_eq!(out.index, i);
@@ -1594,7 +1536,11 @@ mod tests {
         };
         let jobs: Vec<SimJob> = (0..4).map(|_| SimJob::new(&program, 50)).collect();
         for outputs in [
-            Fleet::new(2).run_with((0..4).map(|_| SimJob::new(&program, 50)).collect(), &policy),
+            Fleet::new(2).run_ganged_with(
+                (0..4).map(|_| SimJob::new(&program, 50)).collect(),
+                1,
+                &policy,
+            ),
             Fleet::new(2).run_ganged_with(jobs, 4, &policy),
         ] {
             for out in &outputs {
@@ -1610,7 +1556,11 @@ mod tests {
         let past = std::time::Instant::now() - std::time::Duration::from_millis(1);
         // Per-job deadline...
         let out = Fleet::new(1)
-            .run(vec![SimJob::new(&program, 50).deadline(past)])
+            .run_ganged_with(
+                vec![SimJob::new(&program, 50).deadline(past)],
+                1,
+                &BatchPolicy::default(),
+            )
             .pop()
             .unwrap();
         assert_eq!(out.outcome, JobOutcome::Deadline);
@@ -1632,31 +1582,6 @@ mod tests {
     }
 
     #[test]
-    fn fail_fast_cancels_the_survivors_without_tripping_the_caller_token() {
-        let program = counter_program();
-        let caller = CancelToken::new();
-        let policy = BatchPolicy {
-            cancel: Some(caller.clone()),
-            fail_fast: true,
-            // Job 0 faults immediately; with one worker the remaining
-            // jobs observe the cancellation before they start.
-            faults: FaultPlan::none().error_at(0, 0),
-            ..BatchPolicy::default()
-        };
-        let jobs: Vec<SimJob> = (0..5).map(|_| SimJob::new(&program, 1_000)).collect();
-        let outputs = Fleet::new(1).run_with(jobs, &policy);
-        assert_eq!(outputs[0].outcome, JobOutcome::Faulted);
-        for out in &outputs[1..] {
-            assert_eq!(out.outcome, JobOutcome::Cancelled);
-            assert_eq!(out.result.as_ref().unwrap().vcycles_run, 0);
-        }
-        assert!(
-            !caller.is_cancelled(),
-            "fail-fast must trip a child token, never the caller's"
-        );
-    }
-
-    #[test]
     fn per_job_cancel_stops_only_that_job() {
         let program = counter_program();
         let core = CoreId::new(0, 0);
@@ -1672,7 +1597,7 @@ mod tests {
                 }
             })
             .collect();
-        let outputs = Fleet::new(2).run(jobs);
+        let outputs = Fleet::new(2).run_ganged_with(jobs, 1, &BatchPolicy::default());
         for (i, out) in outputs.iter().enumerate() {
             if i == 1 {
                 assert_eq!(out.outcome, JobOutcome::Cancelled);
@@ -1702,7 +1627,7 @@ mod tests {
                     .cancel_token(token.clone())
             })
             .collect();
-        let outputs = Fleet::new(2).run_ganged(jobs, 4);
+        let outputs = Fleet::new(2).run_ganged_with(jobs, 4, &BatchPolicy::default());
         for (i, out) in outputs.iter().enumerate() {
             if i < 2 {
                 assert_eq!(out.outcome, JobOutcome::Cancelled, "job {i}");
@@ -1723,12 +1648,15 @@ mod tests {
                 .map(|i| SimJob::new(&program, 7).poke(core, Reg(2), (i + 1) as u16))
                 .collect()
         };
-        let reference = Fleet::new(1).run(make_jobs());
+        let reference = Fleet::new(1).run_ganged_with(make_jobs(), 1, &BatchPolicy::default());
         for workers in [1, 3] {
             let streamed: Mutex<Vec<JobOutput>> = Mutex::new(Vec::new());
-            Fleet::new(workers).run_stream(make_jobs(), &BatchPolicy::default(), &|out| {
-                streamed.lock().unwrap().push(out)
-            });
+            Fleet::new(workers).run_ganged_stream(
+                make_jobs(),
+                1,
+                &BatchPolicy::default(),
+                &|out| streamed.lock().unwrap().push(out),
+            );
             let mut streamed = streamed.into_inner().unwrap();
             assert_eq!(streamed.len(), reference.len());
             // Completion order may differ from submission order; the
@@ -1761,8 +1689,9 @@ mod tests {
         // old batch barrier, which held everything to the end.
         let program = counter_program();
         let seen = Mutex::new(Vec::new());
-        Fleet::new(1).run_stream(
+        Fleet::new(1).run_ganged_stream(
             (0..3).map(|_| SimJob::new(&program, 4)).collect(),
+            1,
             &BatchPolicy::default(),
             &|out| seen.lock().unwrap().push(out.index),
         );
@@ -1777,6 +1706,46 @@ mod tests {
         }) as Task]);
     }
 
+    /// Two explore rounds of the counter: one 3-lane gang, then a round
+    /// of three gangs (every child keeps running, so each pads the
+    /// frontier) — 12 scenarios in all.
+    fn two_round_explore() -> ExploreConfig {
+        ExploreConfig {
+            lanes: 3,
+            rounds: 2,
+            vcycles_per_round: 2,
+            warmup_vcycles: 2,
+            frontier_cap: 3,
+            seed: 7,
+            stimulus: vec![(CoreId::new(0, 0), Reg(2), 0x000f)],
+        }
+    }
+
+    #[test]
+    fn a_one_worker_fleet_runs_every_synchronous_call_on_the_caller() {
+        // The caller-runs path keeps a one-worker fleet threadless: its
+        // batches and explore rounds never spawn the pool's worker.
+        let program = counter_program();
+        let fleet = Fleet::new(1);
+        let policy = BatchPolicy::default();
+        let jobs = || -> Vec<SimJob> { (0..3).map(|_| SimJob::new(&program, 2)).collect() };
+        assert_eq!(fleet.run_ganged_with(jobs(), 1, &policy).len(), 3);
+        assert_eq!(fleet.run_ganged_with(jobs(), 2, &policy).len(), 3);
+        let seen = Mutex::new(Vec::new());
+        fleet.run_ganged_stream(jobs(), 2, &policy, &|out| {
+            seen.lock().unwrap().push(out.index)
+        });
+        assert_eq!(seen.into_inner().unwrap().len(), 3);
+        let report = fleet
+            .explore(&program, &two_round_explore(), &policy)
+            .unwrap();
+        assert_eq!(report.scenarios, 12);
+        assert!(
+            fleet.pool.thread_ids().is_empty(),
+            "a one-worker fleet's synchronous calls must run on the caller"
+        );
+    }
+
     #[test]
     fn two_hundred_batches_run_on_the_same_two_worker_threads() {
         let program = counter_program();
@@ -1785,21 +1754,29 @@ mod tests {
         // Each batch also carries a probe that reports the thread it ran
         // on; a pool that spawned per batch would report new ids.
         let (tx, rx) = mpsc::channel();
+        // The rotation covers every synchronous call, explore rounds
+        // included: they all share the one dispatch.
+        let policy = BatchPolicy::default();
+        let cfg = two_round_explore();
         for batch in 0..200u64 {
             probe(&fleet, &tx);
             let jobs: Vec<SimJob> = (0..3).map(|_| SimJob::new(&program, 2)).collect();
-            let outputs = match batch % 3 {
-                0 => fleet.run(jobs),
-                1 => fleet.run_ganged(jobs, 2),
-                _ => {
+            let done = match batch % 4 {
+                0 => fleet.run_ganged_with(jobs, 1, &policy).len(),
+                1 => fleet.run_ganged_with(jobs, 2, &policy).len(),
+                2 => {
                     let seen = Mutex::new(Vec::new());
-                    fleet.run_stream(jobs, &BatchPolicy::default(), &|out| {
-                        seen.lock().unwrap().push(out)
-                    });
-                    seen.into_inner().unwrap()
+                    fleet
+                        .run_ganged_stream(jobs, 1, &policy, &|out| seen.lock().unwrap().push(out));
+                    seen.into_inner().unwrap().len()
+                }
+                _ => {
+                    let report = fleet.explore(&program, &cfg, &policy).unwrap();
+                    assert_eq!(report.scenarios, 12, "batch {batch}");
+                    3
                 }
             };
-            assert_eq!(outputs.len(), 3, "batch {batch}");
+            assert_eq!(done, 3, "batch {batch}");
         }
         drop(tx);
         let workers = fleet.pool.thread_ids();
@@ -1815,7 +1792,16 @@ mod tests {
         assert!(Arc::ptr_eq(&fleet.pool, &fleet.clone().pool));
         let other = Fleet::new(2);
         assert!(!Arc::ptr_eq(&fleet.pool, &other.pool));
-        assert_eq!(other.run(vec![SimJob::new(&counter_program(), 2)]).len(), 1);
+        assert_eq!(
+            other
+                .run_ganged_with(
+                    vec![SimJob::new(&counter_program(), 2)],
+                    1,
+                    &BatchPolicy::default()
+                )
+                .len(),
+            1
+        );
         let (mine, theirs) = (fleet.pool.thread_ids(), other.pool.thread_ids());
         assert!(
             mine.is_empty(),
@@ -1832,7 +1818,12 @@ mod tests {
         let clone = fleet.clone();
         drop(fleet);
         // A surviving clone keeps the pool serving.
-        assert_eq!(clone.run(vec![SimJob::new(&program, 3)]).len(), 1);
+        assert_eq!(
+            clone
+                .run_ganged_with(vec![SimJob::new(&program, 3)], 1, &BatchPolicy::default())
+                .len(),
+            1
+        );
         assert!(alive.upgrade().is_some());
         // Work submitted without waiting still runs: the last drop drains
         // the queues before it joins.

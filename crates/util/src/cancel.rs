@@ -9,10 +9,9 @@
 //! that can be checkpointed or resumed later.
 //!
 //! Tokens form a tree: [`CancelToken::child`] creates a token that trips
-//! when *either* it or its parent is cancelled. The fleet uses this for
-//! batch-level fail-fast — each batch gets a child of the caller's token,
-//! so the pool can abandon a batch without cancelling the caller's wider
-//! campaign, while the caller can still pull the plug on everything.
+//! when *either* it or its parent is cancelled, so a sub-task can be
+//! abandoned without cancelling the caller's wider campaign, while the
+//! caller can still pull the plug on everything.
 //! [`CancelToken::either`] generalizes the tree to a DAG: a token with
 //! *two* parents, tripped by whichever fires first — how a fleet job
 //! combines its own per-job token (e.g. "this client disconnected") with

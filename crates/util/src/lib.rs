@@ -21,8 +21,7 @@
 //!   statistical sophistication: the same seed always generates the same
 //!   netlist, on every platform;
 //! - [`cancel::CancelToken`] — the cooperative cancellation flag every
-//!   engine polls at Vcycle boundaries, and the fleet's batch fail-fast
-//!   primitive;
+//!   engine polls at Vcycle boundaries;
 //! - [`panic::catch_silent`] — panic containment without backtrace spam,
 //!   behind the fleet's per-job isolation.
 

@@ -5,7 +5,7 @@
 //! Each grid size needs its own compilation — the schedule is a function
 //! of the grid — but every simulation of the sweep runs as one batch on
 //! the machine-level fleet, with `SCENARIOS` measurement replicas per
-//! point. The batch goes through `Fleet::run_ganged`: replicas of one
+//! point. The batch goes through `Fleet::run_ganged_with`: replicas of one
 //! point share a program, so each point's replicas execute as one
 //! lockstep gang (one micro-op fetch per gang), while different points —
 //! different programs — stay separate units that the work-stealing pool
@@ -30,7 +30,7 @@ use manticore::compiler::{compile, CompileOptions};
 use manticore::isa::MachineConfig;
 use manticore::machine::CompiledProgram;
 use manticore::workloads;
-use manticore_fleet::{Fleet, SimJob};
+use manticore_fleet::{BatchPolicy, Fleet, SimJob};
 
 const VCYCLES: u64 = 300;
 /// Measurement replicas per sweep point — one gang per point.
@@ -87,7 +87,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .flat_map(|p| (0..SCENARIOS).map(|_| SimJob::new(&p.program, VCYCLES)))
         .collect();
     let t = Instant::now();
-    let outputs = fleet.run_ganged(jobs, SCENARIOS);
+    let outputs = fleet.run_ganged_with(jobs, SCENARIOS, &BatchPolicy::default());
     let batch_secs = t.elapsed().as_secs_f64();
 
     println!(
@@ -127,7 +127,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 /// Scenario-tree mode: per fitting grid point, a coverage-guided
 /// exploration instead of fixed replicas.
 fn tree_sweep(w: &workloads::Workload) -> Result<(), Box<dyn std::error::Error>> {
-    use manticore::fleet::{ExploreConfig, FleetSim};
+    use manticore::fleet::{BatchPolicy, ExploreConfig, FleetSim};
 
     let cfg = ExploreConfig {
         lanes: 8,
@@ -161,7 +161,7 @@ fn tree_sweep(w: &workloads::Workload) -> Result<(), Box<dyn std::error::Error>>
             .map(|r| r.name.as_str())
             .collect();
         let t = Instant::now();
-        let report = fleet.explore(&names, &cfg)?;
+        let report = fleet.explore(&names, &cfg, &BatchPolicy::default())?;
         let secs = t.elapsed().as_secs_f64();
         println!(
             "{:>6} {:>10} {:>12.0} {:>13} {:>9} {:>7}",

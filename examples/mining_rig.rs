@@ -22,7 +22,7 @@
 //! become the next generation's fork points. Same compiled program, same
 //! fleet pool; the tree replaces the range plan.
 
-use manticore::fleet::{ExploreConfig, FleetJob, FleetSim};
+use manticore::fleet::{BatchPolicy, ExploreConfig, FleetJob, FleetSim};
 use manticore::isa::MachineConfig;
 use manticore::workloads;
 use std::time::Instant;
@@ -142,7 +142,7 @@ fn explore() -> Result<(), Box<dyn std::error::Error>> {
     };
 
     let t1 = Instant::now();
-    let report = fleet.explore(&stimulus, &cfg)?;
+    let report = fleet.explore(&stimulus, &cfg, &BatchPolicy::default())?;
     let secs = t1.elapsed().as_secs_f64();
     println!(
         "\n{} forked miners over {} rounds in {secs:.3}s \

@@ -74,7 +74,7 @@ fn fingerprint(out: &JobOutput, regfile_size: usize) -> Vec<u64> {
 fn injected_survivors_are_bit_identical_to_the_clean_run() {
     for wname in ["mm", "bc"] {
         let (program, rf) = compile(wname);
-        let clean = Fleet::new(4).run(job_set(&program));
+        let clean = Fleet::new(4).run_ganged_with(job_set(&program), 1, &BatchPolicy::default());
         let clean_fps: Vec<Vec<u64>> = clean.iter().map(|o| fingerprint(o, rf)).collect();
         for o in &clean {
             assert!(!o.outcome.is_failure(), "{wname}: clean run must not fault");
@@ -87,7 +87,7 @@ fn injected_survivors_are_bit_identical_to_the_clean_run() {
                 faults: FaultPlan::seeded(seed, N_JOBS, VCYCLES, 5).panic_at(2, 3),
                 ..BatchPolicy::default()
             };
-            let outputs = Fleet::new(4).run_with(job_set(&program), &policy);
+            let outputs = Fleet::new(4).run_ganged_with(job_set(&program), 1, &policy);
             assert_eq!(outputs.len(), N_JOBS, "{wname} seed {seed}: batch size");
             let mut panics = 0;
             for (i, out) in outputs.iter().enumerate() {
@@ -122,7 +122,7 @@ fn injected_survivors_are_bit_identical_to_the_clean_run() {
             // exactly.
             let labels: Vec<JobOutcome> = outputs.iter().map(|o| o.outcome).collect();
             for workers in [1, 2] {
-                let again = Fleet::new(workers).run_with(job_set(&program), &policy);
+                let again = Fleet::new(workers).run_ganged_with(job_set(&program), 1, &policy);
                 let again_labels: Vec<JobOutcome> = again.iter().map(|o| o.outcome).collect();
                 assert_eq!(
                     labels, again_labels,
@@ -204,7 +204,9 @@ fn explore_stays_deterministic_when_children_are_killed() {
         stimulus: Vec::new(),
     };
 
-    let clean = fleet.explore(&stimulus, &cfg).unwrap();
+    let clean = fleet
+        .explore(&stimulus, &cfg, &BatchPolicy::default())
+        .unwrap();
     assert_eq!(clean.killed, 0, "clean exploration kills nothing");
 
     // Child ordinals count round by round in frontier order: round 1 is
@@ -217,8 +219,8 @@ fn explore_stays_deterministic_when_children_are_killed() {
             .stall_at(2, 1, 1),
         ..BatchPolicy::default()
     };
-    let a = fleet.explore_with(&stimulus, &cfg, &policy).unwrap();
-    let b = fleet.explore_with(&stimulus, &cfg, &policy).unwrap();
+    let a = fleet.explore(&stimulus, &cfg, &policy).unwrap();
+    let b = fleet.explore(&stimulus, &cfg, &policy).unwrap();
 
     assert_eq!(
         a.killed, lanes as u64,

@@ -16,7 +16,7 @@ use manticore::isa::MachineConfig;
 use manticore::machine::Machine;
 use manticore::util::SmallRng;
 use manticore::workloads;
-use manticore_fleet::{Fleet, JobOutput, SimJob};
+use manticore_fleet::{BatchPolicy, Fleet, JobOutput, SimJob};
 
 const GRID: usize = 6;
 const VCYCLES: u64 = 30;
@@ -91,7 +91,7 @@ fn fleet_jobs_are_bit_identical_to_alone_runs() {
             alone.push(solo);
         }
 
-        let runs = fleet.run(jobs);
+        let runs = fleet.run_ganged(jobs, 1);
         assert_eq!(runs.len(), alone.len());
         for ((vi, run), solo) in runs.into_iter().enumerate().zip(alone.iter_mut()) {
             let what = format!("{wname} variant {vi}");
@@ -197,7 +197,11 @@ fn fleet_results_independent_of_worker_count_and_submission_order() {
     let natural: Vec<usize> = (0..n_jobs).collect();
 
     // Reference: one worker, natural order.
-    let reference = Fleet::new(1).run(machine_job_set(&program, &natural));
+    let reference = Fleet::new(1).run_ganged_with(
+        machine_job_set(&program, &natural),
+        1,
+        &BatchPolicy::default(),
+    );
     let ref_fps: Vec<Vec<u64>> = reference.iter().map(|o| fingerprint(o, rf, GRID)).collect();
     for (i, o) in reference.iter().enumerate() {
         assert_eq!(o.index, i, "reference collection order");
@@ -206,7 +210,11 @@ fn fleet_results_independent_of_worker_count_and_submission_order() {
 
     // Same set across worker counts: identical outputs, identical order.
     for workers in [2, 4] {
-        let outputs = Fleet::new(workers).run(machine_job_set(&program, &natural));
+        let outputs = Fleet::new(workers).run_ganged_with(
+            machine_job_set(&program, &natural),
+            1,
+            &BatchPolicy::default(),
+        );
         for (i, o) in outputs.iter().enumerate() {
             assert_eq!(o.index, i, "{workers} workers: collection order");
             assert_eq!(
@@ -226,7 +234,11 @@ fn fleet_results_independent_of_worker_count_and_submission_order() {
         for i in (1..shuffled.len()).rev() {
             shuffled.swap(i, rng.gen_range(0..i + 1));
         }
-        let outputs = Fleet::new(3).run(machine_job_set(&program, &shuffled));
+        let outputs = Fleet::new(3).run_ganged_with(
+            machine_job_set(&program, &shuffled),
+            1,
+            &BatchPolicy::default(),
+        );
         for (slot, o) in outputs.iter().enumerate() {
             assert_eq!(o.index, slot, "round {round}: collection order");
             assert_eq!(
@@ -282,7 +294,11 @@ fn resumed_job_pokes_land_before_the_first_resumed_vcycle() {
 
     // Segment 1: three Vcycles of counting. The Vcycle-3 increment (to 3)
     // is still in flight when the job returns.
-    let first = fleet.run(vec![SimJob::new(&program, 3).strict_hazards(false)]);
+    let first = fleet.run_ganged_with(
+        vec![SimJob::new(&program, 3).strict_hazards(false)],
+        1,
+        &BatchPolicy::default(),
+    );
     let machine = first.into_iter().next().unwrap().into_machine();
     assert_eq!(
         machine.read_reg(core, Reg(1)),
@@ -293,16 +309,24 @@ fn resumed_job_pokes_land_before_the_first_resumed_vcycle() {
     // Segment 2: resume with a poke. The poke must override the in-flight
     // write too — the broken behavior committed the stale 3 over the 100
     // and finished at 7 instead of 104.
-    let resumed = fleet.run(vec![SimJob::resume(machine, 4)
-        .poke(core, Reg(1), 100)
-        .strict_hazards(false)]);
+    let resumed = fleet.run_ganged_with(
+        vec![SimJob::resume(machine, 4)
+            .poke(core, Reg(1), 100)
+            .strict_hazards(false)],
+        1,
+        &BatchPolicy::default(),
+    );
     let resumed_r1 = resumed[0].machine().read_reg(core, Reg(1));
 
     // Reference: the same poke on a *fresh* job, run for the same number
     // of Vcycles — the semantics resumed jobs must match.
-    let fresh = fleet.run(vec![SimJob::new(&program, 4)
-        .poke(core, Reg(1), 100)
-        .strict_hazards(false)]);
+    let fresh = fleet.run_ganged_with(
+        vec![SimJob::new(&program, 4)
+            .poke(core, Reg(1), 100)
+            .strict_hazards(false)],
+        1,
+        &BatchPolicy::default(),
+    );
     let fresh_r1 = fresh[0].machine().read_reg(core, Reg(1));
 
     assert_eq!(fresh_r1, 104, "fresh-job poke semantics");
@@ -313,7 +337,11 @@ fn resumed_job_pokes_land_before_the_first_resumed_vcycle() {
 
     // Same contract through the gang fork path: pokes planted on forked
     // lanes override in-flight state from before the fork.
-    let root = fleet.run(vec![SimJob::new(&program, 3).strict_hazards(false)]);
+    let root = fleet.run_ganged_with(
+        vec![SimJob::new(&program, 3).strict_hazards(false)],
+        1,
+        &BatchPolicy::default(),
+    );
     let cp = root[0].machine().checkpoint();
     let mut gang = cp.fork(2).unwrap();
     gang.poke_reg(1, core, Reg(1), 100);

@@ -102,7 +102,10 @@ fn submit_netlist(id: u64, netlist: Value, vcycles: u64, park: bool) -> Request 
 /// Ground truth at the wire path's grid: a direct in-process run.
 fn direct_wire_run(netlist: &Netlist, vcycles: u64) -> (String, u64) {
     let fleet = FleetSim::compile(netlist, MachineConfig::with_grid(4, 4), 2).expect("compiles");
-    let run = fleet.run(vec![fleet.job(vcycles)]).pop().expect("one run");
+    let run = fleet
+        .run_ganged(vec![fleet.job(vcycles)], 1)
+        .pop()
+        .expect("one run");
     assert!(run.result.is_ok());
     let fingerprint = format!("{:#018x}", run.sim().machine().state_fingerprint());
     let value = run
@@ -523,7 +526,7 @@ fn recovered_sessions_resume_bit_identically_under_their_original_ids() {
     )
     .unwrap();
     let job = fleet.job(100).with_reg("step", 3).unwrap();
-    let run = fleet.run(vec![job]).pop().unwrap();
+    let run = fleet.run_ganged(vec![job], 1).pop().unwrap();
     let want_fp = format!("{:#018x}", run.sim().machine().state_fingerprint());
     assert_eq!(
         continued.fingerprint, want_fp,

@@ -72,7 +72,7 @@ fn direct_run(design: &str, vcycles: u64, pokes: &[(&str, u64)], read: &str) -> 
     for (name, value) in pokes {
         job = job.with_reg(name, *value).expect("known register");
     }
-    let run = fleet.run(vec![job]).pop().expect("one run");
+    let run = fleet.run_ganged(vec![job], 1).pop().expect("one run");
     assert!(run.result.is_ok());
     let fingerprint = format!("{:#018x}", run.sim().machine().state_fingerprint());
     let value = run.sim().read_rtl_reg_by_name(read).expect("reg").to_u64();
