@@ -360,9 +360,11 @@ pub fn backends(
     // coverage it adds is the dispatch/steal path itself, which a second
     // row would merely repeat.
     let fleet = crate::fleet::FleetBackend::new(&program, output.clone(), threads);
-    // One gang row: the ganged inner loop plus the per-lane validation
-    // Vcycle. (The post-interleave gather/scatter fallback needs a knob
-    // change mid-run, which the machine crate's unit tests drive.)
+    // One gang row: the lane-major strict kernel plus the validation
+    // Vcycle, which steps each lane on the solo engine. (The same
+    // per-lane fallback runs every permissive, interpreter or disarmed
+    // Vcycle; the machine crate's unit tests and the gang equivalence
+    // suite drive those knobs.)
     let gang = crate::fleet::GangBackend::new(&program, output, threads);
     Ok(vec![
         Box::new(serial_machine),

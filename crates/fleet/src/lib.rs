@@ -1077,20 +1077,18 @@ impl Fleet {
             // errors) is recorded as lost, not resultless.
             let n = gangs.len();
             let vcycles = cfg.vcycles_per_round.max(1);
-            enum GangSlot {
-                Done(GangMachine, Vec<Result<RunOutcome, MachineError>>),
-                Lost,
-            }
             report.rounds_run += 1;
             let mut raisers: Vec<Checkpoint> = Vec::new();
             let mut pad: Vec<Checkpoint> = Vec::new();
             let faults = Arc::clone(&faults);
-            // Runs gang `i` of the round, containing an injected panic.
+            // Runs gang `i` of the round, containing an injected panic:
+            // `None` marks a lost gang.
+            type GangSlot = Option<(GangMachine, Vec<Result<RunOutcome, MachineError>>)>;
             let run_gang: Work<(usize, GangMachine), (usize, GangSlot)> =
                 Arc::new(move |(i, mut gang), sink| {
                     if faults.is_empty() {
                         let results = gang.run_vcycles(vcycles);
-                        return sink((i, GangSlot::Done(gang, results)));
+                        return sink((i, Some((gang, results))));
                     }
                     // Children of gang i are ordinals round_base + i*lanes + lane.
                     let base = round_base + i * lanes;
@@ -1099,8 +1097,7 @@ impl Fleet {
                         let results = run_gang_with_faults(&mut gang, vcycles, &lane_jobs, &faults);
                         (gang, results)
                     })
-                    .map(|(gang, results)| GangSlot::Done(gang, results))
-                    .unwrap_or(GangSlot::Lost);
+                    .ok();
                     sink((i, slot));
                 });
 
@@ -1116,12 +1113,9 @@ impl Fleet {
                 pending.insert(i, slot);
                 while let Some(slot) = pending.remove(&next_gang) {
                     next_gang += 1;
-                    let (gang, results) = match slot {
-                        GangSlot::Done(gang, results) => (gang, results),
-                        GangSlot::Lost => {
-                            report.killed += lanes as u64;
-                            continue;
-                        }
+                    let Some((gang, results)) = slot else {
+                        report.killed += lanes as u64;
+                        continue;
                     };
                     for (machine, result) in gang.into_machines().into_iter().zip(results) {
                         report.scenarios += 1;

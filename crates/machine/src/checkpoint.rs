@@ -117,8 +117,8 @@ impl Checkpoint {
 
     /// Explodes this snapshot into a `lanes`-wide [`GangMachine`] of
     /// initially identical children. Diverge them with per-lane
-    /// [`GangMachine::poke_reg`] stimulus before resuming; the gang enters
-    /// the lockstep replay path directly (the checkpoint's completed
+    /// [`GangMachine::poke_reg`] stimulus before resuming; a strict gang
+    /// enters the lockstep kernel directly (the checkpoint's completed
     /// validation carries over with its Vcycle count).
     ///
     /// # Errors

@@ -21,22 +21,25 @@
 //! and applied across all K lanes over a contiguous slab. Dispatch cost
 //! per scenario drops by ~K while the data cost stays what it was.
 //!
-//! **Two phases.** Lanes start as plain solo [`Machine`]s (contiguous
-//! per-run state): the validation Vcycle, unreplayable programs, and
-//! disabled replay all execute there, through the one true solo engine
-//! ([`Machine::step_vcycle`]) with zero copying. The
-//! validation Vcycle runs only until some run has proven the program's
-//! schedule ([`CompiledProgram::schedule_proven`]): the first lane to
-//! validate proves it for its siblings and for every later gang. The
-//! first time the ganged fast path becomes eligible (replay armed,
-//! schedule proven), the register files are transposed once into the
-//! lane-major layout as single sequential passes. The solo machines stay
+//! **One layout, one kernel.** The constructors boot one plain solo
+//! [`Machine`] per lane and transpose the register files once into the
+//! lane-major layout (single sequential passes). The machines stay
 //! around as *shells*: they keep owning each lane's NoC, cache, counters,
 //! host events, and scratchpad lanes (scratch accesses are data-dependent
-//! per-lane gathers a lane stride cannot batch, so transposing mostly-cold
-//! scratch would only burn the short-run budgets gangs accelerate), so
-//! falling back to the solo engine after a knob change and unbundling the
-//! gang at the end allocate nothing.
+//! per-lane gathers a lane stride cannot batch, so transposing
+//! mostly-cold scratch would only burn the short-run budgets gangs
+//! accelerate), so the solo fallback and unbundling the gang at the end
+//! allocate nothing. The ganged kernel is the strict direct-commit
+//! micro-op loop, and it runs exactly when a solo run would replay a
+//! strict Vcycle ([`replays_next_vcycle`] with strict hazards). Every
+//! other Vcycle (the validation Vcycle of an unproven program, disabled
+//! replay, permissive hazards, a strict program with a static
+//! cross-Vcycle hazard, strictness re-armed mid-run) steps each running
+//! lane on the solo engine ([`Machine::step_vcycle`], the one reference
+//! semantics): gather the lane into its shell, step it, scatter it back.
+//! The first lane to validate proves the program's schedule
+//! ([`CompiledProgram::schedule_proven`]) for its siblings and for every
+//! later gang.
 //!
 //! What is shared and what is per-lane:
 //!
@@ -86,10 +89,18 @@ enum LaneStatus {
     Faulted(MachineError),
 }
 
-/// The lane-major half of a gang that has left the solo phase. See the
-/// module docs for the layout and the shell arrangement.
+/// The most lanes one gang can hold. Past this width the lane-major
+/// working set stops paying for itself (and the fleet's `run_ganged`
+/// simply opens another gang), so wider requests clamp here.
+pub const MAX_LANES: usize = 64;
+
+/// K independent runs of one shared [`CompiledProgram`], executed in
+/// lockstep. See the module docs for the layout, the solo fallback, and
+/// the bit-identity contract.
 #[derive(Debug)]
-struct GangState {
+pub struct GangMachine {
+    program: Arc<CompiledProgram>,
+    lanes: usize,
     /// Lane-major SoA register file: `(core * regfile_size + reg) * lanes
     /// + lane`. Low 16 bits value, bit 16 the carry bit, as in
     /// [`Machine`].
@@ -97,42 +108,16 @@ struct GangState {
     /// Per-core per-lane run state (pipeline ring, predicate, epilogue
     /// slots): `core * lanes + lane`.
     cores: Vec<CoreState>,
-    /// One solo machine shell per lane. Live through the ganged phase:
-    /// NoC, cache, counters, compute time, host events, and the
-    /// **scratchpad** (the ganged loop updates them all in place — the
-    /// scratchpad stays per-lane-contiguous because its accesses are
-    /// data-dependent per-lane gathers that a lane stride cannot batch,
-    /// and transposing megabytes of mostly-cold scratch would dominate
-    /// short gang runs). The shells' `regs` arrays hold stale copies that
-    /// double as allocation-free staging for the solo fallback and for
-    /// [`GangMachine::into_machines`]; their `cores` vectors are empty
-    /// (the states live lane-major above).
+    /// One solo machine shell per lane: NoC, cache, counters, compute
+    /// time, host events, and the **scratchpad** (the ganged loop updates
+    /// them all in place — the scratchpad stays per-lane-contiguous
+    /// because its accesses are data-dependent per-lane gathers that a
+    /// lane stride cannot batch, and transposing megabytes of mostly-cold
+    /// scratch would dominate short gang runs). The shells' `regs` arrays
+    /// hold stale copies that double as allocation-free staging for the
+    /// solo fallback and for [`GangMachine::into_machines`]; their `cores`
+    /// vectors are empty (the states live lane-major above).
     shells: Vec<Machine>,
-}
-
-/// Where the per-lane state currently lives.
-#[derive(Debug)]
-enum LaneState {
-    /// Pre-gang phase: each lane is a plain solo machine. Cheap to boot,
-    /// and every non-ganged engine path runs here copy-free.
-    Solo(Vec<Machine>),
-    /// Lane-major phase: the ganged inner loop owns the hot state.
-    Ganged(Box<GangState>),
-}
-
-/// The most lanes one gang can hold. Past this width the lane-major
-/// working set stops paying for itself (and the fleet's `run_ganged`
-/// simply opens another gang), so wider requests clamp here.
-pub const MAX_LANES: usize = 64;
-
-/// K independent runs of one shared [`CompiledProgram`], executed in
-/// lockstep. See the module docs for the layout, the two phases, and the
-/// bit-identity contract.
-#[derive(Debug)]
-pub struct GangMachine {
-    program: Arc<CompiledProgram>,
-    lanes: usize,
-    state: LaneState,
     lane_status: Vec<LaneStatus>,
     strict_hazards: bool,
     replay_enabled: bool,
@@ -150,6 +135,24 @@ pub struct GangMachine {
     send_vals: Vec<u16>,
 }
 
+/// Runs `$body` once per running lane. The common case — no lane parked —
+/// iterates the dense `0..lanes` range (vectorizable, no index
+/// indirection); the masked case walks the active-lane list.
+macro_rules! for_lanes {
+    ($all:expr, $vc:expr, $lanes:expr, $l:ident, $body:block) => {
+        if $all {
+            for $l in 0..$lanes {
+                $body
+            }
+        } else {
+            for &__li in $vc.iter() {
+                let $l = __li as usize;
+                $body
+            }
+        }
+    };
+}
+
 impl GangMachine {
     /// Boots `lanes` fresh runs of an already-frozen program (clamped to
     /// `1..=`[`MAX_LANES`]). Like [`Machine::from_program`] this is
@@ -160,19 +163,14 @@ impl GangMachine {
         let machines = (0..lanes)
             .map(|_| Machine::from_program(Arc::clone(&program)))
             .collect();
-        GangMachine {
-            lanes,
-            state: LaneState::Solo(machines),
-            lane_status: vec![LaneStatus::Running; lanes],
-            strict_hazards: Machine::DEFAULT_STRICT_HAZARDS,
-            replay_enabled: Machine::DEFAULT_REPLAY,
-            tape_invalidated: false,
-            cancel: None,
-            deadline: None,
-            vc_active: Vec::with_capacity(lanes),
-            send_vals: Vec::new(),
+        GangMachine::from_shells(
             program,
-        }
+            machines,
+            LaneStatus::Running,
+            Machine::DEFAULT_STRICT_HAZARDS,
+            Machine::DEFAULT_REPLAY,
+            false,
+        )
     }
 
     /// Explodes a [`Checkpoint`] into a `lanes`-wide gang of initially
@@ -191,25 +189,69 @@ impl GangMachine {
         if lanes == 0 || lanes > MAX_LANES {
             return Err(MachineError::ForkWidth { requested: lanes });
         }
-        let machines: Vec<Machine> = (0..lanes).map(|_| cp.boot()).collect();
+        let machines = (0..lanes).map(|_| cp.boot()).collect();
         let status = match cp.fault() {
             Some(e) => LaneStatus::Faulted(e.clone()),
             None if cp.finish_requested => LaneStatus::Finished,
             None => LaneStatus::Running,
         };
-        Ok(GangMachine {
+        Ok(GangMachine::from_shells(
+            Arc::clone(&cp.program),
+            machines,
+            status,
+            cp.strict_hazards,
+            cp.replay_enabled,
+            cp.tape_invalidated,
+        ))
+    }
+
+    /// Transposes booted solo machines' register files and core states
+    /// into the lane-major layout — single sequential passes, paid once
+    /// per gang. The machines stay behind as shells, which keep owning
+    /// the scratchpads (deliberately never transposed; see the module
+    /// docs and [`GangMachine::shells`]).
+    fn from_shells(
+        program: Arc<CompiledProgram>,
+        mut shells: Vec<Machine>,
+        status: LaneStatus,
+        strict_hazards: bool,
+        replay_enabled: bool,
+        tape_invalidated: bool,
+    ) -> GangMachine {
+        let lanes = shells.len();
+        let n = program.cores.len();
+        let rf = program.config.regfile_size;
+        let mut regs = Vec::with_capacity(n * rf * lanes);
+        for i in 0..n * rf {
+            for m in &shells {
+                regs.push(m.regs[i]);
+            }
+        }
+        let mut per_lane_cores: Vec<std::vec::IntoIter<CoreState>> = shells
+            .iter_mut()
+            .map(|m| std::mem::take(&mut m.cores).into_iter())
+            .collect();
+        let mut cores = Vec::with_capacity(n * lanes);
+        for _c in 0..n {
+            for it in per_lane_cores.iter_mut() {
+                cores.push(it.next().expect("cores sized n"));
+            }
+        }
+        GangMachine {
+            program,
             lanes,
-            state: LaneState::Solo(machines),
+            regs,
+            cores,
+            shells,
             lane_status: vec![status; lanes],
-            strict_hazards: cp.strict_hazards,
-            replay_enabled: cp.replay_enabled,
-            tape_invalidated: cp.tape_invalidated,
+            strict_hazards,
+            replay_enabled,
+            tape_invalidated,
             cancel: None,
             deadline: None,
             vc_active: Vec::with_capacity(lanes),
             send_vals: Vec::new(),
-            program: Arc::clone(&cp.program),
-        })
+        }
     }
 
     /// The number of lanes (independent scenarios) in this gang.
@@ -239,21 +281,11 @@ impl GangMachine {
             self.tape_invalidated = true;
         }
         self.strict_hazards = strict;
-        if let LaneState::Solo(machines) = &mut self.state {
-            for m in machines {
-                m.set_strict_hazards(strict);
-            }
-        }
     }
 
     /// Gang-wide replay enable; see [`Machine::set_replay`].
     pub fn set_replay(&mut self, enabled: bool) {
         self.replay_enabled = enabled;
-        if let LaneState::Solo(machines) = &mut self.state {
-            for m in machines {
-                m.set_replay(enabled);
-            }
-        }
     }
 
     /// Installs (or clears) the cooperative cancellation token the gang
@@ -289,7 +321,8 @@ impl GangMachine {
         if displays.is_empty() {
             return;
         }
-        self.lane_events_mut(lane)
+        self.shells[lane]
+            .events
             .splice(0..0, displays.into_iter().map(HostEvent::Display));
     }
 
@@ -307,43 +340,29 @@ impl GangMachine {
     /// Overwrites one lane's architectural register — the per-lane input
     /// vector, exactly [`Machine::poke_reg`] scoped to a lane.
     pub fn poke_reg(&mut self, lane: usize, core: CoreId, reg: Reg, value: u16) {
-        match &mut self.state {
-            LaneState::Solo(machines) => machines[lane].poke_reg(core, reg, value),
-            LaneState::Ganged(gs) => {
-                let config = &self.program.config;
-                let idx = core.linear(config.grid_width);
-                gs.regs[(idx * config.regfile_size + reg.index()) * self.lanes + lane] =
-                    value as u32;
-                // Same pending-write override as the solo path: a resumed
-                // lane may carry a write to this register across the
-                // Vcycle boundary in its pipeline ring.
-                gs.cores[idx * self.lanes + lane].override_pending(reg.0, value);
-            }
-        }
+        let config = &self.program.config;
+        let idx = core.linear(config.grid_width);
+        self.regs[(idx * config.regfile_size + reg.index()) * self.lanes + lane] = value as u32;
+        // Same pending-write override as the solo path: a resumed lane may
+        // carry a write to this register across the Vcycle boundary in its
+        // pipeline ring.
+        self.cores[idx * self.lanes + lane].override_pending(reg.0, value);
     }
 
     /// Reads a register of one lane as the host sees it at a Vcycle
     /// boundary (in-flight writes applied) — [`Machine::read_reg`] per
     /// lane.
     pub fn read_reg(&self, lane: usize, core: CoreId, reg: Reg) -> u16 {
-        match &self.state {
-            LaneState::Solo(machines) => machines[lane].read_reg(core, reg),
-            LaneState::Ganged(gs) => {
-                let config = &self.program.config;
-                let idx = core.linear(config.grid_width);
-                let word = gs.regs[(idx * config.regfile_size + reg.index()) * self.lanes + lane];
-                gs.cores[idx * self.lanes + lane].reg_value_flushed_word(word, reg.index())
-            }
-        }
+        let config = &self.program.config;
+        let idx = core.linear(config.grid_width);
+        let word = self.regs[(idx * config.regfile_size + reg.index()) * self.lanes + lane];
+        self.cores[idx * self.lanes + lane].reg_value_flushed_word(word, reg.index())
     }
 
-    /// Reads a scratchpad word of one lane.
+    /// Reads a scratchpad word of one lane (the scratchpad lives in the
+    /// lane's shell).
     pub fn read_scratch(&self, lane: usize, core: CoreId, addr: usize) -> u16 {
-        match &self.state {
-            LaneState::Solo(machines) => machines[lane].read_scratch(core, addr),
-            // The scratchpad lives in the shell through the ganged phase.
-            LaneState::Ganged(gs) => gs.shells[lane].read_scratch(core, addr),
-        }
+        self.shells[lane].read_scratch(core, addr)
     }
 
     /// Snapshots one lane as a [`Checkpoint`] — the frontier-harvesting
@@ -353,81 +372,54 @@ impl GangMachine {
     /// ([`Checkpoint::fault`]), so forking a faulted frontier entry
     /// faithfully reproduces parked children.
     pub fn checkpoint_lane(&self, lane: usize) -> Checkpoint {
-        let fault = match &self.lane_status[lane] {
-            LaneStatus::Faulted(e) => Some(e.clone()),
-            _ => None,
-        };
-        let finished = matches!(self.lane_status[lane], LaneStatus::Finished);
-        let mut cp = match &self.state {
-            LaneState::Solo(machines) => machines[lane].checkpoint(),
-            LaneState::Ganged(gs) => {
-                let n = self.program.cores.len();
-                let rf = self.program.config.regfile_size;
-                let lanes = self.lanes;
-                let shell = &gs.shells[lane];
-                // Gather the lane out of the lane-major arrays; everything
-                // else (NoC, cache, counters, scratchpad, events) lives in
-                // the shell, which the ganged loop keeps current.
-                let mut regs = Vec::with_capacity(n * rf);
-                for i in 0..n * rf {
-                    regs.push(gs.regs[i * lanes + lane]);
-                }
-                let cores = (0..n).map(|c| gs.cores[c * lanes + lane].clone()).collect();
-                Checkpoint {
-                    program: Arc::clone(&self.program),
-                    cores,
-                    regs,
-                    scratch: shell.scratch.clone(),
-                    noc: shell.noc.clone(),
-                    cache: shell.cache.clone(),
-                    compute_time: shell.compute_time,
-                    counters: shell.counters,
-                    strict_hazards: self.strict_hazards,
-                    finish_requested: false,
-                    events: shell.events.clone(),
-                    replay_enabled: self.replay_enabled,
-                    tape_invalidated: self.tape_invalidated,
-                    fault: None,
-                }
-            }
-        };
-        // Solo-phase machines may carry stale per-lane knobs; the gang's
-        // current settings are authoritative (`into_machines` applies the
-        // same rule), and the lane's park status travels with the
-        // snapshot.
-        cp.strict_hazards = self.strict_hazards;
-        cp.replay_enabled = self.replay_enabled;
-        cp.tape_invalidated = self.tape_invalidated;
-        cp.finish_requested = finished || cp.finish_requested;
-        cp.fault = fault;
-        cp
+        let n = self.program.cores.len();
+        let rf = self.program.config.regfile_size;
+        let lanes = self.lanes;
+        let shell = &self.shells[lane];
+        // Gather the lane out of the lane-major arrays; everything else
+        // (NoC, cache, counters, scratchpad, events) lives in the shell,
+        // which the ganged loop keeps current.
+        let regs = (0..n * rf).map(|i| self.regs[i * lanes + lane]).collect();
+        let cores = (0..n)
+            .map(|c| self.cores[c * lanes + lane].clone())
+            .collect();
+        Checkpoint {
+            program: Arc::clone(&self.program),
+            cores,
+            regs,
+            scratch: shell.scratch.clone(),
+            noc: shell.noc.clone(),
+            cache: shell.cache.clone(),
+            compute_time: shell.compute_time,
+            counters: shell.counters,
+            strict_hazards: self.strict_hazards,
+            finish_requested: matches!(self.lane_status[lane], LaneStatus::Finished),
+            events: shell.events.clone(),
+            replay_enabled: self.replay_enabled,
+            tape_invalidated: self.tape_invalidated,
+            fault: match &self.lane_status[lane] {
+                LaneStatus::Faulted(e) => Some(e.clone()),
+                _ => None,
+            },
+        }
     }
 
     /// One lane's performance counters (frozen at its fault or finish).
     pub fn counters(&self, lane: usize) -> PerfCounters {
-        match &self.state {
-            LaneState::Solo(machines) => machines[lane].counters(),
-            LaneState::Ganged(gs) => gs.shells[lane].counters,
-        }
+        self.shells[lane].counters
     }
 
     /// Drains `$display` lines a lane queued before a failure — the
     /// per-lane [`Machine::drain_pending_displays`].
     pub fn drain_pending_displays(&mut self, lane: usize) -> Vec<String> {
-        self.lane_events_mut(lane)
+        self.shells[lane]
+            .events
             .drain(..)
             .filter_map(|ev| match ev {
                 HostEvent::Display(s) => Some(s),
                 HostEvent::Finish => None,
             })
             .collect()
-    }
-
-    fn lane_events_mut(&mut self, lane: usize) -> &mut Vec<HostEvent> {
-        match &mut self.state {
-            LaneState::Solo(machines) => &mut machines[lane].events,
-            LaneState::Ganged(gs) => &mut gs.shells[lane].events,
-        }
     }
 
     /// Runs up to `max_vcycles` Vcycles on every running lane, in
@@ -477,29 +469,20 @@ impl GangMachine {
                 }
                 break;
             }
-            if self.gang_replay_ready() {
-                if matches!(self.state, LaneState::Solo(_)) {
-                    self.interleave();
-                }
+            if self.gang_kernel_ready() {
                 self.run_one_vcycle_uops_gang();
             } else {
-                // Validation Vcycle, unreplayable program, disabled or
-                // disarmed replay: step each lane through the solo engine
-                // (one source of truth for those paths). In the solo phase
-                // that is copy-free; after the gang has interleaved it
-                // gathers/scatters the lane through its shell. The first
-                // lane to validate proves the schedule for the whole
-                // program, so its siblings start on the micro-op engine
-                // (see `Machine::step_vcycle`).
+                // Every other Vcycle — validation, disabled replay,
+                // permissive hazards, a static cross-Vcycle hazard,
+                // strictness re-armed — steps each lane on the solo
+                // engine. The first lane to validate proves the schedule
+                // for the whole program, so its siblings start on the
+                // micro-op engine (see `Machine::step_vcycle`).
                 for l in 0..lanes {
                     if !matches!(self.lane_status[l], LaneStatus::Running) {
                         continue;
                     }
-                    let res = match &mut self.state {
-                        LaneState::Solo(machines) => machines[l].step_vcycle(),
-                        LaneState::Ganged(_) => self.step_lane_solo_ganged(l),
-                    };
-                    if let Err(e) = res {
+                    if let Err(e) = self.step_lane_solo(l) {
                         self.lane_status[l] = LaneStatus::Faulted(e);
                     }
                 }
@@ -510,7 +493,7 @@ impl GangMachine {
                 match &self.lane_status[l] {
                     LaneStatus::Running => {
                         outcomes[l].vcycles_run += 1;
-                        for ev in self.lane_events_mut(l).drain(..) {
+                        for ev in self.shells[l].events.drain(..) {
                             match ev {
                                 HostEvent::Display(s) => outcomes[l].displays.push(s),
                                 HostEvent::Finish => outcomes[l].finished = true,
@@ -527,7 +510,8 @@ impl GangMachine {
                         // via `drain_pending_displays`.
                         let displays = std::mem::take(&mut outcomes[l].displays);
                         if !displays.is_empty() {
-                            self.lane_events_mut(l)
+                            self.shells[l]
+                                .events
                                 .splice(0..0, displays.into_iter().map(HostEvent::Display));
                         }
                     }
@@ -547,167 +531,124 @@ impl GangMachine {
     /// Unbundles the gang into one solo [`Machine`] per lane — final
     /// registers, counters, pending displays, and resumability all intact.
     /// This is how the fleet turns a finished gang back into ordinary
-    /// per-job outputs. The ganged form transposes back into the retained
+    /// per-job outputs. The lane-major state transposes back into the
     /// shells (sequential streams, no allocation).
     pub fn into_machines(self) -> Vec<Machine> {
-        let lanes = self.lanes;
-        let n = self.program.cores.len();
-        let mut machines: Vec<Machine> = match self.state {
-            LaneState::Solo(machines) => machines,
-            LaneState::Ganged(gs) => {
-                let mut gs = *gs;
-                for (i, chunk) in gs.regs.chunks_exact(lanes).enumerate() {
-                    for (lane, &word) in chunk.iter().enumerate() {
-                        gs.shells[lane].regs[i] = word;
-                    }
-                }
-                let mut it = gs.cores.into_iter();
-                for _c in 0..n {
-                    for shell in gs.shells.iter_mut() {
-                        shell.cores.push(it.next().expect("cores sized n*lanes"));
-                    }
-                }
-                gs.shells
+        let GangMachine {
+            regs,
+            cores,
+            mut shells,
+            lane_status,
+            strict_hazards,
+            replay_enabled,
+            tape_invalidated,
+            lanes,
+            ..
+        } = self;
+        for (i, chunk) in regs.chunks_exact(lanes).enumerate() {
+            for (shell, &word) in shells.iter_mut().zip(chunk) {
+                shell.regs[i] = word;
             }
-        };
-        for (lane, m) in machines.iter_mut().enumerate() {
-            // Knobs may have changed after the shells were parked; the
-            // unbundled machines must carry the gang's current settings.
-            m.strict_hazards = self.strict_hazards;
-            m.replay_enabled = self.replay_enabled;
-            m.tape_invalidated = self.tape_invalidated;
-            m.finish_requested = matches!(self.lane_status[lane], LaneStatus::Finished);
-            // A parked lane unbundles into a parked machine carrying the
+        }
+        for (cs, lane) in cores.into_iter().zip((0..lanes).cycle()) {
+            shells[lane].cores.push(cs);
+        }
+        for (m, status) in shells.iter_mut().zip(lane_status) {
+            // The unbundled machines carry the gang's current knobs, and
+            // a parked lane unbundles into a parked machine carrying the
             // same fault ([`Machine::fault`]).
-            m.fault = match &self.lane_status[lane] {
-                LaneStatus::Faulted(e) => Some(e.clone()),
+            m.strict_hazards = strict_hazards;
+            m.replay_enabled = replay_enabled;
+            m.tape_invalidated = tape_invalidated;
+            m.finish_requested = matches!(status, LaneStatus::Finished);
+            m.fault = match status {
+                LaneStatus::Faulted(e) => Some(e),
                 _ => None,
             };
         }
-        machines
+        shells
     }
 
-    /// True when the next Vcycle can run the ganged micro-op inner loop:
-    /// the solo engine's choice ([`replays_next_vcycle`]) for the gang's
-    /// knobs. Running lanes are in lockstep, so one lane's Vcycle count
-    /// speaks for all.
-    fn gang_replay_ready(&self) -> bool {
-        (0..self.lanes)
-            .find(|&l| matches!(self.lane_status[l], LaneStatus::Running))
-            .is_some_and(|l| {
-                replays_next_vcycle(&self.program, self.replay_armed(), self.counters(l).vcycles)
-            })
+    /// True when the next Vcycle runs the ganged kernel: the solo engine
+    /// would replay it ([`replays_next_vcycle`] for the gang's knobs) and
+    /// hazards are strict, so every register write commits directly.
+    /// Running lanes are in lockstep, so one lane's Vcycle count speaks
+    /// for all.
+    fn gang_kernel_ready(&self) -> bool {
+        self.strict_hazards
+            && (0..self.lanes)
+                .find(|&l| matches!(self.lane_status[l], LaneStatus::Running))
+                .is_some_and(|l| {
+                    replays_next_vcycle(
+                        &self.program,
+                        self.replay_armed(),
+                        self.shells[l].counters.vcycles,
+                    )
+                })
     }
 
-    /// Transposes the solo-phase machines' register files into the
-    /// lane-major layout — single sequential passes, paid once, when the
-    /// ganged fast path first engages. The machines stay behind as
-    /// shells, which keep owning the scratchpads (deliberately never
-    /// transposed; see the module docs and [`GangState::shells`]).
-    fn interleave(&mut self) {
-        let LaneState::Solo(machines) = &mut self.state else {
-            return;
-        };
-        let mut machines = std::mem::take(machines);
-        let lanes = self.lanes;
-        let config = &self.program.config;
-        let n = self.program.cores.len();
-        let rf = config.regfile_size;
-
-        let mut regs = Vec::with_capacity(n * rf * lanes);
-        for i in 0..n * rf {
-            for m in &machines {
-                regs.push(m.regs[i]);
-            }
-        }
-        let mut per_lane_cores: Vec<std::vec::IntoIter<CoreState>> = machines
-            .iter_mut()
-            .map(|m| std::mem::take(&mut m.cores).into_iter())
-            .collect();
-        let mut cores = Vec::with_capacity(n * lanes);
-        for _c in 0..n {
-            for it in per_lane_cores.iter_mut() {
-                cores.push(it.next().expect("cores sized n"));
-            }
-        }
-        self.state = LaneState::Ganged(Box::new(GangState {
-            regs,
-            cores,
-            shells: machines,
-        }));
-    }
-
-    /// Post-interleave solo fallback: gathers one lane into its shell,
-    /// steps the shell one Vcycle on the solo engine, and scatters the
-    /// state back into the lane-major arrays. Only reached when a knob
-    /// change after ganged Vcycles ran (replay disabled, or strictness
-    /// re-armed after a permissive start) forces a ganged lane back onto
-    /// the solo engine.
-    fn step_lane_solo_ganged(&mut self, lane: usize) -> Result<(), MachineError> {
-        let LaneState::Ganged(gs) = &mut self.state else {
-            unreachable!("step_lane_solo_ganged is a ganged-phase operation")
-        };
+    /// The solo fallback: gathers one lane into its shell, steps the shell
+    /// one Vcycle on the solo engine, and scatters the state back into the
+    /// lane-major arrays.
+    fn step_lane_solo(&mut self, lane: usize) -> Result<(), MachineError> {
         let lanes = self.lanes;
         let n = self.program.cores.len();
-        let shell = &mut gs.shells[lane];
+        let shell = &mut self.shells[lane];
         shell.strict_hazards = self.strict_hazards;
         shell.replay_enabled = self.replay_enabled;
         shell.tape_invalidated = self.tape_invalidated;
         for (i, r) in shell.regs.iter_mut().enumerate() {
-            *r = gs.regs[i * lanes + lane];
+            *r = self.regs[i * lanes + lane];
         }
         debug_assert!(shell.cores.is_empty());
         for c in 0..n {
             shell.cores.push(std::mem::replace(
-                &mut gs.cores[c * lanes + lane],
+                &mut self.cores[c * lanes + lane],
                 CoreState::new(0, 0, 0),
             ));
         }
         let res = shell.step_vcycle();
         for (i, &r) in shell.regs.iter().enumerate() {
-            gs.regs[i * lanes + lane] = r;
+            self.regs[i * lanes + lane] = r;
         }
         for (c, cs) in shell.cores.drain(..).enumerate() {
-            gs.cores[c * lanes + lane] = cs;
+            self.cores[c * lanes + lane] = cs;
         }
         res
     }
 
     /// One ganged Vcycle on the fused micro-op stream: fetch/decode each
-    /// op once, apply it across every running lane, then replay the frozen
-    /// delivery schedule lane by lane. Phase structure and per-lane
-    /// architectural effects mirror [`Machine`]'s `run_one_vcycle_uops`
-    /// exactly — a lane that faults parks with the state and counters a
-    /// solo run would have had at the same abort point.
+    /// op once, apply it across every running lane with direct commits,
+    /// then the pre-resolved epilogue write list. Phase structure and
+    /// per-lane architectural effects mirror [`Machine`]'s strict
+    /// `run_one_vcycle_uops` exactly — a lane that faults parks with the
+    /// state and counters a solo run would have had at the same abort
+    /// point.
     fn run_one_vcycle_uops_gang(&mut self) {
         let GangMachine {
             program,
             lanes,
-            state,
+            regs,
+            cores,
+            shells,
             lane_status,
-            strict_hazards,
             vc_active,
             send_vals,
             ..
         } = self;
-        let LaneState::Ganged(gs) = state else {
-            unreachable!("the ganged Vcycle runs after interleave()")
-        };
         let lanes = *lanes;
         let config = &program.config;
         let rf = config.regfile_size;
         let sw = config.scratch_words;
-        let lat = config.hazard_latency as u64;
         let vcycle_len = program.vcycle_len;
         let tape = program
             .replay_tape
             .as_ref()
-            .expect("gang fast path checked the tape");
+            .expect("gang kernel checked the tape");
         let up = program
             .micro_prog
             .as_ref()
             .expect("micro program exists whenever the tape does");
-        let direct = *strict_hazards;
 
         vc_active.clear();
         for (l, s) in lane_status.iter().enumerate() {
@@ -715,9 +656,7 @@ impl GangMachine {
                 vc_active.push(l as u32);
             }
         }
-        let first = vc_active[0] as usize;
-        let vstart = gs.shells[first].compute_time;
-        let vcycle = gs.shells[first].counters.vcycles;
+        let vcycle = shells[vc_active[0] as usize].counters.vcycles;
 
         send_vals.clear();
         send_vals.resize(tape.sends_per_vcycle * lanes, 0);
@@ -727,28 +666,17 @@ impl GangMachine {
         let mut send_cursor = 0usize;
         for &ci in up.active.iter() {
             let c = ci as usize;
-            let creg = &mut gs.regs[c * rf * lanes..(c + 1) * rf * lanes];
-            // Only cores with a scratchpad lane have scratch micro-ops.
-            let scr_base = program.scratch_range(c).start;
-            let cstates = &mut gs.cores[c * lanes..(c + 1) * lanes];
-            let walk = if direct {
-                gang_core_walk::<true>
-            } else {
-                gang_core_walk::<false>
-            };
-            walk(
+            gang_core_walk(
                 program,
                 c,
                 vcycle,
                 lanes,
                 sw,
-                lat,
-                vstart,
-                creg,
-                scr_base,
-                cstates,
+                &mut regs[c * rf * lanes..(c + 1) * rf * lanes],
+                program.scratch_range(c).start,
+                &mut cores[c * lanes..(c + 1) * lanes],
                 &up.streams[c],
-                &mut gs.shells,
+                shells,
                 lane_status,
                 vc_active,
                 send_vals,
@@ -757,98 +685,39 @@ impl GangMachine {
         }
         debug_assert_eq!(send_cursor, tape.sends_per_vcycle);
 
-        if direct {
-            // Strict mode: delivery and epilogue collapse into the
-            // pre-resolved write list, once per lane.
+        // Delivery and epilogue collapse into the pre-resolved write list,
+        // once per lane.
+        for &l in vc_active.iter() {
+            shells[l as usize].counters.messages_delivered += tape.deliveries.len() as u64;
+        }
+        let all = vc_active.len() == lanes;
+        for e in &up.epi_prog {
+            let base = (e.core as usize * rf + e.rd as usize) * lanes;
+            let sv = e.send_idx as usize * lanes;
+            for_lanes!(all, vc_active, lanes, l, {
+                regs[base + l] = send_vals[sv + l] as u32;
+            });
+        }
+        for &ci in up.active.iter() {
+            let c = ci as usize;
+            let epi = tape.epi_exec[c] as u64;
+            if epi == 0 {
+                continue;
+            }
             for &l in vc_active.iter() {
-                gs.shells[l as usize].counters.messages_delivered += tape.deliveries.len() as u64;
-            }
-            let all = vc_active.len() == lanes;
-            for e in &up.epi_prog {
-                let base = (e.core as usize * rf + e.rd as usize) * lanes;
-                let sv = e.send_idx as usize * lanes;
-                if all {
-                    for l in 0..lanes {
-                        gs.regs[base + l] = send_vals[sv + l] as u32;
-                    }
-                } else {
-                    for &l in vc_active.iter() {
-                        let l = l as usize;
-                        gs.regs[base + l] = send_vals[sv + l] as u32;
-                    }
-                }
-            }
-            for &ci in up.active.iter() {
-                let c = ci as usize;
-                let epi = tape.epi_exec[c] as u64;
-                if epi == 0 {
-                    continue;
-                }
-                for &l in vc_active.iter() {
-                    let l = l as usize;
-                    gs.cores[c * lanes + l].executed += epi;
-                    gs.shells[l].counters.instructions += epi;
-                }
-            }
-        } else {
-            // Permissive mode: frozen delivery schedule into the epilogue
-            // slots, then the validated slot walk through each lane's
-            // pipeline ring — the solo engine's ringed epilogue, per lane.
-            for d in &tape.deliveries {
-                let t = d.target as usize;
-                let sv = d.send_idx as usize * lanes;
-                for &l in vc_active.iter() {
-                    let l = l as usize;
-                    let cs = &mut gs.cores[t * lanes + l];
-                    cs.epilogue[d.slot as usize] = Some((d.rd, send_vals[sv + l]));
-                    cs.received += 1;
-                    gs.shells[l].counters.messages_delivered += 1;
-                }
-            }
-            for (c, prog) in program.cores.iter().enumerate() {
-                let body_len = prog.body.len() as u64;
-                let creg = &mut gs.regs[c * rf * lanes..(c + 1) * rf * lanes];
-                for &l in vc_active.iter() {
-                    let l = l as usize;
-                    let cs = &mut gs.cores[c * lanes + l];
-                    for slot in 0..tape.epi_exec[c] {
-                        let now = vstart + body_len + slot as u64;
-                        cs.commit_due_strided(creg, lanes, l, now);
-                        let (rd, value) = cs.epilogue[slot].expect("validated: every slot fills");
-                        cs.write_reg_idx(now, lat, rd.0, value, false);
-                        cs.executed += 1;
-                        gs.shells[l].counters.instructions += 1;
-                    }
-                    cs.wrap_vcycle();
-                }
+                let l = l as usize;
+                cores[c * lanes + l].executed += epi;
+                shells[l].counters.instructions += epi;
             }
         }
 
         for &l in vc_active.iter() {
-            let shell = &mut gs.shells[l as usize];
+            let shell = &mut shells[l as usize];
             shell.compute_time += vcycle_len;
             shell.counters.compute_cycles += vcycle_len;
             shell.counters.vcycles += 1;
         }
     }
-}
-
-/// Runs `$body` once per running lane. The common case — no lane parked —
-/// iterates the dense `0..lanes` range (vectorizable, no index
-/// indirection); the masked case walks the active-lane list.
-macro_rules! for_lanes {
-    ($all:expr, $vc:expr, $lanes:expr, $l:ident, $body:block) => {
-        if $all {
-            for $l in 0..$lanes {
-                $body
-            }
-        } else {
-            for &__li in $vc.iter() {
-                let $l = __li as usize;
-                $body
-            }
-        }
-    };
 }
 
 /// One ALU operation on two *register words* (value in the low 16 bits,
@@ -896,22 +765,17 @@ pub(crate) fn alu_word(op: AluOp, a: u32, b: u32) -> u32 {
 }
 
 /// The ALU lane loop with the function dispatch hoisted *outside* the
-/// lane loop: each arm monomorphizes `go` on a constant-receiver kernel,
-/// so the innermost loop is branch-free for the common ops — one fetch,
-/// one function select, K lane applications. Direct mode runs the
-/// [`alu_word`] u32 kernels; ringed mode keeps [`AluOp::eval`] and the
-/// pipeline ring.
+/// lane loop: each arm monomorphizes `go` on a constant-receiver
+/// [`alu_word`] kernel, so the innermost loop is branch-free for the
+/// common ops — one fetch, one function select, K lane applications.
 #[inline(always)]
 #[allow(clippy::too_many_arguments)]
-fn alu_lanes<const DIRECT: bool>(
+fn alu_lanes(
     op: AluOp,
     all: bool,
     vc: &[u32],
     lanes: usize,
-    cstates: &mut [CoreState],
     creg: &mut [u32],
-    now: u64,
-    lat: u64,
     rd: u16,
     rs1: u16,
     rs2: u16,
@@ -919,146 +783,85 @@ fn alu_lanes<const DIRECT: bool>(
     let brd = rd as usize * lanes;
     let b1 = rs1 as usize * lanes;
     let b2 = rs2 as usize * lanes;
-    if DIRECT {
-        #[inline(always)]
-        fn go(
-            word: impl Fn(u32, u32) -> u32,
-            all: bool,
-            vc: &[u32],
-            lanes: usize,
-            creg: &mut [u32],
-            brd: usize,
-            b1: usize,
-            b2: usize,
-        ) {
-            if all {
-                // Fixed-width chunks: staging the sources into by-value
-                // arrays breaks the load/store alias through `creg`, so
-                // the chunk body is branch-free straight-line code the
-                // compiler can vectorize.
-                let mut l = 0;
-                while l + 8 <= lanes {
-                    let a: [u32; 8] = creg[b1 + l..b1 + l + 8].try_into().unwrap();
-                    let b: [u32; 8] = creg[b2 + l..b2 + l + 8].try_into().unwrap();
-                    let dst = &mut creg[brd + l..brd + l + 8];
-                    for k in 0..8 {
-                        dst[k] = word(a[k], b[k]);
-                    }
-                    l += 8;
+    #[inline(always)]
+    fn go(
+        word: impl Fn(u32, u32) -> u32,
+        all: bool,
+        vc: &[u32],
+        lanes: usize,
+        creg: &mut [u32],
+        brd: usize,
+        b1: usize,
+        b2: usize,
+    ) {
+        if all {
+            // Fixed-width chunks: staging the sources into by-value arrays
+            // breaks the load/store alias through `creg`, so the chunk body
+            // is branch-free straight-line code the compiler can vectorize.
+            let mut l = 0;
+            while l + 8 <= lanes {
+                let a: [u32; 8] = creg[b1 + l..b1 + l + 8].try_into().unwrap();
+                let b: [u32; 8] = creg[b2 + l..b2 + l + 8].try_into().unwrap();
+                let dst = &mut creg[brd + l..brd + l + 8];
+                for k in 0..8 {
+                    dst[k] = word(a[k], b[k]);
                 }
-                while l < lanes {
-                    let a = creg[b1 + l];
-                    let b = creg[b2 + l];
-                    creg[brd + l] = word(a, b);
-                    l += 1;
-                }
-            } else {
-                for &li in vc.iter() {
-                    let l = li as usize;
-                    let a = creg[b1 + l];
-                    let b = creg[b2 + l];
-                    creg[brd + l] = word(a, b);
-                }
+                l += 8;
+            }
+            while l < lanes {
+                let a = creg[b1 + l];
+                let b = creg[b2 + l];
+                creg[brd + l] = word(a, b);
+                l += 1;
+            }
+        } else {
+            for &li in vc.iter() {
+                let l = li as usize;
+                let a = creg[b1 + l];
+                let b = creg[b2 + l];
+                creg[brd + l] = word(a, b);
             }
         }
-        macro_rules! arm {
-            ($v:ident) => {
-                go(
-                    |a, b| alu_word(AluOp::$v, a, b),
-                    all,
-                    vc,
-                    lanes,
-                    creg,
-                    brd,
-                    b1,
-                    b2,
-                )
-            };
-        }
-        match op {
-            AluOp::Add => arm!(Add),
-            AluOp::Sub => arm!(Sub),
-            AluOp::And => arm!(And),
-            AluOp::Or => arm!(Or),
-            AluOp::Xor => arm!(Xor),
-            AluOp::Sll => arm!(Sll),
-            AluOp::Srl => arm!(Srl),
-            AluOp::Sra => arm!(Sra),
-            AluOp::Seq => arm!(Seq),
-            AluOp::Sltu => arm!(Sltu),
-            AluOp::Slts => arm!(Slts),
-            AluOp::Mul => arm!(Mul),
-            AluOp::Mulh => arm!(Mulh),
-        }
-    } else {
-        #[inline(always)]
-        #[allow(clippy::too_many_arguments)]
-        fn go(
-            eval: impl Fn(u16, u16) -> (u16, bool),
-            all: bool,
-            vc: &[u32],
-            lanes: usize,
-            cstates: &mut [CoreState],
-            creg: &mut [u32],
-            now: u64,
-            lat: u64,
-            rd: u16,
-            b1: usize,
-            b2: usize,
-        ) {
-            for_lanes!(all, vc, lanes, l, {
-                let a = creg[b1 + l] as u16;
-                let b = creg[b2 + l] as u16;
-                let (v, c) = eval(a, b);
-                cstates[l].write_reg_idx(now, lat, rd, v, c);
-            });
-        }
-        macro_rules! arm {
-            ($v:ident) => {
-                go(
-                    |a, b| AluOp::$v.eval(a, b),
-                    all,
-                    vc,
-                    lanes,
-                    cstates,
-                    creg,
-                    now,
-                    lat,
-                    rd,
-                    b1,
-                    b2,
-                )
-            };
-        }
-        match op {
-            AluOp::Add => arm!(Add),
-            AluOp::Sub => arm!(Sub),
-            AluOp::And => arm!(And),
-            AluOp::Or => arm!(Or),
-            AluOp::Xor => arm!(Xor),
-            AluOp::Sll => arm!(Sll),
-            AluOp::Srl => arm!(Srl),
-            AluOp::Sra => arm!(Sra),
-            AluOp::Seq => arm!(Seq),
-            AluOp::Sltu => arm!(Sltu),
-            AluOp::Slts => arm!(Slts),
-            AluOp::Mul => arm!(Mul),
-            AluOp::Mulh => arm!(Mulh),
-        }
+    }
+    macro_rules! arm {
+        ($v:ident) => {
+            go(
+                |a, b| alu_word(AluOp::$v, a, b),
+                all,
+                vc,
+                lanes,
+                creg,
+                brd,
+                b1,
+                b2,
+            )
+        };
+    }
+    match op {
+        AluOp::Add => arm!(Add),
+        AluOp::Sub => arm!(Sub),
+        AluOp::And => arm!(And),
+        AluOp::Or => arm!(Or),
+        AluOp::Xor => arm!(Xor),
+        AluOp::Sll => arm!(Sll),
+        AluOp::Srl => arm!(Srl),
+        AluOp::Sra => arm!(Sra),
+        AluOp::Seq => arm!(Seq),
+        AluOp::Sltu => arm!(Sltu),
+        AluOp::Slts => arm!(Slts),
+        AluOp::Mul => arm!(Mul),
+        AluOp::Mulh => arm!(Mulh),
     }
 }
 
 /// The Mux lane loop (shared by `Mux` and both halves of `MuxMux`).
 #[inline(always)]
 #[allow(clippy::too_many_arguments)]
-fn mux_lanes<const DIRECT: bool>(
+fn mux_lanes(
     all: bool,
     vc: &[u32],
     lanes: usize,
-    cstates: &mut [CoreState],
     creg: &mut [u32],
-    now: u64,
-    lat: u64,
     rd: u16,
     rs_sel: u16,
     rs1: u16,
@@ -1068,41 +871,33 @@ fn mux_lanes<const DIRECT: bool>(
     let bsel = rs_sel as usize * lanes;
     let b1 = rs1 as usize * lanes;
     let b2 = rs2 as usize * lanes;
-    if DIRECT {
-        if all {
-            // Same fixed-width staged chunks as `alu_lanes::go`.
-            let mut l = 0;
-            while l + 8 <= lanes {
-                let s: [u32; 8] = creg[bsel + l..bsel + l + 8].try_into().unwrap();
-                let a: [u32; 8] = creg[b1 + l..b1 + l + 8].try_into().unwrap();
-                let b: [u32; 8] = creg[b2 + l..b2 + l + 8].try_into().unwrap();
-                let dst = &mut creg[brd + l..brd + l + 8];
-                for k in 0..8 {
-                    let v = if s[k] & 0xffff != 0 { a[k] } else { b[k] };
-                    dst[k] = v & 0xffff;
-                }
-                l += 8;
+    if all {
+        // Same fixed-width staged chunks as `alu_lanes::go`.
+        let mut l = 0;
+        while l + 8 <= lanes {
+            let s: [u32; 8] = creg[bsel + l..bsel + l + 8].try_into().unwrap();
+            let a: [u32; 8] = creg[b1 + l..b1 + l + 8].try_into().unwrap();
+            let b: [u32; 8] = creg[b2 + l..b2 + l + 8].try_into().unwrap();
+            let dst = &mut creg[brd + l..brd + l + 8];
+            for k in 0..8 {
+                let v = if s[k] & 0xffff != 0 { a[k] } else { b[k] };
+                dst[k] = v & 0xffff;
             }
-            while l < lanes {
-                let s = creg[bsel + l] & 0xffff;
-                let v = if s != 0 { creg[b1 + l] } else { creg[b2 + l] };
-                creg[brd + l] = v & 0xffff;
-                l += 1;
-            }
-        } else {
-            for &li in vc.iter() {
-                let l = li as usize;
-                let s = creg[bsel + l] & 0xffff;
-                let v = if s != 0 { creg[b1 + l] } else { creg[b2 + l] };
-                creg[brd + l] = v & 0xffff;
-            }
+            l += 8;
+        }
+        while l < lanes {
+            let s = creg[bsel + l] & 0xffff;
+            let v = if s != 0 { creg[b1 + l] } else { creg[b2 + l] };
+            creg[brd + l] = v & 0xffff;
+            l += 1;
         }
     } else {
-        for_lanes!(all, vc, lanes, l, {
-            let s = creg[bsel + l] as u16;
-            let v = if s != 0 { creg[b1 + l] } else { creg[b2 + l] } as u16;
-            cstates[l].write_reg_idx(now, lat, rd, v, false);
-        });
+        for &li in vc.iter() {
+            let l = li as usize;
+            let s = creg[bsel + l] & 0xffff;
+            let v = if s != 0 { creg[b1 + l] } else { creg[b2 + l] };
+            creg[brd + l] = v & 0xffff;
+        }
     }
 }
 
@@ -1124,27 +919,12 @@ fn send_lanes(
     });
 }
 
-/// Commits due ring writes for every running lane (ringed mode only).
-#[inline(always)]
-fn commit_lanes(
-    all: bool,
-    vc: &[u32],
-    lanes: usize,
-    cstates: &mut [CoreState],
-    creg: &mut [u32],
-    now: u64,
-) {
-    for_lanes!(all, vc, lanes, l, {
-        cstates[l].commit_due_strided(creg, lanes, l, now);
-    });
-}
-
 /// Walks one core's micro-op stream for one Vcycle across every lane in
 /// `vc_active`: the op is decoded once (ALU function included), the lane
-/// loop is the innermost loop. `DIRECT` selects immediate commits
-/// (strict-validated) versus each lane's pipeline ring (permissive),
-/// exactly like `uops::run_core_uops`. `shells` carries each lane's
-/// cache, counters, and host events.
+/// loop is the innermost loop, and every write commits directly (strict
+/// hazards, validated), exactly like the solo engine's direct
+/// `uops::run_core_uops`. `shells` carries each lane's cache, counters,
+/// and host events.
 ///
 /// A lane whose `Expect` servicing fails is parked in place: its counters
 /// flush through the faulting op plus the interpreter's other-core counts
@@ -1152,14 +932,12 @@ fn commit_lanes(
 /// abort point — its status records the error, and it drops out of
 /// `vc_active` so no later op, core, or delivery touches it this Vcycle.
 #[allow(clippy::too_many_arguments)]
-fn gang_core_walk<const DIRECT: bool>(
+fn gang_core_walk(
     program: &CompiledProgram,
     c: usize,
     vcycle: u64,
     lanes: usize,
     sw: usize,
-    lat: u64,
-    vstart: u64,
     creg: &mut [u32],
     scr_base: usize,
     cstates: &mut [CoreState],
@@ -1173,41 +951,26 @@ fn gang_core_walk<const DIRECT: bool>(
     let exceptions = &program.exceptions[..];
     let prog = &program.cores[c];
     let mut all = vc_active.len() == lanes;
-    if DIRECT {
-        // Writes left in flight by a previous Vcycle on the solo engine
-        // (e.g. each lane's validation Vcycle) commit now; no read could
-        // have observed them pending.
-        for_lanes!(all, vc_active, lanes, l, {
-            cstates[l].commit_due_strided(creg, lanes, l, u64::MAX);
-        });
-    }
+    // Writes left in flight by a previous Vcycle on the solo engine (e.g.
+    // each lane's validation Vcycle) commit now; no read could have
+    // observed them pending.
+    for_lanes!(all, vc_active, lanes, l, {
+        cstates[l].commit_due_strided(creg, lanes, l, u64::MAX);
+    });
     let mut ic: u64 = 0;
     let mut sends: u64 = 0;
     for mop in stream {
-        let pos = mop.pos as u64;
-        let now = vstart + pos;
-        if !DIRECT {
-            commit_lanes(all, vc_active, lanes, cstates, creg, now);
-        }
         match mop.op {
             UOp::Set { rd, imm } => {
                 ic += 1;
                 let brd = rd as usize * lanes;
-                if DIRECT {
-                    for_lanes!(all, vc_active, lanes, l, {
-                        creg[brd + l] = imm as u32;
-                    });
-                } else {
-                    for_lanes!(all, vc_active, lanes, l, {
-                        cstates[l].write_reg_idx(now, lat, rd, imm, false);
-                    });
-                }
+                for_lanes!(all, vc_active, lanes, l, {
+                    creg[brd + l] = imm as u32;
+                });
             }
             UOp::Alu { op, rd, rs1, rs2 } => {
                 ic += 1;
-                alu_lanes::<DIRECT>(
-                    op, all, vc_active, lanes, cstates, creg, now, lat, rd, rs1, rs2,
-                );
+                alu_lanes(op, all, vc_active, lanes, creg, rd, rs1, rs2);
             }
             UOp::AddCarry { rd, rs1, rs2, rsc } => {
                 ic += 1;
@@ -1220,11 +983,7 @@ fn gang_core_walk<const DIRECT: bool>(
                     let b = creg[b2 + l] & 0xffff;
                     let cin = (creg[bc + l] >> 16) & 1;
                     let sum = a + b + cin;
-                    if DIRECT {
-                        creg[brd + l] = (sum as u16) as u32 | (((sum > 0xffff) as u32) << 16);
-                    } else {
-                        cstates[l].write_reg_idx(now, lat, rd, sum as u16, sum > 0xffff);
-                    }
+                    creg[brd + l] = (sum as u16) as u32 | (((sum > 0xffff) as u32) << 16);
                 });
             }
             UOp::SubBorrow { rd, rs1, rs2, rsb } => {
@@ -1238,11 +997,7 @@ fn gang_core_walk<const DIRECT: bool>(
                     let b = (creg[b2 + l] as u16) as i32;
                     let cin = ((creg[bb + l] >> 16) & 1) as i32;
                     let diff = a - b - (1 - cin);
-                    if DIRECT {
-                        creg[brd + l] = (diff as u16) as u32 | (((diff >= 0) as u32) << 16);
-                    } else {
-                        cstates[l].write_reg_idx(now, lat, rd, diff as u16, diff >= 0);
-                    }
+                    creg[brd + l] = (diff as u16) as u32 | (((diff >= 0) as u32) << 16);
                 });
             }
             UOp::Mux {
@@ -1252,9 +1007,7 @@ fn gang_core_walk<const DIRECT: bool>(
                 rs2,
             } => {
                 ic += 1;
-                mux_lanes::<DIRECT>(
-                    all, vc_active, lanes, cstates, creg, now, lat, rd, rs_sel, rs1, rs2,
-                );
+                mux_lanes(all, vc_active, lanes, creg, rd, rs_sel, rs1, rs2);
             }
             UOp::Slice {
                 rd,
@@ -1265,17 +1018,10 @@ fn gang_core_walk<const DIRECT: bool>(
                 ic += 1;
                 let brd = rd as usize * lanes;
                 let b = rs as usize * lanes;
-                if DIRECT {
-                    for_lanes!(all, vc_active, lanes, l, {
-                        let v = creg[b + l] as u16;
-                        creg[brd + l] = ((v >> shift) & mask) as u32;
-                    });
-                } else {
-                    for_lanes!(all, vc_active, lanes, l, {
-                        let v = creg[b + l] as u16;
-                        cstates[l].write_reg_idx(now, lat, rd, (v >> shift) & mask, false);
-                    });
-                }
+                for_lanes!(all, vc_active, lanes, l, {
+                    let v = creg[b + l] as u16;
+                    creg[brd + l] = ((v >> shift) & mask) as u32;
+                });
             }
             UOp::Custom { rd, func, rs } => {
                 ic += 1;
@@ -1285,7 +1031,14 @@ fn gang_core_walk<const DIRECT: bool>(
                 let b1 = rs[1] as usize * lanes;
                 let b2 = rs[2] as usize * lanes;
                 let b3 = rs[3] as usize * lanes;
-                if DIRECT && all {
+                let one = |creg: &mut [u32], l: usize| {
+                    let a = creg[b0 + l] as u16;
+                    let b = creg[b1 + l] as u16;
+                    let c = creg[b2 + l] as u16;
+                    let d = creg[b3 + l] as u16;
+                    creg[brd + l] = crate::exec::eval_custom_masks(masks, a, b, c, d) as u32;
+                };
+                if all {
                     // Four lanes per mux tree: the bitsliced evaluation is
                     // pure word logic, so packing lanes into 16-bit slots
                     // of a u64 amortizes the whole tree 4x. The broadcast
@@ -1309,27 +1062,13 @@ fn gang_core_walk<const DIRECT: bool>(
                         }
                         l += 4;
                     }
-                    while l < lanes {
-                        let a = creg[b0 + l] as u16;
-                        let b = creg[b1 + l] as u16;
-                        let c = creg[b2 + l] as u16;
-                        let d = creg[b3 + l] as u16;
-                        creg[brd + l] = crate::exec::eval_custom_masks(masks, a, b, c, d) as u32;
-                        l += 1;
+                    for l in l..lanes {
+                        one(creg, l);
                     }
                 } else {
-                    for_lanes!(all, vc_active, lanes, l, {
-                        let a = creg[b0 + l] as u16;
-                        let b = creg[b1 + l] as u16;
-                        let c = creg[b2 + l] as u16;
-                        let d = creg[b3 + l] as u16;
-                        let out = crate::exec::eval_custom_masks(masks, a, b, c, d);
-                        if DIRECT {
-                            creg[brd + l] = out as u32;
-                        } else {
-                            cstates[l].write_reg_idx(now, lat, rd, out, false);
-                        }
-                    });
+                    for &l in vc_active.iter() {
+                        one(creg, l as usize);
+                    }
                 }
             }
             UOp::Predicate { rs } => {
@@ -1346,12 +1085,7 @@ fn gang_core_walk<const DIRECT: bool>(
                 for_lanes!(all, vc_active, lanes, l, {
                     let a = creg[ba + l] as u16;
                     let addr = (base as usize + a as usize) % sw;
-                    let v = shells[l].scratch[scr_base + addr];
-                    if DIRECT {
-                        creg[brd + l] = v as u32;
-                    } else {
-                        cstates[l].write_reg_idx(now, lat, rd, v, false);
-                    }
+                    creg[brd + l] = shells[l].scratch[scr_base + addr] as u32;
                 });
             }
             UOp::LocalStore {
@@ -1383,11 +1117,7 @@ fn gang_core_walk<const DIRECT: bool>(
                     let shell = &mut shells[l];
                     let (v, stall) = shell.cache.load(addr);
                     shell.counters.stall_cycles += stall;
-                    if DIRECT {
-                        creg[rd as usize * lanes + l] = v as u32;
-                    } else {
-                        cstates[l].write_reg_idx(now, lat, rd, v, false);
-                    }
+                    creg[rd as usize * lanes + l] = v as u32;
                 });
             }
             UOp::GlobalStore { rs_data, rs_addr } => {
@@ -1427,19 +1157,11 @@ fn gang_core_walk<const DIRECT: bool>(
                         i += 1;
                         continue;
                     }
-                    let cs = &cstates[l];
                     let shell = &mut shells[l];
                     let res = service_exception(
                         exceptions,
                         vcycle,
-                        |r: Reg| {
-                            let idx = r.index();
-                            if !DIRECT && cs.inflight[idx] > 0 {
-                                cs.ring[cs.last_writer[idx] as usize].value
-                            } else {
-                                creg[idx * lanes + l] as u16
-                            }
-                        },
+                        |r: Reg| creg[r.index() * lanes + l] as u16,
                         eid,
                         &mut shell.counters,
                         &mut shell.events,
@@ -1456,7 +1178,7 @@ fn gang_core_walk<const DIRECT: bool>(
                             let tape = program.replay_tape.as_ref().expect("replaying");
                             shell
                                 .counters
-                                .add(&tape.fault_counters(&program.cores, pos));
+                                .add(&tape.fault_counters(&program.cores, mop.pos as u64));
                             lane_status[l] = LaneStatus::Faulted(err);
                             vc_active.remove(i);
                         }
@@ -1475,25 +1197,8 @@ fn gang_core_walk<const DIRECT: bool>(
                 rs22,
             } => {
                 ic += 2;
-                alu_lanes::<DIRECT>(
-                    op1, all, vc_active, lanes, cstates, creg, now, lat, rd1, rs11, rs12,
-                );
-                if !DIRECT {
-                    commit_lanes(all, vc_active, lanes, cstates, creg, now + 1);
-                }
-                alu_lanes::<DIRECT>(
-                    op2,
-                    all,
-                    vc_active,
-                    lanes,
-                    cstates,
-                    creg,
-                    now + 1,
-                    lat,
-                    rd2,
-                    rs21,
-                    rs22,
-                );
+                alu_lanes(op1, all, vc_active, lanes, creg, rd1, rs11, rs12);
+                alu_lanes(op2, all, vc_active, lanes, creg, rd2, rs21, rs22);
             }
             UOp::MuxMux {
                 rd1,
@@ -1506,25 +1211,8 @@ fn gang_core_walk<const DIRECT: bool>(
                 rs22,
             } => {
                 ic += 2;
-                mux_lanes::<DIRECT>(
-                    all, vc_active, lanes, cstates, creg, now, lat, rd1, sel1, rs11, rs12,
-                );
-                if !DIRECT {
-                    commit_lanes(all, vc_active, lanes, cstates, creg, now + 1);
-                }
-                mux_lanes::<DIRECT>(
-                    all,
-                    vc_active,
-                    lanes,
-                    cstates,
-                    creg,
-                    now + 1,
-                    lat,
-                    rd2,
-                    sel2,
-                    rs21,
-                    rs22,
-                );
+                mux_lanes(all, vc_active, lanes, creg, rd1, sel1, rs11, rs12);
+                mux_lanes(all, vc_active, lanes, creg, rd2, sel2, rs21, rs22);
             }
             UOp::AluSend {
                 op,
@@ -1535,12 +1223,7 @@ fn gang_core_walk<const DIRECT: bool>(
             } => {
                 ic += 2;
                 sends += 1;
-                alu_lanes::<DIRECT>(
-                    op, all, vc_active, lanes, cstates, creg, now, lat, rd, rs1, rs2,
-                );
-                if !DIRECT {
-                    commit_lanes(all, vc_active, lanes, cstates, creg, now + 1);
-                }
+                alu_lanes(op, all, vc_active, lanes, creg, rd, rs1, rs2);
                 send_lanes(
                     all,
                     vc_active,
@@ -1556,9 +1239,6 @@ fn gang_core_walk<const DIRECT: bool>(
                 ic += 2;
                 sends += 2;
                 send_lanes(all, vc_active, lanes, creg, rs1, send_vals, *send_cursor);
-                if !DIRECT {
-                    commit_lanes(all, vc_active, lanes, cstates, creg, now + 1);
-                }
                 send_lanes(
                     all,
                     vc_active,

@@ -8,12 +8,8 @@
 //! cancelled run always stops on a Vcycle boundary with consistent state
 //! that can be checkpointed or resumed later.
 //!
-//! Tokens form a tree: [`CancelToken::child`] creates a token that trips
-//! when *either* it or its parent is cancelled, so a sub-task can be
-//! abandoned without cancelling the caller's wider campaign, while the
-//! caller can still pull the plug on everything.
-//! [`CancelToken::either`] generalizes the tree to a DAG: a token with
-//! *two* parents, tripped by whichever fires first — how a fleet job
+//! [`CancelToken::either`] merges two tokens into a token with *two*
+//! parents, tripped by whichever fires first — how a fleet job
 //! combines its own per-job token (e.g. "this client disconnected") with
 //! the batch-wide one ("this batch was abandoned") without letting either
 //! cancellation leak into the other's domain.
@@ -28,7 +24,8 @@ struct CancelInner {
 }
 
 /// A cloneable cancellation flag. All clones observe the same state;
-/// children additionally observe their parent.
+/// a merged token ([`CancelToken::either`]) additionally observes its
+/// parents.
 #[derive(Debug, Clone)]
 pub struct CancelToken {
     inner: Arc<CancelInner>,
@@ -41,17 +38,6 @@ impl CancelToken {
             inner: Arc::new(CancelInner {
                 flag: AtomicBool::new(false),
                 parents: Box::new([]),
-            }),
-        }
-    }
-
-    /// A child token: tripped when either it or `self` is cancelled.
-    /// Cancelling the child does *not* cancel the parent.
-    pub fn child(&self) -> Self {
-        CancelToken {
-            inner: Arc::new(CancelInner {
-                flag: AtomicBool::new(false),
-                parents: Box::new([self.clone()]),
             }),
         }
     }
@@ -70,14 +56,15 @@ impl CancelToken {
         }
     }
 
-    /// Trips the token (and therefore every clone and descendant).
+    /// Trips the token (and therefore every clone and every token merged
+    /// from it).
     /// Idempotent.
     pub fn cancel(&self) {
         self.inner.flag.store(true, Ordering::Release);
     }
 
     /// True once [`CancelToken::cancel`] has been called on this token,
-    /// any clone of it, or any ancestor.
+    /// any clone of it, or any parent it was merged from.
     #[inline]
     pub fn is_cancelled(&self) -> bool {
         if self.inner.flag.load(Ordering::Acquire) {
@@ -115,28 +102,6 @@ mod tests {
     }
 
     #[test]
-    fn child_observes_parent_but_not_vice_versa() {
-        let parent = CancelToken::new();
-        let child = parent.child();
-        child.cancel();
-        assert!(child.is_cancelled());
-        assert!(!parent.is_cancelled(), "child cancel must not leak up");
-
-        let parent = CancelToken::new();
-        let child = parent.child();
-        parent.cancel();
-        assert!(child.is_cancelled(), "parent cancel propagates down");
-    }
-
-    #[test]
-    fn grandchildren_observe_the_root() {
-        let root = CancelToken::new();
-        let leaf = root.child().child();
-        root.cancel();
-        assert!(leaf.is_cancelled());
-    }
-
-    #[test]
     fn either_trips_on_whichever_parent_fires_first() {
         let a = CancelToken::new();
         let b = CancelToken::new();
@@ -167,6 +132,10 @@ mod tests {
         let c = t.clone();
         assert_eq!(t.id(), c.id());
         assert_ne!(t.id(), CancelToken::new().id());
-        assert_ne!(t.id(), t.child().id(), "a child is a distinct domain");
+        assert_ne!(
+            t.id(),
+            CancelToken::either(&t, &t).id(),
+            "a merged token is a distinct domain"
+        );
     }
 }

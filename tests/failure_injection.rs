@@ -5,7 +5,7 @@
 
 use manticore::compiler::{compile, CompileOptions};
 use manticore::isa::{Instruction, MachineConfig, Reg};
-use manticore::machine::{Machine, MachineError};
+use manticore::machine::{CompiledProgram, GangMachine, Machine, MachineError};
 use manticore::netlist::NetlistBuilder;
 
 fn config() -> MachineConfig {
@@ -70,11 +70,11 @@ fn squeezing_out_nops_creates_hazards() {
     }
 }
 
-/// With strict checking off the same corruption silently computes wrong
-/// values — what would happen on the real hardware. (Single-core machine
-/// so the only broken contract is the pipeline hazard, not NoC timing.)
-#[test]
-fn permissive_mode_corrupts_silently() {
+/// A counter compiled for one core with its NOPs squeezed out: the
+/// compacted body reads results the pipeline has not committed yet.
+/// (Single-core machine so the only broken contract is the pipeline
+/// hazard, not NoC timing.)
+fn squeezed_single_core_counter() -> (manticore::isa::Binary, MachineConfig) {
     let cfg = MachineConfig {
         grid_width: 1,
         grid_height: 1,
@@ -108,10 +108,83 @@ fn permissive_mode_corrupts_silently() {
             core.body = non_nop;
         }
     }
+    (binary, cfg)
+}
+
+/// With strict checking off the same corruption silently computes wrong
+/// values — what would happen on the real hardware.
+#[test]
+fn permissive_mode_corrupts_silently() {
+    let (binary, cfg) = squeezed_single_core_counter();
     let mut m = Machine::load(cfg, &binary).unwrap();
     m.set_strict_hazards(false);
     // Runs "fine" — garbage in, garbage out.
     m.run_vcycles(5).unwrap();
+}
+
+/// Permissive gang lanes read the same stale values a permissive solo run
+/// reads: every lane of a gang running the squeezed counter equals a solo
+/// machine given the same pokes, register for register.
+#[test]
+fn permissive_gang_lanes_read_stale_values_like_solo_runs() {
+    let (binary, cfg) = squeezed_single_core_counter();
+    let mut strict = Machine::load(cfg.clone(), &binary).unwrap();
+    assert!(
+        matches!(strict.run_vcycles(5), Err(MachineError::Hazard { .. })),
+        "the squeezed body must perform a stale read"
+    );
+    let program = CompiledProgram::compile_shared(cfg.clone(), &binary).unwrap();
+    let lanes = 3;
+    let mut gang = GangMachine::from_program(program.clone(), lanes);
+    gang.set_strict_hazards(false);
+    assert!(gang.replay_armed(), "Vcycles after validation replay");
+    // Distinct data per lane: every initialised register is offset by the
+    // lane index.
+    let pokes = |lane: usize| {
+        binary.cores.iter().flat_map(move |core| {
+            core.init_regs
+                .iter()
+                .map(move |&(reg, v)| (core.core, reg, v.wrapping_add(lane as u16)))
+        })
+    };
+    for lane in 0..lanes {
+        for (core, reg, v) in pokes(lane) {
+            gang.poke_reg(lane, core, reg, v);
+        }
+    }
+    let results = gang.run_vcycles(5);
+    let mut finals = Vec::new();
+    for (lane, result) in results.iter().enumerate() {
+        let mut solo = Machine::from_program(program.clone());
+        solo.set_strict_hazards(false);
+        for (core, reg, v) in pokes(lane) {
+            solo.poke_reg(core, reg, v);
+        }
+        let want = solo.run_vcycles(5).unwrap();
+        let got = result.as_ref().unwrap();
+        assert_eq!(got.vcycles_run, want.vcycles_run, "lane {lane}");
+        assert_eq!(got.displays, want.displays, "lane {lane}");
+        assert_eq!(got.finished, want.finished, "lane {lane}");
+        assert_eq!(gang.counters(lane), solo.counters(), "lane {lane}");
+        let mut regs = Vec::new();
+        for core in &binary.cores {
+            for r in 0..cfg.regfile_size {
+                let reg = Reg(r as u16);
+                assert_eq!(
+                    gang.read_reg(lane, core.core, reg),
+                    solo.read_reg(core.core, reg),
+                    "lane {lane} {:?} r{r}",
+                    core.core
+                );
+                regs.push(solo.read_reg(core.core, reg));
+            }
+        }
+        finals.push(regs);
+    }
+    assert!(
+        finals[0] != finals[1] && finals[1] != finals[2],
+        "lanes must compute distinct values"
+    );
 }
 
 /// Declaring a bigger epilogue than messages sent starves the SET slots.
