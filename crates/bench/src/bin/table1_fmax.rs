@@ -3,9 +3,10 @@
 //! resources.
 //!
 //! These are hardware measurements in the paper; here they come from the
-//! analytical model in `manticore_bench::fmax_mhz` (see DESIGN.md: the
-//! mechanism — SLR crossings degrade automatic P&R, guiding recovers it —
-//! is modelled, not re-measured).
+//! analytical model in `manticore_bench::fmax_mhz` (a substitution, per
+//! the README's "Substitutions relative to the paper": the mechanism —
+//! SLR crossings degrade automatic P&R, guiding recovers it — is
+//! modelled, not re-measured).
 //!
 //! Run: `cargo run --release -p manticore-bench --bin table1_fmax`
 

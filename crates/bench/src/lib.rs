@@ -3,7 +3,8 @@
 //! and measurement helpers used by the per-figure binaries.
 //!
 //! Every table and figure of the paper's evaluation has a binary in
-//! `src/bin/`; see DESIGN.md's experiment index for the mapping.
+//! `src/bin/`; the README's "Reproducing the paper's evaluation" table
+//! gives the mapping.
 
 use std::time::Instant;
 
@@ -16,7 +17,8 @@ use manticore::netlist::Netlist;
 // ---------------------------------------------------------------------
 
 /// Analytical FPGA frequency model for the U200 (substitute for Vivado
-/// place-and-route — see DESIGN.md).
+/// place-and-route — see the README's "Substitutions relative to the
+/// paper").
 ///
 /// Mechanism reproduced from §7.2/§A.5: below ~160 cores the design fits
 /// the top SLRs untouched by the PCIe shell and closes near 500 MHz.

@@ -9,7 +9,10 @@ use manticore_machine::Machine;
 use manticore_netlist::{eval::Evaluator, Netlist, NetlistBuilder};
 use manticore_util::SmallRng;
 
+use crate::cfu::{self, CfuStats};
 use crate::interp::LirInterp;
+use crate::lir::LirProgram;
+use crate::pass::{CompileCtx, PassManager};
 use crate::{compile, opt, CompileOptions, PartitionStrategy};
 
 fn test_config(grid: usize) -> MachineConfig {
@@ -26,6 +29,21 @@ pub(crate) fn options(grid: usize) -> CompileOptions {
         config: test_config(grid),
         ..Default::default()
     }
+}
+
+/// The custom-functions pass's input: `netlist` compiled for a
+/// `grid`×`grid` machine through `partition`, with synthesis off.
+pub(crate) fn cfu_input(netlist: &Netlist, grid: usize) -> LirProgram {
+    let options = CompileOptions {
+        config: MachineConfig::with_grid(grid, grid),
+        custom_functions: false,
+        ..Default::default()
+    };
+    let mut ctx = CompileCtx::new(netlist, &options, 1);
+    PassManager::standard()
+        .run(&mut ctx)
+        .unwrap_or_else(|e| panic!("compile failed: {e}"));
+    ctx.parted.take().expect("pipeline ran")
 }
 
 /// Runs `netlist` for `cycles` on the evaluator, the LIR interpreter, and
@@ -315,6 +333,44 @@ fn wide_ops_end_to_end() {
     b.output("z", z.q());
     let n = b.finish_build().unwrap();
     assert_three_way_equivalence(&n, 16, &options(2));
+}
+
+/// Custom-function synthesis, summed over processes, on the nine
+/// workloads at 15×15 and `soc` at 16×16 (the `table8_compile_times`
+/// rows). The oracle suite holds the pass to its reference
+/// implementation; these pins catch both drifting together.
+#[test]
+fn custom_function_stats_are_pinned() {
+    let pins = [
+        ("vta", 15, (5, 15, 1)),
+        ("mc", 15, (387, 774, 291)),
+        ("noc", 15, (800, 2752, 596)),
+        ("mm", 15, (6, 17, 2)),
+        ("rv32r", 15, (11, 42, 4)),
+        ("cgra", 15, (2, 6, 1)),
+        ("bc", 15, (396, 1422, 223)),
+        ("blur", 15, (1, 3, 1)),
+        ("jpeg", 15, (8, 16, 6)),
+        ("soc", 16, (144, 407, 40)),
+    ];
+    for (name, grid, (fused, removed, tables)) in pins {
+        let w = manticore_workloads::by_name(name).expect("known workload");
+        let mut parted = cfu_input(&w.netlist, grid);
+        let max_tables = MachineConfig::with_grid(grid, grid).num_custom_functions;
+        let mut sum = CfuStats::default();
+        for p in &mut parted.processes {
+            let s = cfu::synthesize(p, max_tables);
+            sum.fused += s.fused;
+            sum.removed += s.removed;
+            sum.tables += s.tables;
+        }
+        let want = CfuStats {
+            fused,
+            removed,
+            tables,
+        };
+        assert_eq!(sum, want, "{name} @{grid}x{grid}");
+    }
 }
 
 #[test]

@@ -13,8 +13,8 @@
 //! walks a private buffer sized proportionally to its instruction share,
 //! touching one cache line per mock instruction group. The effect —
 //! per-thread cache footprint shrinks as `P` grows, so parallelism relieves
-//! capacity pressure — is the same phenomenon the paper measures (see
-//! DESIGN.md substitutions).
+//! capacity pressure — is the same phenomenon the paper measures (see the
+//! README's "Substitutions relative to the paper").
 
 use std::time::Instant;
 

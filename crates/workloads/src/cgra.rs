@@ -2,9 +2,9 @@
 //! processing elements with latency-insensitive (valid-bit) chaining.
 //!
 //! The paper's cgra is 64 floating-point PEs; Manticore has no FPU, so the
-//! PEs here are Q8.8 fixed-point MACs (see DESIGN.md substitutions). Data
-//! flows west→east along rows; each PE multiplies by a programmed weight
-//! and accumulates. Spatially regular and wide — a strong parallelism case.
+//! PEs here are Q8.8 fixed-point MACs. Data flows west→east along rows;
+//! each PE multiplies by a programmed weight and accumulates. Spatially
+//! regular and wide — a strong parallelism case.
 
 use manticore_netlist::{NetId, Netlist, NetlistBuilder};
 

@@ -6,8 +6,10 @@
 //! inputs — stimulus comes from LFSRs and ROMs), self-checking
 //! (`expect_true` invariants), terminating (`$finish` after a programmable
 //! number of iterations), and sized so the state fits Manticore's
-//! scratchpads, as the paper requires. See DESIGN.md for the substitution
-//! notes (e.g. fixed-point in place of floating-point for `cgra`).
+//! scratchpads, as the paper requires. The workloads are scaled analogs
+//! (the README's "Substitutions relative to the paper"); each module says
+//! what it substitutes (e.g. fixed-point in place of floating-point for
+//! `cgra`).
 //!
 //! The workloads span the evaluation's parallelism spectrum:
 //!

@@ -5,7 +5,8 @@
 //! each core here is "MiniRV": a 16-bit, ROM-programmed, 4-register
 //! in-order core with an ALU and ring send/receive ops — preserving the
 //! profile that matters (replicated CPU pipelines with low-bandwidth ring
-//! traffic). See DESIGN.md substitutions.
+//! traffic). A scaled analog, per the README's "Substitutions relative to
+//! the paper".
 //!
 //! MiniRV instruction word (16 bits): `op[15:14] rd[13:12] rs[11:10]
 //! imm[9:0]`; ops: 0 `addi rd, rs, imm`; 1 `xori rd, rs, imm`;

@@ -53,6 +53,10 @@ additionally has an absolute CEILING of 223 ms, regardless of baseline
 drift: the committed measurement of the retired serial reference
 pipeline (401.47 ms) divided by the 1.8x the heavy-pass algorithms
 must keep winning over it.
+The one-thread `custom-functions` time summed over the fresh rows has
+an absolute CEILING of 70 ms: the hash-map, per-lane-recursive
+synthesis it replaced took 168.8 ms, the indexed one-pass synthesis
+about 20 ms.
 
 With `--serve-fresh`/`--serve-baseline`, the gate additionally compares
 a serve_soak run: the load geometry (`conns`, `vcycles`, `workers`,
@@ -178,6 +182,7 @@ def check_explore(fresh_path, base_path, tolerance, failures):
 
 
 SOC_HEAVY_T1_MS_CEILING = 223.0
+CUSTOM_FUNCTIONS_T1_MS_CEILING = 70.0
 
 
 def check_floor(label, fresh, base, tolerance, failures):
@@ -256,17 +261,26 @@ def check_compile(fresh_path, base_path, tolerance, failures):
         return
     heavy = set(fresh.get("heavy_passes", []))
     soc_ms = sum(p["ms_t1"] for p in soc.get("passes", []) if p["name"] in heavy)
-    ok = soc_ms <= SOC_HEAVY_T1_MS_CEILING
-    status = "ok" if ok else "FAIL"
-    print(
-        f"  {status:>4}  {'compile.soc.heavy_ms_t1':<32} fresh {soc_ms:>12.3f}  "
-        f"ceiling {SOC_HEAVY_T1_MS_CEILING:8.3f}"
+    check_ceiling("compile.soc.heavy_ms_t1", soc_ms, SOC_HEAVY_T1_MS_CEILING, failures)
+    # Absolute ceiling on custom-function synthesis, summed over the rows.
+    cf_ms = sum(
+        p["ms_t1"]
+        for row in fresh_rows.values()
+        for p in row.get("passes", [])
+        if p["name"] == "custom-functions"
     )
+    check_ceiling(
+        "compile.custom_functions_ms_t1", cf_ms, CUSTOM_FUNCTIONS_T1_MS_CEILING, failures
+    )
+
+
+def check_ceiling(label, ms, ceiling, failures):
+    """Absolute one-sided gate on a wall time: fail only above the ceiling."""
+    ok = ms <= ceiling
+    status = "ok" if ok else "FAIL"
+    print(f"  {status:>4}  {label:<32} fresh {ms:>12.3f}  ceiling {ceiling:8.3f}")
     if not ok:
-        failures.append(
-            f"compile.soc.heavy_ms_t1: {soc_ms:.1f} ms over the "
-            f"{SOC_HEAVY_T1_MS_CEILING:.0f} ms ceiling"
-        )
+        failures.append(f"{label}: {ms:.1f} ms over the {ceiling:.0f} ms ceiling")
 
 
 SERVE_HIT_RATE_FLOOR = 0.90
