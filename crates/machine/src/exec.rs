@@ -19,7 +19,9 @@
 //! The micro-op replay engine ([`crate::uops`]) does *not* go through this
 //! module's interpreter — that is its point — but it is compiled from the
 //! same decoded instructions and validated against it by the equivalence
-//! suites; it shares [`service_exception`] and [`exec_epilogue_slot`].
+//! suites; it shares [`service_exception`]. The interpreter is also the
+//! only engine that models the pipeline's stale reads: permissive runs
+//! execute here every Vcycle.
 
 use manticore_isa::{CoreId, ExceptionDescriptor, ExceptionKind, Instruction, MachineConfig, Reg};
 
@@ -178,7 +180,9 @@ pub(crate) fn step_core(
         if pos < body_len + epi_len {
             match core.cs.epilogue[slot] {
                 Some((rd, value)) => {
-                    exec_epilogue_slot(core, now, lat, rd, value, counters);
+                    core.write_reg(now, lat, rd, value, false);
+                    core.cs.executed += 1;
+                    counters.instructions += 1;
                 }
                 None => {
                     // The schedule promised a message for this slot and it
@@ -351,22 +355,6 @@ pub(crate) fn step_core(
         }
     }
     Ok(())
-}
-
-/// Executes one filled epilogue slot (`SET rd, value`) at compute time
-/// `now`. Shared by [`step_core`] and the micro-op engine's ringed
-/// epilogue walk.
-pub(crate) fn exec_epilogue_slot(
-    core: &mut CoreView<'_>,
-    now: u64,
-    lat: u64,
-    rd: Reg,
-    value: u16,
-    counters: &mut PerfCounters,
-) {
-    core.write_reg(now, lat, rd, value, false);
-    core.cs.executed += 1;
-    counters.instructions += 1;
 }
 
 /// Applies a 4-input LUT truth table across the 16 bit lanes — the

@@ -29,24 +29,25 @@
 //! per-lane gathers a lane stride cannot batch, so transposing
 //! mostly-cold scratch would only burn the short-run budgets gangs
 //! accelerate), so the solo fallback and unbundling the gang at the end
-//! allocate nothing. The ganged kernel is the strict direct-commit
-//! micro-op loop, and it runs exactly when a solo run would replay a
-//! strict Vcycle ([`replays_next_vcycle`] with strict hazards). Every
-//! other Vcycle (the validation Vcycle of an unproven program, disabled
-//! replay, permissive hazards, a strict program with a static
-//! cross-Vcycle hazard, strictness re-armed mid-run) steps each running
-//! lane on the solo engine ([`Machine::step_vcycle`], the one reference
-//! semantics): gather the lane into its shell, step it, scatter it back.
-//! The first lane to validate proves the program's schedule
-//! ([`CompiledProgram::schedule_proven`]) for its siblings and for every
-//! later gang.
+//! allocate nothing. The ganged kernel is the direct-commit micro-op
+//! loop, and it runs exactly when a solo run would replay the Vcycle
+//! ([`replays_next_vcycle`]; replay arms only strict runs). Every other
+//! Vcycle (the validation Vcycle of an unproven program, disabled replay,
+//! permissive hazards, a strict program with a static cross-Vcycle
+//! hazard, strictness re-armed mid-run) steps each running lane on the
+//! solo engine ([`Machine::step_vcycle`], the one reference semantics):
+//! gather the lane's register footprint and core states into its shell,
+//! step it, scatter them back. The first lane to validate proves the
+//! program's schedule ([`CompiledProgram::schedule_proven`]) for its
+//! siblings and for every later gang.
 //!
 //! What is shared and what is per-lane:
 //!
-//! - **shared**: the program (body, tape, micro-op streams, delivery
-//!   schedule), the hazard/replay knobs, and the lockstep clock. NoC
-//!   delivery follows the shared frozen tape, so lanes can never diverge
-//!   in *when* or *where* a message lands — only its value differs.
+//! - **shared**: the program (bodies, micro-op streams, pre-resolved
+//!   epilogue writes), the hazard/replay knobs, and the lockstep clock.
+//!   Message delivery follows the shared frozen epilogue writes, so lanes
+//!   can never diverge in *when* or *where* a message lands — only its
+//!   value differs.
 //! - **per-lane**: register/scratchpad values, pipeline rings and
 //!   predicates ([`CoreState`]), the privileged core's cache and DRAM,
 //!   performance counters, host events, and the error/finish status.
@@ -469,7 +470,7 @@ impl GangMachine {
                 }
                 break;
             }
-            if self.gang_kernel_ready() {
+            if self.replays_next_vcycle() {
                 self.run_one_vcycle_uops_gang();
             } else {
                 // Every other Vcycle — validation, disabled replay,
@@ -569,36 +570,41 @@ impl GangMachine {
         shells
     }
 
-    /// True when the next Vcycle runs the ganged kernel: the solo engine
-    /// would replay it ([`replays_next_vcycle`] for the gang's knobs) and
-    /// hazards are strict, so every register write commits directly.
-    /// Running lanes are in lockstep, so one lane's Vcycle count speaks
-    /// for all.
-    fn gang_kernel_ready(&self) -> bool {
-        self.strict_hazards
-            && (0..self.lanes)
-                .find(|&l| matches!(self.lane_status[l], LaneStatus::Running))
-                .is_some_and(|l| {
-                    replays_next_vcycle(
-                        &self.program,
-                        self.replay_armed(),
-                        self.shells[l].counters.vcycles,
-                    )
-                })
+    /// True when the next Vcycle runs the ganged kernel: exactly when the
+    /// solo engine would replay it ([`replays_next_vcycle`] for the gang's
+    /// knobs, which arm only strict runs). Running lanes are in lockstep,
+    /// so one lane's Vcycle count speaks for all.
+    fn replays_next_vcycle(&self) -> bool {
+        (0..self.lanes)
+            .find(|&l| matches!(self.lane_status[l], LaneStatus::Running))
+            .is_some_and(|l| {
+                replays_next_vcycle(
+                    &self.program,
+                    self.replay_armed(),
+                    self.shells[l].counters.vcycles,
+                )
+            })
     }
 
     /// The solo fallback: gathers one lane into its shell, steps the shell
     /// one Vcycle on the solo engine, and scatters the state back into the
-    /// lane-major arrays.
+    /// lane-major arrays. Only each core's first
+    /// [`CompiledProgram::reg_span`] registers travel: no instruction,
+    /// message or display touches a register above the span, so the
+    /// shell's stale copies there are never read, and the lane-major
+    /// words (pokes included) stay authoritative.
     fn step_lane_solo(&mut self, lane: usize) -> Result<(), MachineError> {
         let lanes = self.lanes;
         let n = self.program.cores.len();
+        let rf = self.program.config.regfile_size;
+        let span = self.program.reg_span();
         let shell = &mut self.shells[lane];
         shell.strict_hazards = self.strict_hazards;
         shell.replay_enabled = self.replay_enabled;
         shell.tape_invalidated = self.tape_invalidated;
-        for (i, r) in shell.regs.iter_mut().enumerate() {
-            *r = self.regs[i * lanes + lane];
+        let footprint = || (0..n).flat_map(|c| c * rf..c * rf + span);
+        for i in footprint() {
+            shell.regs[i] = self.regs[i * lanes + lane];
         }
         debug_assert!(shell.cores.is_empty());
         for c in 0..n {
@@ -608,8 +614,8 @@ impl GangMachine {
             ));
         }
         let res = shell.step_vcycle();
-        for (i, &r) in shell.regs.iter().enumerate() {
-            self.regs[i * lanes + lane] = r;
+        for i in footprint() {
+            self.regs[i * lanes + lane] = shell.regs[i];
         }
         for (c, cs) in shell.cores.drain(..).enumerate() {
             self.cores[c * lanes + lane] = cs;
@@ -641,14 +647,10 @@ impl GangMachine {
         let rf = config.regfile_size;
         let sw = config.scratch_words;
         let vcycle_len = program.vcycle_len;
-        let tape = program
-            .replay_tape
-            .as_ref()
-            .expect("gang kernel checked the tape");
         let up = program
             .micro_prog
             .as_ref()
-            .expect("micro program exists whenever the tape does");
+            .expect("replays_next_vcycle checked the micro program");
 
         vc_active.clear();
         for (l, s) in lane_status.iter().enumerate() {
@@ -659,7 +661,7 @@ impl GangMachine {
         let vcycle = shells[vc_active[0] as usize].counters.vcycles;
 
         send_vals.clear();
-        send_vals.resize(tape.sends_per_vcycle * lanes, 0);
+        send_vals.resize(up.sends * lanes, 0);
 
         // Body phase: one fetch/decode per micro-op, all lanes per op,
         // active cores only.
@@ -683,12 +685,12 @@ impl GangMachine {
                 &mut send_cursor,
             );
         }
-        debug_assert_eq!(send_cursor, tape.sends_per_vcycle);
+        debug_assert_eq!(send_cursor, up.sends);
 
         // Delivery and epilogue collapse into the pre-resolved write list,
         // once per lane.
         for &l in vc_active.iter() {
-            shells[l as usize].counters.messages_delivered += tape.deliveries.len() as u64;
+            shells[l as usize].counters.messages_delivered += up.sends as u64;
         }
         let all = vc_active.len() == lanes;
         for e in &up.epi_prog {
@@ -700,7 +702,7 @@ impl GangMachine {
         }
         for &ci in up.active.iter() {
             let c = ci as usize;
-            let epi = tape.epi_exec[c] as u64;
+            let epi = up.epi_exec[c] as u64;
             if epi == 0 {
                 continue;
             }
@@ -928,7 +930,7 @@ fn send_lanes(
 ///
 /// A lane whose `Expect` servicing fails is parked in place: its counters
 /// flush through the faulting op plus the interpreter's other-core counts
-/// ([`crate::replay::ReplayTape::fault_counters`]) — the solo engine's
+/// ([`crate::uops::MicroProgram::fault_counters`]) — the solo engine's
 /// abort point — its status records the error, and it drops out of
 /// `vc_active` so no later op, core, or delivery touches it this Vcycle.
 #[allow(clippy::too_many_arguments)]
@@ -1175,10 +1177,10 @@ fn gang_core_walk(
                             cstates[l].executed += ic;
                             shell.counters.instructions += ic;
                             shell.counters.sends += sends;
-                            let tape = program.replay_tape.as_ref().expect("replaying");
+                            let up = program.micro_prog.as_ref().expect("replaying");
                             shell
                                 .counters
-                                .add(&tape.fault_counters(&program.cores, mop.pos as u64));
+                                .add(&up.fault_counters(&program.cores, mop.pos as u64));
                             lane_status[l] = LaneStatus::Faulted(err);
                             vc_active.remove(i);
                         }

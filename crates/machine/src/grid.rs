@@ -6,6 +6,13 @@
 //! scratchpad of every core whose program addresses one, sliced into
 //! per-core lanes (`CoreView`) for execution. The layout keeps the hot
 //! replay paths walking adjacent memory.
+//!
+//! Two engines step a Vcycle, and [`replays_next_vcycle`] picks one: the
+//! position-by-position interpreter, which validates, checks hazards and
+//! models stale reads, and the micro-op engine ([`crate::uops`]), which
+//! replays proven strict Vcycles with direct register commits. Permissive
+//! runs never arm replay ([`replay_armed`]), so the interpreter is the one
+//! reference for stale-read semantics.
 
 use std::fmt;
 use std::sync::Arc;
@@ -15,7 +22,7 @@ use manticore_util::hash::{fnv_prime_pow, FNV_OFFSET, FNV_PRIME};
 
 use crate::cache::{Cache, CacheStats};
 use crate::core::{CoreState, CoreView};
-use crate::exec::{core_id_of, exec_epilogue_slot, step_core, ExecEnv, SendRecord};
+use crate::exec::{core_id_of, step_core, ExecEnv, SendRecord};
 use crate::noc::{Message, Noc};
 use crate::program::CompiledProgram;
 use crate::uops::run_core_uops;
@@ -300,8 +307,8 @@ impl std::error::Error for MachineError {}
 /// The Manticore machine: one *run* of a compiled design.
 ///
 /// The immutable side — validated per-core programs, exception table,
-/// initial state images, the frozen replay schedule and its micro-op
-/// lowering — lives in a shared [`CompiledProgram`] behind an [`Arc`];
+/// initial state images, the micro-op program replayed Vcycles run —
+/// lives in a shared [`CompiledProgram`] behind an [`Arc`];
 /// a `Machine` owns only the mutable run state (SoA register file and
 /// scratchpad, pipeline rings, NoC, cache, counters). Booting additional
 /// machines from the same artifact ([`Machine::from_program`]) is cheap
@@ -459,13 +466,14 @@ impl Machine {
     /// (what the real pipeline would do) instead of erroring. Used by
     /// failure-injection tests.
     ///
-    /// *Enabling* strictness disarms replay *for this run*: it re-arms
-    /// hazard checks a permissive validation Vcycle never proved, and only
-    /// the interpreter runs those checks. (The micro-op lowering lives in
-    /// the shared [`CompiledProgram`] and stays available to other runs.)
-    /// Relaxing to permissive only removes checks, so replay stays armed
-    /// (it executes the same stale reads the permissive interpreter
-    /// would).
+    /// Permissive runs execute every Vcycle on the interpreter, the one
+    /// engine that models stale reads: the micro-op engine commits writes
+    /// directly, which only a strict run may do ([`Machine::replay_armed`]).
+    /// *Enabling* strictness disarms replay *for the rest of this run*: it
+    /// re-arms hazard checks a permissive validation Vcycle never proved,
+    /// and only the interpreter runs those checks. (The micro-op program
+    /// lives in the shared [`CompiledProgram`] and stays available to
+    /// other runs.)
     pub fn set_strict_hazards(&mut self, strict: bool) {
         if strict && !self.strict_hazards {
             self.tape_invalidated = true;
@@ -493,11 +501,11 @@ impl Machine {
     }
 
     /// Micro-op stream statistics for the loaded program, when one exists
-    /// and is still usable by this run: `(micro_ops, fused_pairs)` summed
-    /// over the grid. `fused_pairs` counts adjacent tape-entry pairs
-    /// absorbed into a single dispatch. `None` once the stream cannot arm
-    /// whatever [`Machine::set_replay`] says — strictness re-enabled after
-    /// a permissive start, or strict mode over a static cross-Vcycle
+    /// and is usable by this run: `(micro_ops, fused_pairs)` summed over
+    /// the grid. `fused_pairs` counts adjacent instruction pairs fused
+    /// into a single dispatch. `None` while the stream cannot arm whatever
+    /// [`Machine::set_replay`] says — permissive hazards, strictness
+    /// re-enabled after a permissive start, or a static cross-Vcycle
     /// hazard.
     pub fn micro_op_stats(&self) -> Option<(usize, usize)> {
         if !replay_armed(
@@ -512,9 +520,9 @@ impl Machine {
     }
 
     /// True when post-validation Vcycles of this run execute the micro-op
-    /// engine: replay is enabled, the program has a micro-op lowering, and
-    /// no check the lowering cannot run is armed (strictness re-enabled
-    /// after a permissive start, or strict mode over a static
+    /// engine: replay is enabled, hazards are strict, the program has a
+    /// micro-op program, and no check the micro-ops cannot run is armed
+    /// (strictness re-enabled after a permissive start, or a static
     /// cross-Vcycle hazard). Otherwise every Vcycle runs on the
     /// interpreter.
     pub fn replay_armed(&self) -> bool {
@@ -932,20 +940,16 @@ impl Machine {
     /// also a fresh run's first Vcycle once its program's schedule is
     /// proven ([`replays_next_vcycle`]).
     ///
-    /// The validation Vcycle proved the static schedule's assumptions, so
-    /// this path skips NOP positions, idle-tail positions, the
-    /// per-position `take_due` scan, and all link bookkeeping: a
-    /// core-major walk of pre-resolved micro-ops over the active cores,
-    /// with counters accumulated in bulk, then the frozen delivery
-    /// schedule and a dense epilogue. Core-major order is invisible
-    /// because cores only interact through the (frozen) delivery
-    /// schedule, and the only *fallible* micro-ops are the privileged
-    /// core's `Expect`s, so error selection matches the interpreter's
-    /// encounter order too. In strict mode (no read can observe an
-    /// in-flight write — validated) register writes commit directly and
-    /// the epilogue collapses to the pre-resolved `epi_prog` write list;
-    /// permissive mode keeps the pipeline ring for exact stale-read
-    /// semantics.
+    /// The strict validation Vcycle proved the static schedule's
+    /// assumptions, so this path skips NOP positions, idle-tail positions,
+    /// the per-position `take_due` scan, all link bookkeeping and the
+    /// pipeline ring: a core-major walk of pre-resolved micro-ops over the
+    /// active cores with direct register commits, counters accumulated in
+    /// bulk, then the pre-resolved epilogue write list. Core-major order
+    /// is invisible because cores only interact through the (frozen)
+    /// delivery schedule, and the only *fallible* micro-ops are the
+    /// privileged core's `Expect`s, so error selection matches the
+    /// interpreter's encounter order too.
     pub(crate) fn run_one_vcycle_uops(&mut self) -> Result<(), MachineError> {
         let Machine {
             program,
@@ -956,23 +960,15 @@ impl Machine {
             compute_time,
             counters,
             events,
-            strict_hazards,
             send_vals_buf,
             ..
         } = self;
         let config = &program.config;
         let vcycle_len = program.vcycle_len;
-        let tape = program
-            .replay_tape
-            .as_ref()
-            .expect("replay_armed checked the tape");
         let up = program
             .micro_prog
             .as_ref()
-            .expect("micro program exists whenever the tape does");
-        let direct = *strict_hazards;
-        let vstart = *compute_time;
-        let lat = config.hazard_latency as u64;
+            .expect("replay_armed checked the micro program");
         let rf = config.regfile_size;
         let sw = config.scratch_words;
         let vcycle = counters.vcycles;
@@ -981,7 +977,7 @@ impl Machine {
         // is the machine's reusable scratch — no per-Vcycle allocation.
         let send_vals = send_vals_buf;
         send_vals.clear();
-        send_vals.reserve(tape.sends_per_vcycle);
+        send_vals.reserve(up.sends);
         for &idx in &up.active {
             let idx = idx as usize;
             let mut view = CoreView {
@@ -992,17 +988,10 @@ impl Machine {
             };
             // The privileged core is linear index 0 ((0,0) row-major).
             let cache_arg = (idx == 0).then_some(&mut *cache);
-            let run = if direct {
-                run_core_uops::<true>
-            } else {
-                run_core_uops::<false>
-            };
-            if let Err((pos, e)) = run(
+            if let Err((pos, e)) = run_core_uops(
                 &program.exceptions,
                 vcycle,
                 sw,
-                lat,
-                vstart,
                 &mut view,
                 &up.streams[idx],
                 cache_arg,
@@ -1010,55 +999,24 @@ impl Machine {
                 events,
                 send_vals,
             ) {
-                counters.add(&tape.fault_counters(&program.cores, pos));
+                counters.add(&up.fault_counters(&program.cores, pos));
                 return Err(e);
             }
         }
-        debug_assert_eq!(send_vals.len(), tape.sends_per_vcycle);
+        debug_assert_eq!(send_vals.len(), up.sends);
 
-        if direct {
-            // Delivery and epilogue collapse into the pre-resolved write
-            // list: `(core, slot)` order, direct commits (nothing can
-            // observe them in flight), bulk counters.
-            counters.messages_delivered += tape.deliveries.len() as u64;
-            for e in &up.epi_prog {
-                regs[e.core as usize * rf + e.rd as usize] = send_vals[e.send_idx as usize] as u32;
-            }
-            for &idx in &up.active {
-                let idx = idx as usize;
-                let epi = tape.epi_exec[idx] as u64;
-                cores[idx].executed += epi;
-                counters.instructions += epi;
-            }
-        } else {
-            // Delivery phase: the frozen schedule already knows every
-            // arrival position and slot; only the values change between
-            // Vcycles.
-            for d in &tape.deliveries {
-                let core = &mut cores[d.target as usize];
-                core.epilogue[d.slot as usize] = Some((d.rd, send_vals[d.send_idx as usize]));
-                core.received += 1;
-                counters.messages_delivered += 1;
-            }
-            // Epilogue phase through the pipeline ring: every slot was
-            // validated to fill and to issue within the Vcycle (`epi_exec`
-            // clamps the ones that never issue).
-            for (idx, core) in cores.iter_mut().enumerate() {
-                let mut view = CoreView {
-                    cs: core,
-                    prog: &program.cores[idx],
-                    regs: &mut regs[idx * rf..(idx + 1) * rf],
-                    scratch: &mut scratch[program.scratch_range(idx)],
-                };
-                let body_len = view.prog.body.len() as u64;
-                for slot in 0..tape.epi_exec[idx] {
-                    let now = vstart + body_len + slot as u64;
-                    view.commit_due(now);
-                    let (rd, value) = view.cs.epilogue[slot].expect("validated: every slot fills");
-                    exec_epilogue_slot(&mut view, now, lat, rd, value, counters);
-                }
-                view.cs.wrap_vcycle();
-            }
+        // Delivery and epilogue collapse into the pre-resolved write list:
+        // `(core, slot)` order, direct commits (nothing can observe them
+        // in flight), bulk counters.
+        counters.messages_delivered += up.sends as u64;
+        for e in &up.epi_prog {
+            regs[e.core as usize * rf + e.rd as usize] = send_vals[e.send_idx as usize] as u32;
+        }
+        for &idx in &up.active {
+            let idx = idx as usize;
+            let epi = up.epi_exec[idx] as u64;
+            cores[idx].executed += epi;
+            counters.instructions += epi;
         }
 
         *compute_time += vcycle_len;
@@ -1070,7 +1028,8 @@ impl Machine {
 
 /// Whether replay is armed for a run with these knobs: see
 /// [`Machine::replay_armed`], which the gang engine mirrors through this
-/// same function.
+/// same function. The micro-op engine commits every write directly, which
+/// only a strict run may do, so permissive runs are never armed.
 pub(crate) fn replay_armed(
     program: &CompiledProgram,
     enabled: bool,
@@ -1078,11 +1037,9 @@ pub(crate) fn replay_armed(
     strict: bool,
 ) -> bool {
     enabled
+        && strict
         && !invalidated
-        && program
-            .micro_prog
-            .as_ref()
-            .is_some_and(|p| !(strict && p.cross_hazard))
+        && program.micro_prog.as_ref().is_some_and(|p| !p.cross_hazard)
 }
 
 /// The one engine choice for a run's next Vcycle, shared by the solo and

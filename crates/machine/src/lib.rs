@@ -28,7 +28,7 @@
 //!
 //! A loaded design is split across the compile-once / run-many boundary:
 //! the immutable [`CompiledProgram`] (validated per-core programs,
-//! exception table, initial state images, replay tape, micro-op streams)
+//! exception table, initial state images, the micro-op program)
 //! is shared behind an `Arc`, and a [`Machine`] is one *run* of it —
 //! mutable state only, and only the state the program can touch, so it
 //! is cheap to boot ([`Machine::from_program`]), which is what the
@@ -45,13 +45,15 @@
 //! per-position NoC bookkeeping, with operands pre-resolved to flat
 //! offsets, dead hazard checks removed, counters bulk-accumulated, and the
 //! measured-hottest adjacent instruction pairs fused into one dispatch —
-//! same bits, fewer interpreted steps. The stream is lowered from a frozen
-//! replay tape (dense per-core schedules plus the delivery schedule); see
-//! the crate-private `replay`/`uops` modules and `ARCHITECTURE.md`. The
-//! position-by-position interpreter (`set_replay(false)`) is the reference
-//! the micro-op engine is tested against, and it runs every Vcycle the
-//! micro-ops cannot (validation, strictness re-armed after a permissive
-//! start, a strict static cross-Vcycle hazard).
+//! same bits, fewer interpreted steps. Replay commits every write
+//! directly, so it runs strict Vcycles only; the stream and its
+//! pre-resolved epilogue writes are built from a frozen delivery schedule
+//! that exists only at freeze time; see the crate-private `replay`/`uops`
+//! modules and `ARCHITECTURE.md`. The position-by-position interpreter
+//! (`set_replay(false)`) is the reference the micro-op engine is tested
+//! against, and it runs every Vcycle the micro-ops cannot (validation,
+//! permissive hazards, strictness re-armed after a permissive start, a
+//! static cross-Vcycle hazard).
 //!
 //! Finally, runs are first-class *scenario-tree* nodes: a [`Checkpoint`]
 //! is a serialize-free snapshot of one run at a Vcycle boundary, keyed to

@@ -3,18 +3,19 @@
 //!
 //! [`CompiledProgram`] is the frozen artifact a [`crate::Machine`] executes:
 //! the validated per-core programs, the exception table, the initial
-//! register/scratchpad/DRAM images, and — because they are pure functions of
-//! the program — the replay tape and the fused micro-op stream lowered
-//! from it. It is
-//! immutable after construction and shared behind an `Arc`, so *N*
-//! concurrent simulations of the same design (a fleet, a gang, a
-//! parameter sweep) pay for validation, tape freezing, and
-//! micro-op compilation exactly once. Booting another machine from the
-//! artifact ([`crate::Machine::from_program`]) only allocates the mutable
-//! per-run state the program can touch: the SoA register file, a
-//! scratchpad lane for each core that addresses its scratchpad, pipeline
-//! rings whose hazard tables stop at the highest register the program
-//! names, the NoC, and the cache.
+//! register/scratchpad/DRAM images, and — because it is a pure function of
+//! the program — the one replay artifact, the [`MicroProgram`] (fused
+//! micro-op streams plus pre-resolved epilogue writes). It is immutable
+//! after construction and shared behind an `Arc`, so *N* concurrent
+//! simulations of the same design (a fleet, a gang, a parameter sweep) pay
+//! for validation and micro-op compilation exactly once. No other replay
+//! schedule is kept: the delivery schedule the micro-op program is built
+//! from is a build-time local. Booting another machine from the artifact
+//! ([`crate::Machine::from_program`]) only allocates the mutable per-run
+//! state the program can touch: the SoA register file, a scratchpad lane
+//! for each core that addresses its scratchpad, pipeline rings whose
+//! hazard tables stop at the highest register the program names, the NoC,
+//! and the cache.
 //!
 //! Whether the static schedule is sound is a property of the program too,
 //! so it is proven once per program: the first run whose strict
@@ -41,7 +42,6 @@ static NEXT_IDENTITY: AtomicU64 = AtomicU64::new(1);
 const NO_LANE: u32 = u32::MAX;
 
 use crate::grid::MachineError;
-use crate::replay::ReplayTape;
 use crate::uops::MicroProgram;
 
 /// The immutable per-core half of a core: its program and static geometry.
@@ -65,11 +65,25 @@ pub(crate) struct CoreProgram {
     pub custom_masks_x4: Vec<[u64; 16]>,
 }
 
+impl CoreProgram {
+    /// The body instructions that issue in the first `end` positions of a
+    /// Vcycle: `(position, instruction)` for every non-NOP entry, in
+    /// position order.
+    pub(crate) fn issued(&self, end: u64) -> impl Iterator<Item = (u64, Instruction)> + '_ {
+        self.body
+            .iter()
+            .take(usize::try_from(end).unwrap_or(usize::MAX))
+            .enumerate()
+            .filter(|(_, i)| !matches!(i, Instruction::Nop))
+            .map(|(pos, &i)| (pos as u64, i))
+    }
+}
+
 /// A design compiled, validated, and frozen for execution: share it behind
 /// an [`Arc`] and boot as many [`crate::Machine`]s from it as you like
 /// ([`crate::Machine::from_program`]) — each run gets its own mutable
-/// state, but the programs, the replay tape, and the micro-op streams are
-/// built once and never copied.
+/// state, but the programs and the micro-op program are built once and
+/// never copied.
 #[derive(Debug)]
 pub struct CompiledProgram {
     pub(crate) config: MachineConfig,
@@ -110,18 +124,17 @@ pub struct CompiledProgram {
     pub(crate) proven: AtomicBool,
     /// Initial DRAM contents, applied to each run's fresh cache.
     pub(crate) init_dram: Vec<(u64, u16)>,
-    /// The frozen replay tape; `None` when the program cannot be replayed
-    /// (see [`ReplayTape::build`]).
-    pub(crate) replay_tape: Option<ReplayTape>,
-    /// The fused micro-op lowering; `Some` exactly when `replay_tape` is.
+    /// The micro-op program replayed Vcycles run; `None` when the
+    /// program's messages cannot be replayed (see
+    /// [`MicroProgram::compile`]).
     pub(crate) micro_prog: Option<MicroProgram>,
     /// Process-unique identity of this compilation, minted at
     /// [`CompiledProgram::compile`] time. A [`crate::Checkpoint`] records
     /// the identity of the program it was taken under, and restore/fork
     /// refuse (with [`MachineError::CheckpointMismatch`]) to apply a
     /// snapshot to a machine running any other compilation — even a
-    /// byte-identical recompile of the same design, whose tape/micro-op
-    /// artifacts could still legitimately differ.
+    /// byte-identical recompile of the same design, whose micro-op
+    /// program could still legitimately differ.
     pub(crate) identity: u64,
 }
 
@@ -311,19 +324,11 @@ impl CompiledProgram {
                 }
             }
         }
-        // The replay tape and its micro-op lowering are pure functions of
-        // the loaded program and the configuration, so they are frozen
-        // here; a run only *uses* them after its first (validation) Vcycle
-        // has proven the schedule's assumptions.
-        let replay_tape = ReplayTape::build(&cores, &config, binary.vcycle_len as u64);
-        let micro_prog = replay_tape.as_ref().map(|tape| {
-            MicroProgram::compile(
-                tape,
-                &cores,
-                binary.vcycle_len as u64,
-                config.hazard_latency as u64,
-            )
-        });
+        // The micro-op program is a pure function of the loaded program
+        // and the configuration, so it is frozen here; a run only *uses*
+        // it after a strict validation Vcycle has proven the schedule's
+        // assumptions.
+        let micro_prog = MicroProgram::compile(&cores, &config, binary.vcycle_len as u64);
         Ok(CompiledProgram {
             cores,
             exceptions: binary.exceptions.clone(),
@@ -336,7 +341,6 @@ impl CompiledProgram {
             reg_span,
             proven: AtomicBool::new(false),
             init_dram: binary.init_dram.clone(),
-            replay_tape,
             micro_prog,
             config,
             identity: NEXT_IDENTITY.fetch_add(1, Ordering::Relaxed),
@@ -412,15 +416,15 @@ impl CompiledProgram {
         self.identity
     }
 
-    /// True when a frozen replay schedule exists for this program (see
+    /// True when a micro-op program exists for this program (see
     /// [`crate::Machine::set_replay`]).
     pub fn replayable(&self) -> bool {
-        self.replay_tape.is_some()
+        self.micro_prog.is_some()
     }
 
     /// Approximate resident size of this frozen artifact in bytes: the
     /// per-core program bodies and custom-function tables, the sparse
-    /// boot images, the replay tape, and the micro-op streams. This is an
+    /// boot images, and the micro-op program. This is an
     /// accounting figure for caches that bound themselves by bytes (the
     /// simulation service's compiled-program cache evicts by it), not an
     /// allocator-exact measurement — it deliberately ignores per-`Vec`
@@ -442,9 +446,6 @@ impl CompiledProgram {
         bytes += self.scratch_lane.len() * size_of::<u32>();
         bytes += self.zero_scratch.len() * size_of::<u16>();
         bytes += self.init_dram.len() * size_of::<(u64, u16)>();
-        if let Some(tape) = &self.replay_tape {
-            bytes += tape.approx_bytes();
-        }
         if let Some(prog) = &self.micro_prog {
             bytes += prog.approx_bytes();
         }
@@ -453,7 +454,7 @@ impl CompiledProgram {
 
     /// Micro-op stream statistics, when a micro program exists:
     /// `(micro_ops, fused_pairs)` summed over the grid. `fused_pairs`
-    /// counts adjacent tape-entry pairs absorbed into a single dispatch.
+    /// counts adjacent instruction pairs fused into a single dispatch.
     pub fn micro_op_stats(&self) -> Option<(usize, usize)> {
         self.micro_prog
             .as_ref()

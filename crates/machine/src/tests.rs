@@ -721,11 +721,11 @@ fn enabling_strict_hazards_disarms_replay() {
     });
     let mut m = Machine::load(test_config(1, 1), &binary).unwrap();
     assert!(m.replay_armed(), "micro-ops frozen at load");
-    // Relaxing to permissive only removes checks: replay stays armed.
+    // Permissive runs execute on the interpreter: replay disarms.
     m.set_strict_hazards(false);
-    assert!(m.replay_armed());
+    assert!(!m.replay_armed());
     // Re-enabling strictness arms checks the (permissive) validation
-    // Vcycle never proved: replay is disarmed for good.
+    // Vcycle never proved: replay stays disarmed for good.
     m.set_strict_hazards(true);
     assert!(!m.replay_armed());
     m.set_replay(true);
@@ -882,9 +882,9 @@ mod replay_engines {
     #[test]
     fn host_reads_see_flushed_tail_writes_on_every_engine() {
         // `read_reg` must return the in-flight (flushed) value at the
-        // Vcycle boundary, whether the write sits in the ring
-        // (interpreter, permissive micro-ops) or was committed directly
-        // (strict micro-ops).
+        // Vcycle boundary, whether the write sits in the ring (the strict
+        // and the permissive interpreter) or was committed directly
+        // (micro-ops).
         for (replay, strict) in [(false, true), (true, false), (true, true)] {
             let mut m = Machine::load(test_config(1, 1), &tail_write_binary()).unwrap();
             m.set_strict_hazards(strict);
@@ -1014,14 +1014,15 @@ mod replay_engines {
     fn micro_op_stats_are_withheld_while_a_static_hazard_disarms_the_stream() {
         // Strict mode over a static cross-Vcycle hazard runs every Vcycle
         // on the interpreter, so the stream is not usable by this run and
-        // its statistics must not be reported; permissive mode replays
-        // through the ring, so they are.
+        // its statistics must not be reported; permissive runs stay on the
+        // interpreter too, so they stay withheld.
         let mut m = Machine::load(test_config(1, 1), &cross_boundary_hazard_binary()).unwrap();
+        assert!(m.program().micro_op_stats().is_some(), "the stream exists");
         assert!(!m.replay_armed());
         assert_eq!(m.micro_op_stats(), None);
         m.set_strict_hazards(false);
-        assert!(m.replay_armed());
-        assert!(m.micro_op_stats().is_some());
+        assert!(!m.replay_armed());
+        assert_eq!(m.micro_op_stats(), None);
         m.set_strict_hazards(true);
         assert_eq!(m.micro_op_stats(), None);
     }
@@ -1029,9 +1030,9 @@ mod replay_engines {
     #[test]
     fn cross_boundary_stale_reads_agree_in_permissive_mode() {
         // Permissive mode: the same program runs, reading stale values
-        // across the boundary. The micro-op engine keeps the pipeline
-        // ring here, so its stale-read timing must match the interpreter
-        // bit-for-bit.
+        // across the boundary. Replay stays enabled but is not armed, so
+        // the default machine runs the interpreter and must match a
+        // replay-off run bit-for-bit.
         let mut reference =
             Machine::load(test_config(1, 1), &cross_boundary_hazard_binary()).unwrap();
         reference.set_strict_hazards(false);
@@ -1039,7 +1040,8 @@ mod replay_engines {
         reference.run_vcycles(6).unwrap();
         let mut m = Machine::load(test_config(1, 1), &cross_boundary_hazard_binary()).unwrap();
         m.set_strict_hazards(false);
-        assert!(m.replay_armed(), "permissive mode replays through the ring");
+        assert!(m.replay_enabled());
+        assert!(!m.replay_armed(), "permissive runs stay on the interpreter");
         m.run_vcycles(6).unwrap();
         for reg in [r(1), r(3)] {
             assert_eq!(
@@ -2019,12 +2021,13 @@ mod footprint {
 
     #[test]
     fn ganged_lanes_fall_back_to_the_solo_engine_after_a_knob_change() {
-        // A gang that ran ganged micro-op Vcycles, then lost the micro-op
-        // engine to a knob change: every running lane is gathered into
-        // its shell, stepped on the solo engine and scattered back. Each
-        // lane must equal a solo machine given the same knob sequence,
-        // pokes and budgets — including a lane that faults in the
-        // fallback.
+        // A gang whose knobs change mid-run: ganged micro-op Vcycles, then
+        // replay off; or permissive solo-engine Vcycles, then strictness
+        // re-armed (which keeps the rest of the run on the interpreter).
+        // Every fallback Vcycle gathers each running lane into its shell,
+        // steps it on the solo engine and scatters it back. Each lane must
+        // equal a solo machine given the same knob sequence, pokes and
+        // budgets — including a lane that faults in the fallback.
         let program = proven();
         let lanes = 3;
         let c00 = CoreId::new(0, 0);
@@ -2052,7 +2055,8 @@ mod footprint {
                     m
                 })
                 .collect();
-            assert!(gang.replay_armed(), "{knobs}: gangs on a proven program");
+            // Only a strict gang on a proven program runs the kernel.
+            assert_eq!(gang.replay_armed(), !permissive_start, "{knobs}");
             let first = gang.run_vcycles(4);
             if permissive_start {
                 gang.set_strict_hazards(true);
@@ -2136,6 +2140,8 @@ mod footprint {
         fast.set_strict_hazards(false);
         interp.set_strict_hazards(false);
         interp.set_replay(false);
+        // A proven program does not arm replay for a permissive run.
+        assert!(!fast.replay_armed());
         let a = fast.run_vcycles(6).unwrap();
         let b = interp.run_vcycles(6).unwrap();
         assert_eq!(a.displays, b.displays);
@@ -2153,6 +2159,52 @@ mod footprint {
             assert_eq!(m.read_reg(BUSY, r(100)), 0xbeef);
             assert_eq!(m.read_reg(INERT, r(2047)), 0x1234);
             assert_eq!(m.read_reg(BUSY, r(4)), 3, "scratch round trip");
+        }
+        // A gang's solo-engine fallback copies only each core's footprint
+        // between the lane-major state and the lane's shell, so a poke
+        // above it must survive replay-off and permissive Vcycles there
+        // and read back through every lane view like a solo run's.
+        let lanes = 2;
+        for (replay, strict) in [(false, true), (true, false)] {
+            let program = proven();
+            let mut gang = crate::GangMachine::from_program(Arc::clone(&program), lanes);
+            gang.set_replay(replay);
+            gang.set_strict_hazards(strict);
+            assert!(!gang.replay_armed());
+            let mut solos: Vec<Machine> = (0..lanes)
+                .map(|lane| {
+                    let mut m = Machine::from_program(Arc::clone(&program));
+                    m.set_replay(replay);
+                    m.set_strict_hazards(strict);
+                    for (core, reg, value) in [(BUSY, r(100), 0xbee0), (INERT, r(2047), 0x1230)] {
+                        m.poke_reg(core, reg, value + lane as u16);
+                        gang.poke_reg(lane, core, reg, value + lane as u16);
+                    }
+                    m
+                })
+                .collect();
+            let results = gang.run_vcycles(3);
+            for (lane, solo) in solos.iter_mut().enumerate() {
+                let what = format!("gang replay {replay} strict {strict} lane {lane}");
+                solo.run_vcycles(3).unwrap();
+                assert!(results[lane].is_ok(), "{what}");
+                assert_eq!(gang.read_reg(lane, BUSY, r(100)), 0xbee0 + lane as u16);
+                for (core, reg) in [(BUSY, r(100)), (INERT, r(2047)), (BUSY, r(4))] {
+                    assert_eq!(
+                        gang.read_reg(lane, core, reg),
+                        solo.read_reg(core, reg),
+                        "{what}: {core} {reg}"
+                    );
+                }
+                let same = save_checkpoint(&gang.checkpoint_lane(lane))
+                    == save_checkpoint(&solo.checkpoint());
+                assert!(same, "{what}: checkpoint bytes differ");
+            }
+            for (lane, (m, solo)) in gang.into_machines().iter().zip(&solos).enumerate() {
+                let what = format!("gang replay {replay} strict {strict} lane {lane}");
+                assert_eq!(m.read_reg(INERT, r(2047)), 0x1230 + lane as u16, "{what}");
+                assert_same_state(m, solo, &what);
+            }
         }
     }
 

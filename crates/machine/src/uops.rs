@@ -1,27 +1,30 @@
-//! The fused micro-op stream: the replay engine, lowered from the replay
-//! tape.
+//! The fused micro-op stream: the replay engine.
 //!
-//! The tape ([`crate::replay`]) already drops NOPs, idle tails, and all
-//! NoC bookkeeping, but interpreting its entries would still pay the
-//! general interpreter's costs at every replayed position: the full
-//! [`Instruction`] match with `Reg` unwrapping, per-operand strict-hazard
-//! branches, two counter read-modify-writes per instruction, and a
-//! non-inlinable call into the executor. All of that is *static* — the
-//! validation Vcycle proved hazards cannot fire, the instruction mix never
-//! changes, and the per-Vcycle counter deltas are constants of the
-//! program. So this module compiles each core's tape into a dense
-//! [`MicroOp`] stream with
+//! Once a strict validation Vcycle has proven a program's static schedule
+//! ([`crate::replay`]), interpreting its Vcycles position by position would
+//! still pay the general interpreter's costs at every position: NOP and
+//! idle-tail positions, the full [`Instruction`] match with `Reg`
+//! unwrapping, per-operand strict-hazard branches, the pipeline ring, two
+//! counter read-modify-writes per instruction, and a non-inlinable call
+//! into the executor. All of that is *static* — the validation Vcycle
+//! proved hazards cannot fire, the instruction mix never changes, and the
+//! per-Vcycle counter deltas are constants of the program. So this module
+//! compiles each core's body into a dense [`MicroOp`] stream with
 //!
+//! - **no idle positions** — only the non-NOP positions inside the Vcycle,
+//!   so a core whose body is ten instructions in a 400-cycle Vcycle costs
+//!   ten steps, not 400;
 //! - **pre-resolved operands** — flat `u16` register-file indices instead
 //!   of `Reg` newtypes, `Slice` masks precomputed from the width, custom
 //!   functions resolved to a table index (validated at compile), and
 //!   `Send` reduced to its source register (target, slot, and destination
-//!   register live in the frozen delivery schedule);
-//! - **no hazard checks** — in strict mode the validation Vcycle proved no
-//!   read ever observes an in-flight write, so the checks are dead; in
-//!   permissive mode they are off by definition. Stale-read *semantics*
-//!   are still exact because the pipeline ring commits by `(position,
-//!   latency)` arithmetic, identically to the interpreter;
+//!   register live in the pre-resolved epilogue writes);
+//! - **direct commits, no hazard checks** — the strict validation Vcycle
+//!   proved no read ever observes an in-flight write, so the checks are
+//!   dead and a delayed write is indistinguishable from an immediate one:
+//!   every write commits at once and there is no pipeline ring. Permissive
+//!   runs, where stale reads are real, stay on the interpreter, the one
+//!   reference for stale-read semantics;
 //! - **bulk counters** — `instructions`/`executed`/`sends` accumulate in
 //!   locals and flush once per core walk (flushed even on a faulting walk,
 //!   so error-path counters match the interpreter bit-for-bit);
@@ -31,23 +34,26 @@
 //!   adjacent pairs, `Mux→Mux` 4.0%, `Send→Send` 3.4%, `Alu→Send` 1.8%;
 //!   `Set` chains and predicated stores never appear (constants arrive
 //!   via `init_regs`), so exactly those four pairs are fused. A fused op
-//!   executes both halves in one dispatch, with a pipeline commit between
-//!   the two positions, so timing-visible behaviour is unchanged.
+//!   executes both halves in one dispatch, in position order.
 //!
-//! The stream is a pure function of the tape, built once when the program
-//! is frozen into a [`crate::CompiledProgram`] (and shared by every run of
-//! it) and used by the grid's micro-op replay path ([`crate::grid`])
-//! strictly after a validation Vcycle of the program succeeded (in this
-//! run or an earlier one).
+//! The [`MicroProgram`] is a pure function of the loaded program and the
+//! configuration, built once when the program is frozen into a
+//! [`crate::CompiledProgram`] — the artifact's one replay structure,
+//! shared by every run of it — and used by the grid's micro-op replay path
+//! ([`crate::grid`]) and the gang kernel strictly after a strict
+//! validation Vcycle of the program succeeded (in this run or an earlier
+//! one). The delivery schedule it is built from ([`crate::replay`]) is a
+//! build-time local; only what a replayed Vcycle and its error path read
+//! is kept.
 
-use manticore_isa::{AluOp, ExceptionDescriptor, Instruction};
+use manticore_isa::{AluOp, ExceptionDescriptor, Instruction, MachineConfig};
 
 use crate::cache::Cache;
 use crate::core::CoreView;
 use crate::exec::service_exception;
 use crate::grid::{HostEvent, MachineError, PerfCounters};
 use crate::program::CoreProgram;
-use crate::replay::ReplayTape;
+use crate::replay::{self, Delivery};
 
 /// One micro-op: a pre-resolved payload at a Vcycle position. Fused
 /// payloads cover positions `pos` and `pos + 1`.
@@ -177,7 +183,8 @@ pub(crate) struct EpiEntry {
     pub send_idx: u32,
 }
 
-/// The compiled micro-op program for a whole machine.
+/// The compiled micro-op program for a whole machine: everything a
+/// replayed Vcycle and its error path read.
 #[derive(Debug)]
 pub(crate) struct MicroProgram {
     /// Per core (linear index): the fused micro-op stream, positions
@@ -188,8 +195,18 @@ pub(crate) struct MicroProgram {
     /// are skipped entirely.
     pub active: Vec<u32>,
     /// The executing epilogue slots, pre-resolved to direct register
-    /// writes (used by the direct-commit path).
+    /// writes.
     pub epi_prog: Vec<EpiEntry>,
+    /// Per core: how many epilogue slots actually issue (slots whose
+    /// position `body_len + slot` falls inside the Vcycle).
+    pub epi_exec: Vec<usize>,
+    /// `Send`s per Vcycle. Every message is delivered inside the Vcycle
+    /// (no program is compiled otherwise), so this is also the number of
+    /// messages delivered per Vcycle.
+    pub sends: usize,
+    /// Every message's delivery position, ascending: what
+    /// [`MicroProgram::fault_counters`] counts delivered messages by.
+    pub deliver_at: Vec<u32>,
     /// True if some register written near the Vcycle end is read early
     /// enough in the next Vcycle to observe the write still in flight.
     /// This is a static property (`write pos + hazard latency >
@@ -199,14 +216,15 @@ pub(crate) struct MicroProgram {
     /// exhibits it; the flag exists so the fast path cannot silently
     /// change semantics.
     pub cross_hazard: bool,
-    /// Tape entries absorbed into fused pairs (reporting only).
+    /// Adjacent instruction pairs fused into one dispatch (reporting
+    /// only).
     pub fused_pairs: usize,
 }
 
 /// Lowers one decoded instruction to its micro-op payload.
 fn lower(instr: Instruction) -> UOp {
     match instr {
-        Instruction::Nop => unreachable!("the tape holds no NOPs"),
+        Instruction::Nop => unreachable!("issued positions hold no NOPs"),
         Instruction::Set { rd, imm } => UOp::Set { rd: rd.0, imm },
         Instruction::Alu { op, rd, rs1, rs2 } => UOp::Alu {
             op,
@@ -359,7 +377,7 @@ fn fuse(a: &MicroOp, b: &MicroOp) -> Option<UOp> {
 }
 
 impl MicroProgram {
-    /// Approximate heap footprint of the compiled streams, in bytes. An
+    /// Approximate heap footprint of the compiled program, in bytes. An
     /// accounting figure for cache budgeting, not an allocator-exact
     /// measurement.
     pub(crate) fn approx_bytes(&self) -> usize {
@@ -370,63 +388,67 @@ impl MicroProgram {
         }
         bytes += self.active.len() * size_of::<u32>();
         bytes += self.epi_prog.len() * size_of::<EpiEntry>();
+        bytes += self.epi_exec.len() * size_of::<usize>();
+        bytes += self.deliver_at.len() * size_of::<u32>();
         bytes
     }
 
-    /// Compiles the frozen tape into fused micro-op streams.
+    /// Compiles a loaded program into fused micro-op streams and
+    /// pre-resolved epilogue writes, or `None` when its messages cannot
+    /// be replayed (see [`replay::deliveries`]).
     pub fn compile(
-        tape: &ReplayTape,
         cores: &[CoreProgram],
+        config: &MachineConfig,
         vcycle_len: u64,
-        hazard_latency: u64,
-    ) -> MicroProgram {
-        let mut streams = Vec::with_capacity(tape.body.len());
+    ) -> Option<MicroProgram> {
+        let deliveries = replay::deliveries(cores, config, vcycle_len)?;
         let mut fused_pairs = 0usize;
-        for ops in &tape.body {
-            let mut stream: Vec<MicroOp> = Vec::with_capacity(ops.len());
-            let mut i = 0;
-            while i < ops.len() {
-                let a = MicroOp {
-                    pos: ops[i].pos,
-                    op: lower(ops[i].instr),
-                };
-                if i + 1 < ops.len() {
-                    let b = MicroOp {
-                        pos: ops[i + 1].pos,
-                        op: lower(ops[i + 1].instr),
-                    };
-                    if let Some(f) = fuse(&a, &b) {
-                        stream.push(MicroOp { pos: a.pos, op: f });
+        let streams: Vec<Vec<MicroOp>> = cores
+            .iter()
+            .map(|core| {
+                let ops: Vec<MicroOp> = core
+                    .issued(vcycle_len)
+                    .map(|(pos, instr)| MicroOp {
+                        pos: pos as u32,
+                        op: lower(instr),
+                    })
+                    .collect();
+                let mut stream = Vec::with_capacity(ops.len());
+                let mut i = 0;
+                while i < ops.len() {
+                    if let Some(f) = ops.get(i + 1).and_then(|b| fuse(&ops[i], b)) {
+                        stream.push(MicroOp {
+                            pos: ops[i].pos,
+                            op: f,
+                        });
                         fused_pairs += 1;
                         i += 2;
-                        continue;
+                    } else {
+                        stream.push(ops[i]);
+                        i += 1;
                     }
                 }
-                stream.push(a);
-                i += 1;
-            }
-            streams.push(stream);
-        }
+                stream
+            })
+            .collect();
         let active = cores
             .iter()
             .enumerate()
             .filter(|(idx, c)| !streams[*idx].is_empty() || c.epilogue_len > 0)
             .map(|(idx, _)| idx as u32)
             .collect();
+        let epi_exec: Vec<usize> = cores
+            .iter()
+            .map(|c| (vcycle_len.saturating_sub(c.body.len() as u64) as usize).min(c.epilogue_len))
+            .collect();
 
         // Executing epilogue slots, pre-resolved. Delivery order per
         // target is slot order (slots are assigned sequentially), so a
         // stable sort by core reproduces the serial `(core, slot)` walk.
-        let mut epi_prog: Vec<EpiEntry> = tape
-            .deliveries
+        let mut epi_prog: Vec<EpiEntry> = deliveries
             .iter()
-            .enumerate()
-            .filter(|(_, d)| {
-                let tgt = d.target as usize;
-                let slot_of_target = d.slot as usize;
-                slot_of_target < tape.epi_exec[tgt]
-            })
-            .map(|(_, d)| EpiEntry {
+            .filter(|d| (d.slot as usize) < epi_exec[d.target as usize])
+            .map(|d| EpiEntry {
                 core: d.target,
                 rd: d.rd.0,
                 send_idx: d.send_idx,
@@ -434,13 +456,53 @@ impl MicroProgram {
             .collect();
         epi_prog.sort_by_key(|e| e.core);
 
-        MicroProgram {
-            cross_hazard: cross_boundary_hazard(tape, cores, vcycle_len, hazard_latency),
+        Some(MicroProgram {
+            cross_hazard: cross_boundary_hazard(
+                cores,
+                &deliveries,
+                &epi_exec,
+                vcycle_len,
+                config.hazard_latency as u64,
+            ),
             streams,
             active,
             epi_prog,
+            epi_exec,
+            sends: deliveries.len(),
+            deliver_at: deliveries.iter().map(|d| d.deliver_at).collect(),
             fused_pairs,
+        })
+    }
+
+    /// The counts the position-major interpreter has added to a Vcycle by
+    /// the time the privileged core faults at body position `pos`, beyond
+    /// the privileged core's own instructions: every other core's body
+    /// instructions and sends before `pos`, the epilogue slots that issued
+    /// before `pos`, the messages delivered at or before `pos`, and `pos`
+    /// compute cycles.
+    ///
+    /// The micro-op engines walk core-major and the privileged core
+    /// (linear index 0, the only core that can fault) first, so a faulting
+    /// walk has counted only the privileged core's prefix; adding this
+    /// makes their error-path [`PerfCounters`] the interpreter's. A cold
+    /// path: it rescans the other cores' bodies.
+    pub(crate) fn fault_counters(&self, cores: &[CoreProgram], pos: u64) -> PerfCounters {
+        let mut c = PerfCounters {
+            compute_cycles: pos,
+            ..PerfCounters::default()
+        };
+        for core in &cores[1..] {
+            for (_, instr) in core.issued(pos) {
+                c.instructions += 1;
+                c.sends += matches!(instr, Instruction::Send { .. }) as u64;
+            }
         }
+        for (core, &epi) in cores.iter().zip(&self.epi_exec) {
+            let issued = pos.saturating_sub(core.body.len() as u64) as usize;
+            c.instructions += epi.min(issued) as u64;
+        }
+        c.messages_delivered = self.deliver_at.partition_point(|&d| d as u64 <= pos) as u64;
+        c
     }
 }
 
@@ -451,8 +513,9 @@ impl MicroProgram {
 /// per core; everything involved is static. See
 /// [`MicroProgram::cross_hazard`].
 fn cross_boundary_hazard(
-    tape: &ReplayTape,
     cores: &[CoreProgram],
+    deliveries: &[Delivery],
+    epi_exec: &[usize],
     vcycle_len: u64,
     lat: u64,
 ) -> bool {
@@ -461,10 +524,10 @@ fn cross_boundary_hazard(
     let mut windows: Vec<std::collections::HashMap<u16, u64>> =
         vec![Default::default(); cores.len()];
     let mut any = false;
-    for (idx, ops) in tape.body.iter().enumerate() {
-        for op in ops {
-            if let Some(rd) = op.instr.dest() {
-                let end = (op.pos as u64 + lat).saturating_sub(vcycle_len);
+    for (idx, core) in cores.iter().enumerate() {
+        for (pos, instr) in core.issued(vcycle_len) {
+            if let Some(rd) = instr.dest() {
+                let end = (pos + lat).saturating_sub(vcycle_len);
                 if end > 0 {
                     let w = windows[idx].entry(rd.0).or_insert(0);
                     *w = (*w).max(end);
@@ -473,9 +536,9 @@ fn cross_boundary_hazard(
             }
         }
     }
-    for d in &tape.deliveries {
+    for d in deliveries {
         let idx = d.target as usize;
-        if (d.slot as usize) < tape.epi_exec[idx] {
+        if (d.slot as usize) < epi_exec[idx] {
             let pos = cores[idx].body.len() as u64 + d.slot as u64;
             let end = (pos + lat).saturating_sub(vcycle_len);
             if end > 0 {
@@ -488,17 +551,15 @@ fn cross_boundary_hazard(
     if !any {
         return false;
     }
-    for (idx, ops) in tape.body.iter().enumerate() {
+    for (idx, core) in cores.iter().enumerate() {
         if windows[idx].is_empty() {
             continue;
         }
-        for op in ops {
-            if op.pos as u64 >= lat {
-                break; // windows never extend past `lat - 1`
-            }
-            for src in op.instr.sources() {
+        // Windows never extend past `lat - 1`.
+        for (pos, instr) in core.issued(vcycle_len.min(lat)) {
+            for src in instr.sources() {
                 if let Some(&end) = windows[idx].get(&src.0) {
-                    if (op.pos as u64) < end {
+                    if pos < end {
                         return true;
                     }
                 }
@@ -508,94 +569,52 @@ fn cross_boundary_hazard(
     false
 }
 
-/// Queues (ringed mode) or immediately commits (direct mode) a register
-/// write. Direct commit is legal exactly when no read can observe the
-/// write in flight — strict-validated programs without a cross-boundary
-/// hazard — because then the delayed and the immediate write are
-/// indistinguishable to every architectural observer (reads happen after
-/// the commit point, and the host's flushed view returns the latest write
-/// either way).
+/// Commits one register word: value in the low 16 bits, the carry bit in
+/// bit 16.
 #[inline(always)]
-fn write<const DIRECT: bool>(
-    view: &mut CoreView<'_>,
-    now: u64,
-    lat: u64,
-    rd: u16,
-    value: u16,
-    carry: bool,
-) {
-    if DIRECT {
-        view.regs[rd as usize] = value as u32 | ((carry as u32) << 16);
-    } else {
-        view.cs.write_reg_idx(now, lat, rd, value, carry);
-    }
-}
-
-/// Ringed mode commits pending writes before each position, exactly like
-/// the interpreter; direct mode has nothing in flight.
-#[inline(always)]
-fn commit<const DIRECT: bool>(view: &mut CoreView<'_>, now: u64) {
-    if !DIRECT {
-        view.commit_due(now);
-    }
+fn write(view: &mut CoreView<'_>, rd: u16, value: u16, carry: bool) {
+    view.regs[rd as usize] = value as u32 | ((carry as u32) << 16);
 }
 
 #[inline(always)]
-fn exec_alu<const DIRECT: bool>(
-    view: &mut CoreView<'_>,
-    now: u64,
-    lat: u64,
-    op: AluOp,
-    rd: u16,
-    rs1: u16,
-    rs2: u16,
-) {
+fn exec_alu(view: &mut CoreView<'_>, op: AluOp, rd: u16, rs1: u16, rs2: u16) {
     let a = view.regs[rs1 as usize] as u16;
     let b = view.regs[rs2 as usize] as u16;
     let (v, c) = op.eval(a, b);
-    write::<DIRECT>(view, now, lat, rd, v, c);
+    write(view, rd, v, c);
 }
 
 #[inline(always)]
-fn exec_mux<const DIRECT: bool>(
-    view: &mut CoreView<'_>,
-    now: u64,
-    lat: u64,
-    rd: u16,
-    sel: u16,
-    rs1: u16,
-    rs2: u16,
-) {
+fn exec_mux(view: &mut CoreView<'_>, rd: u16, sel: u16, rs1: u16, rs2: u16) {
     let s = view.regs[sel as usize] as u16;
     let v = if s != 0 {
         view.regs[rs1 as usize]
     } else {
         view.regs[rs2 as usize]
     } as u16;
-    write::<DIRECT>(view, now, lat, rd, v, false);
+    write(view, rd, v, false);
 }
 
-/// Walks one core's micro-op stream for one Vcycle.
-///
-/// `DIRECT` selects immediate register commits (strict-validated
-/// programs, where no read can observe an in-flight write — see
-/// [`write`]) versus the pipeline ring (permissive mode, where stale
-/// reads are real and timing matters).
+/// Walks one core's micro-op stream for one Vcycle, committing every
+/// register write directly. That is legal because replay runs only on
+/// strict-validated programs without a cross-boundary hazard, where no
+/// read can observe a write in flight: the delayed and the immediate
+/// write are indistinguishable to every architectural observer (reads
+/// happen after the commit point, and the host's flushed view returns the
+/// latest write either way).
 ///
 /// Counter deltas (`instructions`, `executed`, `sends`) accumulate in
 /// locals and flush once — including on a faulting walk, where the
 /// prefix up to and through the faulting op is flushed exactly as the
 /// interpreter would have counted it, and the fault comes back with its
-/// position (for [`ReplayTape::fault_counters`]). Only the privileged
+/// position (for [`MicroProgram::fault_counters`]). Only the privileged
 /// core can fault (`Expect`) or touch the cache; `cache` is `Some`
 /// exactly for it.
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn run_core_uops<const DIRECT: bool>(
+pub(crate) fn run_core_uops(
     exceptions: &[ExceptionDescriptor],
     vcycle: u64,
     scratch_words: usize,
-    lat: u64,
-    vstart: u64,
     view: &mut CoreView<'_>,
     stream: &[MicroOp],
     mut cache: Option<&mut Cache>,
@@ -603,27 +622,22 @@ pub(crate) fn run_core_uops<const DIRECT: bool>(
     events: &mut Vec<HostEvent>,
     send_vals: &mut Vec<u16>,
 ) -> Result<(), (u64, MachineError)> {
-    if DIRECT {
-        // Writes left in flight by a previous Vcycle on another engine
-        // (e.g. the validation Vcycle) commit now; no read could have
-        // observed them pending, so early commit is invisible.
-        view.commit_due(u64::MAX);
-    }
+    // Writes left in flight by a previous Vcycle on another engine (e.g.
+    // the validation Vcycle) commit now; no read could have observed them
+    // pending, so early commit is invisible.
+    view.commit_due(u64::MAX);
     let mut ic: u64 = 0;
     let mut sends: u64 = 0;
     let mut result = Ok(());
     for mop in stream {
-        let pos = mop.pos as u64;
-        let now = vstart + pos;
-        commit::<DIRECT>(view, now);
         match mop.op {
             UOp::Set { rd, imm } => {
                 ic += 1;
-                write::<DIRECT>(view, now, lat, rd, imm, false);
+                write(view, rd, imm, false);
             }
             UOp::Alu { op, rd, rs1, rs2 } => {
                 ic += 1;
-                exec_alu::<DIRECT>(view, now, lat, op, rd, rs1, rs2);
+                exec_alu(view, op, rd, rs1, rs2);
             }
             UOp::AddCarry { rd, rs1, rs2, rsc } => {
                 ic += 1;
@@ -631,7 +645,7 @@ pub(crate) fn run_core_uops<const DIRECT: bool>(
                 let b = view.regs[rs2 as usize] & 0xffff;
                 let cin = (view.regs[rsc as usize] >> 16) & 1;
                 let sum = a + b + cin;
-                write::<DIRECT>(view, now, lat, rd, sum as u16, sum > 0xffff);
+                write(view, rd, sum as u16, sum > 0xffff);
             }
             UOp::SubBorrow { rd, rs1, rs2, rsb } => {
                 ic += 1;
@@ -639,7 +653,7 @@ pub(crate) fn run_core_uops<const DIRECT: bool>(
                 let b = (view.regs[rs2 as usize] as u16) as i32;
                 let cin = ((view.regs[rsb as usize] >> 16) & 1) as i32;
                 let diff = a - b - (1 - cin);
-                write::<DIRECT>(view, now, lat, rd, diff as u16, diff >= 0);
+                write(view, rd, diff as u16, diff >= 0);
             }
             UOp::Mux {
                 rd,
@@ -648,7 +662,7 @@ pub(crate) fn run_core_uops<const DIRECT: bool>(
                 rs2,
             } => {
                 ic += 1;
-                exec_mux::<DIRECT>(view, now, lat, rd, rs_sel, rs1, rs2);
+                exec_mux(view, rd, rs_sel, rs1, rs2);
             }
             UOp::Slice {
                 rd,
@@ -658,7 +672,7 @@ pub(crate) fn run_core_uops<const DIRECT: bool>(
             } => {
                 ic += 1;
                 let v = view.regs[rs as usize] as u16;
-                write::<DIRECT>(view, now, lat, rd, (v >> shift) & mask, false);
+                write(view, rd, (v >> shift) & mask, false);
             }
             UOp::Custom { rd, func, rs } => {
                 ic += 1;
@@ -670,7 +684,7 @@ pub(crate) fn run_core_uops<const DIRECT: bool>(
                 let c = view.regs[rs[2] as usize] as u16;
                 let d = view.regs[rs[3] as usize] as u16;
                 let out = crate::exec::eval_custom_masks(&masks, a, b, c, d);
-                write::<DIRECT>(view, now, lat, rd, out, false);
+                write(view, rd, out, false);
             }
             UOp::Predicate { rs } => {
                 ic += 1;
@@ -681,7 +695,7 @@ pub(crate) fn run_core_uops<const DIRECT: bool>(
                 let a = view.regs[rs_addr as usize] as u16;
                 let addr = (base as usize + a as usize) % scratch_words;
                 let v = view.scratch[addr];
-                write::<DIRECT>(view, now, lat, rd, v, false);
+                write(view, rd, v, false);
             }
             UOp::LocalStore {
                 rs_data,
@@ -704,7 +718,7 @@ pub(crate) fn run_core_uops<const DIRECT: bool>(
                 let cache = cache.as_deref_mut().expect("privileged core has the cache");
                 let (v, stall) = cache.load(addr);
                 counters.stall_cycles += stall;
-                write::<DIRECT>(view, now, lat, rd, v, false);
+                write(view, rd, v, false);
             }
             UOp::GlobalStore { rs_data, rs_addr } => {
                 ic += 1;
@@ -736,7 +750,7 @@ pub(crate) fn run_core_uops<const DIRECT: bool>(
                         counters,
                         events,
                     ) {
-                        result = Err((pos, err));
+                        result = Err((mop.pos as u64, err));
                         break;
                     }
                 }
@@ -752,9 +766,8 @@ pub(crate) fn run_core_uops<const DIRECT: bool>(
                 rs22,
             } => {
                 ic += 2;
-                exec_alu::<DIRECT>(view, now, lat, op1, rd1, rs11, rs12);
-                commit::<DIRECT>(view, now + 1);
-                exec_alu::<DIRECT>(view, now + 1, lat, op2, rd2, rs21, rs22);
+                exec_alu(view, op1, rd1, rs11, rs12);
+                exec_alu(view, op2, rd2, rs21, rs22);
             }
             UOp::MuxMux {
                 rd1,
@@ -767,9 +780,8 @@ pub(crate) fn run_core_uops<const DIRECT: bool>(
                 rs22,
             } => {
                 ic += 2;
-                exec_mux::<DIRECT>(view, now, lat, rd1, sel1, rs11, rs12);
-                commit::<DIRECT>(view, now + 1);
-                exec_mux::<DIRECT>(view, now + 1, lat, rd2, sel2, rs21, rs22);
+                exec_mux(view, rd1, sel1, rs11, rs12);
+                exec_mux(view, rd2, sel2, rs21, rs22);
             }
             UOp::AluSend {
                 op,
@@ -780,15 +792,13 @@ pub(crate) fn run_core_uops<const DIRECT: bool>(
             } => {
                 ic += 2;
                 sends += 1;
-                exec_alu::<DIRECT>(view, now, lat, op, rd, rs1, rs2);
-                commit::<DIRECT>(view, now + 1);
+                exec_alu(view, op, rd, rs1, rs2);
                 send_vals.push(view.regs[rs_send as usize] as u16);
             }
             UOp::SendSend { rs1, rs2 } => {
                 ic += 2;
                 sends += 2;
                 send_vals.push(view.regs[rs1 as usize] as u16);
-                commit::<DIRECT>(view, now + 1);
                 send_vals.push(view.regs[rs2 as usize] as u16);
             }
         }

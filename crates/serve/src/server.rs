@@ -30,10 +30,10 @@
 //! plus up to `lanes − 1` of its queued followers that share the front's
 //! program and budget, so they run as one gang. The connection being
 //! served keeps picking while its credit covers the next job's cost;
-//! then the next backlogged connection, in id order, gains `drr_quantum`
-//! Vcycles of credit and takes its turn. A job's cost is its Vcycle
-//! budget clamped to one quantum, so a flood of cheap jobs from one
-//! client cannot starve another's. Every job carries its connection's
+//! then the next backlogged connection, in id order, gains one quantum
+//! (`DRR_QUANTUM`, 50 000 Vcycles) of credit and takes its turn. A job's
+//! cost is its Vcycle budget clamped to one quantum, so a flood of cheap
+//! jobs from one client cannot starve another's. Every job carries its connection's
 //! cancel token: a disconnect trips it, stopping that client's running
 //! jobs at their next Vcycle boundary and discarding its queued ones,
 //! while everyone else's work is untouched.
@@ -68,6 +68,14 @@ use crate::proto::{
 use crate::session::{ParkedSession, SessionSource, SessionStats, SessionTable};
 use crate::wire::{self, WireError, WireLimits};
 
+/// Milliseconds clients are told to back off on a transient reject
+/// (`queue_full`, `compile_busy`): the floor of the client's backoff.
+const RETRY_AFTER_MS: u64 = 20;
+
+/// Vcycles of credit a backlogged connection gains each time its
+/// deficit-round-robin turn comes up; also the most one job is charged.
+const DRR_QUANTUM: u64 = 50_000;
+
 /// Server tuning knobs. `Default` is sized for a small host (the CI
 /// runner): two fleet workers, a 64 MiB cache, one compile slot.
 #[derive(Debug, Clone)]
@@ -84,12 +92,6 @@ pub struct ServerConfig {
     /// Total queued jobs (across all connections) beyond which admission
     /// rejects with a retry hint.
     pub queue_high_water: usize,
-    /// Milliseconds clients are told to back off when rejected.
-    pub retry_after_ms: u64,
-    /// Vcycles of credit a backlogged connection gains each time its
-    /// deficit-round-robin turn comes up; also the most one job is
-    /// charged.
-    pub drr_quantum: u64,
     /// Idle time after which a parked session is reaped.
     pub session_ttl: Duration,
     /// How often the reaper scans the session table.
@@ -123,8 +125,6 @@ impl Default for ServerConfig {
             cache_bytes: 64 << 20,
             compile_slots: 1,
             queue_high_water: 1024,
-            retry_after_ms: 20,
-            drr_quantum: 50_000,
             session_ttl: Duration::from_secs(30),
             reaper_period: Duration::from_millis(500),
             compile_deadline: Some(Duration::from_secs(10)),
@@ -773,7 +773,7 @@ fn admit_submit_netlist(
         })
         .is_ok();
     if !acquired {
-        return reject("compile_busy", shared.cfg.retry_after_ms.max(1), None);
+        return reject("compile_busy", RETRY_AFTER_MS, None);
     }
     let config = MachineConfig::with_grid(side, side);
     let compiled = compile_untrusted(&netlist, &config, cancel, shared);
@@ -893,7 +893,7 @@ fn enqueue(pending: PendingJob, conn_id: u64, shared: &Shared) -> Option<Reply> 
         return Some(Reply::Reject {
             id: pending.meta.id,
             reason: "queue_full".to_string(),
-            retry_after_ms: shared.cfg.retry_after_ms,
+            retry_after_ms: RETRY_AFTER_MS,
             limit: None,
         });
     }
@@ -966,7 +966,7 @@ fn next_pick(shared: &Shared, workers: usize) -> Option<Vec<PendingJob>> {
             return None;
         }
         if sched.inflight < workers {
-            if let Some(pick) = sched.pick(shared.cfg.drr_quantum, shared.cfg.lanes) {
+            if let Some(pick) = sched.pick(DRR_QUANTUM, shared.cfg.lanes) {
                 sched.inflight += 1;
                 return Some(pick);
             }

@@ -2,8 +2,8 @@
 //! that is snapshotted mid-flight and continued from the restored
 //! snapshot — on a fresh machine, or through a gang-lane round-trip
 //! (`fork(1)` then `into_machines()`) — is bit-identical to the run that
-//! was never interrupted, across every engine variant (interp / uops ×
-//! strict / permissive) and all nine workloads.
+//! was never interrupted, across every engine variant (the interpreter
+//! strict and permissive, micro-op replay strict) and all nine workloads.
 //!
 //! The harness is property-style: the snapshot Vcycle is drawn from a
 //! local PRNG per (workload, variant), and the comparison is a full state
@@ -61,14 +61,15 @@ fn fingerprint(machine: &Machine, regfile_size: usize, grid: usize) -> Vec<u64> 
     fp
 }
 
-/// The full engine matrix: the interpreter and the micro-op replay
-/// engine, each under strict and permissive hazards.
+/// The full engine matrix: the interpreter under strict and permissive
+/// hazards, and the micro-op replay engine, which runs strict Vcycles
+/// only (a permissive run with replay enabled is the permissive
+/// interpreter).
 fn variants() -> Vec<(&'static str, bool, bool)> {
     vec![
         ("interp+strict", false, true),
         ("interp+permissive", false, false),
         ("uops+strict", true, true),
-        ("uops+permissive", true, false),
     ]
 }
 

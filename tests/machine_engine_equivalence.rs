@@ -1,8 +1,9 @@
 //! The validate-once / replay-many engine (the fused micro-op stream) must
 //! be bit-identical to the position-by-position grid interpreter on every
 //! real workload: same final register state, same displays, same
-//! `PerfCounters` and cache statistics, under strict and permissive
-//! hazard checking.
+//! `PerfCounters` and cache statistics. Replay runs strict Vcycles only,
+//! so the sweep is strict; a permissive run executes on the interpreter
+//! (the machine unit tests pin that it is never armed).
 //!
 //! This is the machine-side analog of `backend_agreement.rs` (which covers
 //! the Verilator-analog tape executors): together they pin down that every
@@ -38,8 +39,9 @@ fn rtl_regs(machine: &Machine, out: &manticore::compiler::CompileOutput) -> Vec<
 }
 
 /// Sweeps the replay engine against the plain interpreter on every
-/// workload, under the given hazard mode.
-fn sweep_all_workloads(strict: bool) {
+/// workload, both under the default strict hazard checks.
+#[test]
+fn replay_lowerings_are_bit_identical_on_all_workloads() {
     for w in workloads::all() {
         let config = MachineConfig::with_grid(GRID, GRID);
         let options = CompileOptions {
@@ -52,7 +54,6 @@ fn sweep_all_workloads(strict: bool) {
         // Reference: the plain position-by-position interpreter.
         let mut serial = Machine::load(config.clone(), &out.binary)
             .unwrap_or_else(|e| panic!("{}: load failed: {e}", w.name));
-        serial.set_strict_hazards(strict);
         serial.set_replay(false);
         let s_run = serial
             .run_vcycles(VCYCLES)
@@ -60,13 +61,9 @@ fn sweep_all_workloads(strict: bool) {
         let s_regs = rtl_regs(&serial, &out);
 
         // The replay engine (the default) against it.
-        let what = format!(
-            "serial+uops ({})",
-            if strict { "strict" } else { "permissive" }
-        );
+        let what = "serial+uops";
         let mut par = Machine::load(config.clone(), &out.binary).unwrap();
-        par.set_strict_hazards(strict);
-        // Replay must actually engage (no unreplayable program, no strict
+        // Replay must actually engage (no unreplayable program, no static
         // cross-Vcycle hazard), or this sweep compares the interpreter
         // with itself.
         assert!(par.replay_armed(), "{}: {what} not armed", w.name);
@@ -110,19 +107,6 @@ fn sweep_all_workloads(strict: bool) {
             );
         }
     }
-}
-
-#[test]
-fn replay_lowerings_are_bit_identical_on_all_workloads() {
-    sweep_all_workloads(true);
-}
-
-#[test]
-fn replay_lowerings_are_bit_identical_on_all_workloads_permissive() {
-    // Permissive mode keeps the micro-op engine on the pipeline-ring
-    // executor (stale-read timing is observable), so this sweep pins the
-    // ringed lowering too.
-    sweep_all_workloads(false);
 }
 
 #[test]
