@@ -11,14 +11,21 @@
 //! the one-time compilations are *included* in the fleet wall time, so
 //! the speedup is end-to-end, not cherry-picked.
 //!
-//! The **gang rows** isolate the execution engine: per workload, one
-//! shared compilation feeds the same scenario set twice through the same
-//! 4-worker pool — once one-machine-per-scenario (`FleetSim::run_ganged`
-//! at one lane), once lane-batched (`FleetSim::run_ganged` with
-//! `--lanes` lanes, one micro-op fetch per gang). The `gang_vs_fleet` ratio is therefore a
-//! pure dispatch-amortization measurement at equal worker count on the
-//! micro-op engine; `scripts/bench_gate.py --fleet-*` gates its geomean
-//! against the committed `BENCH_fleet.json`.
+//! The **gang rows** isolate the execution engine: per gang width and
+//! workload, one shared compilation feeds the same scenario set (4 gangs'
+//! worth) twice through the same 4-worker pool — once
+//! one-machine-per-scenario (`FleetSim::run_ganged` at one lane), once
+//! lane-batched (`FleetSim::run_ganged` at that width, one micro-op fetch
+//! per gang). The `gang_vs_fleet` ratio is therefore a pure
+//! dispatch-amortization measurement at equal worker count on the
+//! micro-op engine. Each row also reports `gang_reg_words`, the words of
+//! lane-row register state one gang of that width holds
+//! (`GangMachine::reg_words`). The JSON's `gang_widths` holds one entry
+//! per width. `scripts/bench_gate.py --fleet-*` gates the 8-lane geomean
+//! two-sided, every other width's geomean as a one-sided floor and every
+//! row's register words exactly against the committed `BENCH_fleet.json`.
+//! The default sweep includes 5 and 9 lanes: those gangs run the 8- and
+//! 16-wide kernels with padding lanes that never run.
 //!
 //! Run: `cargo run --release -p manticore-bench --bin fleet_throughput`
 //!
@@ -28,18 +35,21 @@
 //! - `--vcycles <n>` — per-scenario Vcycle budget (default 200);
 //! - `--scenarios <n>` — instances per workload (default 6);
 //! - `--grid <g>` — grid size to compile for (default 8);
-//! - `--lanes <k>` — gang width for the gang-vs-fleet rows (default 8;
-//!   0 skips them);
+//! - `--lanes <k,..>` — comma-separated gang widths for the gang-vs-fleet
+//!   rows (default `2,4,5,8,9,16`; widths below 2 are skipped, so `0`
+//!   skips the rows);
 //! - `--gang-vcycles <n>` — per-scenario budget for the gang-vs-fleet
 //!   rows (default 10000). Deliberately longer than `--vcycles`: the gang
 //!   engine targets long-running scenario batches (mining, Monte Carlo,
 //!   soak sweeps), so its rows are measured where execution rather than
 //!   one-time machine boot dominates.
 
+use std::sync::Arc;
 use std::time::Instant;
 
 use manticore::fleet::{FleetJob, FleetSim};
 use manticore::isa::MachineConfig;
+use manticore::prelude::GangMachine;
 use manticore::workloads;
 use manticore::ManticoreSim;
 use manticore_bench::{fmt, json::Val, reject_unknown_args, row, take_flag};
@@ -59,7 +69,12 @@ fn main() {
     let vcycles = parse(take_flag(&mut args, "--vcycles"), "--vcycles", 200);
     let scenarios = parse(take_flag(&mut args, "--scenarios"), "--scenarios", 6) as usize;
     let grid = parse(take_flag(&mut args, "--grid"), "--grid", 8) as usize;
-    let lanes = parse(take_flag(&mut args, "--lanes"), "--lanes", 8) as usize;
+    let widths: Vec<usize> = take_flag(&mut args, "--lanes")
+        .unwrap_or_else(|| "2,4,5,8,9,16".into())
+        .split(',')
+        .map(|w| parse(Some(w.trim().to_string()), "--lanes", 0) as usize)
+        .filter(|&w| w > 1)
+        .collect();
     let gang_vcycles = parse(
         take_flag(&mut args, "--gang-vcycles"),
         "--gang-vcycles",
@@ -147,9 +162,9 @@ fn main() {
     );
 
     // --- Gang vs fleet: same jobs, same pool, lane-batched dispatch ----
-    let mut gang_json: Option<Val> = None;
-    if lanes > 1 {
-        let gang_workers = 4usize;
+    let gang_workers = 4usize;
+    let mut gang_widths: Vec<Val> = Vec::new();
+    for &lanes in &widths {
         let gang_jobs = lanes * gang_workers;
         println!(
             "\n# Gang vs fleet: {gang_jobs} scenarios x {gang_vcycles} vcycles per workload, \
@@ -160,8 +175,9 @@ fn main() {
             "fleet scen/s".into(),
             "gang scen/s".into(),
             "gang/fleet".into(),
+            "gang reg words".into(),
         ]);
-        println!("|---|---|---|---|");
+        println!("|---|---|---|---|---|");
         let mut gang_rows: Vec<Val> = Vec::new();
         let mut log_sum = 0.0f64;
         for w in &all {
@@ -187,18 +203,22 @@ fn main() {
             let fleet_rate = gang_jobs as f64 / fleet_secs;
             let gang_rate = gang_jobs as f64 / gang_secs;
             let ratio = gang_rate / fleet_rate;
+            let reg_words =
+                GangMachine::from_program(Arc::clone(fleet.program()), lanes).reg_words();
             log_sum += ratio.ln();
             row(&[
                 w.name.to_string(),
                 fmt(fleet_rate),
                 fmt(gang_rate),
                 fmt(ratio),
+                reg_words.to_string(),
             ]);
             gang_rows.push(Val::obj(vec![
                 ("name", Val::Str(w.name.to_string())),
                 ("fleet_scenarios_per_sec", Val::Num(fleet_rate)),
                 ("gang_scenarios_per_sec", Val::Num(gang_rate)),
                 ("gang_vs_fleet", Val::Num(ratio)),
+                ("gang_reg_words", Val::Int(reg_words as u64)),
             ]));
         }
         let geomean = (log_sum / all.len() as f64).exp();
@@ -206,7 +226,7 @@ fn main() {
             "\ngang({lanes}) vs fleet at {gang_workers} workers: {} geomean scenarios/sec",
             fmt(geomean)
         );
-        gang_json = Some(Val::obj(vec![
+        gang_widths.push(Val::obj(vec![
             ("workers", Val::Int(gang_workers as u64)),
             ("lanes", Val::Int(lanes as u64)),
             ("vcycles", Val::Int(gang_vcycles)),
@@ -232,8 +252,8 @@ fn main() {
             ),
             ("rows", Val::Arr(json_rows)),
         ];
-        if let Some(gang) = gang_json {
-            fields.push(("gang", gang));
+        if !gang_widths.is_empty() {
+            fields.push(("gang_widths", Val::Arr(gang_widths)));
         }
         let doc = Val::obj(fields);
         manticore_bench::json::write(&path, &doc);

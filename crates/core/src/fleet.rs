@@ -501,7 +501,7 @@ impl Simulator for FleetBackend {
 /// ([`GangMachine`]): every lane boots the same design, `run_cycles`
 /// advances all of them together, and the trait's observers read lane 0.
 /// Architecturally identical to the direct machine backends — what it
-/// adds is coverage of the lane-batched dispatch and the lane-major state
+/// adds is coverage of the lane-batched dispatch and the lane-row state
 /// layout under every agreement test that sweeps
 /// [`crate::sim::backends`].
 #[derive(Debug)]

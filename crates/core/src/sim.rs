@@ -7,7 +7,7 @@
 //! | `manticore-serial` | machine grid, position-by-position reference interpreter | `manticore_machine` |
 //! | `manticore-serial+uops` | machine grid, validate-once / replay-many fused micro-ops over SoA state | `manticore_machine` |
 //! | `manticore-fleet(k)` | machine grid dispatched through a `k`-worker fleet pool | `manticore_fleet` |
-//! | `manticore-gang(k)` | `k` lockstep lanes over lane-major state, one micro-op fetch per gang | `manticore_machine` |
+//! | `manticore-gang(k)` | `k` lockstep lanes over lane-row state, one micro-op fetch per gang | `manticore_machine` |
 //! | `tape-serial` | Verilator-analog tape, one thread | `manticore_refsim` |
 //! | `tape-parallel(k)` | Verilator-analog macro-tasks, `k` threads | `manticore_refsim` |
 //!
@@ -360,7 +360,7 @@ pub fn backends(
     // coverage it adds is the dispatch/steal path itself, which a second
     // row would merely repeat.
     let fleet = crate::fleet::FleetBackend::new(&program, output.clone(), threads);
-    // One gang row: the lane-major strict kernel plus the validation
+    // One gang row: the lane-row strict kernel plus the validation
     // Vcycle, which steps each lane on the solo engine. (The same
     // per-lane fallback runs every permissive, interpreter or disarmed
     // Vcycle; the machine crate's unit tests and the gang equivalence

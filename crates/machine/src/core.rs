@@ -37,7 +37,9 @@ pub(crate) struct PendingWrite {
 }
 
 /// The per-run core state: epilogue slots, pipeline ring, predicate.
-#[derive(Debug, Clone)]
+/// The `Default` value holds no allocation; the gang engine leaves it
+/// behind wherever it moved a core state out.
+#[derive(Debug, Clone, Default)]
 pub(crate) struct CoreState {
     /// Pipeline ring: in-flight writes in commit-time order. Power-of-two
     /// capacity, indexed `(ring_head + i) & ring_mask`.
@@ -97,11 +99,10 @@ impl CoreState {
     }
 
     /// [`CoreState::commit_due`] over a strided register slab: register
-    /// `r`'s word lives at `r * stride + offset`. The gang engine's
-    /// lane-major layout stores one core's register file as `lanes`
-    /// interleaved copies (`stride = lanes`, `offset = lane`); the
-    /// machine's per-core layout is the `stride = 1, offset = 0` special
-    /// case.
+    /// `r`'s word lives at `r * stride + offset`. The gang engine's lane
+    /// rows store one core's registers as `W` interleaved copies (`stride
+    /// = W`, `offset = lane`); the machine's per-core layout is the
+    /// `stride = 1, offset = 0` special case.
     #[inline]
     pub fn commit_due_strided(&mut self, regs: &mut [u32], stride: usize, offset: usize, now: u64) {
         while self.ring_len > 0 {
@@ -126,7 +127,7 @@ impl CoreState {
 
     /// [`CoreState::reg_value_flushed`] with the committed word supplied by
     /// the caller — the layout-agnostic form the gang engine uses, since
-    /// its lane-major state has no contiguous per-core register slice.
+    /// its lane rows have no contiguous per-core register slice.
     #[inline]
     pub fn reg_value_flushed_word(&self, committed: u32, idx: usize) -> u16 {
         if self.inflight.get(idx).is_some_and(|&n| n > 0) {

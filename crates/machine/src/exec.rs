@@ -115,8 +115,8 @@ fn global_addr(
 /// the descriptor. Shared by the interpreter, the micro-op engine, and the
 /// lane-batched gang engine. `read_flushed` is the host's view of the
 /// servicing core's registers (pipeline drained) — a closure rather than a
-/// [`CoreView`] because the gang engine's lane-major state has no
-/// contiguous per-core register slice to view.
+/// [`CoreView`] because the gang engine's lane rows have no contiguous
+/// per-core register slice to view.
 pub(crate) fn service_exception(
     exceptions: &[ExceptionDescriptor],
     vcycle: u64,

@@ -10,36 +10,42 @@
 //! branch on the ALU function — K times over for K scenarios.
 //!
 //! A [`GangMachine`] collapses that cost. It runs K independent scenarios
-//! (*lanes*) of one shared program in lockstep, with the hot mutable state
-//! laid out **lane-major**: one grid-wide `Vec<u32>` register file where
-//! the word for `(core, reg, lane)` lives at
-//! `(core * regfile_size + reg) * lanes + lane` — all K copies of a
-//! register are adjacent (`[lane0_r0, lane1_r0, .., lane0_r1, ..]`). Each
-//! micro-op of the fused stream ([`crate::uops`]) is then fetched and
-//! decoded **once** — including the ALU-function dispatch, hoisted out of
-//! the lane loop so the innermost loop is branch-free for the common ops —
-//! and applied across all K lanes over a contiguous slab. Dispatch cost
-//! per scenario drops by ~K while the data cost stays what it was.
+//! (*lanes*) of one shared program in lockstep, with the hot register
+//! state laid out as **lane rows**: one `[u32; W]` row per register of
+//! each *footprint core* — a core some instruction or message can change
+//! ([`CompiledProgram`]'s `reg_cores`) — and only for the registers the
+//! program names (`reg < reg_span`). The word for `(core, reg, lane)`
+//! lives at `(slot(core) * reg_span + reg) * W + lane`, where `slot` is
+//! the core's position among the footprint cores and `W` is the lane
+//! count rounded up to a power of two. Each micro-op of the fused stream
+//! ([`crate::uops`]) is fetched and decoded **once**, and a register op is
+//! one straight-line row operation `rows[rd] = f(rows[rs1], rows[rs2])`
+//! over all `W` lanes. The kernel is monomorphised by width
+//! (`gang_core_walk::<W>` at W = 1, 2, 4, .., [`MAX_LANES`]), so the lane
+//! loop has a compile-time length and no lane mask: decoding is paid once
+//! per op, and the width sets only the execute work.
 //!
-//! **One layout, one kernel.** The constructors boot one plain solo
-//! [`Machine`] per lane and transpose the register files once into the
-//! lane-major layout (single sequential passes). The machines stay
-//! around as *shells*: they keep owning each lane's NoC, cache, counters,
-//! host events, and scratchpad lanes (scratch accesses are data-dependent
-//! per-lane gathers a lane stride cannot batch, so transposing
-//! mostly-cold scratch would only burn the short-run budgets gangs
-//! accelerate), so the solo fallback and unbundling the gang at the end
-//! allocate nothing. The ganged kernel is the direct-commit micro-op
-//! loop, and it runs exactly when a solo run would replay the Vcycle
-//! ([`replays_next_vcycle`]; replay arms only strict runs). Every other
-//! Vcycle (the validation Vcycle of an unproven program, disabled replay,
-//! permissive hazards, a strict program with a static cross-Vcycle
+//! **Shells.** The constructors boot one plain solo [`Machine`] per lane
+//! and copy the footprint rows out of its register file (and move the
+//! footprint cores' [`CoreState`]s out) once. The machines stay around as
+//! *shells*: they keep owning each lane's NoC, cache, counters, host
+//! events, scratchpad lanes (scratch accesses are data-dependent per-lane
+//! gathers a lane stride cannot batch), every register outside the
+//! footprint, and the core states of every other core. No instruction
+//! reads a register outside the footprint, so a poke or read there goes
+//! straight to the lane's shell.
+//!
+//! **One kernel, one fallback.** The ganged kernel is the direct-commit
+//! micro-op loop, and it runs exactly when a solo run would replay the
+//! Vcycle ([`replays_next_vcycle`]; replay arms only strict runs). Every
+//! other Vcycle (the validation Vcycle of an unproven program, disabled
+//! replay, permissive hazards, a strict program with a static cross-Vcycle
 //! hazard, strictness re-armed mid-run) steps each running lane on the
 //! solo engine ([`Machine::step_vcycle`], the one reference semantics):
-//! gather the lane's register footprint and core states into its shell,
-//! step it, scatter them back. The first lane to validate proves the
-//! program's schedule ([`CompiledProgram::schedule_proven`]) for its
-//! siblings and for every later gang.
+//! move the lane's footprint into its shell, step it, move it back. The
+//! first lane to validate proves the program's schedule
+//! ([`CompiledProgram::schedule_proven`]) for its siblings and for every
+//! later gang.
 //!
 //! What is shared and what is per-lane:
 //!
@@ -52,16 +58,21 @@
 //!   predicates ([`CoreState`]), the privileged core's cache and DRAM,
 //!   performance counters, host events, and the error/finish status.
 //!
-//! **Lane masking.** The only data-dependent outcomes are the privileged
+//! **Parking.** The only data-dependent outcomes are the privileged
 //! core's `Expect`s (assertion failures, `$display`, `$finish`) and cache
-//! stalls. A lane whose run faults is *parked*: its [`MachineError`] is
-//! recorded at its Vcycle, its state and counters freeze exactly where a
-//! solo run would have aborted, and the surviving lanes keep executing.
-//! `$finish` parks a lane the same way, successfully.
+//! stalls. A lane whose run faults or finishes is *parked*: its
+//! [`MachineError`] is recorded at its Vcycle, and its footprint moves
+//! into its shell exactly where a solo run would have stopped (mid-Vcycle
+//! for a failing `Expect`). From then on the shell is authoritative for
+//! that lane, so the row operations need no lane mask: they keep
+//! computing the parked lane's (and the padding lanes') columns, which
+//! nothing reads. Only the ops with per-lane side effects — scratchpad
+//! and cache accesses, `Predicate`, `Expect` and the counters — iterate
+//! the running lanes.
 //!
 //! **Bit-identity.** The equivalence suite (`tests/gang_equivalence.rs`)
 //! pins the ganged path to K solo runs bit for bit: registers, counters,
-//! displays, and errors — across lane counts, replay on and off, and
+//! displays, and errors — across every specialised and padded width and
 //! hazard strictness.
 
 use std::sync::Arc;
@@ -90,9 +101,9 @@ enum LaneStatus {
     Faulted(MachineError),
 }
 
-/// The most lanes one gang can hold. Past this width the lane-major
-/// working set stops paying for itself (and the fleet's `run_ganged`
-/// simply opens another gang), so wider requests clamp here.
+/// The most lanes one gang can hold. Past this width the lane rows stop
+/// paying for themselves (and the fleet's `run_ganged` simply opens
+/// another gang), so wider requests clamp here.
 pub const MAX_LANES: usize = 64;
 
 /// K independent runs of one shared [`CompiledProgram`], executed in
@@ -102,22 +113,22 @@ pub const MAX_LANES: usize = 64;
 pub struct GangMachine {
     program: Arc<CompiledProgram>,
     lanes: usize,
-    /// Lane-major SoA register file: `(core * regfile_size + reg) * lanes
-    /// + lane`. Low 16 bits value, bit 16 the carry bit, as in
-    /// [`Machine`].
-    regs: Vec<u32>,
-    /// Per-core per-lane run state (pipeline ring, predicate, epilogue
-    /// slots): `core * lanes + lane`.
+    /// Footprint lane rows: the word for `(core, reg, lane)` lives at
+    /// `(slot(core) * reg_span + reg) * W + lane`, with `slot` the
+    /// core's position in the program's `reg_cores`. Low 16 bits value,
+    /// bit 16 the carry bit, as in [`Machine`]. Holds a lane's state only
+    /// while it runs; a parked lane's columns are stale.
+    rows: Vec<u32>,
+    /// The footprint cores' run states (pipeline ring, predicate, epilogue
+    /// slots): `slot(core) * lanes + lane`. A parked lane's entries are
+    /// empty placeholders; its states live in its shell.
     cores: Vec<CoreState>,
     /// One solo machine shell per lane: NoC, cache, counters, compute
-    /// time, host events, and the **scratchpad** (the ganged loop updates
-    /// them all in place — the scratchpad stays per-lane-contiguous
-    /// because its accesses are data-dependent per-lane gathers that a
-    /// lane stride cannot batch, and transposing megabytes of mostly-cold
-    /// scratch would dominate short gang runs). The shells' `regs` arrays
-    /// hold stale copies that double as allocation-free staging for the
-    /// solo fallback and for [`GangMachine::into_machines`]; their `cores`
-    /// vectors are empty (the states live lane-major above).
+    /// time, host events, the **scratchpad**, every register outside the
+    /// footprint and the run states of every other core (the ganged loop
+    /// updates them in place). Its footprint registers are stale and its
+    /// footprint core states are placeholders while the lane runs; once
+    /// the lane parks, the shell holds all of its state.
     shells: Vec<Machine>,
     lane_status: Vec<LaneStatus>,
     strict_hazards: bool,
@@ -132,26 +143,92 @@ pub struct GangMachine {
     /// Lanes running in the current ganged Vcycle; shrinks when a lane
     /// faults mid-Vcycle.
     vc_active: Vec<u32>,
-    /// This Vcycle's send values, lane-major: `send_idx * lanes + lane`.
-    send_vals: Vec<u16>,
+    /// Lanes that faulted during the current core walk, whose other
+    /// cores still move to their shells.
+    parked: Vec<u32>,
+    /// This Vcycle's send values, one row per send: `send_idx * W +
+    /// lane`.
+    send_rows: Vec<u32>,
 }
 
-/// Runs `$body` once per running lane. The common case — no lane parked —
-/// iterates the dense `0..lanes` range (vectorizable, no index
-/// indirection); the masked case walks the active-lane list.
-macro_rules! for_lanes {
-    ($all:expr, $vc:expr, $lanes:expr, $l:ident, $body:block) => {
-        if $all {
-            for $l in 0..$lanes {
-                $body
-            }
-        } else {
-            for &__li in $vc.iter() {
-                let $l = __li as usize;
-                $body
+/// Where a gang keeps its running lanes' footprints: the program's
+/// footprint cores, the rows' geometry, and the shells' register stride.
+#[derive(Debug, Clone, Copy)]
+struct Footprint<'a> {
+    /// The program's `reg_cores`; a core's position here is its slot.
+    cores: &'a [u32],
+    lanes: usize,
+    /// Row width `W`: `lanes` rounded up to a power of two. Lanes
+    /// `lanes..W` pad the rows and never run.
+    width: usize,
+    span: usize,
+    rf: usize,
+}
+
+impl<'a> Footprint<'a> {
+    fn of(program: &'a CompiledProgram, lanes: usize) -> Footprint<'a> {
+        Footprint {
+            cores: &program.reg_cores,
+            lanes,
+            width: lanes.next_power_of_two(),
+            span: program.reg_span(),
+            rf: program.config.regfile_size,
+        }
+    }
+
+    /// Moves a lane's footprint out of the rows into its shell: each
+    /// footprint core's rows (except `skip`'s, which a mid-walk park
+    /// copied already) and its core states. From here on the shell holds
+    /// the lane.
+    fn move_to_shell(
+        self,
+        rows: &[u32],
+        cores: &mut [CoreState],
+        shell: &mut Machine,
+        lane: usize,
+        skip: Option<usize>,
+    ) {
+        self.copy_regs(rows, &mut shell.regs, lane, skip);
+        for (k, &c) in self.cores.iter().enumerate() {
+            std::mem::swap(
+                &mut cores[k * self.lanes + lane],
+                &mut shell.cores[c as usize],
+            );
+        }
+    }
+
+    /// Copies a lane's rows into a `regfile_size`-strided register file,
+    /// except core `skip`'s.
+    fn copy_regs(self, rows: &[u32], regs: &mut [u32], lane: usize, skip: Option<usize>) {
+        for (k, &c) in self.cores.iter().enumerate() {
+            let c = c as usize;
+            if skip != Some(c) {
+                let dst = &mut regs[c * self.rf..c * self.rf + self.span];
+                for (r, word) in dst.iter_mut().enumerate() {
+                    *word = rows[(k * self.span + r) * self.width + lane];
+                }
             }
         }
-    };
+    }
+
+    /// The inverse of [`Footprint::move_to_shell`]: moves a lane's
+    /// footprint from its shell into the rows.
+    fn move_to_rows(
+        self,
+        rows: &mut [u32],
+        cores: &mut [CoreState],
+        shell: &mut Machine,
+        lane: usize,
+    ) {
+        for (k, &c) in self.cores.iter().enumerate() {
+            let c = c as usize;
+            let src = &shell.regs[c * self.rf..c * self.rf + self.span];
+            for (r, &word) in src.iter().enumerate() {
+                rows[(k * self.span + r) * self.width + lane] = word;
+            }
+            std::mem::swap(&mut cores[k * self.lanes + lane], &mut shell.cores[c]);
+        }
+    }
 }
 
 impl GangMachine {
@@ -206,11 +283,10 @@ impl GangMachine {
         ))
     }
 
-    /// Transposes booted solo machines' register files and core states
-    /// into the lane-major layout — single sequential passes, paid once
-    /// per gang. The machines stay behind as shells, which keep owning
-    /// the scratchpads (deliberately never transposed; see the module
-    /// docs and [`GangMachine::shells`]).
+    /// Moves booted solo machines' footprints into the lane rows — paid
+    /// once per gang, proportional to the footprint. A lane that starts
+    /// parked stays in its shell. The machines stay behind as shells (see
+    /// the module docs and [`GangMachine::shells`]).
     fn from_shells(
         program: Arc<CompiledProgram>,
         mut shells: Vec<Machine>,
@@ -220,28 +296,18 @@ impl GangMachine {
         tape_invalidated: bool,
     ) -> GangMachine {
         let lanes = shells.len();
-        let n = program.cores.len();
-        let rf = program.config.regfile_size;
-        let mut regs = Vec::with_capacity(n * rf * lanes);
-        for i in 0..n * rf {
-            for m in &shells {
-                regs.push(m.regs[i]);
-            }
-        }
-        let mut per_lane_cores: Vec<std::vec::IntoIter<CoreState>> = shells
-            .iter_mut()
-            .map(|m| std::mem::take(&mut m.cores).into_iter())
-            .collect();
-        let mut cores = Vec::with_capacity(n * lanes);
-        for _c in 0..n {
-            for it in per_lane_cores.iter_mut() {
-                cores.push(it.next().expect("cores sized n"));
+        let fp = Footprint::of(&program, lanes);
+        let mut rows = vec![0; fp.cores.len() * fp.span * fp.width];
+        let mut cores = vec![CoreState::default(); fp.cores.len() * lanes];
+        if matches!(status, LaneStatus::Running) {
+            for (lane, shell) in shells.iter_mut().enumerate() {
+                fp.move_to_rows(&mut rows, &mut cores, shell, lane);
             }
         }
         GangMachine {
             program,
             lanes,
-            regs,
+            rows,
             cores,
             shells,
             lane_status: vec![status; lanes],
@@ -251,13 +317,49 @@ impl GangMachine {
             cancel: None,
             deadline: None,
             vc_active: Vec::with_capacity(lanes),
-            send_vals: Vec::new(),
+            parked: Vec::with_capacity(lanes),
+            send_rows: Vec::new(),
         }
+    }
+
+    /// Whether the lane runs, i.e. its footprint lives in the rows.
+    fn running(&self, lane: usize) -> bool {
+        matches!(self.lane_status[lane], LaneStatus::Running)
+    }
+
+    /// Parks a running lane: records its final status and moves its
+    /// footprint into its shell.
+    fn park(&mut self, lane: usize, status: LaneStatus) {
+        debug_assert!(self.running(lane));
+        let fp = Footprint::of(&self.program, self.lanes);
+        fp.move_to_shell(
+            &self.rows,
+            &mut self.cores,
+            &mut self.shells[lane],
+            lane,
+            None,
+        );
+        self.lane_status[lane] = status;
+    }
+
+    /// The rows word of `(core, reg)` for a running lane, or `None` when
+    /// the register lives in the lane's shell.
+    fn row_word(&self, lane: usize, idx: usize, reg: usize) -> Option<(usize, usize)> {
+        let fp = Footprint::of(&self.program, self.lanes);
+        let k = self.program.reg_slot(idx)?;
+        (reg < fp.span && self.running(lane)).then(|| ((k * fp.span + reg) * fp.width + lane, k))
     }
 
     /// The number of lanes (independent scenarios) in this gang.
     pub fn lanes(&self) -> usize {
         self.lanes
+    }
+
+    /// Words of register state in the lane rows: footprint cores ×
+    /// `reg_span` × row width. This is what the kernel touches, and what
+    /// boot, a solo-engine fallback step and unbundling move per lane.
+    pub fn reg_words(&self) -> usize {
+        self.rows.len()
     }
 
     /// The shared compile-once artifact every lane executes.
@@ -310,8 +412,8 @@ impl GangMachine {
     pub fn park_lane(&mut self, lane: usize, err: MachineError) {
         // At a Vcycle boundary no ganged bookkeeping is needed: the inner
         // loop recomputes `vc_active` from `lane_status` every Vcycle.
-        if matches!(self.lane_status[lane], LaneStatus::Running) {
-            self.lane_status[lane] = LaneStatus::Faulted(err);
+        if self.running(lane) {
+            self.park(lane, LaneStatus::Faulted(err));
         }
     }
 
@@ -339,25 +441,33 @@ impl GangMachine {
     }
 
     /// Overwrites one lane's architectural register — the per-lane input
-    /// vector, exactly [`Machine::poke_reg`] scoped to a lane.
+    /// vector, exactly [`Machine::poke_reg`] scoped to a lane. A register
+    /// outside the footprint, or any register of a parked lane, is poked
+    /// in the lane's shell.
     pub fn poke_reg(&mut self, lane: usize, core: CoreId, reg: Reg, value: u16) {
-        let config = &self.program.config;
-        let idx = core.linear(config.grid_width);
-        self.regs[(idx * config.regfile_size + reg.index()) * self.lanes + lane] = value as u32;
-        // Same pending-write override as the solo path: a resumed lane may
-        // carry a write to this register across the Vcycle boundary in its
-        // pipeline ring.
-        self.cores[idx * self.lanes + lane].override_pending(reg.0, value);
+        let idx = core.linear(self.program.config.grid_width);
+        match self.row_word(lane, idx, reg.index()) {
+            Some((word, k)) => {
+                self.rows[word] = value as u32;
+                // Same pending-write override as the solo path: a resumed
+                // lane may carry a write to this register across the
+                // Vcycle boundary in its pipeline ring.
+                self.cores[k * self.lanes + lane].override_pending(reg.0, value);
+            }
+            None => self.shells[lane].poke_reg(core, reg, value),
+        }
     }
 
     /// Reads a register of one lane as the host sees it at a Vcycle
     /// boundary (in-flight writes applied) — [`Machine::read_reg`] per
     /// lane.
     pub fn read_reg(&self, lane: usize, core: CoreId, reg: Reg) -> u16 {
-        let config = &self.program.config;
-        let idx = core.linear(config.grid_width);
-        let word = self.regs[(idx * config.regfile_size + reg.index()) * self.lanes + lane];
-        self.cores[idx * self.lanes + lane].reg_value_flushed_word(word, reg.index())
+        let idx = core.linear(self.program.config.grid_width);
+        match self.row_word(lane, idx, reg.index()) {
+            Some((word, k)) => self.cores[k * self.lanes + lane]
+                .reg_value_flushed_word(self.rows[word], reg.index()),
+            None => self.shells[lane].read_reg(core, reg),
+        }
     }
 
     /// Reads a scratchpad word of one lane (the scratchpad lives in the
@@ -373,17 +483,18 @@ impl GangMachine {
     /// ([`Checkpoint::fault`]), so forking a faulted frontier entry
     /// faithfully reproduces parked children.
     pub fn checkpoint_lane(&self, lane: usize) -> Checkpoint {
-        let n = self.program.cores.len();
-        let rf = self.program.config.regfile_size;
-        let lanes = self.lanes;
         let shell = &self.shells[lane];
-        // Gather the lane out of the lane-major arrays; everything else
-        // (NoC, cache, counters, scratchpad, events) lives in the shell,
+        // Everything but a running lane's footprint lives in the shell,
         // which the ganged loop keeps current.
-        let regs = (0..n * rf).map(|i| self.regs[i * lanes + lane]).collect();
-        let cores = (0..n)
-            .map(|c| self.cores[c * lanes + lane].clone())
-            .collect();
+        let mut regs = shell.regs.clone();
+        let mut cores = shell.cores.clone();
+        if self.running(lane) {
+            let fp = Footprint::of(&self.program, self.lanes);
+            fp.copy_regs(&self.rows, &mut regs, lane, None);
+            for (k, &c) in fp.cores.iter().enumerate() {
+                cores[c as usize] = self.cores[k * fp.lanes + lane].clone();
+            }
+        }
         Checkpoint {
             program: Arc::clone(&self.program),
             cores,
@@ -442,11 +553,7 @@ impl GangMachine {
             })
             .collect();
         for _ in 0..max_vcycles {
-            if !self
-                .lane_status
-                .iter()
-                .any(|s| matches!(s, LaneStatus::Running))
-            {
+            if !(0..lanes).any(|l| self.running(l)) {
                 break;
             }
             // Cooperative interruption, polled at the lockstep Vcycle
@@ -463,9 +570,9 @@ impl GangMachine {
                 None
             };
             if let Some(stop) = stop {
-                for (l, s) in self.lane_status.iter().enumerate() {
-                    if matches!(s, LaneStatus::Running) {
-                        outcomes[l].interrupted = Some(stop);
+                for (l, outcome) in outcomes.iter_mut().enumerate() {
+                    if self.running(l) {
+                        outcome.interrupted = Some(stop);
                     }
                 }
                 break;
@@ -480,7 +587,7 @@ impl GangMachine {
                 // for the whole program, so its siblings start on the
                 // micro-op engine (see `Machine::step_vcycle`).
                 for l in 0..lanes {
-                    if !matches!(self.lane_status[l], LaneStatus::Running) {
+                    if !self.running(l) {
                         continue;
                     }
                     if let Err(e) = self.step_lane_solo(l) {
@@ -501,7 +608,7 @@ impl GangMachine {
                             }
                         }
                         if outcomes[l].finished {
-                            self.lane_status[l] = LaneStatus::Finished;
+                            self.park(l, LaneStatus::Finished);
                         }
                     }
                     LaneStatus::Faulted(e) if errs[l].is_none() => {
@@ -510,11 +617,7 @@ impl GangMachine {
                         // drained into the doomed outcome stay available
                         // via `drain_pending_displays`.
                         let displays = std::mem::take(&mut outcomes[l].displays);
-                        if !displays.is_empty() {
-                            self.shells[l]
-                                .events
-                                .splice(0..0, displays.into_iter().map(HostEvent::Display));
-                        }
+                        self.requeue_displays(l, displays);
                     }
                     _ => {}
                 }
@@ -532,42 +635,35 @@ impl GangMachine {
     /// Unbundles the gang into one solo [`Machine`] per lane — final
     /// registers, counters, pending displays, and resumability all intact.
     /// This is how the fleet turns a finished gang back into ordinary
-    /// per-job outputs. The lane-major state transposes back into the
-    /// shells (sequential streams, no allocation).
-    pub fn into_machines(self) -> Vec<Machine> {
-        let GangMachine {
-            regs,
-            cores,
-            mut shells,
-            lane_status,
-            strict_hazards,
-            replay_enabled,
-            tape_invalidated,
-            lanes,
-            ..
-        } = self;
-        for (i, chunk) in regs.chunks_exact(lanes).enumerate() {
-            for (shell, &word) in shells.iter_mut().zip(chunk) {
-                shell.regs[i] = word;
+    /// per-job outputs. Each running lane's footprint moves back into its
+    /// shell (no allocation); a parked lane's shell already holds it.
+    pub fn into_machines(mut self) -> Vec<Machine> {
+        let fp = Footprint::of(&self.program, self.lanes);
+        for lane in 0..self.lanes {
+            if self.running(lane) {
+                fp.move_to_shell(
+                    &self.rows,
+                    &mut self.cores,
+                    &mut self.shells[lane],
+                    lane,
+                    None,
+                );
             }
         }
-        for (cs, lane) in cores.into_iter().zip((0..lanes).cycle()) {
-            shells[lane].cores.push(cs);
-        }
-        for (m, status) in shells.iter_mut().zip(lane_status) {
+        for (m, status) in self.shells.iter_mut().zip(self.lane_status) {
             // The unbundled machines carry the gang's current knobs, and
             // a parked lane unbundles into a parked machine carrying the
             // same fault ([`Machine::fault`]).
-            m.strict_hazards = strict_hazards;
-            m.replay_enabled = replay_enabled;
-            m.tape_invalidated = tape_invalidated;
+            m.strict_hazards = self.strict_hazards;
+            m.replay_enabled = self.replay_enabled;
+            m.tape_invalidated = self.tape_invalidated;
             m.finish_requested = matches!(status, LaneStatus::Finished);
             m.fault = match status {
                 LaneStatus::Faulted(e) => Some(e),
                 _ => None,
             };
         }
-        shells
+        self.shells
     }
 
     /// True when the next Vcycle runs the ganged kernel: exactly when the
@@ -575,77 +671,75 @@ impl GangMachine {
     /// knobs, which arm only strict runs). Running lanes are in lockstep,
     /// so one lane's Vcycle count speaks for all.
     fn replays_next_vcycle(&self) -> bool {
-        (0..self.lanes)
-            .find(|&l| matches!(self.lane_status[l], LaneStatus::Running))
-            .is_some_and(|l| {
-                replays_next_vcycle(
-                    &self.program,
-                    self.replay_armed(),
-                    self.shells[l].counters.vcycles,
-                )
-            })
+        (0..self.lanes).find(|&l| self.running(l)).is_some_and(|l| {
+            replays_next_vcycle(
+                &self.program,
+                self.replay_armed(),
+                self.shells[l].counters.vcycles,
+            )
+        })
     }
 
-    /// The solo fallback: gathers one lane into its shell, steps the shell
-    /// one Vcycle on the solo engine, and scatters the state back into the
-    /// lane-major arrays. Only each core's first
-    /// [`CompiledProgram::reg_span`] registers travel: no instruction,
-    /// message or display touches a register above the span, so the
-    /// shell's stale copies there are never read, and the lane-major
-    /// words (pokes included) stay authoritative.
+    /// The solo fallback: moves one lane's footprint into its shell, steps
+    /// the shell one Vcycle on the solo engine, and moves the footprint
+    /// back. No instruction, message or display touches a register outside
+    /// the footprint, so the shell's words there stay authoritative. A
+    /// lane whose step fails stays in its shell, parked where the solo
+    /// engine stopped.
     fn step_lane_solo(&mut self, lane: usize) -> Result<(), MachineError> {
-        let lanes = self.lanes;
-        let n = self.program.cores.len();
-        let rf = self.program.config.regfile_size;
-        let span = self.program.reg_span();
+        let fp = Footprint::of(&self.program, self.lanes);
         let shell = &mut self.shells[lane];
         shell.strict_hazards = self.strict_hazards;
         shell.replay_enabled = self.replay_enabled;
         shell.tape_invalidated = self.tape_invalidated;
-        let footprint = || (0..n).flat_map(|c| c * rf..c * rf + span);
-        for i in footprint() {
-            shell.regs[i] = self.regs[i * lanes + lane];
-        }
-        debug_assert!(shell.cores.is_empty());
-        for c in 0..n {
-            shell.cores.push(std::mem::replace(
-                &mut self.cores[c * lanes + lane],
-                CoreState::new(0, 0, 0),
-            ));
-        }
+        fp.move_to_shell(&self.rows, &mut self.cores, shell, lane, None);
         let res = shell.step_vcycle();
-        for i in footprint() {
-            self.regs[i * lanes + lane] = shell.regs[i];
-        }
-        for (c, cs) in shell.cores.drain(..).enumerate() {
-            self.cores[c * lanes + lane] = cs;
+        if res.is_ok() {
+            fp.move_to_rows(&mut self.rows, &mut self.cores, shell, lane);
         }
         res
     }
 
-    /// One ganged Vcycle on the fused micro-op stream: fetch/decode each
-    /// op once, apply it across every running lane with direct commits,
-    /// then the pre-resolved epilogue write list. Phase structure and
-    /// per-lane architectural effects mirror [`Machine`]'s strict
+    /// One ganged Vcycle on the fused micro-op stream at the gang's row
+    /// width: see [`GangMachine::run_kernel`].
+    fn run_one_vcycle_uops_gang(&mut self) {
+        match self.lanes.next_power_of_two() {
+            1 => self.run_kernel::<1>(),
+            2 => self.run_kernel::<2>(),
+            4 => self.run_kernel::<4>(),
+            8 => self.run_kernel::<8>(),
+            16 => self.run_kernel::<16>(),
+            32 => self.run_kernel::<32>(),
+            64 => self.run_kernel::<64>(),
+            w => unreachable!("gang width {w} is a power of two up to MAX_LANES"),
+        }
+    }
+
+    /// One ganged Vcycle at row width `W`: fetch/decode each op once,
+    /// apply it across the rows with direct commits, then the
+    /// pre-resolved epilogue write list. Phase structure and per-lane
+    /// architectural effects mirror [`Machine`]'s strict
     /// `run_one_vcycle_uops` exactly — a lane that faults parks with the
     /// state and counters a solo run would have had at the same abort
     /// point.
-    fn run_one_vcycle_uops_gang(&mut self) {
+    fn run_kernel<const W: usize>(&mut self) {
         let GangMachine {
             program,
             lanes,
-            regs,
+            rows,
             cores,
             shells,
             lane_status,
             vc_active,
-            send_vals,
+            parked,
+            send_rows,
             ..
         } = self;
-        let lanes = *lanes;
+        let program = &**program;
+        let fp = Footprint::of(program, *lanes);
+        debug_assert_eq!(fp.width, W);
+        let lanes = fp.lanes;
         let config = &program.config;
-        let rf = config.regfile_size;
-        let sw = config.scratch_words;
         let vcycle_len = program.vcycle_len;
         let up = program
             .micro_prog
@@ -653,52 +747,61 @@ impl GangMachine {
             .expect("replays_next_vcycle checked the micro program");
 
         vc_active.clear();
-        for (l, s) in lane_status.iter().enumerate() {
-            if matches!(s, LaneStatus::Running) {
+        for (l, st) in lane_status.iter().enumerate() {
+            if matches!(st, LaneStatus::Running) {
                 vc_active.push(l as u32);
             }
         }
         let vcycle = shells[vc_active[0] as usize].counters.vcycles;
 
-        send_vals.clear();
-        send_vals.resize(up.sends * lanes, 0);
+        // Every send row is written before the epilogue reads it.
+        send_rows.resize(up.sends * W, 0);
+        let send_rows = send_rows.as_chunks_mut::<W>().0;
+        let rows = rows.as_chunks_mut::<W>().0;
 
         // Body phase: one fetch/decode per micro-op, all lanes per op,
         // active cores only.
         let mut send_cursor = 0usize;
         for &ci in up.active.iter() {
             let c = ci as usize;
-            gang_core_walk(
+            let k = program
+                .reg_slot(c)
+                .expect("an active core is a footprint core");
+            gang_core_walk::<W>(
                 program,
                 c,
                 vcycle,
-                lanes,
-                sw,
-                &mut regs[c * rf * lanes..(c + 1) * rf * lanes],
+                config.scratch_words,
+                &mut rows[k * fp.span..(k + 1) * fp.span],
+                c * fp.rf,
                 program.scratch_range(c).start,
-                &mut cores[c * lanes..(c + 1) * lanes],
+                &mut cores[k * lanes..(k + 1) * lanes],
                 &up.streams[c],
                 shells,
                 lane_status,
                 vc_active,
-                send_vals,
+                parked,
+                send_rows,
                 &mut send_cursor,
             );
+            // A lane that faulted in this walk already holds this core's
+            // registers in its shell; the rest of its footprint follows
+            // before any later walk or the epilogue rewrites its columns.
+            for l in parked.drain(..) {
+                let l = l as usize;
+                fp.move_to_shell(rows.as_flattened(), cores, &mut shells[l], l, Some(c));
+            }
         }
         debug_assert_eq!(send_cursor, up.sends);
 
-        // Delivery and epilogue collapse into the pre-resolved write list,
-        // once per lane.
+        // Delivery and epilogue collapse into the pre-resolved write list:
+        // one row copy per executing slot.
         for &l in vc_active.iter() {
             shells[l as usize].counters.messages_delivered += up.sends as u64;
         }
-        let all = vc_active.len() == lanes;
         for e in &up.epi_prog {
-            let base = (e.core as usize * rf + e.rd as usize) * lanes;
-            let sv = e.send_idx as usize * lanes;
-            for_lanes!(all, vc_active, lanes, l, {
-                regs[base + l] = send_vals[sv + l] as u32;
-            });
+            let k = program.reg_slot[e.core as usize] as usize;
+            rows[k * fp.span + e.rd as usize] = send_rows[e.send_idx as usize];
         }
         for &ci in up.active.iter() {
             let c = ci as usize;
@@ -706,9 +809,10 @@ impl GangMachine {
             if epi == 0 {
                 continue;
             }
+            let k = program.reg_slot[c] as usize;
             for &l in vc_active.iter() {
                 let l = l as usize;
-                cores[c * lanes + l].executed += epi;
+                cores[k * lanes + l].executed += epi;
                 shells[l].counters.instructions += epi;
             }
         }
@@ -727,9 +831,9 @@ impl GangMachine {
 /// returning the full result word including its carry bit.
 ///
 /// This is [`AluOp::eval`] re-expressed over u32 words so the gang's
-/// direct-commit lane loops are single branch-light integer expressions
-/// the compiler can vectorize across lanes: `Add`'s carry-out lands in
-/// bit 16 by plain 17-bit arithmetic, `Sub`'s no-borrow bit falls out of
+/// row operations are single branch-light integer expressions the
+/// compiler can vectorize across lanes: `Add`'s carry-out lands in bit 16
+/// by plain 17-bit arithmetic, `Sub`'s no-borrow bit falls out of
 /// `(a | 0x1_0000) - b`. Bit-equivalence with `eval` (for every op and
 /// any carry bits on the inputs) is pinned by `alu_word_matches_eval` in
 /// the machine test suite.
@@ -766,77 +870,29 @@ pub(crate) fn alu_word(op: AluOp, a: u32, b: u32) -> u32 {
     }
 }
 
-/// The ALU lane loop with the function dispatch hoisted *outside* the
-/// lane loop: each arm monomorphizes `go` on a constant-receiver
-/// [`alu_word`] kernel, so the innermost loop is branch-free for the
-/// common ops — one fetch, one function select, K lane applications.
+/// `rows[rd] = f(rows[rs1], rows[rs2])` lane by lane: the two source rows
+/// are copied out by value first, so the body is straight-line code with
+/// no aliasing through `rows` for the compiler to guard.
 #[inline(always)]
-#[allow(clippy::too_many_arguments)]
-fn alu_lanes(
-    op: AluOp,
-    all: bool,
-    vc: &[u32],
-    lanes: usize,
-    creg: &mut [u32],
+fn row2<const W: usize>(
+    rows: &mut [[u32; W]],
     rd: u16,
     rs1: u16,
     rs2: u16,
+    f: impl Fn(u32, u32) -> u32,
 ) {
-    let brd = rd as usize * lanes;
-    let b1 = rs1 as usize * lanes;
-    let b2 = rs2 as usize * lanes;
-    #[inline(always)]
-    fn go(
-        word: impl Fn(u32, u32) -> u32,
-        all: bool,
-        vc: &[u32],
-        lanes: usize,
-        creg: &mut [u32],
-        brd: usize,
-        b1: usize,
-        b2: usize,
-    ) {
-        if all {
-            // Fixed-width chunks: staging the sources into by-value arrays
-            // breaks the load/store alias through `creg`, so the chunk body
-            // is branch-free straight-line code the compiler can vectorize.
-            let mut l = 0;
-            while l + 8 <= lanes {
-                let a: [u32; 8] = creg[b1 + l..b1 + l + 8].try_into().unwrap();
-                let b: [u32; 8] = creg[b2 + l..b2 + l + 8].try_into().unwrap();
-                let dst = &mut creg[brd + l..brd + l + 8];
-                for k in 0..8 {
-                    dst[k] = word(a[k], b[k]);
-                }
-                l += 8;
-            }
-            while l < lanes {
-                let a = creg[b1 + l];
-                let b = creg[b2 + l];
-                creg[brd + l] = word(a, b);
-                l += 1;
-            }
-        } else {
-            for &li in vc.iter() {
-                let l = li as usize;
-                let a = creg[b1 + l];
-                let b = creg[b2 + l];
-                creg[brd + l] = word(a, b);
-            }
-        }
-    }
+    let a = rows[rs1 as usize];
+    let b = rows[rs2 as usize];
+    rows[rd as usize] = std::array::from_fn(|k| f(a[k], b[k]));
+}
+
+/// One ALU row operation, the function dispatched once per op: each arm
+/// monomorphizes [`row2`] on a constant-receiver [`alu_word`] kernel.
+#[inline(always)]
+fn alu_row<const W: usize>(op: AluOp, rows: &mut [[u32; W]], rd: u16, rs1: u16, rs2: u16) {
     macro_rules! arm {
         ($v:ident) => {
-            go(
-                |a, b| alu_word(AluOp::$v, a, b),
-                all,
-                vc,
-                lanes,
-                creg,
-                brd,
-                b1,
-                b2,
-            )
+            row2(rows, rd, rs1, rs2, |a, b| alu_word(AluOp::$v, a, b))
         };
     }
     match op {
@@ -856,150 +912,97 @@ fn alu_lanes(
     }
 }
 
-/// The Mux lane loop (shared by `Mux` and both halves of `MuxMux`).
+/// The Mux row operation (shared by `Mux` and both halves of `MuxMux`).
 #[inline(always)]
-#[allow(clippy::too_many_arguments)]
-fn mux_lanes(
-    all: bool,
-    vc: &[u32],
-    lanes: usize,
-    creg: &mut [u32],
-    rd: u16,
-    rs_sel: u16,
-    rs1: u16,
-    rs2: u16,
-) {
-    let brd = rd as usize * lanes;
-    let bsel = rs_sel as usize * lanes;
-    let b1 = rs1 as usize * lanes;
-    let b2 = rs2 as usize * lanes;
-    if all {
-        // Same fixed-width staged chunks as `alu_lanes::go`.
-        let mut l = 0;
-        while l + 8 <= lanes {
-            let s: [u32; 8] = creg[bsel + l..bsel + l + 8].try_into().unwrap();
-            let a: [u32; 8] = creg[b1 + l..b1 + l + 8].try_into().unwrap();
-            let b: [u32; 8] = creg[b2 + l..b2 + l + 8].try_into().unwrap();
-            let dst = &mut creg[brd + l..brd + l + 8];
-            for k in 0..8 {
-                let v = if s[k] & 0xffff != 0 { a[k] } else { b[k] };
-                dst[k] = v & 0xffff;
-            }
-            l += 8;
-        }
-        while l < lanes {
-            let s = creg[bsel + l] & 0xffff;
-            let v = if s != 0 { creg[b1 + l] } else { creg[b2 + l] };
-            creg[brd + l] = v & 0xffff;
-            l += 1;
-        }
-    } else {
-        for &li in vc.iter() {
-            let l = li as usize;
-            let s = creg[bsel + l] & 0xffff;
-            let v = if s != 0 { creg[b1 + l] } else { creg[b2 + l] };
-            creg[brd + l] = v & 0xffff;
-        }
-    }
-}
-
-/// Records one send position's value for every running lane.
-#[inline(always)]
-fn send_lanes(
-    all: bool,
-    vc: &[u32],
-    lanes: usize,
-    creg: &[u32],
-    rs: u16,
-    send_vals: &mut [u16],
-    cursor: usize,
-) {
-    let b = rs as usize * lanes;
-    let base = cursor * lanes;
-    for_lanes!(all, vc, lanes, l, {
-        send_vals[base + l] = creg[b + l] as u16;
+fn mux_row<const W: usize>(rows: &mut [[u32; W]], rd: u16, sel: u16, rs1: u16, rs2: u16) {
+    let s = rows[sel as usize];
+    let a = rows[rs1 as usize];
+    let b = rows[rs2 as usize];
+    rows[rd as usize] = std::array::from_fn(|k| {
+        let v = if s[k] & 0xffff != 0 { a[k] } else { b[k] };
+        v & 0xffff
     });
 }
 
-/// Walks one core's micro-op stream for one Vcycle across every lane in
-/// `vc_active`: the op is decoded once (ALU function included), the lane
-/// loop is the innermost loop, and every write commits directly (strict
-/// hazards, validated), exactly like the solo engine's direct
-/// `uops::run_core_uops`. `shells` carries each lane's cache, counters,
-/// and host events.
+/// Records one send position's value row.
+#[inline(always)]
+fn send_row<const W: usize>(rows: &[[u32; W]], rs: u16, send_rows: &mut [[u32; W]], at: usize) {
+    send_rows[at] = rows[rs as usize].map(|v| v & 0xffff);
+}
+
+/// Walks one core's micro-op stream for one Vcycle at row width `W`: the
+/// op is decoded once (ALU function included), register ops are row
+/// operations over all `W` lanes, and every write commits directly
+/// (strict hazards, validated), exactly like the solo engine's direct
+/// `uops::run_core_uops`. Ops with per-lane side effects iterate the
+/// running lanes in `vc_active`; `shells` carries each lane's scratchpad,
+/// cache, counters, and host events.
 ///
 /// A lane whose `Expect` servicing fails is parked in place: its counters
 /// flush through the faulting op plus the interpreter's other-core counts
 /// ([`crate::uops::MicroProgram::fault_counters`]) — the solo engine's
-/// abort point — its status records the error, and it drops out of
-/// `vc_active` so no later op, core, or delivery touches it this Vcycle.
+/// abort point — its status records the error, this core's registers move
+/// to its shell (`shell_base` is the core's first word there), and it
+/// drops out of `vc_active` into `parked`, for the caller to move the rest
+/// of its footprint before anything else writes its columns.
 #[allow(clippy::too_many_arguments)]
-fn gang_core_walk(
+fn gang_core_walk<const W: usize>(
     program: &CompiledProgram,
     c: usize,
     vcycle: u64,
-    lanes: usize,
     sw: usize,
-    creg: &mut [u32],
+    creg: &mut [[u32; W]],
+    shell_base: usize,
     scr_base: usize,
     cstates: &mut [CoreState],
     stream: &[MicroOp],
     shells: &mut [Machine],
     lane_status: &mut [LaneStatus],
     vc_active: &mut Vec<u32>,
-    send_vals: &mut [u16],
+    parked: &mut Vec<u32>,
+    send_rows: &mut [[u32; W]],
     send_cursor: &mut usize,
 ) {
     let exceptions = &program.exceptions[..];
     let prog = &program.cores[c];
-    let mut all = vc_active.len() == lanes;
     // Writes left in flight by a previous Vcycle on the solo engine (e.g.
     // each lane's validation Vcycle) commit now; no read could have
     // observed them pending.
-    for_lanes!(all, vc_active, lanes, l, {
-        cstates[l].commit_due_strided(creg, lanes, l, u64::MAX);
-    });
+    for &l in vc_active.iter() {
+        let l = l as usize;
+        cstates[l].commit_due_strided(creg.as_flattened_mut(), W, l, u64::MAX);
+    }
     let mut ic: u64 = 0;
     let mut sends: u64 = 0;
     for mop in stream {
         match mop.op {
             UOp::Set { rd, imm } => {
                 ic += 1;
-                let brd = rd as usize * lanes;
-                for_lanes!(all, vc_active, lanes, l, {
-                    creg[brd + l] = imm as u32;
-                });
+                creg[rd as usize] = [imm as u32; W];
             }
             UOp::Alu { op, rd, rs1, rs2 } => {
                 ic += 1;
-                alu_lanes(op, all, vc_active, lanes, creg, rd, rs1, rs2);
+                alu_row(op, creg, rd, rs1, rs2);
             }
             UOp::AddCarry { rd, rs1, rs2, rsc } => {
                 ic += 1;
-                let brd = rd as usize * lanes;
-                let b1 = rs1 as usize * lanes;
-                let b2 = rs2 as usize * lanes;
-                let bc = rsc as usize * lanes;
-                for_lanes!(all, vc_active, lanes, l, {
-                    let a = creg[b1 + l] & 0xffff;
-                    let b = creg[b2 + l] & 0xffff;
-                    let cin = (creg[bc + l] >> 16) & 1;
-                    let sum = a + b + cin;
-                    creg[brd + l] = (sum as u16) as u32 | (((sum > 0xffff) as u32) << 16);
+                let a = creg[rs1 as usize];
+                let b = creg[rs2 as usize];
+                let cin = creg[rsc as usize];
+                creg[rd as usize] = std::array::from_fn(|k| {
+                    let sum = (a[k] & 0xffff) + (b[k] & 0xffff) + ((cin[k] >> 16) & 1);
+                    (sum as u16) as u32 | (((sum > 0xffff) as u32) << 16)
                 });
             }
             UOp::SubBorrow { rd, rs1, rs2, rsb } => {
                 ic += 1;
-                let brd = rd as usize * lanes;
-                let b1 = rs1 as usize * lanes;
-                let b2 = rs2 as usize * lanes;
-                let bb = rsb as usize * lanes;
-                for_lanes!(all, vc_active, lanes, l, {
-                    let a = (creg[b1 + l] as u16) as i32;
-                    let b = (creg[b2 + l] as u16) as i32;
-                    let cin = ((creg[bb + l] >> 16) & 1) as i32;
-                    let diff = a - b - (1 - cin);
-                    creg[brd + l] = (diff as u16) as u32 | (((diff >= 0) as u32) << 16);
+                let a = creg[rs1 as usize];
+                let b = creg[rs2 as usize];
+                let bin = creg[rsb as usize];
+                creg[rd as usize] = std::array::from_fn(|k| {
+                    let cin = ((bin[k] >> 16) & 1) as i32;
+                    let diff = (a[k] as u16) as i32 - (b[k] as u16) as i32 - (1 - cin);
+                    (diff as u16) as u32 | (((diff >= 0) as u32) << 16)
                 });
             }
             UOp::Mux {
@@ -1009,7 +1012,7 @@ fn gang_core_walk(
                 rs2,
             } => {
                 ic += 1;
-                mux_lanes(all, vc_active, lanes, creg, rd, rs_sel, rs1, rs2);
+                mux_row(creg, rd, rs_sel, rs1, rs2);
             }
             UOp::Slice {
                 rd,
@@ -1018,77 +1021,59 @@ fn gang_core_walk(
                 mask,
             } => {
                 ic += 1;
-                let brd = rd as usize * lanes;
-                let b = rs as usize * lanes;
-                for_lanes!(all, vc_active, lanes, l, {
-                    let v = creg[b + l] as u16;
-                    creg[brd + l] = ((v >> shift) & mask) as u32;
-                });
+                creg[rd as usize] =
+                    creg[rs as usize].map(|v| (((v as u16) >> shift) & mask) as u32);
             }
             UOp::Custom { rd, func, rs } => {
                 ic += 1;
-                let masks = &prog.custom_masks[func as usize];
-                let brd = rd as usize * lanes;
-                let b0 = rs[0] as usize * lanes;
-                let b1 = rs[1] as usize * lanes;
-                let b2 = rs[2] as usize * lanes;
-                let b3 = rs[3] as usize * lanes;
-                let one = |creg: &mut [u32], l: usize| {
-                    let a = creg[b0 + l] as u16;
-                    let b = creg[b1 + l] as u16;
-                    let c = creg[b2 + l] as u16;
-                    let d = creg[b3 + l] as u16;
-                    creg[brd + l] = crate::exec::eval_custom_masks(masks, a, b, c, d) as u32;
-                };
-                if all {
+                let [a, b, cc, d] = rs.map(|r| creg[r as usize]);
+                let mut out = [0u32; W];
+                if W >= 4 {
                     // Four lanes per mux tree: the bitsliced evaluation is
                     // pure word logic, so packing lanes into 16-bit slots
                     // of a u64 amortizes the whole tree 4x. The broadcast
                     // masks are precomputed at load.
                     let m64 = &prog.custom_masks_x4[func as usize];
-                    let mut l = 0;
-                    while l + 4 <= lanes {
-                        let pack = |base: usize, creg: &[u32]| -> u64 {
-                            (creg[base + l] as u64 & 0xffff)
-                                | ((creg[base + l + 1] as u64 & 0xffff) << 16)
-                                | ((creg[base + l + 2] as u64 & 0xffff) << 32)
-                                | ((creg[base + l + 3] as u64 & 0xffff) << 48)
-                        };
-                        let a = pack(b0, creg);
-                        let b = pack(b1, creg);
-                        let c = pack(b2, creg);
-                        let d = pack(b3, creg);
-                        let out = crate::exec::eval_custom_masks_x4(m64, a, b, c, d);
-                        for k in 0..4 {
-                            creg[brd + l + k] = ((out >> (16 * k)) & 0xffff) as u32;
+                    let pack = |row: &[u32; W], q: usize| -> u64 {
+                        (0..4).fold(0, |acc, j| acc | (row[q + j] as u64 & 0xffff) << (16 * j))
+                    };
+                    for q in (0..W).step_by(4) {
+                        let v = crate::exec::eval_custom_masks_x4(
+                            m64,
+                            pack(&a, q),
+                            pack(&b, q),
+                            pack(&cc, q),
+                            pack(&d, q),
+                        );
+                        for j in 0..4 {
+                            out[q + j] = ((v >> (16 * j)) & 0xffff) as u32;
                         }
-                        l += 4;
-                    }
-                    for l in l..lanes {
-                        one(creg, l);
                     }
                 } else {
-                    for &l in vc_active.iter() {
-                        one(creg, l as usize);
-                    }
+                    let masks = &prog.custom_masks[func as usize];
+                    out = std::array::from_fn(|k| {
+                        let [a, b, cc, d] = [a[k], b[k], cc[k], d[k]].map(|v| v as u16);
+                        crate::exec::eval_custom_masks(masks, a, b, cc, d) as u32
+                    });
                 }
+                creg[rd as usize] = out;
             }
             UOp::Predicate { rs } => {
                 ic += 1;
-                let b = rs as usize * lanes;
-                for_lanes!(all, vc_active, lanes, l, {
-                    cstates[l].predicate = creg[b + l] as u16 != 0;
-                });
+                let row = creg[rs as usize];
+                for &l in vc_active.iter() {
+                    let l = l as usize;
+                    cstates[l].predicate = row[l] as u16 != 0;
+                }
             }
             UOp::LocalLoad { rd, rs_addr, base } => {
                 ic += 1;
-                let brd = rd as usize * lanes;
-                let ba = rs_addr as usize * lanes;
-                for_lanes!(all, vc_active, lanes, l, {
-                    let a = creg[ba + l] as u16;
+                for &l in vc_active.iter() {
+                    let l = l as usize;
+                    let a = creg[rs_addr as usize][l] as u16;
                     let addr = (base as usize + a as usize) % sw;
-                    creg[brd + l] = shells[l].scratch[scr_base + addr] as u32;
-                });
+                    creg[rd as usize][l] = shells[l].scratch[scr_base + addr] as u32;
+                }
             }
             UOp::LocalStore {
                 rs_data,
@@ -1096,66 +1081,60 @@ fn gang_core_walk(
                 base,
             } => {
                 ic += 1;
-                let bd = rs_data as usize * lanes;
-                let ba = rs_addr as usize * lanes;
-                for_lanes!(all, vc_active, lanes, l, {
-                    let v = creg[bd + l] as u16;
-                    let a = creg[ba + l] as u16;
+                let data = creg[rs_data as usize];
+                let addrs = creg[rs_addr as usize];
+                for &l in vc_active.iter() {
+                    let l = l as usize;
                     if cstates[l].predicate {
-                        let addr = (base as usize + a as usize) % sw;
-                        shells[l].scratch[scr_base + addr] = v;
+                        let addr = (base as usize + addrs[l] as u16 as usize) % sw;
+                        shells[l].scratch[scr_base + addr] = data[l] as u16;
                     }
-                });
+                }
             }
             UOp::GlobalLoad { rd, rs_addr } => {
                 ic += 1;
-                let b0 = rs_addr[0] as usize * lanes;
-                let b1 = rs_addr[1] as usize * lanes;
-                let b2 = rs_addr[2] as usize * lanes;
-                for_lanes!(all, vc_active, lanes, l, {
-                    let addr = (creg[b0 + l] as u64 & 0xffff)
-                        | ((creg[b1 + l] as u64 & 0xffff) << 16)
-                        | ((creg[b2 + l] as u64 & 0xffff) << 32);
+                let [a0, a1, a2] = rs_addr.map(|r| creg[r as usize]);
+                for &l in vc_active.iter() {
+                    let l = l as usize;
+                    let addr = (a0[l] as u64 & 0xffff)
+                        | ((a1[l] as u64 & 0xffff) << 16)
+                        | ((a2[l] as u64 & 0xffff) << 32);
                     let shell = &mut shells[l];
                     let (v, stall) = shell.cache.load(addr);
                     shell.counters.stall_cycles += stall;
-                    creg[rd as usize * lanes + l] = v as u32;
-                });
+                    creg[rd as usize][l] = v as u32;
+                }
             }
             UOp::GlobalStore { rs_data, rs_addr } => {
                 ic += 1;
-                let bd = rs_data as usize * lanes;
-                let b0 = rs_addr[0] as usize * lanes;
-                let b1 = rs_addr[1] as usize * lanes;
-                let b2 = rs_addr[2] as usize * lanes;
-                for_lanes!(all, vc_active, lanes, l, {
-                    let v = creg[bd + l] as u16;
-                    let addr = (creg[b0 + l] as u64 & 0xffff)
-                        | ((creg[b1 + l] as u64 & 0xffff) << 16)
-                        | ((creg[b2 + l] as u64 & 0xffff) << 32);
+                let data = creg[rs_data as usize];
+                let [a0, a1, a2] = rs_addr.map(|r| creg[r as usize]);
+                for &l in vc_active.iter() {
+                    let l = l as usize;
+                    let addr = (a0[l] as u64 & 0xffff)
+                        | ((a1[l] as u64 & 0xffff) << 16)
+                        | ((a2[l] as u64 & 0xffff) << 32);
                     if cstates[l].predicate {
                         let shell = &mut shells[l];
-                        let stall = shell.cache.store(addr, v);
+                        let stall = shell.cache.store(addr, data[l] as u16);
                         shell.counters.stall_cycles += stall;
                     }
-                });
+                }
             }
             UOp::Send { rs } => {
                 ic += 1;
                 sends += 1;
-                send_lanes(all, vc_active, lanes, creg, rs, send_vals, *send_cursor);
+                send_row(creg, rs, send_rows, *send_cursor);
                 *send_cursor += 1;
             }
             UOp::Expect { rs1, rs2, eid } => {
                 ic += 1;
-                let b1 = rs1 as usize * lanes;
-                let b2 = rs2 as usize * lanes;
+                let a = creg[rs1 as usize];
+                let b = creg[rs2 as usize];
                 let mut i = 0;
                 while i < vc_active.len() {
                     let l = vc_active[i] as usize;
-                    let a = creg[b1 + l] as u16;
-                    let b = creg[b2 + l] as u16;
-                    if a == b {
+                    if a[l] as u16 == b[l] as u16 {
                         i += 1;
                         continue;
                     }
@@ -1163,7 +1142,7 @@ fn gang_core_walk(
                     let res = service_exception(
                         exceptions,
                         vcycle,
-                        |r: Reg| creg[r.index() * lanes + l] as u16,
+                        |r: Reg| creg[r.index()][l] as u16,
                         eid,
                         &mut shell.counters,
                         &mut shell.events,
@@ -1181,12 +1160,16 @@ fn gang_core_walk(
                             shell
                                 .counters
                                 .add(&up.fault_counters(&program.cores, mop.pos as u64));
+                            let dst = &mut shell.regs[shell_base..shell_base + creg.len()];
+                            for (word, row) in dst.iter_mut().zip(creg.iter()) {
+                                *word = row[l];
+                            }
                             lane_status[l] = LaneStatus::Faulted(err);
                             vc_active.remove(i);
+                            parked.push(l as u32);
                         }
                     }
                 }
-                all = vc_active.len() == lanes;
             }
             UOp::AluAlu {
                 op1,
@@ -1199,8 +1182,8 @@ fn gang_core_walk(
                 rs22,
             } => {
                 ic += 2;
-                alu_lanes(op1, all, vc_active, lanes, creg, rd1, rs11, rs12);
-                alu_lanes(op2, all, vc_active, lanes, creg, rd2, rs21, rs22);
+                alu_row(op1, creg, rd1, rs11, rs12);
+                alu_row(op2, creg, rd2, rs21, rs22);
             }
             UOp::MuxMux {
                 rd1,
@@ -1213,8 +1196,8 @@ fn gang_core_walk(
                 rs22,
             } => {
                 ic += 2;
-                mux_lanes(all, vc_active, lanes, creg, rd1, sel1, rs11, rs12);
-                mux_lanes(all, vc_active, lanes, creg, rd2, sel2, rs21, rs22);
+                mux_row(creg, rd1, sel1, rs11, rs12);
+                mux_row(creg, rd2, sel2, rs21, rs22);
             }
             UOp::AluSend {
                 op,
@@ -1225,31 +1208,15 @@ fn gang_core_walk(
             } => {
                 ic += 2;
                 sends += 1;
-                alu_lanes(op, all, vc_active, lanes, creg, rd, rs1, rs2);
-                send_lanes(
-                    all,
-                    vc_active,
-                    lanes,
-                    creg,
-                    rs_send,
-                    send_vals,
-                    *send_cursor,
-                );
+                alu_row(op, creg, rd, rs1, rs2);
+                send_row(creg, rs_send, send_rows, *send_cursor);
                 *send_cursor += 1;
             }
             UOp::SendSend { rs1, rs2 } => {
                 ic += 2;
                 sends += 2;
-                send_lanes(all, vc_active, lanes, creg, rs1, send_vals, *send_cursor);
-                send_lanes(
-                    all,
-                    vc_active,
-                    lanes,
-                    creg,
-                    rs2,
-                    send_vals,
-                    *send_cursor + 1,
-                );
+                send_row(creg, rs1, send_rows, *send_cursor);
+                send_row(creg, rs2, send_rows, *send_cursor + 1);
                 *send_cursor += 2;
             }
         }

@@ -115,6 +115,14 @@ pub struct CompiledProgram {
     /// per-core hazard tables (`CoreState::inflight`/`last_writer`) stop
     /// here: no write can land above it.
     pub(crate) reg_span: usize,
+    /// Linear indices of the cores whose registers some instruction or
+    /// message can change (a non-NOP body or an epilogue), ascending. A
+    /// gang keeps `reg_span` lane rows for each of these cores and leaves
+    /// every other register in its lanes' shells ([`crate::GangMachine`]).
+    pub(crate) reg_cores: Vec<u32>,
+    /// Per core (linear index): its position in `reg_cores`, or
+    /// [`NO_LANE`].
+    pub(crate) reg_slot: Vec<u32>,
     /// Set once some run's strict validation Vcycle succeeded. What that
     /// Vcycle proves — link collisions, delivery timing, epilogue
     /// accounting, strict hazards, custom-function slots — depends on the
@@ -329,6 +337,16 @@ impl CompiledProgram {
         // it after a strict validation Vcycle has proven the schedule's
         // assumptions.
         let micro_prog = MicroProgram::compile(&cores, &config, binary.vcycle_len as u64);
+        let reg_cores: Vec<u32> = (0..n as u32)
+            .filter(|&c| {
+                let core = &cores[c as usize];
+                core.epilogue_len > 0 || core.body.iter().any(|i| !matches!(i, Instruction::Nop))
+            })
+            .collect();
+        let mut reg_slot = vec![NO_LANE; n];
+        for (k, &c) in reg_cores.iter().enumerate() {
+            reg_slot[c as usize] = k as u32;
+        }
         Ok(CompiledProgram {
             cores,
             exceptions: binary.exceptions.clone(),
@@ -339,6 +357,8 @@ impl CompiledProgram {
             scratch_lanes,
             zero_scratch: vec![0; config.scratch_words].into_boxed_slice(),
             reg_span,
+            reg_cores,
+            reg_slot,
             proven: AtomicBool::new(false),
             init_dram: binary.init_dram.clone(),
             micro_prog,
@@ -398,6 +418,15 @@ impl CompiledProgram {
     /// run's per-core hazard tables.
     pub(crate) fn reg_span(&self) -> usize {
         self.reg_span
+    }
+
+    /// A core's position in `reg_cores` (its gang row block), if any
+    /// instruction or message can change its registers.
+    pub(crate) fn reg_slot(&self, idx: usize) -> Option<usize> {
+        match self.reg_slot[idx] {
+            NO_LANE => None,
+            k => Some(k as usize),
+        }
     }
 
     /// Machine cycles per Vcycle (the compiler's VCPL).

@@ -1991,7 +1991,7 @@ mod footprint {
     #[test]
     fn ganged_vcycle0_fault_matches_a_validating_solo_run() {
         let (err, displays, counters) = failing_run(&fresh());
-        // On a proven program the gang starts in its lane-major loop; the
+        // On a proven program the gang starts in its lane-row kernel; the
         // poked lane parks exactly where a validating solo run aborts,
         // and its siblings run on untouched.
         let program = proven();
@@ -2161,7 +2161,7 @@ mod footprint {
             assert_eq!(m.read_reg(BUSY, r(4)), 3, "scratch round trip");
         }
         // A gang's solo-engine fallback copies only each core's footprint
-        // between the lane-major state and the lane's shell, so a poke
+        // between the lane rows and the lane's shell, so a poke
         // above it must survive replay-off and permissive Vcycles there
         // and read back through every lane view like a solo run's.
         let lanes = 2;
@@ -2203,6 +2203,151 @@ mod footprint {
             for (lane, (m, solo)) in gang.into_machines().iter().zip(&solos).enumerate() {
                 let what = format!("gang replay {replay} strict {strict} lane {lane}");
                 assert_eq!(m.read_reg(INERT, r(2047)), 0x1230 + lane as u16, "{what}");
+                assert_same_state(m, solo, &what);
+            }
+        }
+    }
+
+    /// A 2×2 design whose assertion fails mid-Vcycle on a poked register:
+    /// (0,0) bumps r5 at position 0, asserts r3 == r0 at 3, bumps r6 at 4
+    /// and receives (1,0)'s count into r4; (1,0) counts in r1 by r2; the
+    /// other two cores have no program. The span is 7 (r6).
+    fn midcycle_tripwire() -> Arc<CompiledProgram> {
+        let mut binary = empty_binary(2, 2, 16);
+        let bump = |rd: u16| Instruction::Alu {
+            op: AluOp::Add,
+            rd: r(rd),
+            rs1: r(rd),
+            rs2: r(2),
+        };
+        let mut core0 = vec![Instruction::Nop; 8];
+        core0[0] = bump(5);
+        core0[3] = Instruction::Expect {
+            rs1: r(3),
+            rs2: r(0),
+            eid: 7,
+        };
+        core0[4] = bump(6);
+        binary.cores.push(CoreImage {
+            core: CoreId::new(0, 0),
+            body: core0,
+            epilogue_len: 1,
+            custom_functions: vec![],
+            init_regs: vec![(r(2), 1)],
+            init_scratch: vec![],
+        });
+        let mut busy = vec![Instruction::Nop; 5];
+        busy[0] = bump(1);
+        busy[4] = Instruction::Send {
+            target: CoreId::new(0, 0),
+            rd_remote: r(4),
+            rs: r(1),
+        };
+        binary.cores.push(CoreImage {
+            core: BUSY,
+            body: busy,
+            epilogue_len: 0,
+            custom_functions: vec![],
+            init_regs: vec![(r(2), 1)],
+            init_scratch: vec![],
+        });
+        binary.exceptions.push(ExceptionDescriptor {
+            id: ExceptionId(7),
+            kind: ExceptionKind::AssertFail {
+                message: "r3 set".into(),
+            },
+        });
+        let program = CompiledProgram::compile_shared(test_config(2, 2), &binary).unwrap();
+        Machine::from_program(Arc::clone(&program))
+            .run_vcycles(1)
+            .unwrap();
+        assert!(program.schedule_proven());
+        program
+    }
+
+    #[test]
+    fn gang_lane_parked_mid_vcycle_and_pokes_outside_the_rows_read_back_at_widths_4_and_8() {
+        let program = midcycle_tripwire();
+        let c00 = CoreId::new(0, 0);
+        // Registers in the rows, above the span on footprint cores, and
+        // on a core without a program.
+        let probes = [
+            (c00, r(4)),
+            (c00, r(5)),
+            (c00, r(6)),
+            (c00, r(40)),
+            (BUSY, r(1)),
+            (BUSY, r(100)),
+            (INERT, r(2047)),
+        ];
+        for lanes in [3, 4, 8] {
+            let mut gang = crate::GangMachine::from_program(Arc::clone(&program), lanes);
+            assert_eq!(gang.reg_words(), 2 * 7 * lanes.next_power_of_two());
+            let pokes = |lane: usize| {
+                let l = lane as u16;
+                [
+                    (BUSY, r(2), l + 1),
+                    (BUSY, r(100), 0xbe00 + l),
+                    (c00, r(40), 0x4000 + l),
+                    (INERT, r(2047), 0x1200 + l),
+                ]
+            };
+            let mut solos: Vec<Machine> = (0..lanes)
+                .map(|lane| {
+                    let mut m = Machine::from_program(Arc::clone(&program));
+                    for (core, reg, v) in pokes(lane) {
+                        m.poke_reg(core, reg, v);
+                        gang.poke_reg(lane, core, reg, v);
+                    }
+                    m
+                })
+                .collect();
+            let first = gang.run_vcycles(2);
+            // Lane 1 fails its assertion in the next Vcycle, after (0,0)
+            // bumped r5 and before it bumps r6 or any other core runs.
+            gang.poke_reg(1, c00, r(3), 1);
+            let second = gang.run_vcycles(3);
+            // Pokes after the park: into the parked lane's shell, and
+            // outside the rows of a running lane.
+            let late = [(1, INERT, r(2047), 0x5a5a), (0, BUSY, r(100), 0x0ddd)];
+            for (lane, core, reg, v) in late {
+                gang.poke_reg(lane, core, reg, v);
+            }
+            for (lane, solo) in solos.iter_mut().enumerate() {
+                let what = format!("lanes {lanes} lane {lane}");
+                assert_eq!(
+                    summary(&first[lane]),
+                    summary(&solo.run_vcycles(2)),
+                    "{what}"
+                );
+                if lane == 1 {
+                    solo.poke_reg(c00, r(3), 1);
+                }
+                let solo_second = solo.run_vcycles(3);
+                assert_eq!(summary(&second[lane]), summary(&solo_second), "{what}");
+                assert_eq!(second[lane].is_err(), lane == 1, "{what}");
+                if lane == 1 {
+                    assert_eq!(gang.counters(lane).vcycles, 2, "{what}: parked mid-Vcycle");
+                }
+                for (_, core, reg, v) in late.into_iter().filter(|p| p.0 == lane) {
+                    solo.poke_reg(core, reg, v);
+                }
+                for (core, reg) in probes {
+                    assert_eq!(
+                        gang.read_reg(lane, core, reg),
+                        solo.read_reg(core, reg),
+                        "{what}: {core} {reg}"
+                    );
+                }
+                let same = save_checkpoint(&gang.checkpoint_lane(lane))
+                    == save_checkpoint(&solo.checkpoint());
+                assert!(same, "{what}: checkpoint bytes differ");
+            }
+            for (lane, (m, solo)) in gang.into_machines().iter().zip(&solos).enumerate() {
+                let what = format!("lanes {lanes} lane {lane} unbundled");
+                for (core, reg) in probes {
+                    assert_eq!(m.read_reg(core, reg), solo.read_reg(core, reg), "{what}");
+                }
                 assert_same_state(m, solo, &what);
             }
         }

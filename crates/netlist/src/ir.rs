@@ -142,7 +142,7 @@ impl CellOp {
 }
 
 /// A single net: the value produced by one cell.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Hash)]
 pub struct Net {
     /// The operation producing this net.
     pub op: CellOp,
@@ -153,7 +153,7 @@ pub struct Net {
 }
 
 /// A register: `q` holds the current value, `next` computes the next value.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Hash)]
 pub struct Register {
     /// Debug name.
     pub name: String,
@@ -168,7 +168,7 @@ pub struct Register {
 }
 
 /// A synchronous-write, asynchronous-read memory bank.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Hash)]
 pub struct Memory {
     /// Debug name.
     pub name: String,
@@ -183,7 +183,7 @@ pub struct Memory {
 }
 
 /// One synchronous write port: `if en { mem[addr] <= data }`.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Hash)]
 pub struct MemWrite {
     /// Address net.
     pub addr: NetId,
@@ -194,7 +194,7 @@ pub struct MemWrite {
 }
 
 /// A `$display`-style testbench cell: fires when `cond` is non-zero.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Hash)]
 pub struct DisplayCell {
     /// 1-bit condition net.
     pub cond: NetId,
@@ -207,7 +207,7 @@ pub struct DisplayCell {
 /// An assertion: if `cond` is zero when sampled, the simulation reports a
 /// failure with this id/message. This is the netlist-level source of the
 /// Manticore `EXPECT` instruction.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Hash)]
 pub struct ExpectCell {
     /// 1-bit condition net that must be non-zero every cycle.
     pub cond: NetId,
@@ -218,7 +218,7 @@ pub struct ExpectCell {
 }
 
 /// A `$finish` cell: ends the simulation when `cond` is non-zero.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Hash)]
 pub struct FinishCell {
     /// 1-bit condition net.
     pub cond: NetId,
@@ -229,7 +229,7 @@ pub struct FinishCell {
 /// Construct with [`crate::NetlistBuilder`]; fields are read-only outside
 /// this crate to preserve the structural invariants the builder checks
 /// (operand widths, acyclicity, id validity).
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Hash)]
 pub struct Netlist {
     pub(crate) name: String,
     pub(crate) nets: Vec<Net>,

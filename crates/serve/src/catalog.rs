@@ -15,16 +15,16 @@
 //! `lfsr`, `t`) so jobs can carry distinct input vectors, and keeps its
 //! state observable through an output of the same name.
 //!
-//! Building a benchmark netlist costs milliseconds, and hashing it for
-//! its cache key most of another. A server resolves names through a
-//! [`Catalog`], which does both once per (design, grid) and hands later
+//! Building a benchmark netlist costs milliseconds; hashing it for its
+//! cache key costs tens of microseconds. A server resolves names through
+//! a [`Catalog`], which does both once per (design, grid) and hands later
 //! submissions the memoized result.
 
 use manticore::isa::MachineConfig;
 use manticore::netlist::{Netlist, NetlistBuilder};
 use manticore_util::FnvHasher;
 use std::collections::HashMap;
-use std::hash::Hasher;
+use std::hash::{Hash, Hasher};
 use std::sync::{Arc, Mutex, PoisonError};
 
 /// The micro design names served at grid 2×2 by default.
@@ -45,14 +45,16 @@ pub fn lookup(name: &str, grid: Option<usize>) -> Option<(Netlist, MachineConfig
     Some((netlist, MachineConfig::with_grid(side, side)))
 }
 
-/// The cache key for a (netlist, config) pair: FNV-1a over the debug
-/// renderings of both. The netlist IR derives a deterministic `Debug`, so
-/// building the same catalog design twice — even on different
-/// connections — hashes identically, while any structural difference
-/// (including the grid) lands in a different cache entry.
+/// The cache key for a (netlist, config) pair: the netlist's structural
+/// `Hash` (derived over every net, register, memory and testbench cell)
+/// and the configuration's `Debug` rendering, through one FNV hasher.
+/// Building the same design twice — from the catalog, from a JSON or
+/// wire submission, on any connection — hashes identically, while any
+/// structural difference (including the grid) lands in a different cache
+/// entry. The key lives only in the server's memory.
 pub fn netlist_hash(netlist: &Netlist, config: &MachineConfig) -> u64 {
     let mut h = FnvHasher::default();
-    h.write(format!("{netlist:?}").as_bytes());
+    netlist.hash(&mut h);
     h.write(format!("{config:?}").as_bytes());
     h.finish()
 }

@@ -103,7 +103,9 @@ pub struct ServerConfig {
     /// Lifetime cap on netlist bytes one connection may submit for
     /// compilation; past it every `submit_netlist` is a permanent
     /// `netlist_quota` reject. Reconnecting resets the quota — the cap
-    /// bounds damage per connection, not per client.
+    /// bounds damage per connection, not per client. Only a submission
+    /// that runs a compile is charged: one the program cache already
+    /// holds is checked against the cap but costs nothing.
     pub conn_netlist_bytes: u64,
     /// Untrusted compilations allowed at once, across all connections.
     /// Beyond this, `submit_netlist` gets a transient `compile_busy`
@@ -620,7 +622,8 @@ enum UntrustedCompileError {
 }
 
 /// Compiles an untrusted netlist through the shared cache, under the
-/// server's compile deadline and the connection's cancel token. Panics
+/// server's compile deadline and the connection's cancel token, and
+/// says whether this call ran the compile (a cache hit did not). Panics
 /// inside the compiler are caught *inside* the build closure — a panic
 /// that escaped `get_or_compile` would strand the key in `Building` and
 /// hang every waiter, which is exactly the failure mode a hostile
@@ -630,10 +633,12 @@ fn compile_untrusted(
     config: &MachineConfig,
     cancel: &CancelToken,
     shared: &Shared,
-) -> Result<Arc<CacheEntry>, UntrustedCompileError> {
+) -> (Result<Arc<CacheEntry>, UntrustedCompileError>, bool) {
     let key = catalog::netlist_hash(netlist, config);
     let deadline_hit = Cell::new(false);
+    let ran = Cell::new(false);
     let entry = shared.cache.get_or_compile(key, || {
+        ran.set(true);
         catch_silent_mut(|| {
             let options = CompileOptions {
                 config: config.clone(),
@@ -664,20 +669,22 @@ fn compile_untrusted(
         })
         .unwrap_or_else(|panic| Err(format!("compiler panicked: {panic}")))
     });
-    entry.map_err(|e| {
+    let entry = entry.map_err(|e| {
         if deadline_hit.get() {
             UntrustedCompileError::Deadline
         } else {
             UntrustedCompileError::Other(e)
         }
-    })
+    });
+    (entry, ran.get())
 }
 
 /// Admits a client-supplied netlist. The full gauntlet, cheapest checks
 /// first: connection byte quota, grid limit, wire decode under the
 /// resource limits (counts checked before elements), structural
 /// validation, then a deadline-bounded compile in a bounded slot. Only
-/// a design that survives all of it touches the fleet.
+/// a design that survives all of it touches the fleet, and only a
+/// compile (not a cache hit) is charged to the quota.
 fn admit_submit_netlist(
     req: &SubmitNetlistReq,
     conn_id: u64,
@@ -703,8 +710,9 @@ fn admit_submit_netlist(
     };
     let limits = &shared.cfg.wire_limits;
 
-    // The byte quota is charged on the rendered size of what the client
-    // actually sent, before any decode work happens on its behalf.
+    // The byte quota is checked on the rendered size of what the client
+    // actually sent, before any decode work happens on its behalf. It is
+    // charged below, and only if this submission runs a compile.
     let bytes = req.netlist.render().len() as u64;
     if bytes > limits.netlist_bytes as u64 {
         return reject(
@@ -761,7 +769,6 @@ fn admit_submit_netlist(
         }
         Err(e) => return err(format!("netlist rejected: {e}")),
     };
-    *netlist_bytes_used = charged;
 
     // Bounded compile concurrency for untrusted work: no free slot means
     // a transient reject, not an unbounded queue of compile jobs.
@@ -776,8 +783,13 @@ fn admit_submit_netlist(
         return reject("compile_busy", RETRY_AFTER_MS, None);
     }
     let config = MachineConfig::with_grid(side, side);
-    let compiled = compile_untrusted(&netlist, &config, cancel, shared);
+    let (compiled, ran_compile) = compile_untrusted(&netlist, &config, cancel, shared);
     shared.untrusted_compiling.fetch_sub(1, Ordering::AcqRel);
+    // A cache hit reuses a program compiled before: the client resending
+    // a design it already submitted costs a decode and a hash, no compile.
+    if ran_compile {
+        *netlist_bytes_used = charged;
+    }
     let entry = match compiled {
         Ok(entry) => entry,
         Err(UntrustedCompileError::Deadline) => return reject("compile_deadline", 0, None),
@@ -1159,11 +1171,11 @@ fn recover_one(env: &Envelope, shared: &Shared) -> Result<(), String> {
         }
     };
     let never_cancelled = CancelToken::new();
-    let entry =
-        compile_untrusted(&netlist, &config, &never_cancelled, shared).map_err(|e| match e {
-            UntrustedCompileError::Deadline => "compile deadline at recovery".to_string(),
-            UntrustedCompileError::Other(msg) => msg,
-        })?;
+    let (compiled, _) = compile_untrusted(&netlist, &config, &never_cancelled, shared);
+    let entry = compiled.map_err(|e| match e {
+        UntrustedCompileError::Deadline => "compile deadline at recovery".to_string(),
+        UntrustedCompileError::Other(msg) => msg,
+    })?;
     let checkpoint = load_checkpoint(&env.checkpoint, &entry.program).map_err(|e| e.to_string())?;
     shared.sessions.adopt(
         &env.id,

@@ -20,13 +20,18 @@ What is compared, and why:
   legitimately wobble past 25% on shared CI runners.
 
 With `--fleet-fresh`/`--fleet-baseline`, the gate additionally compares
-the fleet_throughput gang section: `gang.geomean_gang_vs_fleet` (the
-lane-batched gang engine's scenarios/sec over the one-machine-per-
-scenario fleet at equal worker count) within the same tolerance, plus
-the gang geometry (`lanes`, `workers`, `vcycles`) exactly — a geometry
-drift would make the ratio incomparable, not just noisy. Per-workload
-gang ratios are in the JSON for inspection but, like the per-row kHz
-columns, are not gated.
+the fleet_throughput gang width sweep (`gang_widths`: 2, 4, 5, 8, 9 and
+16 lanes; 5 and 9 run padded kernels). Every width in the baseline must
+appear in the fresh run with the same `workers` and `vcycles` — a
+geometry drift would make the ratio incomparable, not just noisy — and
+each row's `gang_reg_words` (the words of lane-row register state one
+gang holds) is compared exactly: the lane rows are a deterministic
+function of the compiled program and the width. The 8-lane
+`geomean_gang_vs_fleet` (the lane-batched gang engine's scenarios/sec
+over the one-machine-per-scenario fleet at equal worker count) must stay
+within the tolerance; every other width's geomean is a ONE-SIDED floor
+at `baseline * (1 - tolerance)`. Per-workload gang ratios are in the
+JSON for inspection but, like the per-row kHz columns, are not gated.
 
 With `--explore-fresh`/`--explore-baseline`, the gate additionally
 compares the explore_throughput run: the tree geometry (`lanes`,
@@ -118,28 +123,56 @@ def check(label, fresh, base, tolerance, failures):
         failures.append(f"{label}: {base:.3f} -> {fresh:.3f} ({drift * 100:.1f}% > {tolerance * 100:.0f}%)")
 
 
+# The gang width whose geomean is gated within the tolerance both ways;
+# every other width of the sweep has a one-sided floor.
+TWO_SIDED_LANES = 8
+
+
 def check_fleet(fresh_path, base_path, tolerance, failures):
+    """Every committed gang width: geometry and per-row register words
+    exactly (the lane rows are a deterministic function of the compiled
+    program and the width), the 8-lane geomean two-sided and every other
+    width's geomean as a one-sided floor."""
     with open(fresh_path) as f:
-        fresh = json.load(f).get("gang", {})
+        fresh_doc = json.load(f)
     with open(base_path) as f:
-        base = json.load(f).get("gang", {})
-    if not base:
-        failures.append(f"{base_path}: no gang section in the fleet baseline")
+        base_doc = json.load(f)
+    base_widths = base_doc.get("gang_widths", [])
+    if not any(w.get("lanes") == TWO_SIDED_LANES for w in base_widths):
+        failures.append(f"{base_path}: no {TWO_SIDED_LANES}-lane entry in the fleet baseline's gang_widths")
         return
-    print("fleet gang section:")
-    for field in ("lanes", "workers", "vcycles"):
-        if fresh.get(field) != base.get(field):
-            failures.append(
-                f"gang.{field}: geometry changed ({base.get(field)} -> {fresh.get(field)}); "
-                "ratios are not comparable — regenerate BENCH_fleet.json"
-            )
-    check(
-        "gang.geomean_gang_vs_fleet",
-        fresh.get("geomean_gang_vs_fleet"),
-        base.get("geomean_gang_vs_fleet"),
-        tolerance,
-        failures,
-    )
+    fresh_widths = {w.get("lanes"): w for w in fresh_doc.get("gang_widths", [])}
+    print("fleet gang widths:")
+    for bw in base_widths:
+        lanes = bw.get("lanes")
+        label = f"gang[{lanes}]"
+        fw = fresh_widths.get(lanes)
+        if fw is None:
+            failures.append(f"{label}: width missing from the fresh fleet run")
+            continue
+        for field in ("workers", "vcycles"):
+            if fw.get(field) != bw.get(field):
+                failures.append(
+                    f"{label}.{field}: geometry changed ({bw.get(field)} -> {fw.get(field)}); "
+                    "ratios are not comparable — regenerate BENCH_fleet.json"
+                )
+        fresh_rows = {r["name"]: r for r in fw.get("rows", [])}
+        for brow in bw.get("rows", []):
+            name = brow["name"]
+            want = brow.get("gang_reg_words")
+            got = fresh_rows.get(name, {}).get("gang_reg_words")
+            if got != want:
+                failures.append(f"{label}.{name}.gang_reg_words: {want} -> {got} (deterministic)")
+            else:
+                print(f"    ok  {f'{label}.{name}.gang_reg_words':<32} {want}")
+        gate = check if lanes == TWO_SIDED_LANES else check_floor
+        gate(
+            f"{label}.geomean_gang_vs_fleet",
+            fw.get("geomean_gang_vs_fleet"),
+            bw.get("geomean_gang_vs_fleet"),
+            tolerance,
+            failures,
+        )
 
 
 def check_explore(fresh_path, base_path, tolerance, failures):

@@ -143,7 +143,7 @@ fn restored_and_forked_runs_are_bit_identical_to_uninterrupted_runs() {
             );
 
             // Path 2: gang-lane round-trip — fork(1), resume as a gang,
-            // transpose back out.
+            // unbundle back out.
             let mut gang = cp.fork(1).unwrap();
             let gang_tail = gang.run_vcycles(VCYCLES - split).remove(0);
             let lane = gang.into_machines().remove(0);

@@ -77,7 +77,13 @@ fn assert_still_serving(server: &Server) {
 }
 
 fn counter_netlist() -> Netlist {
-    let mut b = NetlistBuilder::new("hardening_counter");
+    named_counter_netlist("hardening_counter")
+}
+
+/// The counter under another design name: same size on the wire, a
+/// different program-cache key.
+fn named_counter_netlist(name: &str) -> Netlist {
+    let mut b = NetlistBuilder::new(name);
     let r = b.reg("count", 16, 0);
     let one = b.lit(1, 16);
     let next = b.add(r.q(), one);
@@ -355,6 +361,45 @@ fn the_connection_netlist_quota_is_permanent_and_per_connection() {
     let mut fresh = Client::connect(server.local_addr()).unwrap();
     let r = expect_result(fresh.call(&submit_netlist(3, encoded, 5, false)).unwrap());
     assert_eq!(r.regs, vec![("count".to_string(), 5)]);
+}
+
+#[test]
+fn a_cached_netlist_is_not_charged_to_the_connection_quota() {
+    let first = wire::encode_netlist(&named_counter_netlist("quota_a"));
+    let second = wire::encode_netlist(&named_counter_netlist("quota_b"));
+    let third = wire::encode_netlist(&named_counter_netlist("quota_c"));
+    let one_render = first.render().len() as u64;
+    // Room for two compiles and the check of a third, not three compiles.
+    let server = test_server(|cfg| cfg.conn_netlist_bytes = one_render * 5 / 2);
+
+    let mut client = Client::connect(server.local_addr()).unwrap();
+    // One compile, then resubmissions of the cached design: each is
+    // checked against the quota but charged nothing.
+    for id in 1..=6 {
+        let r = expect_result(
+            client
+                .call(&submit_netlist(id, first.clone(), 5, false))
+                .unwrap(),
+        );
+        assert_eq!(r.regs, vec![("count".to_string(), 5)]);
+    }
+    let r = expect_result(
+        client
+            .call(&submit_netlist(7, second.clone(), 5, false))
+            .unwrap(),
+    );
+    assert_eq!(r.regs, vec![("count".to_string(), 5)]);
+
+    // Two compiles charged: a third design no longer fits, and neither
+    // does a cached one — the reject is permanent for the connection.
+    for (id, netlist) in [(8, third), (9, first)] {
+        let (reason, retry_after_ms, limit) =
+            expect_reject(client.call(&submit_netlist(id, netlist, 5, false)).unwrap());
+        assert_eq!(reason, "netlist_quota");
+        assert_eq!(retry_after_ms, 0, "quota rejects are permanent");
+        assert_eq!(limit.unwrap().limit, "conn_netlist_bytes");
+    }
+    assert_still_serving(&server);
 }
 
 #[test]
