@@ -2,7 +2,7 @@
 //!
 //! [`FleetSim`] is the netlist-level face of [`manticore_fleet`]: it
 //! compiles a design exactly once (netlist → binary → frozen
-//! [`CompiledProgram`] with replay tape and micro-op streams), then runs
+//! [`CompiledProgram`] with its micro-op program), then runs
 //! arbitrarily many [`FleetJob`]s against the shared artifact on a
 //! work-stealing worker pool. Jobs differ in their *input vector* (RTL
 //! registers overwritten by name before the run), engine knobs, and

@@ -181,8 +181,8 @@ impl ManticoreSim {
     }
 
     /// Boots a fresh run of an already-frozen machine program — the
-    /// compile-once / run-many path: every call shares `program`'s replay
-    /// tape and micro-op streams instead of rebuilding them.
+    /// compile-once / run-many path: every call shares `program`'s
+    /// micro-op program instead of rebuilding it.
     pub fn from_program(
         program: std::sync::Arc<manticore_machine::CompiledProgram>,
         output: std::sync::Arc<CompileOutput>,

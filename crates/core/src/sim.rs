@@ -5,7 +5,7 @@
 //! | backend | engine | crate |
 //! |---|---|---|
 //! | `manticore-serial` | machine grid, position-by-position reference interpreter | `manticore_machine` |
-//! | `manticore-serial+uops` | machine grid, validate-once / replay-many fused micro-ops over SoA state | `manticore_machine` |
+//! | `manticore-serial+uops` | machine grid, validate-once / replay-many, flat micro-op program over SoA state | `manticore_machine` |
 //! | `manticore-fleet(k)` | machine grid dispatched through a `k`-worker fleet pool | `manticore_fleet` |
 //! | `manticore-gang(k)` | `k` lockstep lanes over lane-row state, one micro-op fetch per gang | `manticore_machine` |
 //! | `tape-serial` | Verilator-analog tape, one thread | `manticore_refsim` |
@@ -327,14 +327,14 @@ impl Simulator for TapeSim {
 
 /// Builds one of every backend for `netlist`: Manticore serial (the
 /// position-by-position reference interpreter), Manticore serial with the
-/// fused micro-op replay stream, the fleet-dispatched machine (a
+/// flat micro-op replay program, the fleet-dispatched machine (a
 /// `threads`-worker pool), the lane-batched gang machine (a
 /// `threads`-lane lockstep gang), tape serial, and tape parallel with
 /// `threads` workers.
 ///
 /// All machine-grid backends share **one** compilation *and* one frozen
-/// [`manticore_machine::CompiledProgram`] — the replay schedule and
-/// micro-op streams are built once and aliased, the compile-once /
+/// [`manticore_machine::CompiledProgram`] — its micro-op program is
+/// built once and aliased, the compile-once /
 /// run-many path the fleet engine scales up.
 ///
 /// # Errors

@@ -2,8 +2,8 @@
 //!
 //! Manticore's schedule is a pure function of the compiled program, which
 //! the machine crate already exploits *within* one run (validate-once /
-//! replay-many, fused micro-ops). This crate exploits it *across* runs:
-//! one immutable [`CompiledProgram`] — replay tape and micro-op streams
+//! replay-many over a flat micro-op program). This crate exploits it
+//! *across* runs: one immutable [`CompiledProgram`] — micro-op program
 //! included — is shared behind an `Arc` by *N* concurrent simulations with
 //! distinct inputs and knobs, so a sweep of a thousand scenarios pays for
 //! compilation, validation-schedule freezing, and micro-op lowering once

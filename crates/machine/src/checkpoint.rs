@@ -109,6 +109,8 @@ impl Checkpoint {
             send_buf: Vec::new(),
             send_vals_buf: Vec::new(),
             due_buf: Vec::new(),
+            // The snapshot may carry writes in flight.
+            rings_live: true,
             fault: self.fault.clone(),
             // Host-side run control is not part of a snapshot.
             control: None,
@@ -184,6 +186,7 @@ impl Machine {
         self.send_buf.clear();
         self.send_vals_buf.clear();
         self.due_buf.clear();
+        self.rings_live = true;
         // The fault is part of the restored state (rewinding to a clean
         // snapshot un-parks a faulted machine); run control is not.
         self.fault = cp.fault.clone();

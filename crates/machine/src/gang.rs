@@ -17,10 +17,12 @@
 //! program names (`reg < reg_span`). The word for `(core, reg, lane)`
 //! lives at `(slot(core) * reg_span + reg) * W + lane`, where `slot` is
 //! the core's position among the footprint cores and `W` is the lane
-//! count rounded up to a power of two. Each micro-op of the fused stream
-//! ([`crate::uops`]) is fetched and decoded **once**, and a register op is
-//! one straight-line row operation `rows[rd] = f(rows[rs1], rows[rs2])`
-//! over all `W` lanes. The kernel is monomorphised by width
+//! count rounded up to a power of two. The kernel walks the flat Vcycle
+//! program ([`crate::uops`]) one core range at a time and indexes the
+//! core's rows by `operand − core * regfile_size`. Each micro-op is fetched
+//! and decoded **once** (its ALU function is its opcode), and a register
+//! op is one straight-line row operation `rows[rd] = f(rows[rs1],
+//! rows[rs2])` over all `W` lanes. The kernel is monomorphised by width
 //! (`gang_core_walk::<W>` at W = 1, 2, 4, .., [`MAX_LANES`]), so the lane
 //! loop has a compile-time length and no lane mask: decoding is paid once
 //! per op, and the width sets only the execute work.
@@ -49,8 +51,9 @@
 //!
 //! What is shared and what is per-lane:
 //!
-//! - **shared**: the program (bodies, micro-op streams, pre-resolved
-//!   epilogue writes), the hazard/replay knobs, and the lockstep clock.
+//! - **shared**: the program (bodies, the flat micro-op program,
+//!   pre-resolved epilogue writes), the hazard/replay knobs, and the
+//!   lockstep clock.
 //!   Message delivery follows the shared frozen epilogue writes, so lanes
 //!   can never diverge in *when* or *where* a message lands — only its
 //!   value differs.
@@ -75,6 +78,7 @@
 //! displays, and errors — across every specialised and padded width and
 //! hazard strictness.
 
+use std::ops::Range;
 use std::sync::Arc;
 
 use manticore_isa::{AluOp, CoreId, Reg};
@@ -87,7 +91,7 @@ use crate::grid::{
     RunOutcome,
 };
 use crate::program::CompiledProgram;
-use crate::uops::{MicroOp, UOp};
+use crate::uops::{alu_word, Alu3, UOp};
 
 /// What a lane is currently doing.
 #[derive(Debug, Clone)]
@@ -134,6 +138,10 @@ pub struct GangMachine {
     strict_hazards: bool,
     replay_enabled: bool,
     tape_invalidated: bool,
+    /// Some running lane's footprint rings may hold in-flight writes: set
+    /// at construction and by every solo-engine Vcycle; the kernel drains
+    /// them once and clears it ([`Machine`]'s `rings_live` for the rows).
+    rings_live: bool,
     /// Cooperative cancellation, polled between lockstep Vcycles —
     /// [`Machine::set_cancel_token`] for the whole gang.
     cancel: Option<manticore_util::CancelToken>,
@@ -314,6 +322,7 @@ impl GangMachine {
             strict_hazards,
             replay_enabled,
             tape_invalidated,
+            rings_live: true,
             cancel: None,
             deadline: None,
             vc_active: Vec::with_capacity(lanes),
@@ -586,6 +595,7 @@ impl GangMachine {
                 // engine. The first lane to validate proves the schedule
                 // for the whole program, so its siblings start on the
                 // micro-op engine (see `Machine::step_vcycle`).
+                self.rings_live = true;
                 for l in 0..lanes {
                     if !self.running(l) {
                         continue;
@@ -700,7 +710,7 @@ impl GangMachine {
         res
     }
 
-    /// One ganged Vcycle on the fused micro-op stream at the gang's row
+    /// One ganged Vcycle on the flat micro-op program at the gang's row
     /// width: see [`GangMachine::run_kernel`].
     fn run_one_vcycle_uops_gang(&mut self) {
         match self.lanes.next_power_of_two() {
@@ -730,6 +740,7 @@ impl GangMachine {
             cores,
             shells,
             lane_status,
+            rings_live,
             vc_active,
             parked,
             send_rows,
@@ -739,7 +750,6 @@ impl GangMachine {
         let fp = Footprint::of(program, *lanes);
         debug_assert_eq!(fp.width, W);
         let lanes = fp.lanes;
-        let config = &program.config;
         let vcycle_len = program.vcycle_len;
         let up = program
             .micro_prog
@@ -759,24 +769,35 @@ impl GangMachine {
         let send_rows = send_rows.as_chunks_mut::<W>().0;
         let rows = rows.as_chunks_mut::<W>().0;
 
-        // Body phase: one fetch/decode per micro-op, all lanes per op,
-        // active cores only.
+        // Writes left in flight by a solo-engine Vcycle (e.g. each lane's
+        // validation Vcycle) commit now, once; no read could have
+        // observed them pending.
+        if *rings_live {
+            for k in 0..fp.cores.len() {
+                let block = rows[k * fp.span..(k + 1) * fp.span].as_flattened_mut();
+                for &l in vc_active.iter() {
+                    let l = l as usize;
+                    cores[k * lanes + l].commit_due_strided(block, W, l, u64::MAX);
+                }
+            }
+            *rings_live = false;
+        }
+
+        // Body phase: the flat program one core range at a time, one
+        // fetch/decode per micro-op, all lanes per op.
         let mut send_cursor = 0usize;
-        for &ci in up.active.iter() {
-            let c = ci as usize;
+        for span in up.spans.iter().filter(|s| !s.ops.is_empty()) {
+            let c = span.core as usize;
             let k = program
                 .reg_slot(c)
                 .expect("an active core is a footprint core");
             gang_core_walk::<W>(
                 program,
-                c,
                 vcycle,
-                config.scratch_words,
                 &mut rows[k * fp.span..(k + 1) * fp.span],
                 c * fp.rf,
-                program.scratch_range(c).start,
                 &mut cores[k * lanes..(k + 1) * lanes],
-                &up.streams[c],
+                span.ops.clone(),
                 shells,
                 lane_status,
                 vc_active,
@@ -795,30 +816,23 @@ impl GangMachine {
         debug_assert_eq!(send_cursor, up.sends);
 
         // Delivery and epilogue collapse into the pre-resolved write list:
-        // one row copy per executing slot.
-        for &l in vc_active.iter() {
-            shells[l as usize].counters.messages_delivered += up.sends as u64;
-        }
+        // one row copy per executing slot. Then the frozen counter deltas.
         for e in &up.epi_prog {
             let k = program.reg_slot[e.core as usize] as usize;
-            rows[k * fp.span + e.rd as usize] = send_rows[e.send_idx as usize];
+            let reg = (e.rd as usize) - e.core as usize * fp.rf;
+            rows[k * fp.span + reg] = send_rows[e.send_idx as usize];
         }
-        for &ci in up.active.iter() {
-            let c = ci as usize;
-            let epi = up.epi_exec[c] as u64;
-            if epi == 0 {
-                continue;
-            }
-            let k = program.reg_slot[c] as usize;
+        for span in &up.spans {
+            let k = program.reg_slot[span.core as usize] as usize;
             for &l in vc_active.iter() {
-                let l = l as usize;
-                cores[k * lanes + l].executed += epi;
-                shells[l].counters.instructions += epi;
+                cores[k * lanes + l as usize].executed += span.executed;
             }
         }
-
         for &l in vc_active.iter() {
             let shell = &mut shells[l as usize];
+            shell.counters.instructions += up.instructions;
+            shell.counters.sends += up.sends as u64;
+            shell.counters.messages_delivered += up.sends as u64;
             shell.compute_time += vcycle_len;
             shell.counters.compute_cycles += vcycle_len;
             shell.counters.vcycles += 1;
@@ -826,136 +840,49 @@ impl GangMachine {
     }
 }
 
-/// One ALU operation on two *register words* (value in the low 16 bits,
-/// carry in bit 16 — the storage format of every engine's register file),
-/// returning the full result word including its carry bit.
-///
-/// This is [`AluOp::eval`] re-expressed over u32 words so the gang's
-/// row operations are single branch-light integer expressions the
-/// compiler can vectorize across lanes: `Add`'s carry-out lands in bit 16
-/// by plain 17-bit arithmetic, `Sub`'s no-borrow bit falls out of
-/// `(a | 0x1_0000) - b`. Bit-equivalence with `eval` (for every op and
-/// any carry bits on the inputs) is pinned by `alu_word_matches_eval` in
-/// the machine test suite.
+/// `rows[rd] = f(rows[rs1], rows[rs2])` lane by lane, for a folded ALU op
+/// of the core whose registers start at absolute index `base`: the two
+/// source rows are copied out by value first, so the body is straight-line
+/// code with no aliasing through `rows` for the compiler to guard.
 #[inline(always)]
-pub(crate) fn alu_word(op: AluOp, a: u32, b: u32) -> u32 {
-    let av = a & 0xffff;
-    let bv = b & 0xffff;
-    match op {
-        AluOp::Add => av + bv,
-        AluOp::Sub => (av | 0x1_0000) - bv,
-        AluOp::And => av & bv,
-        AluOp::Or => av | bv,
-        AluOp::Xor => av ^ bv,
-        AluOp::Sll => {
-            if bv >= 16 {
-                0
-            } else {
-                (av << bv) & 0xffff
-            }
-        }
-        AluOp::Srl => {
-            if bv >= 16 {
-                0
-            } else {
-                av >> bv
-            }
-        }
-        AluOp::Sra => (((av as u16 as i16) >> bv.min(15)) as u16) as u32,
-        AluOp::Seq => (av == bv) as u32,
-        AluOp::Sltu => (av < bv) as u32,
-        AluOp::Slts => ((av as u16 as i16) < (bv as u16 as i16)) as u32,
-        AluOp::Mul => (av as u16).wrapping_mul(bv as u16) as u32,
-        AluOp::Mulh => (av * bv) >> 16,
-    }
+fn row2<const W: usize>(rows: &mut [[u32; W]], base: u32, o: Alu3, f: impl Fn(u32, u32) -> u32) {
+    let a = rows[(o.rs1 - base) as usize];
+    let b = rows[(o.rs2 - base) as usize];
+    rows[(o.rd - base) as usize] = std::array::from_fn(|k| f(a[k], b[k]));
 }
 
-/// `rows[rd] = f(rows[rs1], rows[rs2])` lane by lane: the two source rows
-/// are copied out by value first, so the body is straight-line code with
-/// no aliasing through `rows` for the compiler to guard.
+/// The 48-bit global addresses held in three rows' low halves, per lane.
 #[inline(always)]
-fn row2<const W: usize>(
-    rows: &mut [[u32; W]],
-    rd: u16,
-    rs1: u16,
-    rs2: u16,
-    f: impl Fn(u32, u32) -> u32,
-) {
-    let a = rows[rs1 as usize];
-    let b = rows[rs2 as usize];
-    rows[rd as usize] = std::array::from_fn(|k| f(a[k], b[k]));
+fn global_addr<const W: usize>(rows: &[[u32; W]], rs: [usize; 3], l: usize) -> u64 {
+    rs.iter().enumerate().fold(0, |acc, (k, &r)| {
+        acc | (rows[r][l] as u64 & 0xffff) << (16 * k)
+    })
 }
 
-/// One ALU row operation, the function dispatched once per op: each arm
-/// monomorphizes [`row2`] on a constant-receiver [`alu_word`] kernel.
-#[inline(always)]
-fn alu_row<const W: usize>(op: AluOp, rows: &mut [[u32; W]], rd: u16, rs1: u16, rs2: u16) {
-    macro_rules! arm {
-        ($v:ident) => {
-            row2(rows, rd, rs1, rs2, |a, b| alu_word(AluOp::$v, a, b))
-        };
-    }
-    match op {
-        AluOp::Add => arm!(Add),
-        AluOp::Sub => arm!(Sub),
-        AluOp::And => arm!(And),
-        AluOp::Or => arm!(Or),
-        AluOp::Xor => arm!(Xor),
-        AluOp::Sll => arm!(Sll),
-        AluOp::Srl => arm!(Srl),
-        AluOp::Sra => arm!(Sra),
-        AluOp::Seq => arm!(Seq),
-        AluOp::Sltu => arm!(Sltu),
-        AluOp::Slts => arm!(Slts),
-        AluOp::Mul => arm!(Mul),
-        AluOp::Mulh => arm!(Mulh),
-    }
-}
-
-/// The Mux row operation (shared by `Mux` and both halves of `MuxMux`).
-#[inline(always)]
-fn mux_row<const W: usize>(rows: &mut [[u32; W]], rd: u16, sel: u16, rs1: u16, rs2: u16) {
-    let s = rows[sel as usize];
-    let a = rows[rs1 as usize];
-    let b = rows[rs2 as usize];
-    rows[rd as usize] = std::array::from_fn(|k| {
-        let v = if s[k] & 0xffff != 0 { a[k] } else { b[k] };
-        v & 0xffff
-    });
-}
-
-/// Records one send position's value row.
-#[inline(always)]
-fn send_row<const W: usize>(rows: &[[u32; W]], rs: u16, send_rows: &mut [[u32; W]], at: usize) {
-    send_rows[at] = rows[rs as usize].map(|v| v & 0xffff);
-}
-
-/// Walks one core's micro-op stream for one Vcycle at row width `W`: the
-/// op is decoded once (ALU function included), register ops are row
-/// operations over all `W` lanes, and every write commits directly
-/// (strict hazards, validated), exactly like the solo engine's direct
-/// `uops::run_core_uops`. Ops with per-lane side effects iterate the
-/// running lanes in `vc_active`; `shells` carries each lane's scratchpad,
-/// cache, counters, and host events.
+/// Walks one core's range `ops` of the flat micro-op program for one
+/// Vcycle at row width `W`: each op is decoded once (its ALU function is
+/// its opcode), its absolute operands index the core's rows as `operand −
+/// base`, register ops are row operations over all `W` lanes, and every
+/// write commits directly (strict hazards, validated), exactly like the
+/// solo engine's `uops::run_ops`. Ops with per-lane side effects iterate
+/// the running lanes in `vc_active`; `shells` carries each lane's
+/// scratchpad, cache, counters, and host events.
 ///
 /// A lane whose `Expect` servicing fails is parked in place: its counters
-/// flush through the faulting op plus the interpreter's other-core counts
-/// ([`crate::uops::MicroProgram::fault_counters`]) — the solo engine's
-/// abort point — its status records the error, this core's registers move
-/// to its shell (`shell_base` is the core's first word there), and it
-/// drops out of `vc_active` into `parked`, for the caller to move the rest
-/// of its footprint before anything else writes its columns.
+/// are charged through the faulting op plus the interpreter's other-core
+/// counts ([`crate::uops::MicroProgram::fault_counters`]) — the solo
+/// engine's abort point — its status records the error, this core's
+/// registers move to its shell (from word `base` there), and it drops out
+/// of `vc_active` into `parked`, for the caller to move the rest of its
+/// footprint before anything else writes its columns.
 #[allow(clippy::too_many_arguments)]
 fn gang_core_walk<const W: usize>(
     program: &CompiledProgram,
-    c: usize,
     vcycle: u64,
-    sw: usize,
     creg: &mut [[u32; W]],
-    shell_base: usize,
-    scr_base: usize,
+    base: usize,
     cstates: &mut [CoreState],
-    stream: &[MicroOp],
+    ops: Range<usize>,
     shells: &mut [Machine],
     lane_status: &mut [LaneStatus],
     vc_active: &mut Vec<u32>,
@@ -963,56 +890,54 @@ fn gang_core_walk<const W: usize>(
     send_rows: &mut [[u32; W]],
     send_cursor: &mut usize,
 ) {
+    let up = program.micro_prog.as_ref().expect("replaying");
+    let sw = program.config.scratch_words;
     let exceptions = &program.exceptions[..];
-    let prog = &program.cores[c];
-    // Writes left in flight by a previous Vcycle on the solo engine (e.g.
-    // each lane's validation Vcycle) commit now; no read could have
-    // observed them pending.
-    for &l in vc_active.iter() {
-        let l = l as usize;
-        cstates[l].commit_due_strided(creg.as_flattened_mut(), W, l, u64::MAX);
-    }
-    let mut ic: u64 = 0;
-    let mut sends: u64 = 0;
-    for mop in stream {
-        match mop.op {
-            UOp::Set { rd, imm } => {
-                ic += 1;
-                creg[rd as usize] = [imm as u32; W];
-            }
-            UOp::Alu { op, rd, rs1, rs2 } => {
-                ic += 1;
-                alu_row(op, creg, rd, rs1, rs2);
-            }
+    let b = base as u32;
+    let r = |x: u32| (x - b) as usize;
+    for (at, op) in ops.clone().zip(&up.ops[ops]) {
+        match *op {
+            UOp::Set { rd, imm } => creg[r(rd)] = [imm as u32; W],
+            UOp::Add(o) => row2(creg, b, o, |x, y| alu_word(AluOp::Add, x, y)),
+            UOp::Sub(o) => row2(creg, b, o, |x, y| alu_word(AluOp::Sub, x, y)),
+            UOp::And(o) => row2(creg, b, o, |x, y| alu_word(AluOp::And, x, y)),
+            UOp::Or(o) => row2(creg, b, o, |x, y| alu_word(AluOp::Or, x, y)),
+            UOp::Xor(o) => row2(creg, b, o, |x, y| alu_word(AluOp::Xor, x, y)),
+            UOp::Sll(o) => row2(creg, b, o, |x, y| alu_word(AluOp::Sll, x, y)),
+            UOp::Srl(o) => row2(creg, b, o, |x, y| alu_word(AluOp::Srl, x, y)),
+            UOp::Sra(o) => row2(creg, b, o, |x, y| alu_word(AluOp::Sra, x, y)),
+            UOp::Seq(o) => row2(creg, b, o, |x, y| alu_word(AluOp::Seq, x, y)),
+            UOp::Sltu(o) => row2(creg, b, o, |x, y| alu_word(AluOp::Sltu, x, y)),
+            UOp::Slts(o) => row2(creg, b, o, |x, y| alu_word(AluOp::Slts, x, y)),
+            UOp::Mul(o) => row2(creg, b, o, |x, y| alu_word(AluOp::Mul, x, y)),
+            UOp::Mulh(o) => row2(creg, b, o, |x, y| alu_word(AluOp::Mulh, x, y)),
             UOp::AddCarry { rd, rs1, rs2, rsc } => {
-                ic += 1;
-                let a = creg[rs1 as usize];
-                let b = creg[rs2 as usize];
-                let cin = creg[rsc as usize];
-                creg[rd as usize] = std::array::from_fn(|k| {
-                    let sum = (a[k] & 0xffff) + (b[k] & 0xffff) + ((cin[k] >> 16) & 1);
+                let a = creg[r(rs1)];
+                let bb = creg[r(rs2)];
+                let cin = creg[r(rsc)];
+                creg[r(rd)] = std::array::from_fn(|k| {
+                    let sum = (a[k] & 0xffff) + (bb[k] & 0xffff) + ((cin[k] >> 16) & 1);
                     (sum as u16) as u32 | (((sum > 0xffff) as u32) << 16)
                 });
             }
             UOp::SubBorrow { rd, rs1, rs2, rsb } => {
-                ic += 1;
-                let a = creg[rs1 as usize];
-                let b = creg[rs2 as usize];
-                let bin = creg[rsb as usize];
-                creg[rd as usize] = std::array::from_fn(|k| {
+                let a = creg[r(rs1)];
+                let bb = creg[r(rs2)];
+                let bin = creg[r(rsb)];
+                creg[r(rd)] = std::array::from_fn(|k| {
                     let cin = ((bin[k] >> 16) & 1) as i32;
-                    let diff = (a[k] as u16) as i32 - (b[k] as u16) as i32 - (1 - cin);
+                    let diff = (a[k] as u16) as i32 - (bb[k] as u16) as i32 - (1 - cin);
                     (diff as u16) as u32 | (((diff >= 0) as u32) << 16)
                 });
             }
-            UOp::Mux {
-                rd,
-                rs_sel,
-                rs1,
-                rs2,
-            } => {
-                ic += 1;
-                mux_row(creg, rd, rs_sel, rs1, rs2);
+            UOp::Mux { rd, sel, rs1, rs2 } => {
+                let s = creg[r(sel)];
+                let a = creg[r(rs1)];
+                let bb = creg[r(rs2)];
+                creg[r(rd)] = std::array::from_fn(|k| {
+                    let v = if s[k] & 0xffff != 0 { a[k] } else { bb[k] };
+                    v & 0xffff
+                });
             }
             UOp::Slice {
                 rd,
@@ -1020,20 +945,17 @@ fn gang_core_walk<const W: usize>(
                 shift,
                 mask,
             } => {
-                ic += 1;
-                creg[rd as usize] =
-                    creg[rs as usize].map(|v| (((v as u16) >> shift) & mask) as u32);
+                creg[r(rd)] = creg[r(rs)].map(|v| (((v as u16) >> shift) & mask) as u32);
             }
             UOp::Custom { rd, func, rs } => {
-                ic += 1;
-                let [a, b, cc, d] = rs.map(|r| creg[r as usize]);
+                let [a, bb, cc, d] = rs.map(|x| creg[r(x)]);
                 let mut out = [0u32; W];
                 if W >= 4 {
                     // Four lanes per mux tree: the bitsliced evaluation is
                     // pure word logic, so packing lanes into 16-bit slots
                     // of a u64 amortizes the whole tree 4x. The broadcast
                     // masks are precomputed at load.
-                    let m64 = &prog.custom_masks_x4[func as usize];
+                    let m64 = &up.custom_x4[func as usize];
                     let pack = |row: &[u32; W], q: usize| -> u64 {
                         (0..4).fold(0, |acc, j| acc | (row[q + j] as u64 & 0xffff) << (16 * j))
                     };
@@ -1041,7 +963,7 @@ fn gang_core_walk<const W: usize>(
                         let v = crate::exec::eval_custom_masks_x4(
                             m64,
                             pack(&a, q),
-                            pack(&b, q),
+                            pack(&bb, q),
                             pack(&cc, q),
                             pack(&d, q),
                         );
@@ -1050,91 +972,84 @@ fn gang_core_walk<const W: usize>(
                         }
                     }
                 } else {
-                    let masks = &prog.custom_masks[func as usize];
+                    let masks = &up.custom[func as usize];
                     out = std::array::from_fn(|k| {
-                        let [a, b, cc, d] = [a[k], b[k], cc[k], d[k]].map(|v| v as u16);
-                        crate::exec::eval_custom_masks(masks, a, b, cc, d) as u32
+                        let [a, bb, cc, d] = [a[k], bb[k], cc[k], d[k]].map(|v| v as u16);
+                        crate::exec::eval_custom_masks(masks, a, bb, cc, d) as u32
                     });
                 }
-                creg[rd as usize] = out;
+                creg[r(rd)] = out;
             }
-            UOp::Predicate { rs } => {
-                ic += 1;
-                let row = creg[rs as usize];
+            UOp::Predicate { rs, .. } => {
+                let row = creg[r(rs)];
                 for &l in vc_active.iter() {
                     let l = l as usize;
                     cstates[l].predicate = row[l] as u16 != 0;
                 }
             }
-            UOp::LocalLoad { rd, rs_addr, base } => {
-                ic += 1;
+            UOp::LocalLoad {
+                rd,
+                rs_addr,
+                base,
+                lane,
+            } => {
                 for &l in vc_active.iter() {
                     let l = l as usize;
-                    let a = creg[rs_addr as usize][l] as u16;
-                    let addr = (base as usize + a as usize) % sw;
-                    creg[rd as usize][l] = shells[l].scratch[scr_base + addr] as u32;
+                    let a = creg[r(rs_addr)][l] as u16;
+                    let addr = lane as usize + (base as usize + a as usize) % sw;
+                    creg[r(rd)][l] = shells[l].scratch[addr] as u32;
                 }
             }
             UOp::LocalStore {
                 rs_data,
                 rs_addr,
                 base,
+                lane,
+                ..
             } => {
-                ic += 1;
-                let data = creg[rs_data as usize];
-                let addrs = creg[rs_addr as usize];
+                let data = creg[r(rs_data)];
+                let addrs = creg[r(rs_addr)];
                 for &l in vc_active.iter() {
                     let l = l as usize;
                     if cstates[l].predicate {
-                        let addr = (base as usize + addrs[l] as u16 as usize) % sw;
-                        shells[l].scratch[scr_base + addr] = data[l] as u16;
+                        let addr = lane as usize + (base as usize + addrs[l] as u16 as usize) % sw;
+                        shells[l].scratch[addr] = data[l] as u16;
                     }
                 }
             }
             UOp::GlobalLoad { rd, rs_addr } => {
-                ic += 1;
-                let [a0, a1, a2] = rs_addr.map(|r| creg[r as usize]);
+                let rs = rs_addr.map(r);
                 for &l in vc_active.iter() {
                     let l = l as usize;
-                    let addr = (a0[l] as u64 & 0xffff)
-                        | ((a1[l] as u64 & 0xffff) << 16)
-                        | ((a2[l] as u64 & 0xffff) << 32);
                     let shell = &mut shells[l];
-                    let (v, stall) = shell.cache.load(addr);
+                    let (v, stall) = shell.cache.load(global_addr(creg, rs, l));
                     shell.counters.stall_cycles += stall;
-                    creg[rd as usize][l] = v as u32;
+                    creg[r(rd)][l] = v as u32;
                 }
             }
             UOp::GlobalStore { rs_data, rs_addr } => {
-                ic += 1;
-                let data = creg[rs_data as usize];
-                let [a0, a1, a2] = rs_addr.map(|r| creg[r as usize]);
+                let data = creg[r(rs_data)];
+                let rs = rs_addr.map(r);
                 for &l in vc_active.iter() {
                     let l = l as usize;
-                    let addr = (a0[l] as u64 & 0xffff)
-                        | ((a1[l] as u64 & 0xffff) << 16)
-                        | ((a2[l] as u64 & 0xffff) << 32);
                     if cstates[l].predicate {
                         let shell = &mut shells[l];
-                        let stall = shell.cache.store(addr, data[l] as u16);
+                        let stall = shell.cache.store(global_addr(creg, rs, l), data[l] as u16);
                         shell.counters.stall_cycles += stall;
                     }
                 }
             }
             UOp::Send { rs } => {
-                ic += 1;
-                sends += 1;
-                send_row(creg, rs, send_rows, *send_cursor);
+                send_rows[*send_cursor] = creg[r(rs)].map(|v| v & 0xffff);
                 *send_cursor += 1;
             }
-            UOp::Expect { rs1, rs2, eid } => {
-                ic += 1;
-                let a = creg[rs1 as usize];
-                let b = creg[rs2 as usize];
+            UOp::Expect { rs1, rs2, eid, .. } => {
+                let a = creg[r(rs1)];
+                let bb = creg[r(rs2)];
                 let mut i = 0;
                 while i < vc_active.len() {
                     let l = vc_active[i] as usize;
-                    if a[l] as u16 == b[l] as u16 {
+                    if a[l] as u16 == bb[l] as u16 {
                         i += 1;
                         continue;
                     }
@@ -1142,7 +1057,7 @@ fn gang_core_walk<const W: usize>(
                     let res = service_exception(
                         exceptions,
                         vcycle,
-                        |r: Reg| creg[r.index()][l] as u16,
+                        |reg: Reg| creg[reg.index()][l] as u16,
                         eid,
                         &mut shell.counters,
                         &mut shell.events,
@@ -1151,16 +1066,11 @@ fn gang_core_walk<const W: usize>(
                         Ok(()) => i += 1,
                         Err(err) => {
                             // Park the lane where a solo run would have
-                            // aborted: counters flushed through the
+                            // aborted: counters charged through the
                             // faulting op, no further execution.
-                            cstates[l].executed += ic;
-                            shell.counters.instructions += ic;
-                            shell.counters.sends += sends;
-                            let up = program.micro_prog.as_ref().expect("replaying");
-                            shell
-                                .counters
-                                .add(&up.fault_counters(&program.cores, mop.pos as u64));
-                            let dst = &mut shell.regs[shell_base..shell_base + creg.len()];
+                            shell.counters.add(&up.fault_counters(&program.cores, at));
+                            cstates[l].executed += at as u64 + 1;
+                            let dst = &mut shell.regs[base..base + creg.len()];
                             for (word, row) in dst.iter_mut().zip(creg.iter()) {
                                 *word = row[l];
                             }
@@ -1171,60 +1081,6 @@ fn gang_core_walk<const W: usize>(
                     }
                 }
             }
-            UOp::AluAlu {
-                op1,
-                rd1,
-                rs11,
-                rs12,
-                op2,
-                rd2,
-                rs21,
-                rs22,
-            } => {
-                ic += 2;
-                alu_row(op1, creg, rd1, rs11, rs12);
-                alu_row(op2, creg, rd2, rs21, rs22);
-            }
-            UOp::MuxMux {
-                rd1,
-                sel1,
-                rs11,
-                rs12,
-                rd2,
-                sel2,
-                rs21,
-                rs22,
-            } => {
-                ic += 2;
-                mux_row(creg, rd1, sel1, rs11, rs12);
-                mux_row(creg, rd2, sel2, rs21, rs22);
-            }
-            UOp::AluSend {
-                op,
-                rd,
-                rs1,
-                rs2,
-                rs_send,
-            } => {
-                ic += 2;
-                sends += 1;
-                alu_row(op, creg, rd, rs1, rs2);
-                send_row(creg, rs_send, send_rows, *send_cursor);
-                *send_cursor += 1;
-            }
-            UOp::SendSend { rs1, rs2 } => {
-                ic += 2;
-                sends += 2;
-                send_row(creg, rs1, send_rows, *send_cursor);
-                send_row(creg, rs2, send_rows, *send_cursor + 1);
-                *send_cursor += 2;
-            }
         }
-    }
-    for &l in vc_active.iter() {
-        let l = l as usize;
-        cstates[l].executed += ic;
-        shells[l].counters.instructions += ic;
-        shells[l].counters.sends += sends;
     }
 }

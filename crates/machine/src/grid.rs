@@ -10,9 +10,11 @@
 //! Two engines step a Vcycle, and [`replays_next_vcycle`] picks one: the
 //! position-by-position interpreter, which validates, checks hazards and
 //! models stale reads, and the micro-op engine ([`crate::uops`]), which
-//! replays proven strict Vcycles with direct register commits. Permissive
-//! runs never arm replay ([`replay_armed`]), so the interpreter is the one
-//! reference for stale-read semantics.
+//! replays proven strict Vcycles as one walk of the flat Vcycle program
+//! over the whole register file, with direct register commits and frozen
+//! counter deltas: no per-core setup. Permissive runs never arm replay
+//! ([`replay_armed`]), so the interpreter is the one reference for
+//! stale-read semantics.
 
 use std::fmt;
 use std::sync::Arc;
@@ -25,7 +27,7 @@ use crate::core::{CoreState, CoreView};
 use crate::exec::{core_id_of, step_core, ExecEnv, SendRecord};
 use crate::noc::{Message, Noc};
 use crate::program::CompiledProgram;
-use crate::uops::run_core_uops;
+use crate::uops;
 
 /// Mixes `words` (each mapped through `value`) into fingerprint state
 /// `h`, one FNV step per word, folding every run of zero values into one
@@ -351,6 +353,13 @@ pub struct Machine {
     /// Reusable per-position scratch: messages due at one compute cycle
     /// (the interpreter's `take_due` scan).
     pub(crate) due_buf: Vec<Message>,
+    /// Some core's pipeline ring may hold in-flight writes: set by every
+    /// interpreted Vcycle and every boot from a snapshot. The micro-op
+    /// engine commits every write directly, so it drains all rings once
+    /// before its first Vcycle after such a switch and clears the flag
+    /// (an early commit is invisible: no read could observe the write in
+    /// flight).
+    pub(crate) rings_live: bool,
     /// The first error this run hit, recorded so a faulted machine keeps
     /// reporting it instead of re-executing from corrupt-adjacent state
     /// (and so the fleet can classify a resumed faulted job without
@@ -440,6 +449,7 @@ impl Machine {
             send_buf: Vec::new(),
             send_vals_buf: Vec::new(),
             due_buf: Vec::new(),
+            rings_live: false,
             fault: None,
             control: None,
             program,
@@ -486,8 +496,8 @@ impl Machine {
     /// Replay is enabled by default and is architecturally invisible: after
     /// a first Vcycle validates the static schedule (link collisions,
     /// delivery timing, epilogue accounting — once per program, see
-    /// [`CompiledProgram::schedule_proven`]), Vcycles execute the fused
-    /// micro-op stream, which skips NOPs, empty tail positions, and all
+    /// [`CompiledProgram::schedule_proven`]), Vcycles execute the flat
+    /// micro-op program, which skips NOPs, empty tail positions, and all
     /// per-position NoC bookkeeping — bit-identical results, measurably
     /// faster. Disable it to run the position-by-position interpreter, the
     /// reference the micro-op engine is tested against.
@@ -500,14 +510,13 @@ impl Machine {
         self.replay_enabled
     }
 
-    /// Micro-op stream statistics for the loaded program, when one exists
-    /// and is usable by this run: `(micro_ops, fused_pairs)` summed over
-    /// the grid. `fused_pairs` counts adjacent instruction pairs fused
-    /// into a single dispatch. `None` while the stream cannot arm whatever
-    /// [`Machine::set_replay`] says — permissive hazards, strictness
-    /// re-enabled after a permissive start, or a static cross-Vcycle
-    /// hazard.
-    pub fn micro_op_stats(&self) -> Option<(usize, usize)> {
+    /// The number of micro-ops a replayed Vcycle of the loaded program
+    /// walks ([`CompiledProgram::micro_op_stats`]), when a micro program
+    /// exists and is usable by this run. `None` while it cannot arm
+    /// whatever [`Machine::set_replay`] says — permissive hazards,
+    /// strictness re-enabled after a permissive start, or a static
+    /// cross-Vcycle hazard.
+    pub fn micro_op_stats(&self) -> Option<usize> {
         if !replay_armed(
             &self.program,
             true,
@@ -836,6 +845,7 @@ impl Machine {
         // compute domain is deterministic and the program periodic, so the
         // link pattern repeats exactly.
         let validate = self.counters.vcycles == 0;
+        self.rings_live = true;
         let program = Arc::clone(&self.program);
         let config = &program.config;
         let rf = config.regfile_size;
@@ -936,19 +946,20 @@ impl Machine {
         Ok(())
     }
 
-    /// One Vcycle on the fused micro-op stream (see [`crate::uops`]) —
+    /// One Vcycle on the flat micro-op program (see [`crate::uops`]) —
     /// also a fresh run's first Vcycle once its program's schedule is
     /// proven ([`replays_next_vcycle`]).
     ///
     /// The strict validation Vcycle proved the static schedule's
     /// assumptions, so this path skips NOP positions, idle-tail positions,
     /// the per-position `take_due` scan, all link bookkeeping and the
-    /// pipeline ring: a core-major walk of pre-resolved micro-ops over the
-    /// active cores with direct register commits, counters accumulated in
-    /// bulk, then the pre-resolved epilogue write list. Core-major order
-    /// is invisible because cores only interact through the (frozen)
-    /// delivery schedule, and the only *fallible* micro-ops are the
-    /// privileged core's `Expect`s, so error selection matches the
+    /// pipeline ring. It does three things: one walk of the whole op
+    /// array with direct register commits (the privileged core's ops
+    /// first, the only ones that can fault), the pre-resolved epilogue
+    /// write list, and the program's frozen counter deltas. Core-major
+    /// order is invisible because cores only interact through the
+    /// (frozen) delivery schedule, and the only *fallible* micro-ops are
+    /// the privileged core's `Expect`s, so error selection matches the
     /// interpreter's encounter order too.
     pub(crate) fn run_one_vcycle_uops(&mut self) -> Result<(), MachineError> {
         let Machine {
@@ -960,67 +971,59 @@ impl Machine {
             compute_time,
             counters,
             events,
-            send_vals_buf,
+            send_vals_buf: send_vals,
+            rings_live,
             ..
         } = self;
-        let config = &program.config;
-        let vcycle_len = program.vcycle_len;
         let up = program
             .micro_prog
             .as_ref()
             .expect("replay_armed checked the micro program");
-        let rf = config.regfile_size;
-        let sw = config.scratch_words;
-        let vcycle = counters.vcycles;
+        if *rings_live {
+            let rf = program.config.regfile_size;
+            for (cs, lane) in cores.iter_mut().zip(regs.chunks_mut(rf)) {
+                cs.commit_due(lane, u64::MAX);
+            }
+            *rings_live = false;
+        }
 
-        // Body phase: fused micro-ops, active cores only. The value buffer
-        // is the machine's reusable scratch — no per-Vcycle allocation.
-        let send_vals = send_vals_buf;
+        // Body phase. The value buffer is the machine's reusable scratch:
+        // no per-Vcycle allocation.
         send_vals.clear();
         send_vals.reserve(up.sends);
-        for &idx in &up.active {
-            let idx = idx as usize;
-            let mut view = CoreView {
-                cs: &mut cores[idx],
-                prog: &program.cores[idx],
-                regs: &mut regs[idx * rf..(idx + 1) * rf],
-                scratch: &mut scratch[program.scratch_range(idx)],
-            };
-            // The privileged core is linear index 0 ((0,0) row-major).
-            let cache_arg = (idx == 0).then_some(&mut *cache);
-            if let Err((pos, e)) = run_core_uops(
-                &program.exceptions,
-                vcycle,
-                sw,
-                &mut view,
-                &up.streams[idx],
-                cache_arg,
-                counters,
-                events,
-                send_vals,
-            ) {
-                counters.add(&up.fault_counters(&program.cores, pos));
-                return Err(e);
-            }
+        if let Err((at, e)) = uops::run_ops(
+            up,
+            &program.exceptions,
+            counters.vcycles,
+            program.config.scratch_words,
+            regs,
+            scratch,
+            cores,
+            cache,
+            counters,
+            events,
+            send_vals,
+        ) {
+            counters.add(&up.fault_counters(&program.cores, at));
+            cores[0].executed += at as u64 + 1;
+            return Err(e);
         }
         debug_assert_eq!(send_vals.len(), up.sends);
 
         // Delivery and epilogue collapse into the pre-resolved write list:
         // `(core, slot)` order, direct commits (nothing can observe them
-        // in flight), bulk counters.
-        counters.messages_delivered += up.sends as u64;
+        // in flight).
         for e in &up.epi_prog {
-            regs[e.core as usize * rf + e.rd as usize] = send_vals[e.send_idx as usize] as u32;
+            regs[e.rd as usize] = send_vals[e.send_idx as usize] as u32;
         }
-        for &idx in &up.active {
-            let idx = idx as usize;
-            let epi = up.epi_exec[idx] as u64;
-            cores[idx].executed += epi;
-            counters.instructions += epi;
+        for s in &up.spans {
+            cores[s.core as usize].executed += s.executed;
         }
-
-        *compute_time += vcycle_len;
-        counters.compute_cycles += vcycle_len;
+        counters.instructions += up.instructions;
+        counters.sends += up.sends as u64;
+        counters.messages_delivered += up.sends as u64;
+        *compute_time += program.vcycle_len;
+        counters.compute_cycles += program.vcycle_len;
         counters.vcycles += 1;
         Ok(())
     }

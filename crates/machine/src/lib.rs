@@ -40,13 +40,15 @@
 //! fast path ([`Machine::set_replay`], on by default): the first Vcycle
 //! of the first run validates the static schedule in full — once per
 //! program, since the schedule is the program's — after which execution
-//! switches to a *fused micro-op stream* over the machine's
-//! structure-of-arrays state. It skips NOPs, idle-tail positions, and all
-//! per-position NoC bookkeeping, with operands pre-resolved to flat
-//! offsets, dead hazard checks removed, counters bulk-accumulated, and the
-//! measured-hottest adjacent instruction pairs fused into one dispatch —
-//! same bits, fewer interpreted steps. Replay commits every write
-//! directly, so it runs strict Vcycles only; the stream and its
+//! switches to a *flat Vcycle program* over the machine's
+//! structure-of-arrays state: one micro-op array for the whole grid,
+//! walked in one loop. It skips NOPs, idle-tail positions, and all
+//! per-position NoC bookkeeping, with operands pre-resolved to absolute
+//! register-file indices, the ALU function folded into the opcode (one
+//! dispatch per op), dead hazard checks removed, and the per-Vcycle
+//! counter deltas frozen as program constants — same bits, fewer
+//! interpreted steps. Replay commits every write directly, so it runs
+//! strict Vcycles only; the program and its
 //! pre-resolved epilogue writes are built from a frozen delivery schedule
 //! that exists only at freeze time; see the crate-private `replay`/`uops`
 //! modules and `ARCHITECTURE.md`. The position-by-position interpreter

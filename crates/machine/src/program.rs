@@ -4,9 +4,10 @@
 //! [`CompiledProgram`] is the frozen artifact a [`crate::Machine`] executes:
 //! the validated per-core programs, the exception table, the initial
 //! register/scratchpad/DRAM images, and — because it is a pure function of
-//! the program — the one replay artifact, the [`MicroProgram`] (fused
-//! micro-op streams plus pre-resolved epilogue writes). It is immutable
-//! after construction and shared behind an `Arc`, so *N* concurrent
+//! the program — the one replay artifact, the [`MicroProgram`] (one flat
+//! micro-op array for the whole grid plus pre-resolved epilogue writes
+//! and frozen counter deltas). It is immutable after construction and
+//! shared behind an `Arc`, so *N* concurrent
 //! simulations of the same design (a fleet, a gang, a parameter sweep) pay
 //! for validation and micro-op compilation exactly once. No other replay
 //! schedule is kept: the delivery schedule the micro-op program is built
@@ -60,9 +61,6 @@ pub(crate) struct CoreProgram {
     /// (`crate::exec::transpose_custom`), one entry per table: what the
     /// engines actually evaluate through.
     pub custom_masks: Vec<[u16; 16]>,
-    /// `custom_masks` broadcast into all four 16-bit slots of a `u64`,
-    /// for the gang engine's four-lanes-per-tree evaluation.
-    pub custom_masks_x4: Vec<[u64; 16]>,
 }
 
 impl CoreProgram {
@@ -186,7 +184,6 @@ impl CompiledProgram {
                 epilogue_len: 0,
                 custom_functions: Vec::new(),
                 custom_masks: Vec::new(),
-                custom_masks_x4: Vec::new(),
             })
             .collect();
         let mut init_regs: Vec<(u32, u32)> = Vec::new();
@@ -291,11 +288,6 @@ impl CompiledProgram {
                 .iter()
                 .map(crate::exec::transpose_custom)
                 .collect();
-            core.custom_masks_x4 = core
-                .custom_masks
-                .iter()
-                .map(|m| m.map(|x| x as u64 * 0x0001_0001_0001_0001))
-                .collect();
             // Last write wins within an image (the dense form's semantics),
             // and only then are the zero entries dropped — an explicit
             // trailing zero must still cancel an earlier nonzero init.
@@ -332,11 +324,6 @@ impl CompiledProgram {
                 }
             }
         }
-        // The micro-op program is a pure function of the loaded program
-        // and the configuration, so it is frozen here; a run only *uses*
-        // it after a strict validation Vcycle has proven the schedule's
-        // assumptions.
-        let micro_prog = MicroProgram::compile(&cores, &config, binary.vcycle_len as u64);
         let reg_cores: Vec<u32> = (0..n as u32)
             .filter(|&c| {
                 let core = &cores[c as usize];
@@ -347,7 +334,7 @@ impl CompiledProgram {
         for (k, &c) in reg_cores.iter().enumerate() {
             reg_slot[c as usize] = k as u32;
         }
-        Ok(CompiledProgram {
+        let mut program = CompiledProgram {
             cores,
             exceptions: binary.exceptions.clone(),
             vcycle_len: binary.vcycle_len as u64,
@@ -361,10 +348,16 @@ impl CompiledProgram {
             reg_slot,
             proven: AtomicBool::new(false),
             init_dram: binary.init_dram.clone(),
-            micro_prog,
+            micro_prog: None,
             config,
             identity: NEXT_IDENTITY.fetch_add(1, Ordering::Relaxed),
-        })
+        };
+        // The micro-op program is a pure function of the loaded program
+        // and the configuration, so it is frozen here; a run only *uses*
+        // it after a strict validation Vcycle has proven the schedule's
+        // assumptions.
+        program.micro_prog = MicroProgram::compile(&program);
+        Ok(program)
     }
 
     /// Like [`CompiledProgram::compile`], wrapped in the [`Arc`] every
@@ -464,10 +457,9 @@ impl CompiledProgram {
         let mut bytes = size_of::<CompiledProgram>();
         for core in &self.cores {
             bytes += core.body.len() * size_of::<Instruction>();
-            // The three custom-function forms: loaded, bitsliced, x4.
+            // The loaded and the bitsliced custom-function forms.
             bytes += core.custom_functions.len() * size_of::<[u16; 16]>();
             bytes += core.custom_masks.len() * size_of::<[u16; 16]>();
-            bytes += core.custom_masks_x4.len() * size_of::<[u64; 16]>();
         }
         bytes += self.exceptions.len() * size_of::<ExceptionDescriptor>();
         bytes += self.init_regs.len() * size_of::<(u32, u32)>();
@@ -481,12 +473,10 @@ impl CompiledProgram {
         bytes
     }
 
-    /// Micro-op stream statistics, when a micro program exists:
-    /// `(micro_ops, fused_pairs)` summed over the grid. `fused_pairs`
-    /// counts adjacent instruction pairs fused into a single dispatch.
-    pub fn micro_op_stats(&self) -> Option<(usize, usize)> {
-        self.micro_prog
-            .as_ref()
-            .map(|p| (p.streams.iter().map(Vec::len).sum::<usize>(), p.fused_pairs))
+    /// The number of micro-ops a replayed Vcycle walks, summed over the
+    /// grid, when a micro program exists. Each is one non-NOP body
+    /// instruction.
+    pub fn micro_op_stats(&self) -> Option<usize> {
+        self.micro_prog.as_ref().map(|p| p.ops.len())
     }
 }

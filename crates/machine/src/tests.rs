@@ -836,11 +836,12 @@ fn mul_and_mulh_compose() {
 
 mod replay_engines {
     //! Unit tests for the validate-once / replay-many engine: the
-    //! pipeline write ring, micro-op fusion, and the static
+    //! pipeline write ring, the flat micro-op lowering, and the static
     //! cross-Vcycle-boundary hazard analysis that decides when the
     //! micro-op engine may run at all in strict mode.
 
     use super::*;
+    use crate::uops::{Alu3, UOp};
     use crate::{CompiledProgram, GangMachine, RunOutcome};
     use std::sync::Arc;
 
@@ -899,46 +900,97 @@ mod replay_engines {
     }
 
     #[test]
-    fn adjacent_alu_pairs_fuse() {
-        let mut binary = empty_binary(1, 1, 8);
+    fn the_flat_program_folds_alu_functions_into_absolute_core_major_ops() {
+        // Core (0,0) computes and sends r1 to core (1,0)'s r6, which its
+        // next Vcycle subtracts r7 from.
+        let alu = |op, rd, rs1, rs2| Instruction::Alu {
+            op,
+            rd: r(rd),
+            rs1: r(rs1),
+            rs2: r(rs2),
+        };
+        let mut binary = empty_binary(2, 1, 8);
         binary.cores.push(CoreImage {
             core: CoreId::new(0, 0),
             body: vec![
-                Instruction::Alu {
-                    op: AluOp::Add,
-                    rd: r(1),
-                    rs1: r(2),
-                    rs2: r(2),
-                },
-                Instruction::Alu {
-                    op: AluOp::Xor,
-                    rd: r(3),
-                    rs1: r(2),
-                    rs2: r(2),
+                alu(AluOp::Add, 1, 2, 2),
+                alu(AluOp::Xor, 3, 2, 2),
+                Instruction::Send {
+                    rs: r(1),
+                    target: CoreId::new(1, 0),
+                    rd_remote: r(6),
                 },
                 Instruction::Nop,
-                Instruction::Alu {
-                    op: AluOp::Or,
-                    rd: r(4),
-                    rs1: r(2),
-                    rs2: r(2),
-                },
+                alu(AluOp::Or, 4, 2, 2),
             ],
             epilogue_len: 0,
             custom_functions: vec![],
             init_regs: vec![(r(2), 5)],
             init_scratch: vec![],
         });
-        let m = Machine::load(test_config(1, 1), &binary).unwrap();
-        let (uops, fused) = m.micro_op_stats().expect("replayable");
-        // Positions 0+1 fuse; the NOP gap keeps position 3 single.
-        assert_eq!((uops, fused), (2, 1));
-        // And the fused stream computes the same values.
-        let mut m = m;
+        binary.cores.push(CoreImage {
+            core: CoreId::new(1, 0),
+            body: vec![
+                Instruction::Nop,
+                alu(AluOp::Sub, 5, 6, 7),
+                Instruction::Nop,
+                Instruction::Nop,
+                Instruction::Nop,
+                Instruction::Nop,
+            ],
+            epilogue_len: 1,
+            custom_functions: vec![],
+            init_regs: vec![(r(7), 1)],
+            init_scratch: vec![],
+        });
+        let program = CompiledProgram::compile_shared(test_config(2, 1), &binary).unwrap();
+        let up = program.micro_prog.as_ref().expect("replayable");
+        let rf = program.config.regfile_size as u32;
+        // One op per non-NOP instruction, core-major, the ALU function in
+        // the opcode, operands absolute in the machine's register file.
+        assert_eq!(program.micro_op_stats(), Some(5));
+        assert!(matches!(
+            up.ops[..4],
+            [
+                UOp::Add(Alu3 {
+                    rd: 1,
+                    rs1: 2,
+                    rs2: 2
+                }),
+                UOp::Xor(Alu3 { rd: 3, .. }),
+                UOp::Send { rs: 1 },
+                UOp::Or(Alu3 { rd: 4, .. }),
+            ]
+        ));
+        match up.ops[4] {
+            UOp::Sub(o) => assert_eq!((o.rd, o.rs1, o.rs2), (rf + 5, rf + 6, rf + 7)),
+            other => panic!("core (1,0)'s op lowered to {other:?}"),
+        }
+        let epi: Vec<(u32, u32)> = up.epi_prog.iter().map(|e| (e.core, e.rd)).collect();
+        assert_eq!(epi, vec![(1, rf + 6)]);
+        // The frozen per-Vcycle deltas: five ops plus one epilogue slot.
+        assert_eq!((up.instructions, up.sends), (6, 1));
+        let spans: Vec<_> = up
+            .spans
+            .iter()
+            .map(|s| (s.core, s.ops.clone(), s.executed))
+            .collect();
+        assert_eq!(spans, vec![(0, 0..4, 4), (1, 4..5, 2)]);
+
+        // And the flat walk computes what the interpreter does.
+        let mut interp = Machine::from_program(Arc::clone(&program));
+        interp.set_replay(false);
+        interp.run_vcycles(3).unwrap();
+        let mut m = Machine::from_program(program);
         m.run_vcycles(3).unwrap();
-        assert_eq!(m.read_reg(CoreId::new(0, 0), r(1)), 10);
-        assert_eq!(m.read_reg(CoreId::new(0, 0), r(3)), 0);
-        assert_eq!(m.read_reg(CoreId::new(0, 0), r(4)), 5);
+        assert_eq!(m.counters(), interp.counters());
+        assert_eq!(m.executed_per_core(), interp.executed_per_core());
+        assert_eq!(m.state_fingerprint(), interp.state_fingerprint());
+        let read = |x, reg| m.read_reg(CoreId::new(x, 0), r(reg));
+        assert_eq!(
+            [read(0, 1), read(0, 3), read(0, 4), read(1, 5)],
+            [10, 0, 5, 9]
+        );
     }
 
     /// A write at the last position whose commit window reaches a read
@@ -1617,7 +1669,7 @@ fn alu_word_matches_eval() {
             let (v, c) = op.eval(a as u16, b as u16);
             let expect = v as u32 | ((c as u32) << 16);
             assert_eq!(
-                crate::gang::alu_word(op, a, b),
+                crate::uops::alu_word(op, a, b),
                 expect,
                 "{op:?} a={a:#x} b={b:#x}"
             );

@@ -36,7 +36,7 @@ pub struct CacheEntry {
     /// Compiler output — binary, report, and the placement metadata that
     /// resolves RTL register names to machine registers.
     pub output: Arc<CompileOutput>,
-    /// The frozen machine program (replay tape + micro-op streams);
+    /// The frozen machine program (with its micro-op program);
     /// booting a job from it is allocation-only.
     pub program: Arc<CompiledProgram>,
     /// The approximate footprint charged against the cache budget.

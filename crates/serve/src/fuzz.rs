@@ -393,4 +393,22 @@ mod tests {
         };
         assert_ne!(a, c, "different seeds diverge");
     }
+
+    #[test]
+    fn rendered_len_matches_render_on_every_generated_value() {
+        let mut values = vec![
+            crate::wire::encode_netlist(&manticore::workloads::by_name("mm").unwrap().netlist),
+            Value::Str(malformed_json(&mut SmallRng::seed_from_u64(0))),
+        ];
+        for seed in 0..64 {
+            let mut rng = SmallRng::seed_from_u64(seed);
+            values.push(type_confused(&mut rng));
+            values.push(hostile_netlist(&mut rng));
+            values.push(valid_request(&mut rng).to_value());
+            values.push(Value::Str(malformed_json(&mut rng)));
+        }
+        for v in &values {
+            assert_eq!(v.rendered_len(), v.render().len(), "{}", v.render());
+        }
+    }
 }

@@ -103,6 +103,32 @@ impl Value {
         out
     }
 
+    /// The length in bytes of [`Value::render`]'s output, computed
+    /// without building it: what a byte quota needs to know about a
+    /// value it may reject.
+    pub fn rendered_len(&self) -> usize {
+        match self {
+            Value::Null => 4,
+            Value::Bool(true) => 4,
+            Value::Bool(false) => 5,
+            Value::Int(v) => display_len(v),
+            Value::Num(v) if v.is_finite() => display_len(v),
+            Value::Num(_) => 4,
+            Value::Str(s) => str_len(s),
+            Value::Arr(items) => {
+                2 + items.len().saturating_sub(1)
+                    + items.iter().map(Value::rendered_len).sum::<usize>()
+            }
+            Value::Obj(fields) => {
+                2 + fields.len().saturating_sub(1)
+                    + fields
+                        .iter()
+                        .map(|(k, v)| str_len(k) + 1 + v.rendered_len())
+                        .sum::<usize>()
+            }
+        }
+    }
+
     fn render_into(&self, out: &mut String) {
         match self {
             Value::Null => out.push_str("null"),
@@ -154,6 +180,33 @@ impl Value {
         }
         Ok(value)
     }
+}
+
+/// The byte length of `v`'s `Display` output, counted through a sink
+/// that stores nothing.
+fn display_len(v: &impl std::fmt::Display) -> usize {
+    struct Count(usize);
+    impl std::fmt::Write for Count {
+        fn write_str(&mut self, s: &str) -> std::fmt::Result {
+            self.0 += s.len();
+            Ok(())
+        }
+    }
+    let mut count = Count(0);
+    let _ = std::fmt::write(&mut count, format_args!("{v}"));
+    count.0
+}
+
+/// The byte length of [`render_str`]'s output for `s`.
+fn str_len(s: &str) -> usize {
+    2 + s
+        .chars()
+        .map(|c| match c {
+            '"' | '\\' | '\n' | '\t' | '\r' => 2,
+            c if (c as u32) < 0x20 => 6,
+            c => c.len_utf8(),
+        })
+        .sum::<usize>()
 }
 
 fn render_str(s: &str, out: &mut String) {
@@ -385,6 +438,32 @@ mod tests {
         assert_eq!(arr[1], Value::Num(2.5));
         assert_eq!(arr[2].as_str(), Some("x\nAé"));
         assert_eq!(v.get("b").unwrap().as_obj().unwrap().len(), 0);
+    }
+
+    #[test]
+    fn rendered_len_is_the_rendered_length() {
+        let edge = Value::obj(vec![
+            ("esc\"\\\n\t\r\u{1}\u{1f}", Value::Str("é€😀 \u{7f}".into())),
+            (
+                "nums",
+                Value::Arr(vec![
+                    Value::Int(0),
+                    Value::Int(u64::MAX),
+                    Value::Num(-1.5),
+                    Value::Num(1e300),
+                    Value::Num(-0.0),
+                    Value::Num(f64::NAN),
+                    Value::Num(f64::INFINITY),
+                ]),
+            ),
+            ("empty", Value::obj(vec![])),
+            ("none", Value::Arr(vec![])),
+            (
+                "lits",
+                Value::Arr(vec![Value::Null, Value::Bool(true), Value::Bool(false)]),
+            ),
+        ]);
+        assert_eq!(edge.rendered_len(), edge.render().len());
     }
 
     #[test]

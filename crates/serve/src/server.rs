@@ -713,7 +713,7 @@ fn admit_submit_netlist(
     // The byte quota is checked on the rendered size of what the client
     // actually sent, before any decode work happens on its behalf. It is
     // charged below, and only if this submission runs a compile.
-    let bytes = req.netlist.render().len() as u64;
+    let bytes = req.netlist.rendered_len() as u64;
     if bytes > limits.netlist_bytes as u64 {
         return reject(
             "netlist_limit",

@@ -6,7 +6,7 @@
 //! The original version of this example compared one miner against the
 //! Verilator-analog baseline the way Table 3 does; that comparison lives
 //! on in `table3_performance`. Here the design is compiled **once**
-//! (binary, replay tape, fused micro-op streams) and shared by every rig:
+//! (binary and micro-op program) and shared by every rig:
 //! each job pokes its pipelines' `nonce*` registers to a different
 //! starting range, and the fleet's work-stealing pool runs the rigs in
 //! lockstep gangs of `lanes` — one micro-op fetch per gang instead of one

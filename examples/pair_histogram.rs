@@ -1,19 +1,23 @@
-//! The measurement behind the micro-op fusion rules: a histogram of
-//! adjacent-position non-NOP instruction pairs across all nine workloads
+//! The inputs of the replay engine's cost model, over all nine workloads
 //! compiled for the paper's 15×15 grid.
 //!
-//! The machine's micro-op replay engine (`machine/src/uops.rs`) fuses the
-//! top patterns this prints — `Alu→Alu` (58.7% of adjacent pairs at the
-//! time of writing), `Mux→Mux`, `Send→Send`, `Alu→Send` — and skips the
-//! ones that never occur (`Set` chains, predicated stores). Re-run after
-//! compiler changes to check whether the fusion set still matches the
-//! emitted code:
+//! The machine's solo replay (`machine/src/uops.rs`) walks one flat
+//! micro-op array per Vcycle with one dispatch per op, so a replayed
+//! Vcycle costs about a constant per op plus whatever each design still
+//! pays per active core. This prints what that model needs:
+//!
+//! - the op mix: non-NOP instructions by kind;
+//! - the ALU-function mix: `Alu` instructions by `AluOp`, each of which
+//!   is its own micro-op opcode;
+//! - per design: its active cores (a non-NOP instruction inside the
+//!   Vcycle, or an epilogue) and its micro-ops per Vcycle.
 //!
 //! `cargo run --release --example pair_histogram`
 use std::collections::HashMap;
 
 use manticore::compiler::{compile, CompileOptions};
 use manticore::isa::{Instruction, MachineConfig};
+use manticore::machine::CompiledProgram;
 use manticore::workloads;
 
 fn kind(i: &Instruction) -> &'static str {
@@ -36,11 +40,25 @@ fn kind(i: &Instruction) -> &'static str {
     }
 }
 
+/// Prints `counts` in descending order with each entry's share of the
+/// total.
+fn print_mix(title: &str, counts: HashMap<String, u64>) {
+    let total: u64 = counts.values().sum();
+    println!("\n{title} ({total} total):");
+    let mut v: Vec<_> = counts.into_iter().collect();
+    v.sort_by(|a, b| b.1.cmp(&a.1).then_with(|| a.0.cmp(&b.0)));
+    for (k, n) in v {
+        println!("{k:>11} {n:>8}  ({:.1}%)", n as f64 / total as f64 * 100.0);
+    }
+}
+
 fn main() {
-    let mut pairs: HashMap<(&str, &str), u64> = HashMap::new();
-    let mut singles: HashMap<&str, u64> = HashMap::new();
-    let mut total_ops = 0u64;
-    let mut adjacent = 0u64;
+    let mut ops: HashMap<String, u64> = HashMap::new();
+    let mut alu_fns: HashMap<String, u64> = HashMap::new();
+    println!(
+        "{:>6} {:>12} {:>14} {:>12}",
+        "design", "active cores", "ops per Vcycle", "ops per core"
+    );
     for w in workloads::all() {
         let config = MachineConfig::default();
         let options = CompileOptions {
@@ -54,40 +72,34 @@ fn main() {
                 continue;
             }
         };
+        let vcycle_len = out.binary.vcycle_len as usize;
+        let mut active = 0usize;
         for core in &out.binary.cores {
-            let mut prev: Option<(usize, &Instruction)> = None;
-            for (pos, instr) in core.body.iter().enumerate() {
-                if matches!(instr, Instruction::Nop) {
-                    continue;
+            let issued: Vec<&Instruction> = core
+                .body
+                .iter()
+                .take(vcycle_len)
+                .filter(|i| !matches!(i, Instruction::Nop))
+                .collect();
+            active += (!issued.is_empty() || core.epilogue_len > 0) as usize;
+            for instr in issued {
+                *ops.entry(kind(instr).to_string()).or_default() += 1;
+                if let Instruction::Alu { op, .. } = instr {
+                    *alu_fns.entry(format!("{op:?}")).or_default() += 1;
                 }
-                total_ops += 1;
-                *singles.entry(kind(instr)).or_default() += 1;
-                if let Some((ppos, pinstr)) = prev {
-                    if pos == ppos + 1 {
-                        adjacent += 1;
-                        *pairs.entry((kind(pinstr), kind(instr))).or_default() += 1;
-                    }
-                }
-                prev = Some((pos, instr));
             }
         }
+        let program = CompiledProgram::compile(config, &out.binary)
+            .unwrap_or_else(|e| panic!("{}: load failed: {e}", w.name));
+        match program.micro_op_stats() {
+            Some(n) => println!(
+                "{:>6} {active:>12} {n:>14} {:>12.1}",
+                w.name,
+                n as f64 / active.max(1) as f64
+            ),
+            None => println!("{:>6} {active:>12} {:>14}", w.name, "not replayable"),
+        }
     }
-    println!("total non-NOP ops: {total_ops}, adjacent pairs: {adjacent}");
-    let mut v: Vec<_> = pairs.into_iter().collect();
-    v.sort_by_key(|&(_, n)| std::cmp::Reverse(n));
-    for ((a, b), n) in v.iter().take(25) {
-        println!(
-            "{a:>11} -> {b:<11} {n:>8}  ({:.1}%)",
-            *n as f64 / adjacent as f64 * 100.0
-        );
-    }
-    let mut s: Vec<_> = singles.into_iter().collect();
-    s.sort_by_key(|&(_, n)| std::cmp::Reverse(n));
-    println!("\nop mix:");
-    for (k, n) in s {
-        println!(
-            "{k:>11} {n:>8}  ({:.1}%)",
-            n as f64 / total_ops as f64 * 100.0
-        );
-    }
+    print_mix("op mix", ops);
+    print_mix("ALU-function mix", alu_fns);
 }

@@ -9,9 +9,9 @@ the replay engine.
 What is compared, and why:
 
 - per-row (matched by workload name) `vcpl`, `cores_used`, and
-  `manticore_khz`: deterministic compiler/model outputs, so any drift at
-  all is a real change (the tolerance merely keeps float rendering
-  honest);
+  `manticore_khz`: deterministic compiler/model outputs, compared
+  EXACTLY, so any drift at all fails (`manticore_khz` is the model clock
+  over `vcpl`, the same float on every host);
 - `geomean.uop_vs_interp`: the measured speedup of the micro-op replay
   engine over the position-by-position interpreter, which the committed
   baseline tracks per PR. Geomeans over the nine workloads are stable to
@@ -105,6 +105,17 @@ import sys
 
 PER_ROW = ["vcpl", "cores_used", "manticore_khz"]
 GEOMEAN = ["uop_vs_interp"]
+
+
+def check_exact(label, fresh, base, failures):
+    if base is None or fresh is None:
+        failures.append(f"{label}: missing value (fresh={fresh}, baseline={base})")
+        return
+    ok = fresh == base
+    status = "ok" if ok else "FAIL"
+    print(f"  {status:>4}  {label:<32} baseline {base!r:>12}  fresh {fresh!r:>12}  exact")
+    if not ok:
+        failures.append(f"{label}: {base!r} -> {fresh!r} (compared exactly)")
 
 
 def check(label, fresh, base, tolerance, failures):
@@ -470,7 +481,7 @@ def main():
         if frow is None:
             continue
         for field in PER_ROW:
-            check(f"{name}.{field}", frow.get(field), brow.get(field), args.tolerance, failures)
+            check_exact(f"{name}.{field}", frow.get(field), brow.get(field), failures)
     for field in GEOMEAN:
         check(
             f"geomean.{field}",
