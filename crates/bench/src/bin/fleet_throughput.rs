@@ -21,7 +21,8 @@
 //! micro-op engine. Each row also reports `gang_reg_words`, the words of
 //! lane-row register state one gang of that width holds
 //! (`GangMachine::reg_words`). The JSON's `gang_widths` holds one entry
-//! per width. `scripts/bench_gate.py --fleet-*` gates the 8-lane geomean
+//! per width, and `gang_kernel` names the instruction set the gang
+//! kernels ran on (`"avx2"` or `"portable"`, `GangMachine::kernel`). `scripts/bench_gate.py --fleet-*` gates the 8-lane geomean
 //! two-sided, every other width's geomean as a one-sided floor and every
 //! row's register words exactly against the committed `BENCH_fleet.json`.
 //! The default sweep includes 5 and 9 lanes: those gangs run the 8- and
@@ -164,6 +165,9 @@ fn main() {
     // --- Gang vs fleet: same jobs, same pool, lane-batched dispatch ----
     let gang_workers = 4usize;
     let mut gang_widths: Vec<Val> = Vec::new();
+    // The instruction set the gang kernels run on: the host's widest,
+    // chosen once per gang; every gang of this process picks the same.
+    let mut gang_kernel = "";
     for &lanes in &widths {
         let gang_jobs = lanes * gang_workers;
         println!(
@@ -203,8 +207,9 @@ fn main() {
             let fleet_rate = gang_jobs as f64 / fleet_secs;
             let gang_rate = gang_jobs as f64 / gang_secs;
             let ratio = gang_rate / fleet_rate;
-            let reg_words =
-                GangMachine::from_program(Arc::clone(fleet.program()), lanes).reg_words();
+            let probe = GangMachine::from_program(Arc::clone(fleet.program()), lanes);
+            let reg_words = probe.reg_words();
+            gang_kernel = probe.kernel();
             log_sum += ratio.ln();
             row(&[
                 w.name.to_string(),
@@ -223,7 +228,8 @@ fn main() {
         }
         let geomean = (log_sum / all.len() as f64).exp();
         println!(
-            "\ngang({lanes}) vs fleet at {gang_workers} workers: {} geomean scenarios/sec",
+            "\ngang({lanes}) vs fleet at {gang_workers} workers: {} geomean scenarios/sec \
+             ({gang_kernel} kernel)",
             fmt(geomean)
         );
         gang_widths.push(Val::obj(vec![
@@ -253,6 +259,7 @@ fn main() {
             ("rows", Val::Arr(json_rows)),
         ];
         if !gang_widths.is_empty() {
+            fields.push(("gang_kernel", Val::Str(gang_kernel.into())));
             fields.push(("gang_widths", Val::Arr(gang_widths)));
         }
         let doc = Val::obj(fields);

@@ -32,14 +32,20 @@ use manticore::ManticoreSim;
 use manticore_bench::{compile_for_grid, fmt, json::Val, reject_unknown_args, row, take_flag};
 
 /// Measured machine-model rate in kHz over `vcycles` Vcycles, on the
-/// micro-op replay engine or (`replay` false) the interpreter.
+/// micro-op replay engine or (`replay` false) the interpreter. A first
+/// run proves the program (its one Vcycle is the interpreted validation
+/// Vcycle); the timed window is a later run of the proven program, so it
+/// holds only Vcycles of the engine under test, and no boot.
 fn measured_model_khz(
     out: &Arc<manticore::compiler::CompileOutput>,
     config: &MachineConfig,
     replay: bool,
     vcycles: u64,
 ) -> Option<f64> {
-    let mut sim = ManticoreSim::from_output(out.clone(), config.clone()).ok()?;
+    let mut proof = ManticoreSim::from_output(out.clone(), config.clone()).ok()?;
+    proof.run_cycles(1).ok()?;
+    let program = Arc::clone(proof.machine().program());
+    let mut sim = ManticoreSim::from_program(program, out.clone());
     sim.set_replay(replay);
     sim.run_cycles(vcycles).ok()?;
     Some(sim.perf().measured_rate_khz())

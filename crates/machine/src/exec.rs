@@ -281,7 +281,7 @@ pub(crate) fn step_core(
             let b = read_operand(env, core, core_id, rs[1], pos)?;
             let c = read_operand(env, core, core_id, rs[2], pos)?;
             let d = read_operand(env, core, core_id, rs[3], pos)?;
-            let out = eval_custom_masks(&masks, a, b, c, d);
+            let out = custom_mux_tree(&masks, a, b, c, d);
             core.write_reg(now, lat, rd, out, false);
         }
         Instruction::Predicate { rs } => {
@@ -359,7 +359,7 @@ pub(crate) fn step_core(
 
 /// Applies a 4-input LUT truth table across the 16 bit lanes — the
 /// direct bit-at-a-time reference form. Execution engines use the
-/// bitsliced [`eval_custom_masks`] over the load-time-transposed masks;
+/// bitsliced [`custom_mux_tree`] over the load-time-transposed masks;
 /// this form remains the specification it is tested against (hence live
 /// only under `cfg(test)`).
 #[inline]
@@ -380,7 +380,7 @@ pub(crate) fn eval_custom(table: &[u16; 16], a: u16, b: u16, c: u16, d: u16) -> 
 /// `masks[s]` holds, across all 16 bit lanes, truth-table entry `s` —
 /// `masks[s] bit j = (table[j] >> s) & 1`. Computed once at load
 /// ([`crate::CompiledProgram`]) so every engine evaluates custom
-/// functions through the branch-free mux tree of [`eval_custom_masks`].
+/// functions through the branch-free [`custom_mux_tree`].
 pub(crate) fn transpose_custom(table: &[u16; 16]) -> [u16; 16] {
     let mut masks = [0u16; 16];
     for (j, &row) in table.iter().enumerate() {
@@ -391,13 +391,16 @@ pub(crate) fn transpose_custom(table: &[u16; 16]) -> [u16; 16] {
     masks
 }
 
-/// The bitsliced mux tree behind [`eval_custom_masks`] /
-/// [`eval_custom_masks_x4`], generic over the word width so the scalar
-/// and the packed forms are one piece of logic: four select levels of
-/// word-wide AND/OR, ~50 branch-free ops instead of the reference
-/// form's 16-iteration bit loop.
+/// Evaluates a custom function through its bitsliced masks (see
+/// [`transpose_custom`]): four select levels of word-wide AND/OR, ~50
+/// branch-free ops instead of the reference form's 16-iteration bit loop.
+/// Generic over the word, so the interpreter's and the solo replay's
+/// `u16` and the gang kernel's lane rows (`crate::gang::custom_row`, one
+/// tree for all lanes) run one piece of logic. Bit-equivalence with
+/// [`eval_custom`] is pinned by `custom_masks_match_reference` in the
+/// machine test suite.
 #[inline(always)]
-fn custom_mux_tree<T>(m: &[T; 16], a: T, b: T, c: T, d: T) -> T
+pub(crate) fn custom_mux_tree<T>(m: &[T; 16], a: T, b: T, c: T, d: T) -> T
 where
     T: Copy
         + std::ops::Not<Output = T>
@@ -420,24 +423,6 @@ where
     let w0 = (v0 & nc) | (v1 & c);
     let w1 = (v2 & nc) | (v3 & c);
     (w0 & nd) | (w1 & d)
-}
-
-/// Evaluates a custom function through its bitsliced masks (see
-/// [`transpose_custom`]). Bit-equivalence with [`eval_custom`] is pinned
-/// by `custom_masks_match_reference` in the machine test suite.
-#[inline(always)]
-pub(crate) fn eval_custom_masks(m: &[u16; 16], a: u16, b: u16, c: u16, d: u16) -> u16 {
-    custom_mux_tree(m, a, b, c, d)
-}
-
-/// [`eval_custom_masks`] over four 16-bit lanes packed into one `u64`
-/// (each lane in its own 16-bit slot; `m64` is the mask set broadcast
-/// into all four slots). The mux tree is pure bitwise logic, so packing
-/// is exact — the gang engine uses this to evaluate one custom function
-/// for four lanes per tree.
-#[inline(always)]
-pub(crate) fn eval_custom_masks_x4(m64: &[u64; 16], a: u64, b: u64, c: u64, d: u64) -> u64 {
-    custom_mux_tree(m64, a, b, c, d)
 }
 
 /// Renders a display format string; `{}` placeholders print arguments in

@@ -22,10 +22,21 @@
 //! core's rows by `operand − core * regfile_size`. Each micro-op is fetched
 //! and decoded **once** (its ALU function is its opcode), and a register
 //! op is one straight-line row operation `rows[rd] = f(rows[rs1],
-//! rows[rs2])` over all `W` lanes. The kernel is monomorphised by width
-//! (`gang_core_walk::<W>` at W = 1, 2, 4, .., [`MAX_LANES`]), so the lane
-//! loop has a compile-time length and no lane mask: decoding is paid once
-//! per op, and the width sets only the execute work.
+//! rows[rs2])` over all `W` lanes. A custom function is one bitsliced
+//! mux tree over the rows (its 16 masks broadcast to rows), the same tree
+//! the solo engine runs on one `u16`. The kernel is monomorphised by
+//! width (`gang_core_walk::<W>` at W = 1, 2, 4, .., [`MAX_LANES`]), so
+//! the lane loop has a compile-time length and no lane mask: decoding is
+//! paid once per op, and the width sets only the execute work.
+//!
+//! **One kernel per gang.** Each width is compiled twice: for the
+//! target's baseline ISA and, on x86-64, in a `#[target_feature(enable =
+//! "avx2,bmi2")]` wrapper, where the always-inlined kernel's row
+//! operations become 256-bit vector operations. The constructor picks the
+//! `(W, ISA)` instantiation once — AVX2 exactly when the host reports it
+//! at run time — and stores it on the gang ([`GangMachine::kernel`] names
+//! it), so a Vcycle makes one indirect call and no width or ISA match.
+//! The solo engine stays on the baseline build.
 //!
 //! **Shells.** The constructors boot one plain solo [`Machine`] per lane
 //! and copy the footprint rows out of its register file (and move the
@@ -78,14 +89,14 @@
 //! displays, and errors — across every specialised and padded width and
 //! hazard strictness.
 
-use std::ops::Range;
+use std::ops::{BitAnd, BitOr, Not, Range};
 use std::sync::Arc;
 
 use manticore_isa::{AluOp, CoreId, Reg};
 
 use crate::checkpoint::Checkpoint;
 use crate::core::CoreState;
-use crate::exec::service_exception;
+use crate::exec::{custom_mux_tree, service_exception};
 use crate::grid::{
     replay_armed, replays_next_vcycle, HostEvent, Interrupt, Machine, MachineError, PerfCounters,
     RunOutcome,
@@ -157,6 +168,59 @@ pub struct GangMachine {
     /// This Vcycle's send values, one row per send: `send_idx * W +
     /// lane`.
     send_rows: Vec<u32>,
+    /// The replay kernel for this gang's row width, chosen once when the
+    /// gang is built ([`kernel_for`]), and its instruction set's name.
+    kernel: Kernel,
+    kernel_isa: &'static str,
+}
+
+/// One replayed Vcycle of a gang ([`GangMachine::run_kernel`]) at one
+/// fixed row width, compiled for one instruction set.
+type Kernel = fn(&mut GangMachine);
+
+/// The kernel at row width `width` (a power of two up to [`MAX_LANES`])
+/// and the name of its instruction set: with `avx2`, on an x86-64 host
+/// that reports AVX2 and BMI2 at run time, the copy compiled for them;
+/// otherwise the target's baseline build. Both are thin wrappers around
+/// the same `#[inline(always)]` [`GangMachine::run_kernel`], so each
+/// wrapper's copy of the whole core walk gets the wrapper's target
+/// features.
+fn kernel_for(width: usize, avx2: bool) -> (Kernel, &'static str) {
+    fn portable<const W: usize>(gang: &mut GangMachine) {
+        gang.run_kernel::<W>();
+    }
+    #[cfg(target_arch = "x86_64")]
+    fn avx2_bmi2<const W: usize>(gang: &mut GangMachine) {
+        #[target_feature(enable = "avx2,bmi2")]
+        fn run<const W: usize>(gang: &mut GangMachine) {
+            gang.run_kernel::<W>();
+        }
+        // SAFETY: `pick` hands this kernel out only on a host where
+        // `is_x86_feature_detected!` reported AVX2 and BMI2.
+        unsafe { run::<W>(gang) }
+    }
+    fn pick<const W: usize>(avx2: bool) -> (Kernel, &'static str) {
+        #[cfg(target_arch = "x86_64")]
+        if avx2
+            && std::arch::is_x86_feature_detected!("avx2")
+            && std::arch::is_x86_feature_detected!("bmi2")
+        {
+            return (avx2_bmi2::<W>, "avx2");
+        }
+        #[cfg(not(target_arch = "x86_64"))]
+        let _ = avx2;
+        (portable::<W>, "portable")
+    }
+    match width {
+        1 => pick::<1>(avx2),
+        2 => pick::<2>(avx2),
+        4 => pick::<4>(avx2),
+        8 => pick::<8>(avx2),
+        16 => pick::<16>(avx2),
+        32 => pick::<32>(avx2),
+        64 => pick::<64>(avx2),
+        w => unreachable!("gang width {w} is a power of two up to MAX_LANES"),
+    }
 }
 
 /// Where a gang keeps its running lanes' footprints: the program's
@@ -312,6 +376,7 @@ impl GangMachine {
                 fp.move_to_rows(&mut rows, &mut cores, shell, lane);
             }
         }
+        let (kernel, kernel_isa) = kernel_for(fp.width, true);
         GangMachine {
             program,
             lanes,
@@ -328,7 +393,17 @@ impl GangMachine {
             vc_active: Vec::with_capacity(lanes),
             parked: Vec::with_capacity(lanes),
             send_rows: Vec::new(),
+            kernel,
+            kernel_isa,
         }
+    }
+
+    /// Re-selects the kernel as the constructor does, but with `avx2`
+    /// false takes the portable one: the seam the kernel tests use to
+    /// hold both instantiations against solo runs.
+    #[cfg(test)]
+    pub(crate) fn select_kernel(&mut self, avx2: bool) {
+        (self.kernel, self.kernel_isa) = kernel_for(self.lanes.next_power_of_two(), avx2);
     }
 
     /// Whether the lane runs, i.e. its footprint lives in the rows.
@@ -369,6 +444,13 @@ impl GangMachine {
     /// boot, a solo-engine fallback step and unbundling move per lane.
     pub fn reg_words(&self) -> usize {
         self.rows.len()
+    }
+
+    /// The instruction set the gang's replay kernel is compiled for,
+    /// `"avx2"` or `"portable"`: the widest one the host runs, chosen
+    /// once when the gang is built.
+    pub fn kernel(&self) -> &'static str {
+        self.kernel_isa
     }
 
     /// The shared compile-once artifact every lane executes.
@@ -587,7 +669,7 @@ impl GangMachine {
                 break;
             }
             if self.replays_next_vcycle() {
-                self.run_one_vcycle_uops_gang();
+                (self.kernel)(self);
             } else {
                 // Every other Vcycle — validation, disabled replay,
                 // permissive hazards, a static cross-Vcycle hazard,
@@ -710,28 +792,15 @@ impl GangMachine {
         res
     }
 
-    /// One ganged Vcycle on the flat micro-op program at the gang's row
-    /// width: see [`GangMachine::run_kernel`].
-    fn run_one_vcycle_uops_gang(&mut self) {
-        match self.lanes.next_power_of_two() {
-            1 => self.run_kernel::<1>(),
-            2 => self.run_kernel::<2>(),
-            4 => self.run_kernel::<4>(),
-            8 => self.run_kernel::<8>(),
-            16 => self.run_kernel::<16>(),
-            32 => self.run_kernel::<32>(),
-            64 => self.run_kernel::<64>(),
-            w => unreachable!("gang width {w} is a power of two up to MAX_LANES"),
-        }
-    }
-
     /// One ganged Vcycle at row width `W`: fetch/decode each op once,
     /// apply it across the rows with direct commits, then the
     /// pre-resolved epilogue write list. Phase structure and per-lane
     /// architectural effects mirror [`Machine`]'s strict
     /// `run_one_vcycle_uops` exactly — a lane that faults parks with the
     /// state and counters a solo run would have had at the same abort
-    /// point.
+    /// point. Always inlined, so each [`Kernel`] wrapper compiles its own
+    /// copy for its instruction set.
+    #[inline(always)]
     fn run_kernel<const W: usize>(&mut self) {
         let GangMachine {
             program,
@@ -848,7 +917,63 @@ impl GangMachine {
 fn row2<const W: usize>(rows: &mut [[u32; W]], base: u32, o: Alu3, f: impl Fn(u32, u32) -> u32) {
     let a = rows[(o.rs1 - base) as usize];
     let b = rows[(o.rs2 - base) as usize];
-    rows[(o.rd - base) as usize] = std::array::from_fn(|k| f(a[k], b[k]));
+    rows[(o.rd - base) as usize] = lanewise(|k| f(a[k], b[k]));
+}
+
+/// The row whose lane `k` is `f(k)`. A plain loop, where
+/// `std::array::from_fn` and `<[T; N]>::map` can stay out of line at
+/// wide rows: an out-of-line helper is compiled for the baseline ISA,
+/// not the kernel's.
+#[inline(always)]
+fn lanewise<const W: usize>(f: impl Fn(usize) -> u32) -> [u32; W] {
+    let mut out = [0; W];
+    for (k, word) in out.iter_mut().enumerate() {
+        *word = f(k);
+    }
+    out
+}
+
+/// A lane row as a value, with element-wise `!`, `&` and `|`: what the
+/// custom-function mux tree runs on to evaluate all `W` lanes at once.
+#[derive(Clone, Copy)]
+struct Row<const W: usize>([u32; W]);
+
+impl<const W: usize> Not for Row<W> {
+    type Output = Row<W>;
+    #[inline(always)]
+    fn not(self) -> Row<W> {
+        Row(lanewise(|k| !self.0[k]))
+    }
+}
+
+impl<const W: usize> BitAnd for Row<W> {
+    type Output = Row<W>;
+    #[inline(always)]
+    fn bitand(self, rhs: Row<W>) -> Row<W> {
+        Row(lanewise(|k| self.0[k] & rhs.0[k]))
+    }
+}
+
+impl<const W: usize> BitOr for Row<W> {
+    type Output = Row<W>;
+    #[inline(always)]
+    fn bitor(self, rhs: Row<W>) -> Row<W> {
+        Row(lanewise(|k| self.0[k] | rhs.0[k]))
+    }
+}
+
+/// A custom function over four source rows, every lane at once: the
+/// bitsliced mux tree with each of its 16 masks broadcast to a row. The
+/// masks hold 16 bits, so the result has no carry bit, whatever the
+/// sources carry.
+#[inline(always)]
+pub(crate) fn custom_row<const W: usize>(masks: &[u16; 16], rs: [[u32; W]; 4]) -> [u32; W] {
+    let [a, b, c, d] = rs;
+    let mut m = [Row([0; W]); 16];
+    for (row, &mask) in m.iter_mut().zip(masks) {
+        *row = Row([mask as u32; W]);
+    }
+    custom_mux_tree(&m, Row(a), Row(b), Row(c), Row(d)).0
 }
 
 /// The 48-bit global addresses held in three rows' low halves, per lane.
@@ -876,6 +1001,7 @@ fn global_addr<const W: usize>(rows: &[[u32; W]], rs: [usize; 3], l: usize) -> u
 /// of `vc_active` into `parked`, for the caller to move the rest of its
 /// footprint before anything else writes its columns.
 #[allow(clippy::too_many_arguments)]
+#[inline(always)]
 fn gang_core_walk<const W: usize>(
     program: &CompiledProgram,
     vcycle: u64,
@@ -915,7 +1041,7 @@ fn gang_core_walk<const W: usize>(
                 let a = creg[r(rs1)];
                 let bb = creg[r(rs2)];
                 let cin = creg[r(rsc)];
-                creg[r(rd)] = std::array::from_fn(|k| {
+                creg[r(rd)] = lanewise(|k| {
                     let sum = (a[k] & 0xffff) + (bb[k] & 0xffff) + ((cin[k] >> 16) & 1);
                     (sum as u16) as u32 | (((sum > 0xffff) as u32) << 16)
                 });
@@ -924,7 +1050,7 @@ fn gang_core_walk<const W: usize>(
                 let a = creg[r(rs1)];
                 let bb = creg[r(rs2)];
                 let bin = creg[r(rsb)];
-                creg[r(rd)] = std::array::from_fn(|k| {
+                creg[r(rd)] = lanewise(|k| {
                     let cin = ((bin[k] >> 16) & 1) as i32;
                     let diff = (a[k] as u16) as i32 - (bb[k] as u16) as i32 - (1 - cin);
                     (diff as u16) as u32 | (((diff >= 0) as u32) << 16)
@@ -934,7 +1060,7 @@ fn gang_core_walk<const W: usize>(
                 let s = creg[r(sel)];
                 let a = creg[r(rs1)];
                 let bb = creg[r(rs2)];
-                creg[r(rd)] = std::array::from_fn(|k| {
+                creg[r(rd)] = lanewise(|k| {
                     let v = if s[k] & 0xffff != 0 { a[k] } else { bb[k] };
                     v & 0xffff
                 });
@@ -945,40 +1071,13 @@ fn gang_core_walk<const W: usize>(
                 shift,
                 mask,
             } => {
-                creg[r(rd)] = creg[r(rs)].map(|v| (((v as u16) >> shift) & mask) as u32);
+                let v = creg[r(rs)];
+                creg[r(rd)] = lanewise(|k| (((v[k] as u16) >> shift) & mask) as u32);
             }
             UOp::Custom { rd, func, rs } => {
-                let [a, bb, cc, d] = rs.map(|x| creg[r(x)]);
-                let mut out = [0u32; W];
-                if W >= 4 {
-                    // Four lanes per mux tree: the bitsliced evaluation is
-                    // pure word logic, so packing lanes into 16-bit slots
-                    // of a u64 amortizes the whole tree 4x. The broadcast
-                    // masks are precomputed at load.
-                    let m64 = &up.custom_x4[func as usize];
-                    let pack = |row: &[u32; W], q: usize| -> u64 {
-                        (0..4).fold(0, |acc, j| acc | (row[q + j] as u64 & 0xffff) << (16 * j))
-                    };
-                    for q in (0..W).step_by(4) {
-                        let v = crate::exec::eval_custom_masks_x4(
-                            m64,
-                            pack(&a, q),
-                            pack(&bb, q),
-                            pack(&cc, q),
-                            pack(&d, q),
-                        );
-                        for j in 0..4 {
-                            out[q + j] = ((v >> (16 * j)) & 0xffff) as u32;
-                        }
-                    }
-                } else {
-                    let masks = &up.custom[func as usize];
-                    out = std::array::from_fn(|k| {
-                        let [a, bb, cc, d] = [a[k], bb[k], cc[k], d[k]].map(|v| v as u16);
-                        crate::exec::eval_custom_masks(masks, a, bb, cc, d) as u32
-                    });
-                }
-                creg[r(rd)] = out;
+                let [x, y, z, w] = rs.map(r);
+                let rs = [creg[x], creg[y], creg[z], creg[w]];
+                creg[r(rd)] = custom_row(&up.custom[func as usize], rs);
             }
             UOp::Predicate { rs, .. } => {
                 let row = creg[r(rs)];
@@ -1040,7 +1139,8 @@ fn gang_core_walk<const W: usize>(
                 }
             }
             UOp::Send { rs } => {
-                send_rows[*send_cursor] = creg[r(rs)].map(|v| v & 0xffff);
+                let v = creg[r(rs)];
+                send_rows[*send_cursor] = lanewise(|k| v[k] & 0xffff);
                 *send_cursor += 1;
             }
             UOp::Expect { rs1, rs2, eid, .. } => {

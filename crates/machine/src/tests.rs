@@ -1641,6 +1641,361 @@ mod gang_bringup {
     }
 }
 
+/// The gang kernel instantiations against solo runs: one hand-built
+/// program whose flat Vcycle program holds every micro-op variant, run
+/// through the portable kernel and, when the host has AVX2, the AVX2
+/// kernel, at every row width.
+mod gang_kernels {
+    use super::*;
+    use crate::grid::RunOutcome;
+    use crate::uops::UOp;
+    use crate::{save_checkpoint, CompiledProgram, GangMachine};
+    use std::sync::Arc;
+
+    const HOST: CoreId = CoreId { x: 0, y: 0 };
+    const BUSY: CoreId = CoreId { x: 1, y: 0 };
+
+    fn alu(op: AluOp, rd: u16, rs1: u16, rs2: u16) -> Instruction {
+        Instruction::Alu {
+            op,
+            rd: r(rd),
+            rs1: r(rs1),
+            rs2: r(rs2),
+        }
+    }
+
+    fn expect(rs1: u16, eid: u16) -> Instruction {
+        Instruction::Expect {
+            rs1: r(rs1),
+            rs2: r(0),
+            eid,
+        }
+    }
+
+    /// `instrs` with a NOP after each, so every result is visible (hazard
+    /// latency 2) to the instruction after it.
+    fn spaced(instrs: Vec<Instruction>) -> Vec<Instruction> {
+        instrs
+            .into_iter()
+            .flat_map(|i| [i, Instruction::Nop])
+            .collect()
+    }
+
+    /// A 2×1 design whose lanes diverge in data, memory traffic and
+    /// outcome:
+    ///
+    /// - (1,0) runs every ALU function, carry and borrow, mux, slice, two
+    ///   custom functions, a constant, a predicated scratchpad store and
+    ///   a load, folds the results into its state `r1`/`r2` (poked per
+    ///   lane), and sends a digest to (0,0)'s `r30`;
+    /// - (0,0) counts Vcycles in `r1`, stores and loads the cache at
+    ///   addresses sliced from the digest, displays when the digest's
+    ///   bit 1 is set, fails an assertion when `r1` reaches `r8` and
+    ///   finishes when it reaches `r10` (both poked per lane).
+    fn every_uop_program() -> Arc<CompiledProgram> {
+        let mut binary = empty_binary(2, 1, 72);
+        let mut host = spaced(vec![
+            alu(AluOp::Add, 1, 1, 9),
+            alu(AluOp::Seq, 7, 1, 8),
+            alu(AluOp::Seq, 11, 1, 10),
+            Instruction::Slice {
+                rd: r(12),
+                rs: r(30),
+                offset: 2,
+                width: 8,
+            },
+            Instruction::Slice {
+                rd: r(15),
+                rs: r(30),
+                offset: 5,
+                width: 8,
+            },
+            alu(AluOp::And, 13, 30, 9),
+            Instruction::Predicate { rs: r(13) },
+            Instruction::GlobalStore {
+                rs_data: r(30),
+                rs_addr: [r(12), r(0), r(0)],
+            },
+            Instruction::GlobalLoad {
+                rd: r(14),
+                rs_addr: [r(15), r(0), r(0)],
+            },
+            alu(AluOp::Add, 16, 16, 14),
+            alu(AluOp::And, 17, 30, 18),
+            expect(17, 0),
+            expect(7, 1),
+            expect(11, 2),
+        ]);
+        host.resize(60, Instruction::Nop);
+        binary.cores.push(CoreImage {
+            core: HOST,
+            body: host,
+            epilogue_len: 1,
+            custom_functions: vec![],
+            init_regs: vec![(r(8), 0x7fff), (r(9), 1), (r(10), 0x7fff), (r(18), 2)],
+            init_scratch: vec![],
+        });
+        let busy = spaced(vec![
+            alu(AluOp::Add, 3, 1, 2),
+            alu(AluOp::Sub, 4, 1, 2),
+            alu(AluOp::And, 5, 3, 4),
+            alu(AluOp::Or, 6, 3, 1),
+            alu(AluOp::Xor, 7, 6, 4),
+            alu(AluOp::Sll, 8, 7, 1),
+            alu(AluOp::Srl, 9, 7, 2),
+            alu(AluOp::Sra, 10, 6, 3),
+            alu(AluOp::Seq, 11, 8, 9),
+            alu(AluOp::Sltu, 12, 3, 7),
+            alu(AluOp::Slts, 13, 3, 7),
+            alu(AluOp::Mul, 14, 3, 7),
+            alu(AluOp::Mulh, 15, 3, 7),
+            Instruction::AddCarry {
+                rd: r(16),
+                rs1: r(14),
+                rs2: r(15),
+                rs_carry: r(3),
+            },
+            Instruction::SubBorrow {
+                rd: r(17),
+                rs1: r(1),
+                rs2: r(6),
+                rs_borrow: r(4),
+            },
+            Instruction::Mux {
+                rd: r(18),
+                rs_sel: r(12),
+                rs1: r(16),
+                rs2: r(17),
+            },
+            Instruction::Slice {
+                rd: r(19),
+                rs: r(7),
+                offset: 3,
+                width: 9,
+            },
+            Instruction::Custom {
+                rd: r(20),
+                func: 0,
+                rs: [r(3), r(7), r(18), r(19)],
+            },
+            Instruction::Custom {
+                rd: r(21),
+                func: 1,
+                rs: [r(20), r(10), r(13), r(1)],
+            },
+            Instruction::Set {
+                rd: r(22),
+                imm: 0x5a5a,
+            },
+            Instruction::Predicate { rs: r(12) },
+            Instruction::LocalStore {
+                rs_data: r(20),
+                rs_addr: r(19),
+                base: 7,
+            },
+            Instruction::LocalLoad {
+                rd: r(23),
+                rs_addr: r(14),
+                base: 7,
+            },
+            alu(AluOp::Xor, 24, 23, 22),
+            alu(AluOp::Add, 2, 2, 24),
+            alu(AluOp::Add, 1, 1, 18),
+            alu(AluOp::Or, 25, 11, 21),
+            Instruction::Send {
+                target: HOST,
+                rd_remote: r(30),
+                rs: r(25),
+            },
+        ]);
+        binary.cores.push(CoreImage {
+            core: BUSY,
+            body: busy,
+            epilogue_len: 0,
+            custom_functions: vec![
+                [
+                    0x6a3c, 0x0ff1, 0x9e37, 0x1234, 0xfeed, 0x8001, 0x5555, 0xc3c3, 0x0f0f, 0x7e7e,
+                    0xa5a5, 0x1111, 0xdead, 0xbeef, 0x0246, 0x8ace,
+                ],
+                [0xe8e8; 16],
+            ],
+            init_regs: vec![],
+            init_scratch: vec![(9, 0x4321), (100, 0x00ff)],
+        });
+        binary.exceptions.push(ExceptionDescriptor {
+            id: ExceptionId(0),
+            kind: ExceptionKind::Display {
+                format: "acc = {} msg = {}".into(),
+                args: vec![(vec![r(16)], 16), (vec![r(30)], 16)],
+            },
+        });
+        binary.exceptions.push(ExceptionDescriptor {
+            id: ExceptionId(1),
+            kind: ExceptionKind::AssertFail {
+                message: "tripped".into(),
+            },
+        });
+        binary.exceptions.push(ExceptionDescriptor {
+            id: ExceptionId(2),
+            kind: ExceptionKind::Finish,
+        });
+        let program = CompiledProgram::compile_shared(test_config(2, 1), &binary).unwrap();
+        Machine::from_program(Arc::clone(&program))
+            .run_vcycles(1)
+            .unwrap();
+        assert!(program.schedule_proven());
+        program
+    }
+
+    /// The variant index of a micro-op; no wildcard, so a new variant
+    /// must be counted (and covered by [`every_uop_program`]).
+    fn variant(op: &UOp) -> usize {
+        match op {
+            UOp::Set { .. } => 0,
+            UOp::Add(_) => 1,
+            UOp::Sub(_) => 2,
+            UOp::And(_) => 3,
+            UOp::Or(_) => 4,
+            UOp::Xor(_) => 5,
+            UOp::Sll(_) => 6,
+            UOp::Srl(_) => 7,
+            UOp::Sra(_) => 8,
+            UOp::Seq(_) => 9,
+            UOp::Sltu(_) => 10,
+            UOp::Slts(_) => 11,
+            UOp::Mul(_) => 12,
+            UOp::Mulh(_) => 13,
+            UOp::AddCarry { .. } => 14,
+            UOp::SubBorrow { .. } => 15,
+            UOp::Mux { .. } => 16,
+            UOp::Slice { .. } => 17,
+            UOp::Custom { .. } => 18,
+            UOp::Predicate { .. } => 19,
+            UOp::LocalLoad { .. } => 20,
+            UOp::LocalStore { .. } => 21,
+            UOp::GlobalLoad { .. } => 22,
+            UOp::GlobalStore { .. } => 23,
+            UOp::Send { .. } => 24,
+            UOp::Expect { .. } => 25,
+        }
+    }
+    const VARIANTS: usize = 26;
+
+    /// Per-lane inputs: distinct state on (1,0); every fifth lane from
+    /// lane 3 trips its assertion, and every fifth from lane 4 finishes,
+    /// at lane-dependent Vcycles.
+    fn pokes(lane: usize) -> [(CoreId, Reg, u16); 4] {
+        let l = lane as u16;
+        let trip = if lane % 5 == 3 { 4 + l % 13 } else { 0x7fff };
+        let finish = if lane % 5 == 4 { 6 + l % 11 } else { 0x7fff };
+        [
+            (BUSY, r(1), l.wrapping_mul(0x9e37) ^ 0x1d),
+            (BUSY, r(2), l * 7 + 3),
+            (HOST, r(8), trip),
+            (HOST, r(10), finish),
+        ]
+    }
+
+    type Outcome = Result<RunOutcome, MachineError>;
+
+    fn summary(res: &Outcome) -> String {
+        match res {
+            Ok(o) => format!("ok {} {:?} {}", o.vcycles_run, o.displays, o.finished),
+            Err(e) => format!("err {e:?}"),
+        }
+    }
+
+    /// One run split in two calls, so a lane parked in the first call
+    /// must keep reporting it in the second.
+    const SPLIT: [u64; 2] = [9, 24];
+
+    #[test]
+    fn every_kernel_matches_solo_runs_on_every_uop_at_every_width() {
+        let program = every_uop_program();
+        let up = program.micro_prog.as_ref().expect("the program replays");
+        let mut seen = [false; VARIANTS];
+        for op in &up.ops {
+            seen[variant(op)] = true;
+        }
+        assert!(
+            seen.iter().all(|&s| s),
+            "micro-op variants covered: {seen:?}"
+        );
+
+        // (row width, lanes): exact widths and padded ones.
+        for (width, lanes) in [(1, 1), (2, 2), (4, 3), (8, 8), (16, 13), (32, 32), (64, 61)] {
+            let mut solos: Vec<Machine> = (0..lanes)
+                .map(|lane| {
+                    let mut m = Machine::from_program(Arc::clone(&program));
+                    for (core, reg, v) in pokes(lane) {
+                        m.poke_reg(core, reg, v);
+                    }
+                    m
+                })
+                .collect();
+            let solo_runs: Vec<Vec<String>> = solos
+                .iter_mut()
+                .map(|m| SPLIT.iter().map(|&n| summary(&m.run_vcycles(n))).collect())
+                .collect();
+            if lanes >= 8 {
+                let ends: Vec<&str> = solo_runs.iter().map(|runs| &runs[1][..]).collect();
+                assert!(
+                    ends.iter().any(|e| e.starts_with("err")),
+                    "{lanes}: a fault"
+                );
+                assert!(
+                    ends.iter().any(|e| e.ends_with("true")),
+                    "{lanes}: a finish"
+                );
+                assert!(ends.iter().any(|e| e.contains("acc")), "{lanes}: a display");
+            }
+            let mut states: Vec<Vec<Vec<u8>>> = Vec::new();
+            for avx2 in [false, true] {
+                let mut gang = GangMachine::from_program(Arc::clone(&program), lanes);
+                gang.select_kernel(avx2);
+                let what = format!("{} kernel, W = {width}, {lanes} lanes", gang.kernel());
+                if avx2 && gang.kernel() != "avx2" {
+                    eprintln!("{what}: AVX2 half skipped, this host has no AVX2");
+                    continue;
+                }
+                assert_eq!(gang.reg_words() % width, 0, "{what}");
+                assert!(gang.replay_armed(), "{what}: the kernel runs every Vcycle");
+                for lane in 0..lanes {
+                    for (core, reg, v) in pokes(lane) {
+                        gang.poke_reg(lane, core, reg, v);
+                    }
+                }
+                let runs: Vec<Vec<Outcome>> = SPLIT.iter().map(|&n| gang.run_vcycles(n)).collect();
+                let mut bytes = Vec::new();
+                for (lane, solo) in solos.iter().enumerate() {
+                    for (call, want) in solo_runs[lane].iter().enumerate() {
+                        assert_eq!(
+                            &summary(&runs[call][lane]),
+                            want,
+                            "{what}: lane {lane} call {call}"
+                        );
+                    }
+                    assert_eq!(gang.counters(lane), solo.counters(), "{what}: lane {lane}");
+                    let state = save_checkpoint(&gang.checkpoint_lane(lane));
+                    assert!(
+                        state == save_checkpoint(&solo.checkpoint()),
+                        "{what}: lane {lane} state (registers, scratchpad, cache, \\
+                         counters, events, fault) differs from its solo run"
+                    );
+                    bytes.push(state);
+                }
+                states.push(bytes);
+            }
+            if let [portable, avx2] = &states[..] {
+                assert!(
+                    portable == avx2,
+                    "W = {width}: the two kernels' lanes differ"
+                );
+            }
+        }
+    }
+}
+
 /// The gang's direct-commit ALU word kernels must be bit-equivalent to
 /// `AluOp::eval` composed with the register-word storage format, for
 /// every op and any carry bits on the input words.
@@ -1678,12 +2033,30 @@ fn alu_word_matches_eval() {
 }
 
 /// The bitsliced custom-function evaluation (transposed masks + mux
-/// tree, and its 4-lane packed form) must match the reference
+/// tree), scalar and over gang lane rows, must match the reference
 /// bit-at-a-time `eval_custom` for random tables and inputs.
 #[test]
 fn custom_masks_match_reference() {
-    use crate::exec::{eval_custom, eval_custom_masks, eval_custom_masks_x4, transpose_custom};
+    use crate::exec::{custom_mux_tree, eval_custom, transpose_custom};
     use manticore_util::SmallRng;
+
+    /// One random `[a, b, c, d]` row quad at width `W`, carry bits
+    /// included (the rows hold them; the tree must ignore them), against
+    /// the reference lane by lane.
+    fn rows_match<const W: usize>(table: &[u16; 16], masks: &[u16; 16], rng: &mut SmallRng) {
+        let rs: [[u32; W]; 4] =
+            std::array::from_fn(|_| std::array::from_fn(|_| rng.gen_range(0..1usize << 17) as u32));
+        let out = crate::gang::custom_row(masks, rs);
+        for (k, &got) in out.iter().enumerate() {
+            let [a, b, c, d] = rs.map(|row| row[k] as u16);
+            assert_eq!(
+                got,
+                eval_custom(table, a, b, c, d) as u32,
+                "W = {W} lane {k}"
+            );
+        }
+    }
+
     let mut rng = SmallRng::seed_from_u64(0xc057);
     let r16 = |rng: &mut SmallRng| rng.gen_range(0..0x10000usize) as u16;
     for _ in 0..200 {
@@ -1692,48 +2065,22 @@ fn custom_masks_match_reference() {
             *t = r16(&mut rng);
         }
         let masks = transpose_custom(&table);
-        let mut m64 = [0u64; 16];
-        for (packed, &m) in m64.iter_mut().zip(&masks) {
-            *packed = m as u64 * 0x0001_0001_0001_0001;
-        }
         let mut ins = [0u16; 16];
         for i in ins.iter_mut() {
             *i = r16(&mut rng);
         }
-        for lane4 in ins.chunks_exact(4) {
-            // Scalar bitsliced form.
-            for w in lane4.windows(4) {
-                assert_eq!(
-                    eval_custom_masks(&masks, w[0], w[1], w[2], w[3]),
-                    eval_custom(&table, w[0], w[1], w[2], w[3]),
-                );
-            }
-            // Packed form: 4 independent (a, b, c, d) quads in the slots.
-            let quads: Vec<[u16; 4]> = (0..4)
-                .map(|k| {
-                    [
-                        lane4[k],
-                        lane4[(k + 1) % 4],
-                        lane4[(k + 2) % 4],
-                        lane4[(k + 3) % 4],
-                    ]
-                })
-                .collect();
-            let pack = |sel: usize| -> u64 {
-                quads
-                    .iter()
-                    .enumerate()
-                    .map(|(k, q)| (q[sel] as u64) << (16 * k))
-                    .sum()
-            };
-            let out = eval_custom_masks_x4(&m64, pack(0), pack(1), pack(2), pack(3));
-            for (k, q) in quads.iter().enumerate() {
-                assert_eq!(
-                    ((out >> (16 * k)) & 0xffff) as u16,
-                    eval_custom(&table, q[0], q[1], q[2], q[3]),
-                );
-            }
+        // Scalar bitsliced form.
+        for w in ins.windows(4) {
+            assert_eq!(
+                custom_mux_tree(&masks, w[0], w[1], w[2], w[3]),
+                eval_custom(&table, w[0], w[1], w[2], w[3]),
+            );
         }
+        // Row form: one tree for every lane of the row.
+        rows_match::<1>(&table, &masks, &mut rng);
+        rows_match::<4>(&table, &masks, &mut rng);
+        rows_match::<8>(&table, &masks, &mut rng);
+        rows_match::<16>(&table, &masks, &mut rng);
     }
 }
 

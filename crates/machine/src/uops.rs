@@ -217,9 +217,6 @@ pub(crate) struct MicroProgram {
     /// `crate::exec::transpose_custom`), concatenated in core order:
     /// what [`UOp::Custom`]'s `func` indexes.
     pub custom: Vec<[u16; 16]>,
-    /// `custom` broadcast into all four 16-bit slots of a `u64`, for the
-    /// gang engine's four-lanes-per-tree evaluation.
-    pub custom_x4: Vec<[u64; 16]>,
     /// True if some register written near the Vcycle end is read early
     /// enough in the next Vcycle to observe the write still in flight.
     /// This is a static property (`write pos + hazard latency >
@@ -382,7 +379,6 @@ impl MicroProgram {
             + self.epi_exec.len() * size_of::<usize>()
             + self.deliver_at.len() * size_of::<u32>()
             + self.custom.len() * size_of::<[u16; 16]>()
-            + self.custom_x4.len() * size_of::<[u64; 16]>()
     }
 
     /// Compiles a loaded program into the flat micro-op array and
@@ -454,10 +450,6 @@ impl MicroProgram {
             instructions: spans.iter().map(|s| s.executed).sum(),
             sends: deliveries.len(),
             deliver_at: deliveries.iter().map(|d| d.deliver_at).collect(),
-            custom_x4: custom
-                .iter()
-                .map(|m| m.map(|x| x as u64 * 0x0001_0001_0001_0001))
-                .collect(),
             custom,
             ops,
             spans,
@@ -708,7 +700,7 @@ pub(crate) fn run_ops(
             }
             UOp::Custom { rd, func, rs } => {
                 let [a, b, c, d] = rs.map(|r| regs[r as usize] as u16);
-                let out = crate::exec::eval_custom_masks(&up.custom[func as usize], a, b, c, d);
+                let out = crate::exec::custom_mux_tree(&up.custom[func as usize], a, b, c, d);
                 regs[rd as usize] = out as u32;
             }
             UOp::Predicate { core, rs } => {

@@ -26,7 +26,11 @@ appear in the fresh run with the same `workers` and `vcycles` — a
 geometry drift would make the ratio incomparable, not just noisy — and
 each row's `gang_reg_words` (the words of lane-row register state one
 gang holds) is compared exactly: the lane rows are a deterministic
-function of the compiled program and the width. The 8-lane
+function of the compiled program and the width. The `gang_kernel` (the
+instruction set the gang kernels ran on, "avx2" or "portable") is
+compared exactly too, so a baseline never silently crosses kernels: a
+host that selects the other kernel must regenerate BENCH_fleet.json.
+The 8-lane
 `geomean_gang_vs_fleet` (the lane-batched gang engine's scenarios/sec
 over the one-machine-per-scenario fleet at equal worker count) must stay
 within the tolerance; every other width's geomean is a ONE-SIDED floor
@@ -140,10 +144,10 @@ TWO_SIDED_LANES = 8
 
 
 def check_fleet(fresh_path, base_path, tolerance, failures):
-    """Every committed gang width: geometry and per-row register words
-    exactly (the lane rows are a deterministic function of the compiled
-    program and the width), the 8-lane geomean two-sided and every other
-    width's geomean as a one-sided floor."""
+    """Every committed gang width: the kernel, geometry and per-row
+    register words exactly (the lane rows are a deterministic function of
+    the compiled program and the width), the 8-lane geomean two-sided and
+    every other width's geomean as a one-sided floor."""
     with open(fresh_path) as f:
         fresh_doc = json.load(f)
     with open(base_path) as f:
@@ -154,6 +158,7 @@ def check_fleet(fresh_path, base_path, tolerance, failures):
         return
     fresh_widths = {w.get("lanes"): w for w in fresh_doc.get("gang_widths", [])}
     print("fleet gang widths:")
+    check_exact("gang_kernel", fresh_doc.get("gang_kernel"), base_doc.get("gang_kernel"), failures)
     for bw in base_widths:
         lanes = bw.get("lanes")
         label = f"gang[{lanes}]"
